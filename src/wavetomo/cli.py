@@ -43,7 +43,8 @@ def _outdir(args):
 
 
 def _read_config(path):
-    with open(path) as fh:
+    # bytes: json decodes them, so a file that is not UTF-8 is a ConfigError too
+    with open(path, "rb") as fh:
         return fileio.parse_config(fh.read())
 
 
@@ -192,11 +193,11 @@ def cmd_sweep(args):
 
     if args.contrast:
         contrasts = _parse_range(args.contrast)
-        p = cfg.get("phantom", {})
-        if p.get("kind") != "cylinders" or len(p.get("cylinders", [])) != 1:
+        p = fileio.phantom_from_config(cfg)
+        if p.kind != "cylinders" or len(p.cylinders) != 1:
             raise ConfigError("contrast sweep needs a single-cylinder phantom")
-        radius = float(p["cylinders"][0]["radius_m"])
-        tx = simulate.transmitters_from_config(cfg)[0]
+        radius = p.cylinders[0].radius_m
+        tx = fileio.transmitters_from_config(cfg)[0]
         if tx.kind != "point":
             raise ConfigError("contrast sweep needs a point source")
         src = np.asarray(tx.position)
@@ -310,7 +311,7 @@ def main(argv=None):
     except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (OSError, MeasurementParseError, json.JSONDecodeError) as exc:
+    except (OSError, MeasurementParseError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
 

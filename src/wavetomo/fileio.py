@@ -4,6 +4,11 @@ Everything on disk is plain text.  Physical quantities carry SI units with
 unit-suffixed key names.  Floats are written with 17 significant digits so a
 write/read round trip is bit exact.
 
+The experiment configuration is one JSON object.  The schemas below give
+every key its type and default (or REQUIRED); the ``*_from_config`` readers
+are the only code that reads a config, and ``parse_config`` runs all of them,
+so every malformed config raises ConfigError naming the key path.
+
 Measurement files (native format) are a single-line JSON header holding the
 geometry and frequency, followed by CSV rows ``tx,rx,re,im`` with the
 measured scattered field per (transmitter, receiver-slot) pair.
@@ -17,16 +22,19 @@ the incident field recorded at the receivers calibrates a per-transmitter
 complex source amplitude by least squares against the line-source model.
 """
 
+import cmath
 import json
 import math
 import os
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError, MeasurementParseError
 from .forward import ForwardConfig
-from .grid import DomainGrid, SensorSet, centered_grid, ring_sensors
-from .recon import MeasurementSet, ReconConfig, Transmitter
+from .grid import DomainGrid, SensorSet, centered_grid, refined_grid, ring_sensors
+from .recon import SUBSAMPLE_FACTORS, MeasurementSet, ReconConfig, Transmitter
 from .tv import BoxConstraint
 
 SPEED_OF_LIGHT = 299792458.0
@@ -41,26 +49,192 @@ def _fmt(x):
 
 # ---------------------------------------------------------------------------
 # experiment configuration
+#
+# Each schema maps a key to (type, default).  A default is REQUIRED, a value,
+# or a function of the raw section for defaults that depend on other keys.
+# Range and combination checks belong to the objects the readers build
+# (DomainGrid, ForwardConfig, ReconConfig, BoxConstraint, Transmitter,
+# ring_sensors, refined_grid); _build reports them under the key path.
+
+REQUIRED = object()
+
+
+def _is_int(v):
+    # bool is an int subclass; an int beyond the float range overflows float()
+    return type(v) is int and abs(v) <= sys.float_info.max
+
+
+def _is_number(v):
+    return type(v) is float or _is_int(v)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, (list, tuple)) and all(check(x) for x in v)
+
+
+INT = ("an integer", _is_int)
+NUMBER = ("a number", _is_number)
+NUMBER_OR_NULL = ("a number or null", lambda v: v is None or _is_number(v))
+STRING = ("a string", lambda v: type(v) is str)
+INTS = ("a list of integers", _list_of(_is_int))
+NUMBERS = ("a list of numbers", _list_of(_is_number))
+POINTS = ("a list of coordinate lists", _list_of(_list_of(_is_number)))
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+LIST = ("a list", lambda v: isinstance(v, (list, tuple)))
+OBJECT_OR_LIST = ("an object or a list", lambda v: isinstance(v, (dict, list, tuple)))
+
+CONFIG_SCHEMA = {
+    "grid": (OBJECT, REQUIRED),
+    # reconstruct reads neither; simulate and the contrast sweep require them
+    "transmitters": (OBJECT_OR_LIST, None),
+    "receivers": (OBJECT, None),
+    "phantom": (OBJECT, {}),
+    "recon": (OBJECT, {}),
+    "generation": (OBJECT, {}),
+    "seed": (INT, 0),
+}
+GRID_SCHEMA = {
+    "shape": (INTS, REQUIRED),
+    "spacing_m": (NUMBER, REQUIRED),
+    "wavelength_m": (NUMBER, REQUIRED),
+    "origin_m": (NUMBERS, None),      # None: pixel block centered on the origin
+    "background_permittivity": (NUMBER, 1.0),
+}
+TRANSMITTER_RING_SCHEMA = {
+    "count": (INT, REQUIRED),
+    "radius_m": (NUMBER, REQUIRED),
+    "phase_rad": (NUMBER, 0.0),
+}
+TRANSMITTER_KINDS = {
+    "point": {"position_m": (NUMBERS, REQUIRED)},
+    "plane": {"direction": (NUMBERS, REQUIRED)},
+}
+RECEIVERS_SCHEMA = {
+    "count": (INT, REQUIRED),
+    "ring_radius_m": (NUMBER, REQUIRED),
+    "phase_rad": (NUMBER, 0.0),
+    "subsample": (INT, 1),
+}
+PHANTOM_KINDS = {
+    "none": {},
+    "cylinders": {"cylinders": (LIST, REQUIRED), "supersample": (INT, 4)},
+    "shepp_logan": {"contrast": (NUMBER, REQUIRED), "extent_m": (NUMBER_OR_NULL, None)},
+    "from_file": {"path": (STRING, REQUIRED)},
+}
+CYLINDER_SCHEMA = {
+    "center_m": (NUMBERS, REQUIRED),
+    "radius_m": (NUMBER, REQUIRED),
+    "contrast": (NUMBER, REQUIRED),
+}
+# the keys of RECON_SCHEMA and FORWARD_SCHEMA are ReconConfig / ForwardConfig fields
+RECON_SCHEMA = {
+    "forward": (OBJECT, {}),
+    "tau": (NUMBER_OR_NULL, None),
+    "tau_rel": (NUMBER_OR_NULL, lambda r: 1.5e-9 if r.get("tau") is None else None),
+    "step_gamma": (NUMBER_OR_NULL, None),
+    "fista_iters": (INT, 50),
+    "tv_variant": (STRING, "iso"),
+    "tv_iters": (INT, 10),
+    "tv_delta": (NUMBER, 1e-4),
+    "box": (OBJECT, {}),
+    "workers": (INT, 1),
+}
+FORWARD_SCHEMA = {
+    "K": (INT, 60),
+    "delta_tol": (NUMBER, 0.0),
+    "delta_tol_rel": (NUMBER_OR_NULL, lambda f: None if "delta_tol" in f else 5e-7),
+    "step_mode": (STRING, "adaptive"),
+    "nu": (NUMBER_OR_NULL, None),
+    "stop_on": (STRING, lambda f: "gradient" if "delta_tol" in f else "objective"),
+}
+BOX_SCHEMA = {"lower": (NUMBER, 0.0), "upper": (NUMBER, math.inf)}
+GENERATION_SCHEMA = {
+    "grid_refine": (INT, 2),
+    "k_multiplier": (INT, 4),
+    "noise_snr_db": (NUMBER_OR_NULL, None),
+}
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else str(key)
+
+
+def _value(section, path, key, spec):
+    (type_name, check), default = spec
+    if key not in section:
+        if default is REQUIRED:
+            raise ConfigError(f"{_join(path, key)}: required")
+        return default(section) if callable(default) else default
+    value = section[key]
+    if not check(value):
+        raise ConfigError(f"{_join(path, key)}: expected {type_name}, "
+                          f"got {json.dumps(value, default=str)}")
+    return value
+
+
+def _read(section, path, schema):
+    """Check one config object against its schema; returns every key, with
+    defaults filled in, as attributes."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    for key in section:
+        if key not in schema:
+            raise ConfigError(f"{_join(path, key)}: unknown key")
+    return SimpleNamespace(**{key: _value(section, path, key, spec)
+                              for key, spec in schema.items()})
+
+
+def _read_kind(section, path, kinds, default):
+    """Read an object whose ``kind`` key selects its schema from ``kinds``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object")
+    kind = _value(section, path, "kind", (STRING, default))
+    if kind not in kinds:
+        raise ConfigError(f"{_join(path, 'kind')}: expected one of "
+                          f"{', '.join(kinds)}, got {json.dumps(kind)}")
+    return _read(section, path, {"kind": (STRING, default), **kinds[kind]})
+
+
+def _section(cfg, key):
+    if not isinstance(cfg, dict):
+        raise ConfigError("config: expected an object")
+    value = _value(cfg, "", key, CONFIG_SCHEMA[key])
+    if value is None:
+        raise ConfigError(f"{key}: required")
+    return value
+
+
+def _build(path, make, *args, **kwargs):
+    """Construct a checked object, reporting its rejection under ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def parse_config(text):
-    """Parse the JSON experiment configuration into a plain dict (validated)."""
-    cfg = json.loads(text)
-    for key in ("grid",):
-        if key not in cfg:
-            raise ConfigError(f"config is missing the '{key}' section")
-    g = cfg["grid"]
-    for key in ("shape", "spacing_m", "wavelength_m"):
-        if key not in g:
-            raise ConfigError(f"grid section is missing '{key}'")
-    if any(int(n) < 1 for n in g["shape"]):
-        raise ConfigError("grid shape entries must be >= 1")
-    sub = cfg.get("receivers", {}).get("subsample", 1)
-    if sub not in (1, 2, 4, 8, 16, 32, 64, 128):
-        raise ConfigError("receivers.subsample must be a power of 2 up to 128")
-    phantom = cfg.get("phantom", {})
-    if phantom.get("kind") == "from_file" and not os.path.exists(phantom.get("path", "")):
-        raise ConfigError(f"phantom file not found: {phantom.get('path')}")
+    """Parse the JSON experiment configuration and check all of it.
+
+    Runs every reader below once (the phantom is checked, not rendered), so
+    any malformed key raises ConfigError naming its path.  The document may
+    omit ``transmitters`` and ``receivers``, which only simulation needs.
+    Returns the document as parsed.
+    """
+    try:
+        cfg = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    top = _read(cfg, "", CONFIG_SCHEMA)
+    grid = grid_from_config(cfg)
+    _build("generation.grid_refine", refined_grid, grid,
+           generation_from_config(cfg).grid_refine)
+    recon_config_from_config(cfg)
+    if top.transmitters is not None:
+        transmitters_from_config(cfg)
+    if top.receivers is not None:
+        receivers_from_config(cfg)
+    phantom_from_config(cfg)
+    rng_from_config(cfg)
     return cfg
 
 
@@ -69,39 +243,83 @@ def serialize_config(cfg):
 
 
 def grid_from_config(cfg):
-    g = cfg["grid"]
-    if "origin_m" in g:
-        return DomainGrid(tuple(g["shape"]), g["spacing_m"], tuple(g["origin_m"]),
-                          g["wavelength_m"], g.get("background_permittivity", 1.0))
-    return centered_grid(tuple(g["shape"]), g["spacing_m"], g["wavelength_m"],
-                         g.get("background_permittivity", 1.0))
+    g = _read(_section(cfg, "grid"), "grid", GRID_SCHEMA)
+    if g.origin_m is None:
+        return _build("grid", centered_grid, g.shape, g.spacing_m, g.wavelength_m,
+                      g.background_permittivity)
+    return _build("grid", DomainGrid, tuple(g.shape), g.spacing_m, tuple(g.origin_m),
+                  g.wavelength_m, g.background_permittivity)
 
 
 def recon_config_from_config(cfg):
-    r = cfg.get("recon", {})
-    fwd = r.get("forward", {})
-    forward = ForwardConfig(
-        K=fwd.get("K", 60),
-        delta_tol=fwd.get("delta_tol", 0.0),
-        delta_tol_rel=fwd.get("delta_tol_rel", 5e-7 if "delta_tol" not in fwd else None),
-        step_mode=fwd.get("step_mode", "adaptive"),
-        nu=fwd.get("nu"),
-        stop_on=fwd.get("stop_on", "objective" if "delta_tol" not in fwd else "gradient"),
-    )
-    box = r.get("box", {})
-    return ReconConfig(
-        forward=forward,
-        tau=r.get("tau"),
-        tau_rel=r.get("tau_rel", 1.5e-9 if r.get("tau") is None else None),
-        step_gamma=r.get("step_gamma"),
-        fista_iters=r.get("fista_iters", 50),
-        tv_variant=r.get("tv_variant", "iso"),
-        tv_iters=r.get("tv_iters", 10),
-        tv_delta=r.get("tv_delta", 1e-4),
-        box=BoxConstraint(box.get("lower", 0.0),
-                          box.get("upper", math.inf)),
-        workers=r.get("workers", 1),
-    )
+    """ReconConfig from the ``recon`` section; ``cfg`` may hold only that."""
+    r = _read(_section(cfg, "recon"), "recon", RECON_SCHEMA)
+    fwd = _read(r.forward, "recon.forward", FORWARD_SCHEMA)
+    box = _read(r.box, "recon.box", BOX_SCHEMA)
+    return _build("recon", ReconConfig, **{
+        **vars(r),
+        "forward": _build("recon.forward", ForwardConfig, **vars(fwd)),
+        "box": _build("recon.box", BoxConstraint, box.lower, box.upper)})
+
+
+def _read_transmitter(d, path, kinds, default_kind):
+    tx = _read_kind(d, path, kinds, default_kind)
+    amplitude = getattr(tx, "amplitude", [1.0, 0.0])
+    if len(amplitude) != 2:
+        raise ConfigError(f"{path}.amplitude: expected [re, im]")
+    if tx.kind == "plane":
+        return _build(path, Transmitter, "plane", direction=tx.direction,
+                      amplitude=complex(*amplitude))
+    return _build(path, Transmitter, "point", position=tx.position_m,
+                  amplitude=complex(*amplitude))
+
+
+def transmitters_from_config(cfg):
+    """Transmitters of a ``point-ring`` section or of an explicit list."""
+    t = _section(cfg, "transmitters")
+    if isinstance(t, dict):
+        ring = _read_kind(t, "transmitters", {"point-ring": TRANSMITTER_RING_SCHEMA},
+                          "point-ring")
+        ang = ring.phase_rad + 2.0 * np.pi * np.arange(ring.count) / ring.count
+        out = [Transmitter("point", position=(ring.radius_m * np.cos(a),
+                                              ring.radius_m * np.sin(a)))
+               for a in ang]
+    else:
+        out = [_read_transmitter(d, f"transmitters[{i}]", TRANSMITTER_KINDS, "point")
+               for i, d in enumerate(t)]
+    if not out:
+        raise ConfigError("transmitters: need at least one transmitter")
+    return out
+
+
+def receivers_from_config(cfg):
+    """(receiver ring, subsampling factor of the generated data)."""
+    r = _read(_section(cfg, "receivers"), "receivers", RECEIVERS_SCHEMA)
+    if r.subsample not in SUBSAMPLE_FACTORS:
+        raise ConfigError("receivers.subsample: must be a power of 2 up to 128")
+    ring = _build("receivers", ring_sensors, r.count, r.ring_radius_m,
+                  phase=r.phase_rad)
+    return ring, r.subsample
+
+
+def phantom_from_config(cfg):
+    """The phantom's kind and parameters, checked but not rendered."""
+    p = _read_kind(_section(cfg, "phantom"), "phantom", PHANTOM_KINDS, "none")
+    if p.kind == "cylinders":
+        p.cylinders = [_read(c, f"phantom.cylinders[{i}]", CYLINDER_SCHEMA)
+                       for i, c in enumerate(p.cylinders)]
+    if p.kind == "from_file" and not os.path.exists(p.path):
+        raise ConfigError(f"phantom.path: file not found: {p.path}")
+    return p
+
+
+def generation_from_config(cfg):
+    return _read(_section(cfg, "generation"), "generation", GENERATION_SCHEMA)
+
+
+def rng_from_config(cfg):
+    """Random generator for the measurement noise, seeded by ``seed``."""
+    return _build("seed", np.random.default_rng, _section(cfg, "seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +335,45 @@ def _tx_to_json(tx):
     return d
 
 
-def _tx_from_json(d):
-    amp = complex(d["amplitude"][0], d["amplitude"][1])
-    if d["kind"] == "point":
-        return Transmitter("point", position=tuple(d["position_m"]), amplitude=amp)
-    return Transmitter("plane", direction=tuple(d["direction"]), amplitude=amp)
+MEASUREMENT_FORMAT = "wavetomo-measurements-v1"
+MEASUREMENT_HEADER_SCHEMA = {
+    "format": (STRING, REQUIRED),
+    "frequency_hz": (NUMBER_OR_NULL, None),
+    "transmitters": (LIST, REQUIRED),
+    "receiver_positions_m": (POINTS, REQUIRED),
+}
+# header transmitters also carry their calibrated amplitude [re, im]
+MEASUREMENT_TRANSMITTER_KINDS = {
+    kind: {**keys, "amplitude": (NUMBERS, REQUIRED)}
+    for kind, keys in TRANSMITTER_KINDS.items()}
+
+
+def _read_header(line):
+    """(transmitters, receivers, frequency_hz) from a measurement file's first line."""
+    try:
+        header = json.loads(line)
+    except ValueError as exc:
+        raise MeasurementParseError(f"bad JSON header: {exc}", line=1) from None
+    if not isinstance(header, dict) or header.get("format") != MEASUREMENT_FORMAT:
+        raise MeasurementParseError("unrecognized format tag", line=1)
+    try:
+        h = _read(header, "header", MEASUREMENT_HEADER_SCHEMA)
+        transmitters = [_read_transmitter(d, f"header.transmitters[{i}]",
+                                          MEASUREMENT_TRANSMITTER_KINDS, REQUIRED)
+                        for i, d in enumerate(h.transmitters)]
+        if not transmitters:
+            raise ConfigError("header.transmitters: need at least one transmitter")
+        receivers = _build("header.receiver_positions_m", SensorSet,
+                           h.receiver_positions_m)
+    except ConfigError as exc:
+        raise MeasurementParseError(str(exc), line=1) from None
+    return transmitters, receivers, h.frequency_hz
 
 
 def save_measurements(path, mset):
     """Write a MeasurementSet: one JSON header line, then tx,rx,re,im rows."""
     header = {
-        "format": "wavetomo-measurements-v1",
+        "format": MEASUREMENT_FORMAT,
         "frequency_hz": mset.frequency_hz,
         "transmitters": [_tx_to_json(tx) for tx in mset.transmitters],
         "receiver_positions_m": mset.receivers.positions.tolist(),
@@ -141,20 +387,19 @@ def save_measurements(path, mset):
 
 
 def load_measurements(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MeasurementParseError("not UTF-8 text",
+                                    line=data.count(b"\n", 0, exc.start) + 1) from None
     if not lines:
         raise MeasurementParseError("empty file", line=1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise MeasurementParseError(f"bad JSON header: {exc}", line=1) from None
-    if header.get("format") != "wavetomo-measurements-v1":
-        raise MeasurementParseError("unrecognized format tag", line=1)
-    receivers = SensorSet(np.array(header["receiver_positions_m"], dtype=float))
-    transmitters = [_tx_from_json(d) for d in header["transmitters"]]
+    transmitters, receivers, frequency_hz = _read_header(lines[0])
     per_tx_ix = [[] for _ in transmitters]
     per_tx_y = [[] for _ in transmitters]
+    seen = set()
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -170,6 +415,15 @@ def load_measurements(path):
         if not 0 <= t < len(transmitters):
             raise MeasurementParseError(f"transmitter index {t} out of range",
                                         line=lineno)
+        if not 0 <= r < len(receivers):
+            raise MeasurementParseError(f"receiver index {r} out of range",
+                                        line=lineno)
+        if (t, r) in seen:
+            raise MeasurementParseError(f"repeated (tx, rx) pair ({t}, {r})",
+                                        line=lineno)
+        if not cmath.isfinite(v):
+            raise MeasurementParseError("non-finite value", line=lineno)
+        seen.add((t, r))
         per_tx_ix[t].append(r)
         per_tx_y[t].append(v)
     return MeasurementSet(
@@ -177,7 +431,7 @@ def load_measurements(path):
         receivers=receivers,
         active_indices=[np.array(ix, dtype=int) for ix in per_tx_ix],
         y=[np.array(v, dtype=complex) for v in per_tx_y],
-        frequency_hz=header.get("frequency_hz"))
+        frequency_hz=frequency_hz)
 
 
 # ---------------------------------------------------------------------------

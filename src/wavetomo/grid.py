@@ -110,6 +110,17 @@ def centered_grid(shape, spacing, wavelength, background_permittivity=1.0):
     return DomainGrid(shape, spacing, origin, wavelength, background_permittivity)
 
 
+def refined_grid(grid, refine):
+    """Grid with ``refine`` x pixels per axis over the same physical extent."""
+    if refine < 1:
+        raise ConfigError("grid refinement must be >= 1")
+    spacing = grid.spacing / refine
+    shape = tuple(n * refine for n in grid.shape)
+    origin = tuple(c - 0.5 * grid.spacing + 0.5 * spacing for c in grid.origin)
+    return DomainGrid(shape, spacing, origin, grid.wavelength,
+                      grid.background_permittivity)
+
+
 @dataclass(frozen=True)
 class SensorSet:
     """Sensor (receiver) positions in physical coordinates, shape (M, ndim)."""

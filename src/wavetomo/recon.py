@@ -8,6 +8,7 @@ by the linearized one (Rytov additionally replaces y by the complex-log
 transformed data) so the baselines run under the identical FISTA/TV machinery.
 """
 
+import numbers
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +24,9 @@ from .greens import (MaskedSensorOperator, build_domain_operator,
 from .grid import SensorSet
 from .metrics import normalized_recon_error
 from .tv import BoxConstraint, prox_tv
+
+# receiver decimation factors MeasurementSet.subsample accepts
+SUBSAMPLE_FACTORS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ class MeasurementSet:
         active list, so the kept sets nest across factors (the factor-2 set
         contains the factor-4 set, and so on).
         """
-        if factor not in (1, 2, 4, 8, 16, 32, 64, 128):
+        if factor not in SUBSAMPLE_FACTORS:
             raise ConfigError("subsampling factor must be a power of 2 up to 128")
         if factor == 1:
             return self
@@ -141,10 +145,15 @@ class ReconConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("fista_iters", "tv_iters"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer")
         if self.fista_iters < 1:
             raise ConfigError("fista_iters must be >= 1")
         if self.step_gamma is not None and not self.step_gamma > 0:
             raise ConfigError("step_gamma must be positive")
+        if self.tv_variant not in ("iso", "aniso"):
+            raise ConfigError("tv_variant must be 'iso' or 'aniso'")
         if (self.tau is None) == (self.tau_rel is None):
             raise ConfigError("set exactly one of tau / tau_rel")
         if (self.tau if self.tau is not None else self.tau_rel) < 0:

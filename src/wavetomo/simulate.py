@@ -12,75 +12,31 @@ import numpy as np
 from . import phantoms
 from .analytic import analytic_field_2d
 from .errors import ConfigError
-from .fileio import (SPEED_OF_LIGHT, grid_from_config, load_grid_csv,
-                     recon_config_from_config)
+from .fileio import (SPEED_OF_LIGHT, generation_from_config, grid_from_config,
+                     load_grid_csv, phantom_from_config, receivers_from_config,
+                     recon_config_from_config, rng_from_config,
+                     transmitters_from_config)
 from .forward import ForwardConfig, forward_solve
 from .greens import build_domain_operator, build_sensor_operator
-from .grid import DomainGrid, ring_sensors
+from .grid import refined_grid
 from .metrics import normalized_error
 from .recon import MeasurementSet, Transmitter
 
 
-def transmitters_from_config(cfg):
-    t = cfg.get("transmitters")
-    if t is None:
-        raise ConfigError("config is missing the 'transmitters' section")
-    if isinstance(t, list):
-        out = []
-        for d in t:
-            if d.get("kind") == "plane":
-                out.append(Transmitter("plane", direction=tuple(d["direction"])))
-            else:
-                out.append(Transmitter("point", position=tuple(d["position_m"])))
-        return out
-    if t.get("kind", "point-ring") != "point-ring":
-        raise ConfigError("transmitters.kind must be 'point-ring' or an explicit list")
-    count = int(t["count"])
-    radius = float(t["radius_m"])
-    phase = float(t.get("phase_rad", 0.0))
-    ang = phase + 2.0 * np.pi * np.arange(count) / count
-    return [Transmitter("point", position=(radius * np.cos(a), radius * np.sin(a)))
-            for a in ang]
-
-
-def receivers_from_config(cfg):
-    r = cfg.get("receivers")
-    if r is None:
-        raise ConfigError("config is missing the 'receivers' section")
-    return ring_sensors(int(r["count"]), float(r["ring_radius_m"]),
-                        phase=float(r.get("phase_rad", 0.0)))
-
-
 def render_phantom(cfg, grid):
-    p = cfg.get("phantom", {"kind": "none"})
-    kind = p.get("kind", "none")
-    if kind == "none":
-        return np.zeros(grid.shape)
-    if kind == "cylinders":
-        specs = [(tuple(c["center_m"]), float(c["radius_m"]), float(c["contrast"]))
-                 for c in p["cylinders"]]
-        return phantoms.cylinders(grid, specs, supersample=int(p.get("supersample", 4)))
-    if kind == "shepp_logan":
-        return phantoms.shepp_logan(grid, float(p["contrast"]),
-                                    extent=p.get("extent_m"))
-    if kind == "from_file":
-        values, _ = load_grid_csv(p["path"])
+    p = phantom_from_config(cfg)
+    if p.kind == "cylinders":
+        specs = [(tuple(c.center_m), c.radius_m, c.contrast) for c in p.cylinders]
+        return phantoms.cylinders(grid, specs, supersample=p.supersample)
+    if p.kind == "shepp_logan":
+        return phantoms.shepp_logan(grid, p.contrast, extent=p.extent_m)
+    if p.kind == "from_file":
+        values, _ = load_grid_csv(p.path)
         if values.shape != grid.shape:
             raise ConfigError(f"phantom file shape {values.shape} does not match "
                               f"grid {grid.shape}")
         return values
-    raise ConfigError(f"unknown phantom kind '{kind}'")
-
-
-def refined_grid(grid, refine):
-    """Grid with ``refine`` x pixels per axis over the same physical extent."""
-    if refine < 1:
-        raise ConfigError("grid refinement must be >= 1")
-    spacing = grid.spacing / refine
-    shape = tuple(n * refine for n in grid.shape)
-    origin = tuple(c - 0.5 * grid.spacing + 0.5 * spacing for c in grid.origin)
-    return DomainGrid(shape, spacing, origin, grid.wavelength,
-                      grid.background_permittivity)
+    return np.zeros(grid.shape)
 
 
 def simulate_measurements(cfg):
@@ -91,19 +47,17 @@ def simulate_measurements(cfg):
     """
     grid = grid_from_config(cfg)
     recon_cfg = recon_config_from_config(cfg)
-    gen = cfg.get("generation", {})
-    refine = int(gen.get("grid_refine", 2))
-    k_mult = int(gen.get("k_multiplier", 4))
+    gen = generation_from_config(cfg)
 
-    fine = refined_grid(grid, refine)
+    fine = refined_grid(grid, gen.grid_refine)
     f_fine = render_phantom(cfg, fine)
     f_true = render_phantom(cfg, grid)
 
     transmitters = transmitters_from_config(cfg)
-    receivers = receivers_from_config(cfg)
+    receivers, subsample = receivers_from_config(cfg)
     G = build_domain_operator(fine)
     H = build_sensor_operator(fine, receivers)
-    fwd = ForwardConfig(K=max(1, k_mult * recon_cfg.forward.K),
+    fwd = ForwardConfig(K=max(1, gen.k_multiplier * recon_cfg.forward.K),
                         delta_tol=recon_cfg.forward.delta_tol,
                         delta_tol_rel=recon_cfg.forward.delta_tol_rel,
                         stop_on=recon_cfg.forward.stop_on)
@@ -114,11 +68,10 @@ def simulate_measurements(cfg):
         u_in = tx.field_on_grid(fine)
         y.append(forward_solve(f_fine, u_in, G, H, fwd).z)
 
-    snr_db = gen.get("noise_snr_db")
-    if snr_db is not None:
-        rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    if gen.noise_snr_db is not None:
+        rng = rng_from_config(cfg)
         power = np.mean([np.mean(np.abs(v) ** 2) for v in y])
-        sigma = np.sqrt(power * 10.0 ** (-float(snr_db) / 10.0) / 2.0)
+        sigma = np.sqrt(power * 10.0 ** (-gen.noise_snr_db / 10.0) / 2.0)
         y = [v + sigma * (rng.standard_normal(v.shape)
                           + 1j * rng.standard_normal(v.shape)) for v in y]
 
@@ -128,10 +81,7 @@ def simulate_measurements(cfg):
         active_indices=[all_slots.copy() for _ in transmitters],
         y=y,
         frequency_hz=SPEED_OF_LIGHT / grid.wavelength)
-    factor = cfg.get("receivers", {}).get("subsample", 1)
-    if factor != 1:
-        mset = mset.subsample(int(factor))
-    return mset, f_true
+    return mset.subsample(subsample), f_true
 
 
 def forward_error_vs_analytic(grid, scene, K_values, source_position,

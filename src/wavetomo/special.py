@@ -248,11 +248,6 @@ def bessel_yn_all(nmax, x):
     return out[:, 0] if scalar else out
 
 
-def hankel1_n_all(nmax, x):
-    """H_n^(1)(x) for n = 0..nmax."""
-    return bessel_jn_all(nmax, x) + 1j * bessel_yn_all(nmax, x)
-
-
 def spherical_jn_all(lmax, x):
     """Spherical j_l(x) for l = 0..lmax.
 
@@ -311,11 +306,6 @@ def spherical_yn_all(lmax, x):
     for l in range(1, lmax):
         out[l + 1] = ((2.0 * l + 1.0) / x) * out[l] - out[l - 1]
     return out[:, 0] if scalar else out
-
-
-def spherical_hn1_all(lmax, x):
-    """Spherical h_l^(1)(x) = j_l(x) + j n_l(x) for l = 0..lmax."""
-    return spherical_jn_all(lmax, x) + 1j * spherical_yn_all(lmax, x)
 
 
 def legendre_all(lmax, x):

@@ -115,6 +115,82 @@ class TestSweepCommand:
         assert rows[1][2] > rows[0][2]
 
 
+def _set(section, **values):
+    return lambda cfg: cfg[section].update(values)
+
+
+def _drop(section, key):
+    return lambda cfg: cfg[section].pop(key)
+
+
+MALFORMED_CONFIGS = {
+    "missing transmitters.count": (
+        _drop("transmitters", "count"), "transmitters.count: required"),
+    "shape with a string": (
+        _set("grid", shape=[8, "x"]), "grid.shape: expected a list of integers"),
+    "shape not a list": (
+        _set("grid", shape=8), "grid.shape: expected a list of integers"),
+    "spacing a string": (
+        _set("grid", spacing_m="a"), "grid.spacing_m: expected a number"),
+    "K a string": (
+        lambda cfg: cfg["recon"]["forward"].update(K="5"),
+        "recon.forward.K: expected an integer"),
+    "receivers without ring_radius_m": (
+        _drop("receivers", "ring_radius_m"), "receivers.ring_radius_m: required"),
+    "cylinders without a list": (
+        _set("phantom", kind="cylinders"), "phantom.cylinders: required"),
+    "cylinders not a list": (
+        _set("phantom", kind="cylinders", cylinders={"radius_m": 0.1}),
+        "phantom.cylinders: expected a list"),
+    "transmitter entry without position_m": (
+        lambda cfg: cfg.update(transmitters=[{"kind": "point"}]),
+        "transmitters[0].position_m: required"),
+    "fractional fista_iters": (
+        _set("recon", fista_iters=1.5), "recon.fista_iters: expected an integer"),
+    "unknown tv_variant": (
+        _set("recon", tv_variant="foo"), "recon: tv_variant must be 'iso' or 'aniso'"),
+    "unknown key recon.fista_iter": (
+        _set("recon", fista_iter=3), "recon.fista_iter: unknown key"),
+    "no transmitters": (
+        lambda cfg: cfg.update(transmitters=[]), "transmitters: need at least one"),
+    "zero grid refinement": (
+        _set("generation", grid_refine=0), "generation.grid_refine: grid refinement"),
+}
+
+
+class TestMalformedConfig:
+    """A malformed config exits 1 with one 'error:' line naming the key path."""
+
+    def _simulate(self, tmp_path, capsys, data):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(data)
+        out = tmp_path / "m.dat"
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("case", list(MALFORMED_CONFIGS))
+    def test_malformed_config(self, tmp_path, capsys, case):
+        edit, expected = MALFORMED_CONFIGS[case]
+        cfg = write_config(tmp_path / "base.json")
+        edit(cfg)
+        err = self._simulate(tmp_path, capsys, json.dumps(cfg).encode())
+        assert expected in err
+
+    @pytest.mark.parametrize("data", [b'{"grid": ', b'{"grid": "\xff"}'],
+                             ids=["truncated", "not UTF-8"])
+    def test_unparsable_config(self, tmp_path, capsys, data):
+        assert "config is not valid JSON" in self._simulate(tmp_path, capsys, data)
+
+    def test_missing_config_is_io_error(self, tmp_path):
+        assert main(["simulate", "--config", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "m.dat")]) == 3
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["reconstruct"]) == 1

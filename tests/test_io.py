@@ -62,6 +62,53 @@ class TestConfig:
         assert np.array_equal(got, values)
 
 
+def small_measurements():
+    """Two transmitters (point and plane) over a 3-slot ring; 5 data rows."""
+    return wt.MeasurementSet(
+        transmitters=[wt.Transmitter("point", position=(0.8, 0.0)),
+                      wt.Transmitter("plane", direction=(0.0, 1.0))],
+        receivers=wt.ring_sensors(3, radius=0.9),
+        active_indices=[[0, 1, 2], [0, 2]],
+        y=[[1 + 2j, -0.5j, 3.0], [0.25, 1e-3 - 2j]],
+        frequency_hz=4e9)
+
+
+def _header(edit):
+    def apply(lines):
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header).encode()
+    return apply
+
+
+def _row(i, text):
+    return lambda lines: lines.__setitem__(i, text)
+
+
+# name -> (edit of the file's lines, line the error must name)
+MALFORMED_FILES = {
+    "header not an object": (_row(0, b"[1]"), 1),
+    "header without transmitters": (_header(lambda h: h.pop("transmitters")), 1),
+    "header without receivers": (_header(lambda h: h.pop("receiver_positions_m")), 1),
+    "no transmitters": (_header(lambda h: h.update(transmitters=[])), 1),
+    "transmitter not an object": (_header(lambda h: h["transmitters"].append("x")), 1),
+    "transmitter without kind": (_header(lambda h: h["transmitters"][0].pop("kind")), 1),
+    "transmitter without position": (
+        _header(lambda h: h["transmitters"][0].pop("position_m")), 1),
+    "amplitude not a pair": (
+        _header(lambda h: h["transmitters"][1].update(amplitude=[1.0])), 1),
+    "zero plane direction": (
+        _header(lambda h: h["transmitters"][1].update(direction=[0, 0])), 1),
+    "ragged receiver positions": (
+        _header(lambda h: h["receiver_positions_m"][0].append(1.0)), 1),
+    "receiver index past the ring": (_row(3, b"0,99,1,0"), 4),
+    "negative receiver index": (_row(3, b"0,-1,1,0"), 4),
+    "repeated pair": (lambda lines: lines.append(lines[2]), 7),
+    "non-finite value": (_row(5, b"1,0,nan,0"), 6),
+    "not UTF-8": (_row(2, b"0,0,\xff,0"), 3),
+}
+
+
 class TestMeasurementFile:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         cfg = base_config()
@@ -88,6 +135,17 @@ class TestMeasurementFile:
         path = tmp_path / "bad.dat"
         path.write_text("not json\n")
         with pytest.raises(MeasurementParseError):
+            fileio.load_measurements(path)
+
+    @pytest.mark.parametrize("case", list(MALFORMED_FILES))
+    def test_malformed_file_names_its_line(self, tmp_path, case):
+        edit, line = MALFORMED_FILES[case]
+        path = tmp_path / "m.dat"
+        fileio.save_measurements(path, small_measurements())
+        lines = path.read_bytes().splitlines()
+        edit(lines)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(MeasurementParseError, match=f"^line {line}: "):
             fileio.load_measurements(path)
 
 

@@ -131,6 +131,13 @@ class TestFista:
         with pytest.raises(ConfigError):
             wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau=1.0, tau_rel=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tv_variant", "foo"), ("fista_iters", 1.5), ("tv_iters", 2.0)])
+    def test_loop_config_validation(self, field, value):
+        # rejected at construction, not at the first prox or range() call
+        with pytest.raises(ConfigError, match=field):
+            wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau=1.0, **{field: value})
+
 
 class TestLinearBaselines:
     def test_born_trivial(self, small_setup, rng):
