@@ -15,7 +15,22 @@ gradient is Re(r^0).  The f-dependence of the adaptive step sizes gamma_k is
 deliberately ignored (they become stationary; a fixed step makes the gradient
 exact).
 
-Memory: the trace holds all K extrapolated fields, O(K N) complex values.
+Both operators act on the same q^k and share its products, so one backward
+iteration is
+
+  Aq   = A q^k,  GHAq = G^H Aq,
+  S^k q^k = q^k - gamma_k (Aq - f * GHAq),
+  r      += gamma_k (conj(GHr_k) * q^k + conj(s^k) * GHAq),
+
+where GHr_k = G^H(A s^k - u_in) was formed by the forward step at s^k and is
+read from the trace.  That is 2 G-applies per iteration (one in A, one in
+G^H), so a transmitter gradient costs 3K forward + 2K backward applies.
+``apply_Sk`` and ``apply_Tk`` are the unfused operators (6 applies between
+them); the fused update performs their operations in the same order and
+gives the same result bit for bit.
+
+Memory: a differentiable trace (solved with H given) holds two fields per
+iteration, s^k and GHr_k, O(2 K N) complex values.
 """
 
 import numpy as np
@@ -50,10 +65,18 @@ def apply_Tk(f, s_k, v, u_in, G):
 
 
 def gradient_from_trace(f, y, u_in, G, H, trace):
-    """Backward recursion over an existing forward trace; returns Re(r^0)."""
+    """Backward recursion over an existing forward trace; returns Re(r^0).
+
+    The trace must come from ``forward_solve`` with the sensor operator H
+    given.  ``u_in`` is not read: its residual G^H(A s^k - u_in) is in the
+    trace.
+    """
     grid = G.grid
     f = grid.check_field(f, "potential")
     y = np.asarray(y)
+    if trace.z is None or trace.GHr_history is None:
+        raise DimensionError("trace was solved without a sensor operator H; "
+                             "pass H to forward_solve to differentiate it")
     if trace.z.shape != y.shape:
         raise DimensionError(f"sensor counts differ: {trace.z.shape} vs {y.shape}")
     resid = trace.z - y
@@ -65,10 +88,13 @@ def gradient_from_trace(f, y, u_in, G, H, trace):
     mu_next = 0.0
     for k in range(trace.K_effective, 0, -1):
         s_k = trace.s_history[k - 1]
+        GHr_k = trace.GHr_history[k - 1]
         gamma_k = trace.gamma_history[k - 1]
         mu_k = trace.mu_history[k - 1]
-        Sq = apply_Sk(f, gamma_k, q, G)
-        r = r + gamma_k * apply_Tk(f, s_k, q, u_in, G)
+        Aq = apply_A(f, q, G)
+        GHAq = G.apply_adjoint(Aq)
+        Sq = q - gamma_k * (Aq - f * GHAq)                           # S^k q
+        r += gamma_k * (np.conj(GHr_k) * q + np.conj(s_k) * GHAq)  # T^k q
         # q^0 multiplies the f-independent u^0, so its exact closure at k = 1
         # is irrelevant to the returned gradient
         q = (1.0 - mu_k) * Sq + mu_next * Sq_next

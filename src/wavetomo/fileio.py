@@ -262,8 +262,16 @@ def recon_config_from_config(cfg):
         "box": _build("recon.box", BoxConstraint, box.lower, box.upper)})
 
 
-def _read_transmitter(d, path, kinds, default_kind):
+def _check_length(path, vector, ndim):
+    if len(vector) != ndim:
+        raise ConfigError(f"{path}: expected {ndim} coordinates, one per axis, "
+                          f"got {len(vector)}")
+
+
+def _read_transmitter(d, path, kinds, default_kind, ndim):
     tx = _read_kind(d, path, kinds, default_kind)
+    vector = "direction" if tx.kind == "plane" else "position_m"
+    _check_length(_join(path, vector), getattr(tx, vector), ndim)
     amplitude = getattr(tx, "amplitude", [1.0, 0.0])
     if len(amplitude) != 2:
         raise ConfigError(f"{path}.amplitude: expected [re, im]")
@@ -277,15 +285,19 @@ def _read_transmitter(d, path, kinds, default_kind):
 def transmitters_from_config(cfg):
     """Transmitters of a ``point-ring`` section or of an explicit list."""
     t = _section(cfg, "transmitters")
+    ndim = grid_from_config(cfg).ndim
     if isinstance(t, dict):
         ring = _read_kind(t, "transmitters", {"point-ring": TRANSMITTER_RING_SCHEMA},
                           "point-ring")
+        if ndim != 2:
+            raise ConfigError("transmitters: a point-ring needs a 2D grid")
         ang = ring.phase_rad + 2.0 * np.pi * np.arange(ring.count) / ring.count
         out = [Transmitter("point", position=(ring.radius_m * np.cos(a),
                                               ring.radius_m * np.sin(a)))
                for a in ang]
     else:
-        out = [_read_transmitter(d, f"transmitters[{i}]", TRANSMITTER_KINDS, "point")
+        out = [_read_transmitter(d, f"transmitters[{i}]", TRANSMITTER_KINDS, "point",
+                                 ndim)
                for i, d in enumerate(t)]
     if not out:
         raise ConfigError("transmitters: need at least one transmitter")
@@ -297,6 +309,8 @@ def receivers_from_config(cfg):
     r = _read(_section(cfg, "receivers"), "receivers", RECEIVERS_SCHEMA)
     if r.subsample not in SUBSAMPLE_FACTORS:
         raise ConfigError("receivers.subsample: must be a power of 2 up to 128")
+    if grid_from_config(cfg).ndim != 2:
+        raise ConfigError("receivers: a receiver ring needs a 2D grid")
     ring = _build("receivers", ring_sensors, r.count, r.ring_radius_m,
                   phase=r.phase_rad)
     return ring, r.subsample
@@ -308,6 +322,9 @@ def phantom_from_config(cfg):
     if p.kind == "cylinders":
         p.cylinders = [_read(c, f"phantom.cylinders[{i}]", CYLINDER_SCHEMA)
                        for i, c in enumerate(p.cylinders)]
+        ndim = grid_from_config(cfg).ndim
+        for i, c in enumerate(p.cylinders):
+            _check_length(f"phantom.cylinders[{i}].center_m", c.center_m, ndim)
     if p.kind == "from_file" and not os.path.exists(p.path):
         raise ConfigError(f"phantom.path: file not found: {p.path}")
     return p
@@ -358,13 +375,14 @@ def _read_header(line):
         raise MeasurementParseError("unrecognized format tag", line=1)
     try:
         h = _read(header, "header", MEASUREMENT_HEADER_SCHEMA)
+        receivers = _build("header.receiver_positions_m", SensorSet,
+                           h.receiver_positions_m)
         transmitters = [_read_transmitter(d, f"header.transmitters[{i}]",
-                                          MEASUREMENT_TRANSMITTER_KINDS, REQUIRED)
+                                          MEASUREMENT_TRANSMITTER_KINDS, REQUIRED,
+                                          receivers.positions.shape[1])
                         for i, d in enumerate(h.transmitters)]
         if not transmitters:
             raise ConfigError("header.transmitters: need at least one transmitter")
-        receivers = _build("header.receiver_positions_m", SensorSet,
-                           h.receiver_positions_m)
     except ConfigError as exc:
         raise MeasurementParseError(str(exc), line=1) from None
     return transmitters, receivers, h.frequency_hz
@@ -457,9 +475,12 @@ def load_fresnel_ascii(path, frequency_ghz=3.0):
     least-squares fit of the line-source model to its recorded incident field.
     """
     rows = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            s = raw.strip()
+            try:
+                s = raw.decode().strip()
+            except UnicodeDecodeError:
+                raise MeasurementParseError("not UTF-8 text", line=lineno) from None
             if not s or s.startswith("#"):
                 continue
             parts = s.split()
@@ -470,6 +491,12 @@ def load_fresnel_ascii(path, frequency_ghz=3.0):
                 vals = [float(p) for p in parts]
             except ValueError as exc:
                 raise MeasurementParseError(str(exc), line=lineno) from None
+            # transmitters sit on the receivers' ring, so both index its slots
+            for name, text, ix in zip(("transmitter", "receiver"), parts, vals):
+                if not (ix.is_integer() and 1 <= ix <= FRESNEL_RECEIVER_SLOTS):
+                    raise MeasurementParseError(
+                        f"{name} index {text} is not an integer in "
+                        f"1..{FRESNEL_RECEIVER_SLOTS}", line=lineno)
             rows.append((lineno, vals))
     if not rows:
         raise MeasurementParseError("no data rows", line=1)
@@ -484,9 +511,6 @@ def load_fresnel_ascii(path, frequency_ghz=3.0):
             f"no rows at {frequency_ghz} GHz", line=rows[0][0])
 
     n_tx = int(max(v[0] for _, v in sel))
-    if n_tx < 1:
-        raise MeasurementParseError("transmitter indices must be 1-based",
-                                    line=sel[0][0])
     receivers = ring_sensors(FRESNEL_RECEIVER_SLOTS, FRESNEL_RING_RADIUS_M)
     tx_step = 360.0 / n_tx
     freq_hz = frequency_ghz * 1e9
@@ -495,12 +519,16 @@ def load_fresnel_ascii(path, frequency_ghz=3.0):
     per_ix = [[] for _ in range(n_tx)]
     per_sc = [[] for _ in range(n_tx)]
     per_inc = [[] for _ in range(n_tx)]
+    seen = set()
     for ln, v in sel:
         t = int(v[0]) - 1
         r = int(v[1]) - 1
-        if not 0 <= r < FRESNEL_RECEIVER_SLOTS:
-            raise MeasurementParseError(f"receiver index {r + 1} out of range",
-                                        line=ln)
+        if (t, r) in seen:
+            raise MeasurementParseError(
+                f"repeated (tx, rx) pair ({t + 1}, {r + 1})", line=ln)
+        if not all(math.isfinite(x) for x in v[3:]):
+            raise MeasurementParseError("non-finite value", line=ln)
+        seen.add((t, r))
         tot = complex(v[3], v[4])
         inc = complex(v[5], v[6])
         per_ix[t].append(r)

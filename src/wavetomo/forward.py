@@ -61,11 +61,19 @@ class ForwardConfig:
 
 @dataclass
 class ForwardTrace:
-    """Everything the reverse-mode gradient needs from a forward solve."""
+    """Everything the reverse-mode gradient needs from a forward solve.
+
+    ``GHr_history[k - 1]`` holds G^H (A s^k - u_in), the Green's-adjoint
+    residual the step at s^k already formed; the backward pass reuses it.
+    It and ``z`` are recorded only when the solve is given a sensor operator
+    H, since only such a trace can be differentiated; otherwise both are
+    None and the trace holds no more than the iterates.
+    """
 
     s_history: list = field(default_factory=list)
     gamma_history: list = field(default_factory=list)
     mu_history: list = field(default_factory=list)
+    GHr_history: list | None = None
     u_hat: np.ndarray | None = None
     z: np.ndarray | None = None
     K_effective: int = 0
@@ -76,6 +84,8 @@ class ForwardTrace:
         if not (len(self.s_history) == len(self.gamma_history)
                 == len(self.mu_history) == k):
             raise ConfigError("trace histories disagree with K_effective")
+        if self.GHr_history is not None and len(self.GHr_history) != k:
+            raise ConfigError("trace residual history disagrees with K_effective")
         if any(not g > 0 for g in self.gamma_history):
             raise ConfigError("trace contains a nonpositive step size")
 
@@ -109,7 +119,8 @@ def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
     assumes), t_0 = 0.  Each iteration extrapolates s^k from the two previous
     iterates, takes a gradient step, and may stop early on ``cfg.delta_tol``.
     The stopping iteration is still recorded so the trace always has
-    K_effective consistent entries.  When H is given, z = H(u_hat * f).
+    K_effective consistent entries.  When H is given, z = H(u_hat * f) and
+    the trace also keeps each iteration's G^H residual for the backward pass.
     """
     if cfg is None:
         raise ConfigError("forward_solve requires a ForwardConfig")
@@ -125,7 +136,7 @@ def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
         tol = cfg.delta_tol_rel * (uin_sq if cfg.stop_on == "objective"
                                    else np.sqrt(uin_sq))
 
-    trace = ForwardTrace()
+    trace = ForwardTrace(GHr_history=None if H is None else [])
     t_prev = 0.0
     for k in range(1, cfg.K + 1):
         t_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
@@ -133,7 +144,8 @@ def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
         s_k = (1.0 - mu_k) * u_prev1 + mu_k * u_prev2
         As = apply_A(f, s_k, G)
         resid = As - u_in
-        g = apply_AH(f, resid, G)
+        GHr = G.apply_adjoint(resid)
+        g = resid - f * GHr           # A^H resid, as apply_AH forms it
         g_norm_sq = float(np.vdot(g, g).real)
 
         stop = False
@@ -161,6 +173,8 @@ def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
         trace.s_history.append(s_k)
         trace.gamma_history.append(gamma_k)
         trace.mu_history.append(mu_k)
+        if H is not None:
+            trace.GHr_history.append(GHr)
         trace.K_effective = k
         if cfg.record_objective:
             trace.objective_history.append(scattering_objective(f, u_k, u_in, G))

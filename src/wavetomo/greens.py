@@ -136,7 +136,8 @@ class SensorGreensOperator:
         if y.shape != (len(self.sensors),):
             raise DimensionError(
                 f"sensor vector has shape {y.shape}, expected ({len(self.sensors)},)")
-        return (self._matrix.conj().T @ y).reshape(self.grid.shape)
+        # (y^H M)^H: the product reads M in place instead of building M^H
+        return (y.conj() @ self._matrix).conj().reshape(self.grid.shape)
 
 
 class MaskedSensorOperator:

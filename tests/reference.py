@@ -73,6 +73,29 @@ def fd_gradient(eval_scalar, f, delta):
 # ---------------------------------------------------------------------------
 # backward-pass oracles
 
+def backprop_two_term_naive(f, y, u_in, G, H, trace):
+    """The two-term recursion with unfused S^k and T^k applies (6 G-applies
+    per iteration); the fused backward pass must match it bit for bit."""
+    from wavetomo.adjoint import apply_Sk, apply_Tk
+
+    resid = trace.z - y
+    back = H.apply_adjoint(resid)
+    q = f * back
+    r = np.conj(trace.u_hat) * back
+    Sq_next = np.zeros_like(q)
+    mu_next = 0.0
+    for k in range(trace.K_effective, 0, -1):
+        s_k = trace.s_history[k - 1]
+        gamma_k = trace.gamma_history[k - 1]
+        mu_k = trace.mu_history[k - 1]
+        Sq = apply_Sk(f, gamma_k, q, G)
+        r = r + gamma_k * apply_Tk(f, s_k, q, u_in, G)
+        q = (1.0 - mu_k) * Sq + mu_next * Sq_next
+        Sq_next = Sq
+        mu_next = mu_k
+    return np.real(r)
+
+
 def backprop_three_vector(f, y, u_in, G, H, trace):
     """Explicit (q, r, p) three-vector recursion, kept separate from the
     production two-term update."""

@@ -3,9 +3,11 @@ import pytest
 
 import wavetomo as wt
 from conftest import random_field, random_potential
-from reference import (backprop_three_vector, backprop_unrolled_plain,
-                       dense_A_matrix, dense_domain_matrix, fd_gradient)
-from wavetomo.errors import DimensionError
+from reference import (backprop_three_vector, backprop_two_term_naive,
+                       backprop_unrolled_plain, dense_A_matrix,
+                       dense_domain_matrix, fd_gradient)
+from wavetomo.errors import ConfigError, DimensionError
+from wavetomo.greens import DomainGreensOperator
 
 
 class TestDataFidelity:
@@ -158,3 +160,74 @@ class TestGradient:
 
         fd = fd_gradient(D_of, f, 1e-5 * np.max(np.abs(f)))
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-6
+
+
+FUSED_CASES = {
+    "adaptive": dict(K=12),
+    "fixed": dict(K=12, step_mode="fixed"),
+    "no momentum": dict(K=12, momentum=False),
+    "K_eff 1": dict(K=1),
+}
+
+
+def _forward_config(case, f, G):
+    kw = dict(FUSED_CASES[case])
+    if kw.get("step_mode") == "fixed":
+        kw["nu"] = wt.estimate_fixed_step(f, G)
+    return wt.ForwardConfig(**kw)
+
+
+class TestFusedBackward:
+    """The fused backward pass against the unfused S^k / T^k recursion."""
+
+    @pytest.mark.parametrize("case", list(FUSED_CASES))
+    def test_bit_identical_to_naive_recursion(self, small_setup, rng, case):
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid, contrast=0.3)
+        y = random_field(rng, (len(H.sensors),))
+        trace = wt.forward_solve(f, u_in, G, H, _forward_config(case, f, G))
+        assert trace.K_effective == FUSED_CASES[case]["K"]
+        got = wt.gradient_from_trace(f, y, u_in, G, H, trace)
+        assert np.array_equal(got, backprop_two_term_naive(f, y, u_in, G, H, trace))
+
+    @pytest.mark.parametrize("case", list(FUSED_CASES))
+    def test_G_apply_count(self, small_setup, rng, monkeypatch, case):
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid, contrast=0.3)
+        y = random_field(rng, (len(H.sensors),))
+        cfg = _forward_config(case, f, G)
+        calls = []
+        apply = DomainGreensOperator.apply
+
+        def counted(self, v):
+            calls.append(1)
+            return apply(self, v)
+
+        monkeypatch.setattr(DomainGreensOperator, "apply", counted)
+        trace = wt.forward_solve(f, u_in, G, H, cfg)
+        forward_calls = len(calls)
+        wt.gradient_from_trace(f, y, u_in, G, H, trace)
+        K = trace.K_effective
+        # the adaptive step costs one more apply (A g) per iteration
+        assert forward_calls == (2 if cfg.step_mode == "fixed" else 3) * K
+        assert len(calls) - forward_calls == 2 * K
+        del calls[:]
+        assert wt.forward_solve(f, u_in, G, None, cfg).K_effective == K
+        assert len(calls) == forward_calls
+
+    def test_trace_without_H_is_rejected(self, small_setup, rng):
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        trace = wt.forward_solve(f, u_in, G, None, wt.ForwardConfig(K=3))
+        assert trace.z is None and trace.GHr_history is None
+        with pytest.raises(DimensionError, match="without a sensor operator"):
+            wt.gradient_from_trace(f, np.zeros(len(H.sensors)), u_in, G, H, trace)
+
+    def test_residual_history_length_checked(self, small_setup, rng):
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=3))
+        assert len(trace.GHr_history) == trace.K_effective == 3
+        trace.GHr_history.pop()
+        with pytest.raises(ConfigError):
+            trace.validate()

@@ -191,6 +191,56 @@ class TestMalformedConfig:
                      "--out", str(tmp_path / "m.dat")]) == 3
 
 
+def _cylinder(center):
+    return _set("phantom", kind="cylinders",
+                cylinders=[{"center_m": center, "radius_m": 0.05, "contrast": 0.1}])
+
+
+def _grid_3d(cfg):
+    cfg["grid"]["shape"] = [6, 6, 6]
+
+
+def _grid_3d_point_source(cfg):
+    _grid_3d(cfg)
+    cfg["transmitters"] = [{"kind": "point", "position_m": [0.8, 0.0, 0.0]}]
+
+
+# vectors whose length is not the grid's axis count (the grid is 12 x 12)
+WRONG_LENGTH_CONFIGS = {
+    "3-entry cylinder center": (
+        _cylinder([0.0, 0.0, 0.0]),
+        "phantom.cylinders[0].center_m: expected 2 coordinates, one per axis, got 3"),
+    "1-entry cylinder center": (
+        _cylinder([0.0]), "phantom.cylinders[0].center_m: expected 2 coordinates"),
+    "3-entry transmitter position": (
+        lambda cfg: cfg.update(transmitters=[
+            {"kind": "point", "position_m": [0.8, 0.0]},
+            {"kind": "point", "position_m": [0.8, 0.0, 0.1]}]),
+        "transmitters[1].position_m: expected 2 coordinates, one per axis, got 3"),
+    "1-entry plane direction": (
+        lambda cfg: cfg.update(transmitters=[{"kind": "plane", "direction": [1.0]}]),
+        "transmitters[0].direction: expected 2 coordinates, one per axis, got 1"),
+    "point-ring on a 3D grid": (
+        _grid_3d, "transmitters: a point-ring needs a 2D grid"),
+    "receiver ring on a 3D grid": (
+        _grid_3d_point_source, "receivers: a receiver ring needs a 2D grid"),
+}
+
+
+class TestConfigVectorLength:
+    """A vector that does not fit the grid exits 1 naming its key path; it
+    used to pass parse_config and end in a numpy broadcasting traceback."""
+
+    @pytest.mark.parametrize("case", list(WRONG_LENGTH_CONFIGS))
+    def test_wrong_length_names_key(self, tmp_path, capsys, case):
+        edit, expected = WRONG_LENGTH_CONFIGS[case]
+        cfg = write_config(tmp_path / "base.json")
+        edit(cfg)
+        err = TestMalformedConfig()._simulate(tmp_path, capsys,
+                                              json.dumps(cfg).encode())
+        assert expected in err
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["reconstruct"]) == 1

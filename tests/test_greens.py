@@ -151,6 +151,14 @@ class TestSensorOperator:
         y = random_field(rng, (3,))
         assert adjoint_gap(Hm.apply, Hm.apply_adjoint, x, y) <= 1e-12
 
+    def test_adjoint_equals_conjugate_transpose_product(self, small_setup, rng):
+        # the adjoint forms (y^H M)^H without copying M^H; same numbers
+        _, _, H, _ = small_setup
+        for y in (random_field(rng, (len(H.sensors),)),
+                  rng.standard_normal(len(H.sensors))):
+            expect = (H.matrix.conj().T @ y).reshape(H.grid.shape)
+            assert np.array_equal(H.apply_adjoint(y), expect)
+
 
 class TestScatteringOperator:
     def test_identity_when_f_zero(self, small_setup, rng):

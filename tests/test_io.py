@@ -148,6 +148,17 @@ class TestMeasurementFile:
         with pytest.raises(MeasurementParseError, match=f"^line {line}: "):
             fileio.load_measurements(path)
 
+    def test_transmitter_vector_must_match_receivers(self, tmp_path):
+        path = tmp_path / "m.dat"
+        fileio.save_measurements(path, small_measurements())
+        lines = path.read_bytes().splitlines()
+        _header(lambda h: h["transmitters"][0]["position_m"].append(0.0))(lines)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(MeasurementParseError,
+                           match=r"^line 1: header.transmitters\[0\].position_m: "
+                                 "expected 2 coordinates"):
+            fileio.load_measurements(path)
+
 
 def write_fresnel(path, n_tx=8, freq_ghz=3.0, extra_freqs=(), scale=1.0):
     """Synthetic file in the documented ASCII layout; total = 2x incident so
@@ -211,6 +222,49 @@ class TestFresnelLoader:
         path = tmp_path / "bad.txt"
         path.write_text("1 1 3.0 1 0 1 0\n1 2 3.0 oops 0 1 0\n")
         with pytest.raises(MeasurementParseError, match="line 2"):
+            fileio.load_fresnel_ascii(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0 30 3.0 1 0 1 0", "transmitter index 0 "),
+        ("-1 30 3.0 1 0 1 0", "transmitter index -1 "),
+        ("1.5 30 3.0 1 0 1 0", "transmitter index 1.5 "),
+        ("nan 30 3.0 1 0 1 0", "transmitter index nan "),
+        ("361 30 3.0 1 0 1 0", "transmitter index 361 "),
+        ("1 0 3.0 1 0 1 0", "receiver index 0 "),
+        ("1 2.5 3.0 1 0 1 0", "receiver index 2.5 "),
+        ("1 361 3.0 1 0 1 0", "receiver index 361 "),
+    ], ids=["tx 0", "tx negative", "tx fractional", "tx nan", "tx past the ring",
+            "rx 0", "rx fractional", "rx past the ring"])
+    def test_bad_index_names_its_line(self, tmp_path, row, message):
+        # a tx index of 0 used to land under the last transmitter
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 10 3.0 1 0 1 0\n2 20 3.0 1 0 1 0\n{row}\n")
+        with pytest.raises(MeasurementParseError, match="line 3") as exc:
+            fileio.load_fresnel_ascii(path)
+        assert message in str(exc.value)
+
+    def test_bad_index_in_another_channel_is_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 10 3.0 1 0 1 0\n0 10 2.0 1 0 1 0\n")
+        with pytest.raises(MeasurementParseError, match="line 2"):
+            fileio.load_fresnel_ascii(path, frequency_ghz=3.0)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1 10 3.0 2 0 1 0", "repeated (tx, rx) pair (1, 10)"),
+        ("1 20 3.0 nan 0 1 0", "non-finite value"),
+        ("1 20 3.0 1 0 inf 0", "non-finite value"),
+    ], ids=["repeated pair", "nan total", "inf incident"])
+    def test_bad_row_in_channel_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 10 3.0 1 0 1 0\n1 10 2.0 1 0 1 0\n{row}\n")
+        with pytest.raises(MeasurementParseError, match="line 3") as exc:
+            fileio.load_fresnel_ascii(path, frequency_ghz=3.0)
+        assert message in str(exc.value)
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# comment\n1 10 3.0 1 0 1 0\n1 20 3.0 1 \xff 1 0\n")
+        with pytest.raises(MeasurementParseError, match="line 3.*not UTF-8"):
             fileio.load_fresnel_ascii(path)
 
     def test_subsampling_counts_and_nesting(self, tmp_path):
