@@ -29,8 +29,8 @@ G^H), so a transmitter gradient costs 3K forward + 2K backward applies.
 them); the fused update performs their operations in the same order and
 gives the same result bit for bit.
 
-Memory: a differentiable trace (solved with H given) holds two fields per
-iteration, s^k and GHr_k, O(2 K N) complex values.
+Memory: a solve given H keeps two fields per iteration, s^k and GHr_k,
+O(2 K N) complex values; an H-free solve keeps only its final field u_hat.
 """
 
 import numpy as np
@@ -64,17 +64,16 @@ def apply_Tk(f, s_k, v, u_in, G):
             + np.conj(s_k) * G.apply_adjoint(apply_A(f, v, G)))
 
 
-def gradient_from_trace(f, y, u_in, G, H, trace):
+def gradient_from_trace(f, y, G, H, trace):
     """Backward recursion over an existing forward trace; returns Re(r^0).
 
     The trace must come from ``forward_solve`` with the sensor operator H
-    given.  ``u_in`` is not read: its residual G^H(A s^k - u_in) is in the
-    trace.
+    given; it holds the residuals G^H(A s^k - u_in), so u_in is not needed.
     """
     grid = G.grid
     f = grid.check_field(f, "potential")
     y = np.asarray(y)
-    if trace.z is None or trace.GHr_history is None:
+    if trace.z is None:
         raise DimensionError("trace was solved without a sensor operator H; "
                              "pass H to forward_solve to differentiate it")
     if trace.z.shape != y.shape:
@@ -106,4 +105,4 @@ def gradient_from_trace(f, y, u_in, G, H, trace):
 def gradient_data_fidelity(f, y, u_in, G, H, cfg):
     """Gradient of 0.5||y - z(f)||^2; runs the forward solve internally."""
     trace = forward_solve(f, u_in, G, H, cfg)
-    return gradient_from_trace(f, y, u_in, G, H, trace)
+    return gradient_from_trace(f, y, G, H, trace)

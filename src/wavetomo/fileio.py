@@ -600,20 +600,42 @@ def emit_grid_csv(values, grid, path, units="1/m^2"):
 
 
 def load_grid_csv(path):
-    """Read back an emit_grid_csv file; returns (values, header_dict)."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    """Read back an emit_grid_csv file; returns (values, header_dict).
+
+    A line that is not UTF-8, a cell that is not a finite number, a row
+    whose length differs from the first and a file without data rows each
+    raise MeasurementParseError with the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     meta = {}
-    data = []
-    for ln in lines:
+    rows = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            ln = raw.decode()
+        except UnicodeDecodeError:
+            raise MeasurementParseError("not UTF-8 text", line=lineno) from None
+        if not ln.strip():
+            continue
         if ln.startswith("#"):
             for tokens in ln[1:].split():
                 if "=" in tokens:
                     k, v = tokens.split("=", 1)
                     meta[k] = v
             continue
-        data.append([float(v) for v in ln.split(",")])
-    return np.array(data), meta
+        try:
+            row = [float(v) for v in ln.split(",")]
+        except ValueError as exc:
+            raise MeasurementParseError(str(exc), line=lineno) from None
+        if not all(math.isfinite(v) for v in row):
+            raise MeasurementParseError("non-finite value", line=lineno)
+        if rows and len(row) != len(rows[0]):
+            raise MeasurementParseError(
+                f"{len(row)} values, the first row has {len(rows[0])}", line=lineno)
+        rows.append(row)
+    if not rows:
+        raise MeasurementParseError("no data rows", line=1)
+    return np.array(rows), meta
 
 
 def emit_table_csv(columns, path):

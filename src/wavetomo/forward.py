@@ -2,12 +2,12 @@
 
 The total field for a potential f is computed by minimizing
 S(u) = 0.5 ||A u - u_in||^2 with A = I - G diag(f), using accelerated
-gradient descent.  The recorded iterates form a series expansion of the
-field; the whole trace is returned because the reverse-mode gradient of the
-data fit differentiates through every iteration.
+gradient descent.  The iterates form a series expansion of the field; a
+solve given the sensor operator H records them, because the reverse-mode
+gradient of the data fit differentiates through every iteration.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class ForwardConfig:
     step_mode : "adaptive" (exact line-search step ||g||^2/||Ag||^2) or
         "fixed" (constant ``nu``; required for exact adjoint gradients).
     momentum : setting False zeroes the extrapolation (plain gradient descent).
-    record_objective : store S(u^k) per iteration (one extra apply each).
     """
 
     K: int
@@ -38,7 +37,6 @@ class ForwardConfig:
     nu: float | None = None
     stop_on: str = "gradient"
     momentum: bool = True
-    record_objective: bool = False
 
     def __post_init__(self):
         if self.K < 1:
@@ -61,31 +59,31 @@ class ForwardConfig:
 
 @dataclass
 class ForwardTrace:
-    """Everything the reverse-mode gradient needs from a forward solve.
+    """Result of a forward solve, and what its reverse-mode gradient needs.
 
     ``GHr_history[k - 1]`` holds G^H (A s^k - u_in), the Green's-adjoint
     residual the step at s^k already formed; the backward pass reuses it.
-    It and ``z`` are recorded only when the solve is given a sensor operator
-    H, since only such a trace can be differentiated; otherwise both are
-    None and the trace holds no more than the iterates.
+    The four histories and ``z`` are recorded only when the solve is given a
+    sensor operator H, since only such a trace can be differentiated;
+    otherwise they are None and the trace holds ``u_hat`` and
+    ``K_effective`` alone.
     """
 
-    s_history: list = field(default_factory=list)
-    gamma_history: list = field(default_factory=list)
-    mu_history: list = field(default_factory=list)
+    s_history: list | None = None
+    gamma_history: list | None = None
+    mu_history: list | None = None
     GHr_history: list | None = None
     u_hat: np.ndarray | None = None
     z: np.ndarray | None = None
     K_effective: int = 0
-    objective_history: list = field(default_factory=list)
 
     def validate(self):
-        k = self.K_effective
-        if not (len(self.s_history) == len(self.gamma_history)
-                == len(self.mu_history) == k):
+        histories = (self.s_history, self.gamma_history, self.mu_history,
+                     self.GHr_history)
+        if all(h is None for h in histories):
+            return
+        if any(h is None or len(h) != self.K_effective for h in histories):
             raise ConfigError("trace histories disagree with K_effective")
-        if self.GHr_history is not None and len(self.GHr_history) != k:
-            raise ConfigError("trace residual history disagrees with K_effective")
         if any(not g > 0 for g in self.gamma_history):
             raise ConfigError("trace contains a nonpositive step size")
 
@@ -113,14 +111,14 @@ def predict_scattered(u_hat, f, H):
 
 
 def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
-    """Accelerated-gradient field solve; returns the full iteration trace.
+    """Accelerated-gradient field solve; returns a ForwardTrace.
 
     u^{-1} = u^0 = u_init (defaults to u_in, which the reverse-mode gradient
     assumes), t_0 = 0.  Each iteration extrapolates s^k from the two previous
     iterates, takes a gradient step, and may stop early on ``cfg.delta_tol``.
-    The stopping iteration is still recorded so the trace always has
-    K_effective consistent entries.  When H is given, z = H(u_hat * f) and
-    the trace also keeps each iteration's G^H residual for the backward pass.
+    When H is given, z = H(u_hat * f) and the trace keeps each iteration's
+    s^k, gamma_k, mu_k and G^H residual for the backward pass, the stopping
+    iteration included, so the histories always have K_effective entries.
     """
     if cfg is None:
         raise ConfigError("forward_solve requires a ForwardConfig")
@@ -136,7 +134,7 @@ def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
         tol = cfg.delta_tol_rel * (uin_sq if cfg.stop_on == "objective"
                                    else np.sqrt(uin_sq))
 
-    trace = ForwardTrace(GHr_history=None if H is None else [])
+    trace = ForwardTrace() if H is None else ForwardTrace([], [], [], [])
     t_prev = 0.0
     for k in range(1, cfg.K + 1):
         t_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
@@ -170,14 +168,12 @@ def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
             gamma_k = g_norm_sq / Ag_norm_sq
 
         u_k = s_k - gamma_k * g
-        trace.s_history.append(s_k)
-        trace.gamma_history.append(gamma_k)
-        trace.mu_history.append(mu_k)
         if H is not None:
+            trace.s_history.append(s_k)
+            trace.gamma_history.append(gamma_k)
+            trace.mu_history.append(mu_k)
             trace.GHr_history.append(GHr)
         trace.K_effective = k
-        if cfg.record_objective:
-            trace.objective_history.append(scattering_objective(f, u_k, u_in, G))
         u_prev2, u_prev1 = u_prev1, u_k
         t_prev = t_k
         if stop:

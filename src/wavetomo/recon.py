@@ -18,7 +18,7 @@ import numpy as np
 
 from .adjoint import data_fidelity, gradient_from_trace
 from .errors import ConfigError, DimensionError, NumericalError, TransformError
-from .forward import ForwardConfig, forward_solve
+from .forward import ForwardConfig, forward_solve, predict_scattered
 from .greens import (MaskedSensorOperator, build_domain_operator,
                      build_sensor_operator, green_2d, green_3d)
 from .grid import SensorSet
@@ -27,6 +27,8 @@ from .tv import BoxConstraint, prox_tv
 
 # receiver decimation factors MeasurementSet.subsample accepts
 SUBSAMPLE_FACTORS = (1, 2, 4, 8, 16, 32, 64, 128)
+# FISTA stops once ||f_new - f_prev|| falls below this fraction of ||f_prev||
+STOP_REL_CHANGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,6 @@ class ReconConfig:
     tv_iters: int = 10
     tv_delta: float = 1e-4
     box: BoxConstraint = field(default_factory=lambda: BoxConstraint(0.0, np.inf))
-    init: np.ndarray | None = None    # None: background (zero potential)
-    momentum: bool = True             # False: plain ISTA
-    stop_rel_change: float = 1e-6
     workers: int = 1
 
     def __post_init__(self):
@@ -183,6 +182,10 @@ class ScatteringProblem:
     """Precomputed operators binding a measurement set to a grid."""
 
     def __init__(self, measurements, grid):
+        ndim = measurements.receivers.positions.shape[1]
+        if ndim != grid.ndim:
+            raise ConfigError(f"measurement receiver positions have {ndim} axes "
+                              f"but the grid has {grid.ndim}")
         self.measurements = measurements
         self.grid = grid
         self.G = build_domain_operator(grid)
@@ -208,8 +211,8 @@ def total_gradient(f, problem, cfg):
 
     def one(t):
         trace = forward_solve(f, problem.u_in[t], problem.G, problem.H[t], cfg.forward)
-        return gradient_from_trace(f, problem.measurements.y[t], problem.u_in[t],
-                                   problem.G, problem.H[t], trace)
+        return gradient_from_trace(f, problem.measurements.y[t], problem.G,
+                                   problem.H[t], trace)
 
     parts = _map_tx(one, problem, cfg.workers)
     return np.sum(parts, axis=0)
@@ -219,16 +222,15 @@ def predict_all(f, problem, cfg):
     """Predicted scattered field per transmitter at the current f."""
 
     def one(t):
-        return forward_solve(f, problem.u_in[t], problem.G, problem.H[t],
-                             cfg.forward).z
+        trace = forward_solve(f, problem.u_in[t], problem.G, None, cfg.forward)
+        return predict_scattered(trace.u_hat, f, problem.H[t])
 
     return _map_tx(one, problem, cfg.workers)
 
 
 def born_predict(f, u_in, H):
     """First-Born scattered field H (u_in * f)."""
-    grid = H.grid
-    return H.apply(grid.check_field(u_in, "u_in") * grid.check_field(f, "potential"))
+    return predict_scattered(u_in, f, H)
 
 
 def born_gradient(f, y, u_in, H):
@@ -317,8 +319,7 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
         return float(sum(data_fidelity(z, yv) for z, yv in zip(pred_fn(f), data)))
 
     tau = cfg.resolve_tau(measurements)
-    f_prev = (np.zeros(grid.shape) if cfg.init is None
-              else grid.check_field(np.asarray(cfg.init, dtype=float), "init").copy())
+    f_prev = np.zeros(grid.shape)
     f_tilde = f_prev.copy()
 
     gamma = cfg.step_gamma
@@ -344,10 +345,7 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
                               variant=cfg.tv_variant, iters=cfg.tv_iters,
                               delta_in=cfg.tv_delta, dual_init=dual,
                               return_dual=True)
-        if cfg.momentum:
-            q_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * q_prev * q_prev))
-        else:
-            q_new = 1.0
+        q_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * q_prev * q_prev))
         f_tilde = f_new + ((q_prev - 1.0) / q_new) * (f_new - f_prev)
         step_norm = float(np.linalg.norm(f_new - f_prev))
         ref_norm = float(np.linalg.norm(f_prev))
@@ -362,7 +360,7 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
         if err_hist is not None:
             err_hist.append(normalized_recon_error(f_new, ground_truth))
         secs.append(time.perf_counter() - tic)
-        if ref_norm > 0 and step_norm < cfg.stop_rel_change * ref_norm:
+        if ref_norm > 0 and step_norm < STOP_REL_CHANGE * ref_norm:
             break
 
     return ReconReport(f_hat=f_prev, data_fit_history=data_fit_hist,

@@ -16,7 +16,7 @@ from .fileio import (SPEED_OF_LIGHT, generation_from_config, grid_from_config,
                      load_grid_csv, phantom_from_config, receivers_from_config,
                      recon_config_from_config, rng_from_config,
                      transmitters_from_config)
-from .forward import ForwardConfig, forward_solve
+from .forward import ForwardConfig, forward_solve, predict_scattered
 from .greens import build_domain_operator, build_sensor_operator
 from .grid import refined_grid
 from .metrics import normalized_error
@@ -66,7 +66,8 @@ def simulate_measurements(cfg):
     y = []
     for tx in transmitters:
         u_in = tx.field_on_grid(fine)
-        y.append(forward_solve(f_fine, u_in, G, H, fwd).z)
+        trace = forward_solve(f_fine, u_in, G, None, fwd)
+        y.append(predict_scattered(trace.u_hat, f_fine, H))
 
     if gen.noise_snr_db is not None:
         rng = rng_from_config(cfg)

@@ -118,8 +118,8 @@ class TestGradient:
         y1 = random_field(rng, (len(H.sensors),))
         # y2 doubles the residual z - y at the same trace
         y2 = trace.z - 2.0 * (trace.z - y1)
-        g1 = wt.gradient_from_trace(f, y1, u_in, G, H, trace)
-        g2 = wt.gradient_from_trace(f, y2, u_in, G, H, trace)
+        g1 = wt.gradient_from_trace(f, y1, G, H, trace)
+        g2 = wt.gradient_from_trace(f, y2, G, H, trace)
         assert np.allclose(g2, 2.0 * g1, rtol=1e-12, atol=1e-12)
 
     def test_matches_three_vector_form(self, small_setup, rng):
@@ -129,7 +129,7 @@ class TestGradient:
         for K in (1, 2, 6):
             cfg = wt.ForwardConfig(K=K)
             trace = wt.forward_solve(f, u_in, G, H, cfg)
-            got = wt.gradient_from_trace(f, y, u_in, G, H, trace)
+            got = wt.gradient_from_trace(f, y, G, H, trace)
             expect = backprop_three_vector(f, y, u_in, G, H, trace)
             assert np.allclose(got, expect, rtol=1e-12, atol=1e-13)
 
@@ -143,7 +143,7 @@ class TestGradient:
         y = random_field(rng, (9,))
         cfg = wt.ForwardConfig(K=7, momentum=False)
         trace = wt.forward_solve(f, u_in, G, H, cfg)
-        got = wt.gradient_from_trace(f, y, u_in, G, H, trace)
+        got = wt.gradient_from_trace(f, y, G, H, trace)
         expect = backprop_unrolled_plain(f, y, u_in, G, H, trace)
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-13)
 
@@ -187,7 +187,7 @@ class TestFusedBackward:
         y = random_field(rng, (len(H.sensors),))
         trace = wt.forward_solve(f, u_in, G, H, _forward_config(case, f, G))
         assert trace.K_effective == FUSED_CASES[case]["K"]
-        got = wt.gradient_from_trace(f, y, u_in, G, H, trace)
+        got = wt.gradient_from_trace(f, y, G, H, trace)
         assert np.array_equal(got, backprop_two_term_naive(f, y, u_in, G, H, trace))
 
     @pytest.mark.parametrize("case", list(FUSED_CASES))
@@ -206,7 +206,7 @@ class TestFusedBackward:
         monkeypatch.setattr(DomainGreensOperator, "apply", counted)
         trace = wt.forward_solve(f, u_in, G, H, cfg)
         forward_calls = len(calls)
-        wt.gradient_from_trace(f, y, u_in, G, H, trace)
+        wt.gradient_from_trace(f, y, G, H, trace)
         K = trace.K_effective
         # the adaptive step costs one more apply (A g) per iteration
         assert forward_calls == (2 if cfg.step_mode == "fixed" else 3) * K
@@ -219,9 +219,13 @@ class TestFusedBackward:
         grid, G, H, u_in = small_setup
         f = random_potential(rng, grid)
         trace = wt.forward_solve(f, u_in, G, None, wt.ForwardConfig(K=3))
-        assert trace.z is None and trace.GHr_history is None
+        # an H-free trace keeps the final field and nothing to differentiate
+        assert trace.K_effective == 3 and trace.u_hat.shape == grid.shape
+        assert all(h is None for h in (trace.s_history, trace.gamma_history,
+                                       trace.mu_history, trace.GHr_history, trace.z))
+        trace.validate()
         with pytest.raises(DimensionError, match="without a sensor operator"):
-            wt.gradient_from_trace(f, np.zeros(len(H.sensors)), u_in, G, H, trace)
+            wt.gradient_from_trace(f, np.zeros(len(H.sensors)), G, H, trace)
 
     def test_residual_history_length_checked(self, small_setup, rng):
         grid, G, H, u_in = small_setup

@@ -252,6 +252,37 @@ class TestExitCodes:
                      "--measurements", str(tmp_path / "nope.dat"),
                      "--out", str(tmp_path)]) == 3
 
+    def test_grid_axes_differ_from_measurements(self, tmp_path, capsys):
+        # a 3D grid config against a 2D measurement file: it used to end in a
+        # numpy broadcasting traceback from the sensor-inside check
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        meas = tmp_path / "m.dat"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
+        cfg3_path = tmp_path / "cfg3.json"
+        cfg3_path.write_text(fileio.serialize_config({
+            "grid": {**cfg["grid"], "shape": [6, 6, 6]}, "recon": cfg["recon"]}))
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", str(cfg3_path),
+                   "--measurements", str(meas), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == ("error: measurement receiver positions have 2 axes "
+                       "but the grid has 3\n")
+
+    def test_malformed_grid_csv_is_io_error(self, tmp_path, capsys):
+        grid = wt.centered_grid((3, 3), spacing=0.01, wavelength=0.1)
+        ref = tmp_path / "ref.csv"
+        fileio.emit_grid_csv(np.ones(grid.shape), grid, ref)
+        lines = ref.read_bytes().splitlines()
+        lines[3] = b"1,1"
+        est = tmp_path / "est.csv"
+        est.write_bytes(b"\n".join(lines) + b"\n")
+        rc = main(["metrics", "--estimate", str(est), "--reference", str(ref)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == "i/o error: line 4: 2 values, the first row has 3\n"
+
     def test_bad_config_value(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, overrides={"receivers": {

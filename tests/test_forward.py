@@ -86,10 +86,15 @@ class TestForwardSolve:
         G = wt.build_domain_operator(grid)
         u_in = wt.Transmitter("point", position=(1.0, 0.0)).field_on_grid(grid)
         uin_sq = float(np.vdot(u_in, u_in).real)
-        cfg = wt.ForwardConfig(K=120, delta_tol=5e-7 * uin_sq,
-                               stop_on="objective", record_objective=True)
-        trace = wt.forward_solve(f, u_in, G, None, cfg)
-        obj = np.array(trace.objective_history)
+        tol = dict(delta_tol=5e-7 * uin_sq, stop_on="objective")
+        trace = wt.forward_solve(f, u_in, G, None, wt.ForwardConfig(K=120, **tol))
+        # S(u^k) by prefix replay: a solve capped at K = k ends at u^k
+        obj = []
+        for k in range(1, trace.K_effective + 1):
+            short = wt.forward_solve(f, u_in, G, None, wt.ForwardConfig(K=k, **tol))
+            assert short.K_effective == k
+            obj.append(wt.scattering_objective(f, short.u_hat, u_in, G))
+        obj = np.array(obj)
         assert obj[-1] < 5e-7 * uin_sq
         assert trace.K_effective < 120
         tail = obj[3:]
@@ -142,10 +147,10 @@ class TestForwardSolve:
         assert obj <= 1e-10 * float(np.vdot(u_in, u_in).real)
 
     def test_warm_start_option(self, small_setup, rng):
-        grid, G, _, u_in = small_setup
+        grid, G, H, u_in = small_setup
         f = random_potential(rng, grid)
         u0 = random_field(rng, grid.shape)
-        trace = wt.forward_solve(f, u_in, G, None, wt.ForwardConfig(K=2), u_init=u0)
+        trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=2), u_init=u0)
         # s^1 = u0 for any momentum, since u^0 = u^-1 = u0
         assert np.allclose(trace.s_history[0], u0)
 

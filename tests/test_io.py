@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wavetomo as wt
-from wavetomo import fileio
+from wavetomo import fileio, simulate
 from wavetomo.errors import ConfigError, MeasurementParseError
 from wavetomo.simulate import simulate_measurements
 
@@ -109,6 +109,16 @@ MALFORMED_FILES = {
 }
 
 
+# name -> (edit of a 3 x 4 grid CSV's lines, line the error must name)
+MALFORMED_GRID_CSVS = {
+    "non-numeric cell": (_row(2, b"1,1,x,1"), 3),
+    "ragged row": (_row(3, b"1,1,1"), 4),
+    "not UTF-8": (_row(1, b"1,\xff,1,1"), 2),
+    "non-finite value": (_row(2, b"1,inf,1,1"), 3),
+    "no data rows": (lambda lines: lines.__delitem__(slice(1, None)), 1),
+}
+
+
 class TestMeasurementFile:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         cfg = base_config()
@@ -130,6 +140,21 @@ class TestMeasurementFile:
         fileio.save_measurements(p1, m1)
         fileio.save_measurements(p2, m2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_simulated_data_equal_differentiable_solve(self, monkeypatch):
+        # the generation solves run without H and apply H afterwards: same z
+        solves = []
+
+        def spy(f, u_in, G, H, cfg):
+            solves.append((f, u_in, G, H, cfg))
+            return wt.forward_solve(f, u_in, G, H, cfg)
+
+        monkeypatch.setattr(simulate, "forward_solve", spy)
+        mset, _ = simulate_measurements(base_config())
+        assert len(solves) == mset.n_tx and all(s[3] is None for s in solves)
+        H = wt.build_sensor_operator(solves[0][2].grid, mset.receivers)
+        for (f, u_in, G, _, cfg), y in zip(solves, mset.y):
+            assert np.array_equal(y, wt.forward_solve(f, u_in, G, H, cfg).z)
 
     def test_malformed_rows(self, tmp_path):
         path = tmp_path / "bad.dat"
@@ -309,6 +334,18 @@ class TestImagesAndTables:
         assert np.array_equal(back, values)
         assert meta["shape"] == "6x7"
         assert meta["units"] == "1/m^2"
+
+    @pytest.mark.parametrize("case", list(MALFORMED_GRID_CSVS))
+    def test_malformed_grid_csv_names_its_line(self, tmp_path, case):
+        edit, line = MALFORMED_GRID_CSVS[case]
+        grid = wt.centered_grid((3, 4), spacing=0.01, wavelength=0.1)
+        path = tmp_path / "img.csv"
+        fileio.emit_grid_csv(np.ones(grid.shape), grid, path)
+        lines = path.read_bytes().splitlines()
+        edit(lines)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(MeasurementParseError, match=f"^line {line}: "):
+            fileio.load_grid_csv(path)
 
     def test_table_csv(self, tmp_path):
         path = tmp_path / "t.csv"
