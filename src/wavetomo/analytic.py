@@ -1,20 +1,22 @@
 """Closed-form scattering of a point source by a homogeneous cylinder (2D)
 or sphere (3D).
 
-These are the textbook separation-of-variables solutions: the field is
-expanded in cylindrical/spherical harmonics, the radial factor in each order
-is pieced together from Bessel functions in three regions (inside the object,
-between object and source radius, beyond the source), and the coefficients
-follow from continuity at the interface plus the source jump condition.  The
-object has radius ``r_sph`` and real refractive index ``n`` relative to the
-background; the source sits at distance ``r_s`` from the center (on the
-positive x-axis in 2D, on the zenith axis in 3D).
+One separation-of-variables solver serves both, with two harmonic bases:
+Bessel functions J_m, Y_m with cos(m theta) for the cylinder, spherical
+Bessel functions j_l, y_l with Legendre polynomials P_l(cos theta) for the
+sphere.  In each order the radial factor is pieced together in three regions
+(inside the object, between object and source radius, beyond the source),
+and the coefficients follow from continuity at the interface plus the source
+jump condition.  The object has radius ``r_sph`` and real refractive index
+``n`` relative to the background; the source sits at distance ``r_s`` from
+the center (on the positive x-axis in 2D, on the zenith axis in 3D).
 
 With ``n = 1`` the whole construction collapses to the free-space Green's
 function, which the tests exploit as an oracle.
 """
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,69 +57,127 @@ class AnalyticScene:
         return int(np.ceil(self.k_b * self.r_sph)) + 30
 
 
-def _coeff_tables_2d(scene, mmax):
-    """a_m, b_m, c_m for m = 0..mmax (symmetric in the sign of m)."""
+# What the cylinder's and the sphere's series do not share: the radial basis
+# (jn, yn); the highest table order that orders 0..n need, and the neighbour
+# order the interface conditions pair with each order; the prefactors
+# (k_b, rho_sph, delta) -> (inside coefficient, annulus scale); the angular
+# basis with its weights, (n, theta) -> (basis, weights).  The field is
+# sum(weights * R * basis) / norm, and the series tail weighs the last two
+# radial factors only when weighted_tail is set.
+_Harmonics = namedtuple("_Harmonics", "jn yn table_order neighbour prefactors "
+                                      "angular norm weighted_tail")
+
+_CYLINDER = _Harmonics(
+    jn=bessel_jn_all, yn=bessel_yn_all, table_order=lambda n: max(n, 1),
+    neighbour=lambda tab: np.concatenate((-tab[1:2], tab[:-1])),  # J_{m-1}, J_{-1} = -J_1
+    prefactors=lambda k_b, rho, delta: (-1.0 / (rho * delta), np.pi / (2.0 * delta)),
+    angular=lambda n, theta: (np.cos(np.outer(np.arange(n + 1), theta)),
+                              np.concatenate(([1.0], np.full(n, 2.0)))),
+    norm=2.0 * np.pi, weighted_tail=False)
+
+_SPHERE = _Harmonics(
+    jn=spherical_jn_all, yn=spherical_yn_all, table_order=lambda n: n + 1,
+    neighbour=lambda tab: tab[1:],  # j_{l+1}
+    prefactors=lambda k_b, rho, delta: (k_b / (rho ** 2 * delta), k_b / delta),
+    angular=lambda n, theta: (legendre_all(n, np.cos(theta)),
+                              (2.0 * np.arange(n + 1) + 1.0) / (4.0 * np.pi)),
+    norm=1.0, weighted_tail=True)
+
+
+def _coeff_tables(harm, scene, nmax):
+    """Inside, annulus-regular and annulus-irregular coefficients, orders 0..nmax."""
     n = scene.refractive_index
     rho_sph = scene.k_b * scene.r_sph
-    # J_{m-1} at m = 0 is J_{-1} = -J_1; evaluate orders 0..mmax and reflect
-    j_in = bessel_jn_all(mmax, np.array([n * rho_sph]))[:, 0]
-    j_b = bessel_jn_all(mmax, np.array([rho_sph]))[:, 0]
-    y_b = bessel_yn_all(mmax, np.array([rho_sph]))[:, 0]
-    h_b = j_b + 1j * y_b
+    top = harm.table_order(nmax)
+    j_in = harm.jn(top, np.array([n * rho_sph]))[:, 0]
+    j_b = harm.jn(top, np.array([rho_sph]))[:, 0]
+    y_b = harm.yn(top, np.array([rho_sph]))[:, 0]
 
-    def prev(tab, m):
-        return -tab[1] if m == 0 else tab[m - 1]
+    def minor(tab):  # j_in(m) tab(m') - n j_in(m') tab(m), m' the neighbour of m
+        return (j_in[:nmax + 1] * harm.neighbour(tab)[:nmax + 1]
+                - harm.neighbour(j_in)[:nmax + 1] * n * tab[:nmax + 1])
 
-    a = np.zeros(mmax + 1, dtype=complex)
-    b = np.zeros(mmax + 1, dtype=complex)
-    c = np.zeros(mmax + 1, dtype=complex)
-    for m in range(mmax + 1):
-        col1 = (j_in[m], prev(j_in, m) * n)
-        delta = col1[0] * prev(h_b, m) - col1[1] * h_b[m]
-        if not np.isfinite(delta) or abs(delta) == 0.0:
-            raise ResonanceError(f"degenerate radial determinant at order {m}")
-        a[m] = -1.0 / (rho_sph * delta)
-        b[m] = (-np.pi / (2.0 * delta)) * (col1[0] * prev(y_b, m) - col1[1] * y_b[m])
-        c[m] = (np.pi / (2.0 * delta)) * (col1[0] * prev(j_b, m) - col1[1] * j_b[m])
-    return a, b, c
+    delta = minor(j_b + 1j * y_b)
+    bad = ~np.isfinite(delta) | (delta == 0)
+    if np.any(bad):
+        raise ResonanceError(f"degenerate radial determinant at order {int(np.argmax(bad))}")
+    a, scale = harm.prefactors(scene.k_b, rho_sph, delta)
+    return a, -scale * minor(y_b), scale * minor(j_b)
+
+
+def _coeffs_at(harm, order, scene):
+    if order > scene.order_cutoff:
+        raise ConfigError(f"order {order} exceeds truncation {scene.order_cutoff}")
+    return tuple(tab[order] for tab in _coeff_tables(harm, scene, order))
 
 
 def radial_coeffs_2d(m, scene):
     """(a_m, b_m, c_m) of the 2D three-region radial solution; m may be signed."""
-    m = abs(int(m))
-    if m > scene.order_cutoff:
-        raise ConfigError(f"order {m} exceeds truncation {scene.order_cutoff}")
-    a, b, c = _coeff_tables_2d(scene, max(m, 1))
-    return a[m], b[m], c[m]
+    return _coeffs_at(_CYLINDER, abs(int(m)), scene)
 
 
-def _radial_2d(scene, mmax, r, coeffs):
-    """R_m(r, r_s) for m = 0..mmax at the (flat) radii r; shape (mmax+1, P)."""
+def radial_coeffs_3d(l, scene):
+    """(A_l, B_l, C_l) of the 3D three-region radial solution."""
+    l = int(l)
+    if l < 0:
+        raise ConfigError("order must be >= 0")
+    return _coeffs_at(_SPHERE, l, scene)
+
+
+def _radial(harm, scene, nmax, r, coeffs):
+    """R_n(r, r_s) for n = 0..nmax at the (flat) radii r; shape (nmax+1, P)."""
     a, b, c = coeffs
     n = scene.refractive_index
     rho = scene.k_b * r
-    rho_s = scene.k_b * scene.r_s
-    j_s = bessel_jn_all(mmax, np.array([rho_s]))[:, 0]
-    y_s = bessel_yn_all(mmax, np.array([rho_s]))[:, 0]
+    rho_s = np.array([scene.k_b * scene.r_s])
+    j_s = harm.jn(nmax, rho_s)[:, 0]
+    y_s = harm.yn(nmax, rho_s)[:, 0]
     h_s = j_s + 1j * y_s
 
-    out = np.zeros((mmax + 1, r.size), dtype=complex)
+    out = np.zeros((nmax + 1, r.size), dtype=complex)
     inside = r < scene.r_sph
     annulus = (~inside) & (r < scene.r_s)
     beyond = r >= scene.r_s
     if np.any(inside):
-        jn_in = bessel_jn_all(mmax, n * rho[inside])
-        out[:, inside] = a[:, None] * jn_in * h_s[:, None]
+        out[:, inside] = a[:, None] * harm.jn(nmax, n * rho[inside]) * h_s[:, None]
     if np.any(annulus):
-        j_r = bessel_jn_all(mmax, rho[annulus])
-        y_r = bessel_yn_all(mmax, rho[annulus])
+        j_r = harm.jn(nmax, rho[annulus])
+        y_r = harm.yn(nmax, rho[annulus])
         out[:, annulus] = (b[:, None] * j_r + c[:, None] * y_r) * h_s[:, None]
     if np.any(beyond):
-        j_r = bessel_jn_all(mmax, rho[beyond])
-        y_r = bessel_yn_all(mmax, rho[beyond])
-        amp = (b * j_s + c * y_s)
+        j_r = harm.jn(nmax, rho[beyond])
+        y_r = harm.yn(nmax, rho[beyond])
+        amp = b * j_s + c * y_s
         out[:, beyond] = amp[:, None] * (j_r + 1j * y_r)
     return out
+
+
+def _series(harm, r, theta, scene):
+    """Sum the harmonic series at broadcast (r, theta); warn on a slow tail."""
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    r, theta = np.broadcast_arrays(r, theta)
+    shape = r.shape
+    r = r.ravel().copy()
+    theta = theta.ravel()
+    if np.any((r == scene.r_s) & (np.cos(theta) == 1.0)):
+        raise ConfigError("observation point coincides with the source")
+    r = np.maximum(r, 1e-9 * scene.r_sph)  # nudge exact-center evaluations
+    nmax = scene.order_cutoff
+    radial = _radial(harm, scene, nmax, r, _coeff_tables(harm, scene, nmax))
+    basis, weights = harm.angular(nmax, theta)
+    total = (weights[:, None] * radial * basis).sum(axis=0) / harm.norm
+
+    tail_w = weights if harm.weighted_tail else np.ones_like(weights)
+    tail = (np.abs(radial[-1] * tail_w[-1]) + np.abs(radial[-2] * tail_w[-2])) / harm.norm
+    mag = np.abs(total)
+    bad = tail > 1e-8 * np.maximum(mag, 1e-300)
+    if np.any(bad):
+        warnings.warn(
+            f"harmonic series tail above 1e-8 of the field at {int(bad.sum())} "
+            f"point(s); raise truncation (currently {nmax})", ConvergenceWarning,
+            stacklevel=3)
+    return total.reshape(shape) if shape else complex(total[0])
 
 
 def analytic_field_2d(r, theta, scene):
@@ -128,125 +188,13 @@ def analytic_field_2d(r, theta, scene):
     Warns with ConvergenceWarning when the series tail is not below 1e-8 of
     the running field magnitude.
     """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    r, theta = np.broadcast_arrays(r, theta)
-    shape = r.shape
-    r = r.ravel().copy()
-    theta = theta.ravel()
-    if np.any((r == scene.r_s) & (np.cos(theta) == 1.0)):
-        raise ConfigError("observation point coincides with the source")
-    r = np.maximum(r, 1e-9 * scene.r_sph)  # nudge exact-center evaluations
-    mmax = scene.order_cutoff
-    coeffs = _coeff_tables_2d(scene, mmax)
-    radial = _radial_2d(scene, mmax, r, coeffs)
-    orders = np.arange(mmax + 1)
-    phases = np.cos(np.outer(orders, theta))
-    weights = np.full(mmax + 1, 2.0)
-    weights[0] = 1.0
-    total = (weights[:, None] * radial * phases).sum(axis=0) / (2.0 * np.pi)
-
-    tail = (np.abs(radial[-1]) + np.abs(radial[-2])) / (2.0 * np.pi)
-    mag = np.abs(total)
-    bad = tail > 1e-8 * np.maximum(mag, 1e-300)
-    if np.any(bad):
-        warnings.warn(
-            f"harmonic series tail above 1e-8 of the field at {int(bad.sum())} "
-            f"point(s); raise truncation (currently {mmax})", ConvergenceWarning,
-            stacklevel=2)
-    return total.reshape(shape) if shape else complex(total[0])
-
-
-def _coeff_tables_3d(scene, lmax):
-    """A_l, B_l, C_l for l = 0..lmax."""
-    n = scene.refractive_index
-    rho_sph = scene.k_b * scene.r_sph
-    j_in = spherical_jn_all(lmax + 1, np.array([n * rho_sph]))[:, 0]
-    j_b = spherical_jn_all(lmax + 1, np.array([rho_sph]))[:, 0]
-    y_b = spherical_yn_all(lmax + 1, np.array([rho_sph]))[:, 0]
-    h_b = j_b + 1j * y_b
-
-    A = np.zeros(lmax + 1, dtype=complex)
-    B = np.zeros(lmax + 1, dtype=complex)
-    C = np.zeros(lmax + 1, dtype=complex)
-    for l in range(lmax + 1):
-        col1 = (j_in[l], n * j_in[l + 1])
-        delta = col1[0] * h_b[l + 1] - col1[1] * h_b[l]
-        if not np.isfinite(delta) or abs(delta) == 0.0:
-            raise ResonanceError(f"degenerate radial determinant at order {l}")
-        A[l] = scene.k_b / (rho_sph ** 2 * delta)
-        B[l] = (-scene.k_b / delta) * (col1[0] * y_b[l + 1] - col1[1] * y_b[l])
-        C[l] = (scene.k_b / delta) * (col1[0] * j_b[l + 1] - col1[1] * j_b[l])
-    return A, B, C
-
-
-def radial_coeffs_3d(l, scene):
-    """(A_l, B_l, C_l) of the 3D three-region radial solution."""
-    l = int(l)
-    if l < 0:
-        raise ConfigError("order must be >= 0")
-    if l > scene.order_cutoff:
-        raise ConfigError(f"order {l} exceeds truncation {scene.order_cutoff}")
-    A, B, C = _coeff_tables_3d(scene, l)
-    return A[l], B[l], C[l]
-
-
-def _radial_3d(scene, lmax, r, coeffs):
-    A, B, C = coeffs
-    n = scene.refractive_index
-    rho = scene.k_b * r
-    rho_s = scene.k_b * scene.r_s
-    j_s = spherical_jn_all(lmax, np.array([rho_s]))[:, 0]
-    y_s = spherical_yn_all(lmax, np.array([rho_s]))[:, 0]
-    h_s = j_s + 1j * y_s
-
-    out = np.zeros((lmax + 1, r.size), dtype=complex)
-    inside = r < scene.r_sph
-    annulus = (~inside) & (r < scene.r_s)
-    beyond = r >= scene.r_s
-    if np.any(inside):
-        jl_in = spherical_jn_all(lmax, n * rho[inside])
-        out[:, inside] = A[:, None] * jl_in * h_s[:, None]
-    if np.any(annulus):
-        j_r = spherical_jn_all(lmax, rho[annulus])
-        y_r = spherical_yn_all(lmax, rho[annulus])
-        out[:, annulus] = (B[:, None] * j_r + C[:, None] * y_r) * h_s[:, None]
-    if np.any(beyond):
-        j_r = spherical_jn_all(lmax, rho[beyond])
-        y_r = spherical_yn_all(lmax, rho[beyond])
-        amp = B * j_s + C * y_s
-        out[:, beyond] = amp[:, None] * (j_r + 1j * y_r)
-    return out
+    return _series(_CYLINDER, r, theta, scene)
 
 
 def analytic_field_3d(r, theta, scene):
     """Total field of a unit point source on the zenith axis scattered by the
     sphere, at spherical coordinates (r, zenith angle theta)."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    r, theta = np.broadcast_arrays(r, theta)
-    shape = r.shape
-    r = r.ravel().copy()
-    theta = theta.ravel()
-    if np.any((r == scene.r_s) & (np.cos(theta) == 1.0)):
-        raise ConfigError("observation point coincides with the source")
-    r = np.maximum(r, 1e-9 * scene.r_sph)
-    lmax = scene.order_cutoff
-    coeffs = _coeff_tables_3d(scene, lmax)
-    radial = _radial_3d(scene, lmax, r, coeffs)
-    pl = legendre_all(lmax, np.cos(theta))
-    weights = (2.0 * np.arange(lmax + 1) + 1.0) / (4.0 * np.pi)
-    total = (weights[:, None] * radial * pl).sum(axis=0)
-
-    tail = (np.abs(radial[-1] * weights[-1]) + np.abs(radial[-2] * weights[-2]))
-    mag = np.abs(total)
-    bad = tail > 1e-8 * np.maximum(mag, 1e-300)
-    if np.any(bad):
-        warnings.warn(
-            f"harmonic series tail above 1e-8 of the field at {int(bad.sum())} "
-            f"point(s); raise truncation (currently {lmax})", ConvergenceWarning,
-            stacklevel=2)
-    return total.reshape(shape) if shape else complex(total[0])
+    return _series(_SPHERE, r, theta, scene)
 
 
 def helmholtz_residual(sampler, k_sq, grid, exclude=None):

@@ -161,6 +161,9 @@ def cmd_gradcheck(args):
 def cmd_metrics(args):
     est, _ = fileio.load_grid_csv(args.estimate)
     ref, _ = fileio.load_grid_csv(args.reference)
+    if est.shape != ref.shape:
+        raise ConfigError(f"estimate shape {est.shape} differs from "
+                          f"reference shape {ref.shape}")
     out = {
         "normalized_error": normalized_error(est, ref),
         "normalized_recon_error": normalized_recon_error(est, ref),

@@ -602,14 +602,17 @@ def emit_grid_csv(values, grid, path, units="1/m^2"):
 def load_grid_csv(path):
     """Read back an emit_grid_csv file; returns (values, header_dict).
 
-    A line that is not UTF-8, a cell that is not a finite number, a row
-    whose length differs from the first and a file without data rows each
-    raise MeasurementParseError with the line.
+    The values take the header's ``shape=`` when it has one, so a 3D grid
+    reads back 3D.  A line that is not UTF-8, a cell that is not a finite
+    number, a row whose length differs from the first, a file without data
+    rows and a header shape that does not hold the values each raise
+    MeasurementParseError with the line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     meta = {}
     rows = []
+    shape_line = None
     for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
             ln = raw.decode()
@@ -622,6 +625,8 @@ def load_grid_csv(path):
                 if "=" in tokens:
                     k, v = tokens.split("=", 1)
                     meta[k] = v
+                    if k == "shape":
+                        shape_line = lineno
             continue
         try:
             row = [float(v) for v in ln.split(",")]
@@ -635,7 +640,15 @@ def load_grid_csv(path):
         rows.append(row)
     if not rows:
         raise MeasurementParseError("no data rows", line=1)
-    return np.array(rows), meta
+    values = np.array(rows)
+    if "shape" in meta:
+        dims = meta["shape"].split("x")
+        shape = tuple(int(d) for d in dims if d.isdecimal())
+        if len(shape) != len(dims) or math.prod(shape) != values.size:
+            raise MeasurementParseError(f"header shape {meta['shape']} does not hold "
+                                        f"the {values.size} values", line=shape_line)
+        values = values.reshape(shape)
+    return values, meta
 
 
 def emit_table_csv(columns, path):

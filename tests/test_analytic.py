@@ -226,6 +226,92 @@ class TestField3D:
         assert np.angle(e2 / e1) > 0
 
 
+# Values recorded from the separate cylinder and sphere solvers that the
+# shared series solver replaced.  The points lie inside the object
+# (r = 0, 0.1, 0.25), in the annulus (0.4, 0.5) and beyond the source
+# (1.4, 2.0); the orders run up to the truncation.
+FROZEN_R = np.array([0.0, 0.1, 0.25, 0.4, 0.5, 1.4, 2.0])
+FROZEN_THETA = np.array([0.0, 0.3, 2.5, 1.2, 1.9, 0.7, 3.0])
+FROZEN_FIELD_2D = [
+    (0.013619601079614218-0.06413899065105902j),
+    (-0.05743838833843926-0.028613237719869924j),
+    (0.0056346218791725146+0.059253189953807586j),
+    (-0.042614231288405593-0.04387522410953747j),
+    (-0.01414979665960363+0.04699851029732166j),
+    (0.05829618771217316+0.0008874586529333707j),
+    (0.011639058553415522-0.04063030642948432j),
+]
+FROZEN_FIELD_3D = [
+    (-0.04639950523357071-0.10190588831923982j),
+    (-0.11516706078942805+0.017695200666785472j),
+    (0.04460454037160741+0.09239572514980147j),
+    (-0.09560994118909094-0.0019433257930732283j),
+    (0.031164041207296347+0.06238422159021947j),
+    (0.06200276594195435-0.05726049816484548j),
+    (-0.025805963391256695-0.0378207330324253j),
+]
+FROZEN_COEFFS_2D = {
+    0: ((-0.6056272946024936+1.5220860363001005j),
+        (-0.5395826935564143+1.3561001801123793j),
+        (0.21469614668251719-0.5395826935564144j)),
+    1: ((-0.4838424464906957+1.4286215314518866j),
+        (-0.47725183581643377+1.4091617085633459j),
+        (0.1616346182315508-0.47725183581643377j)),
+    5: ((-0.006587784898925736+1.190686129803621j),
+        (-0.008690578736088911+1.57074824387705j),
+        (4.808291784668232e-05-0.00869057873608891j)),
+    60: ((-3.431126704228602e-135+0.00669625005054204j),
+         (-8.048685731701276e-133+1.5707963267948966j),
+         (4.124108320260313e-265-8.048685731701276e-133j)),
+}
+FROZEN_COEFFS_3D = {
+    0: ((-6.969759990107077+12.30927791726392j),
+        (-5.387932222876675+9.515615347574064j),
+        (3.050755266785108-5.387932222876674j)),
+    1: ((-6.58407915687014+10.63688841771651j),
+        (-5.623713988560066+9.085373484164007j),
+        (3.4809971301951665-5.623713988560067j)),
+    5: ((-0.02372256185607399+8.03205906872258j),
+        (-0.037114256913886624+12.56626099797714j),
+        (0.00010961638203215099-0.03711425691388663j)),
+    60: ((-7.436718517758963e-137+0.0029212867606741534j),
+         (-3.19902045587817e-133+12.566370614359172j),
+         (8.143745072609294e-267-3.1990204558781696e-133j)),
+}
+
+
+def frozen_scene(n):
+    return wt.AnalyticScene(r_sph=0.3, refractive_index=n, r_s=0.8,
+                            k_b=2 * np.pi / 0.5, truncation=60)
+
+
+class TestFrozenValues:
+    def test_field_2d(self):
+        got = wt.analytic_field_2d(FROZEN_R, FROZEN_THETA, frozen_scene(np.sqrt(1.2)))
+        np.testing.assert_allclose(got, FROZEN_FIELD_2D, rtol=1e-13, atol=0)
+
+    def test_field_3d(self):
+        got = wt.analytic_field_3d(FROZEN_R, FROZEN_THETA, frozen_scene(1.15))
+        np.testing.assert_allclose(got, FROZEN_FIELD_3D, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("m", list(FROZEN_COEFFS_2D))
+    def test_coeffs_2d(self, m):
+        got = wt.radial_coeffs_2d(m, frozen_scene(np.sqrt(1.2)))
+        np.testing.assert_allclose(got, FROZEN_COEFFS_2D[m], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("l", list(FROZEN_COEFFS_3D))
+    def test_coeffs_3d(self, l):
+        got = wt.radial_coeffs_3d(l, frozen_scene(1.15))
+        np.testing.assert_allclose(got, FROZEN_COEFFS_3D[l], rtol=1e-13, atol=0)
+
+    def test_3d_order_checks(self):
+        scene = frozen_scene(1.15)
+        with pytest.raises(ConfigError, match="order must be >= 0"):
+            wt.radial_coeffs_3d(-1, scene)
+        with pytest.raises(ConfigError, match="order 61 exceeds truncation 60"):
+            wt.radial_coeffs_3d(61, scene)
+
+
 class TestHelmholtzResidual:
     def test_constant_field_zero_k(self):
         grid = wt.centered_grid((8, 8), spacing=0.01, wavelength=1.0)

@@ -24,24 +24,36 @@ def write_config(path, overrides=None):
     return cfg
 
 
+def _free_space_fields(tmp_path, dim, rows):
+    """`wavetomo analytic` with index 1 at (r, theta) rows, source 1 m away."""
+    pts = tmp_path / "pts.csv"
+    pts.write_text("\n".join(f"{r},{t}" for r, t in rows) + "\n")
+    out = tmp_path / "field.csv"
+    rc = main(["analytic", "--dim", str(dim), "--radius", "0.0749", "--index", "1.0",
+               "--source-distance", "1.0", "--wavelength", "0.0749",
+               "--truncation", "90",
+               "--points", str(pts), "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "r_m,theta_rad,re,im"
+    return [complex(*(float(v) for v in line.split(",")[2:])) for line in lines[1:]]
+
+
 class TestAnalyticCommand:
+    K_B = 2 * np.pi / 0.0749
+
     def test_free_space_matches_green(self, tmp_path):
-        pts = tmp_path / "pts.csv"
         rows = [(0.21, 0.3), (0.15, -1.2), (0.33, 2.2)]
-        pts.write_text("\n".join(f"{r},{t}" for r, t in rows) + "\n")
-        out = tmp_path / "field.csv"
-        rc = main(["analytic", "--radius", "0.0749", "--index", "1.0",
-                   "--source-distance", "1.0", "--wavelength", "0.0749",
-                   "--truncation", "90",
-                   "--points", str(pts), "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "r_m,theta_rad,re,im"
-        k_b = 2 * np.pi / 0.0749
-        for line, (r, t) in zip(lines[1:], rows):
-            _, _, re, im = (float(v) for v in line.split(","))
-            g = wt.green_2d(np.array([r * np.cos(t) - 1.0, r * np.sin(t)]), k_b)
-            assert complex(re, im) == pytest.approx(g, rel=1e-9)
+        for E, (r, t) in zip(_free_space_fields(tmp_path, 2, rows), rows):
+            g = wt.green_2d(np.array([r * np.cos(t) - 1.0, r * np.sin(t)]), self.K_B)
+            assert E == pytest.approx(g, rel=1e-9)
+
+    def test_free_space_matches_green_3d(self, tmp_path):
+        # the source sits on the zenith axis
+        rows = [(0.21, 0.3), (0.15, 1.2), (0.33, 2.2)]
+        for E, (r, t) in zip(_free_space_fields(tmp_path, 3, rows), rows):
+            g = wt.green_3d(np.array([r * np.sin(t), 0.0, r * np.cos(t) - 1.0]), self.K_B)
+            assert E == pytest.approx(g, rel=1e-9)
 
 
 class TestSimulateReconstruct:
@@ -282,6 +294,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert err == "i/o error: line 4: 2 values, the first row has 3\n"
+
+    def test_metrics_shapes_differ(self, tmp_path, capsys):
+        # two well-formed grids of different shapes: it used to end in a
+        # DimensionError traceback from the metric itself
+        for name, shape in (("est.csv", (3, 3)), ("ref.csv", (3, 4))):
+            grid = wt.centered_grid(shape, spacing=0.01, wavelength=0.1)
+            fileio.emit_grid_csv(np.ones(shape), grid, tmp_path / name)
+        rc = main(["metrics", "--estimate", str(tmp_path / "est.csv"),
+                   "--reference", str(tmp_path / "ref.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: estimate shape (3, 3) differs from reference shape (3, 4)\n"
 
     def test_bad_config_value(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -116,6 +116,8 @@ MALFORMED_GRID_CSVS = {
     "not UTF-8": (_row(1, b"1,\xff,1,1"), 2),
     "non-finite value": (_row(2, b"1,inf,1,1"), 3),
     "no data rows": (lambda lines: lines.__delitem__(slice(1, None)), 1),
+    "header shape disagrees": (
+        lambda lines: lines.__setitem__(0, lines[0].replace(b"shape=3x4", b"shape=3x5")), 1),
 }
 
 
@@ -334,6 +336,19 @@ class TestImagesAndTables:
         assert np.array_equal(back, values)
         assert meta["shape"] == "6x7"
         assert meta["units"] == "1/m^2"
+
+    def test_grid_csv_3d_round_trip(self, tmp_path, rng):
+        # the file holds 3 rows of 20 values; the header's shape restores 3D
+        grid = wt.DomainGrid((3, 4, 5), 0.01, (0.0, 0.0, 0.0), 0.1)
+        values = rng.standard_normal(grid.shape)
+        path = tmp_path / "img.csv"
+        fileio.emit_grid_csv(values, grid, path)
+        back, _ = fileio.load_grid_csv(path)
+        assert np.array_equal(back, values)
+        cfg = fileio.parse_config(json.dumps({
+            "grid": {"shape": [3, 4, 5], "spacing_m": 0.01, "wavelength_m": 0.1},
+            "phantom": {"kind": "from_file", "path": str(path)}}))
+        assert np.array_equal(simulate.render_phantom(cfg, grid), values)
 
     @pytest.mark.parametrize("case", list(MALFORMED_GRID_CSVS))
     def test_malformed_grid_csv_names_its_line(self, tmp_path, case):
