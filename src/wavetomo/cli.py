@@ -8,6 +8,7 @@ directory.
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from .forward import ForwardConfig, estimate_fixed_step, forward_solve
 from .greens import build_domain_operator, build_sensor_operator
 from .grid import centered_grid, ring_sensors
 from .metrics import normalized_error, normalized_recon_error, snr_db
-from .recon import Transmitter, fista_reconstruct
+from .recon import SUBSAMPLE_FACTORS, Transmitter, fista_reconstruct
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,17 +93,41 @@ def cmd_reconstruct(args):
 
 
 def _scene_from_args(args):
-    k_b = args.k_b if args.k_b else 2.0 * np.pi / args.wavelength
+    k_b = args.k_b
+    if args.wavelength is not None:
+        if not args.wavelength > 0:
+            raise ConfigError("--wavelength must be positive")
+        k_b = 2.0 * np.pi / args.wavelength
     return AnalyticScene(r_sph=args.radius, refractive_index=args.index,
                          r_s=args.source_distance, k_b=k_b,
                          truncation=args.truncation)
 
 
+def _read_points(path):
+    """(r, theta) from the first two columns of a CSV; ``#`` starts a comment."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    points = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        text = raw.split(b"#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            cells = [float(v) for v in text.decode().split(",")]
+        except (UnicodeDecodeError, ValueError):
+            cells = []
+        if len(cells) < 2 or not all(map(math.isfinite, cells)):
+            raise MeasurementParseError("expected finite numbers r,theta", line=lineno)
+        points.append(cells[:2])
+    if not points:
+        raise MeasurementParseError("no sample points", line=1)
+    return np.array(points).T
+
+
 def cmd_analytic(args):
     scene = _scene_from_args(args)
     if args.points:
-        rows = np.loadtxt(args.points, delimiter=",", comments="#", ndmin=2)
-        r, theta = rows[:, 0], rows[:, 1]
+        r, theta = _read_points(args.points)
     else:
         r = np.full(args.n_samples, args.sample_radius or 2.0 * scene.r_sph)
         theta = np.linspace(0.0, 2.0 * np.pi, args.n_samples, endpoint=False)
@@ -179,13 +204,27 @@ def cmd_metrics(args):
 
 
 def _parse_range(spec):
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError("range must be start:step:stop")
-    start, step, stop = (float(p) for p in parts)
-    if step <= 0 or stop < start:
-        raise ConfigError("range must have step > 0 and stop >= start")
+    try:
+        start, step, stop = (float(p) for p in spec.split(":"))
+    except ValueError:
+        raise ConfigError(f"--contrast: expected start:step:stop numbers, "
+                          f"got {spec!r}") from None
+    if not (all(map(math.isfinite, (start, step, stop))) and step > 0
+            and stop >= start):
+        raise ConfigError("--contrast: range must be finite with step > 0 "
+                          "and stop >= start")
     return np.arange(start, stop + 0.5 * step, step)
+
+
+def _parse_factors(spec):
+    try:
+        factors = [int(v) for v in spec.split(",")]
+        if all(s in SUBSAMPLE_FACTORS for s in factors):
+            return factors
+    except ValueError:
+        pass
+    raise ConfigError(f"--subsample: expected comma-separated powers of 2 up to 128, "
+                      f"got {spec!r}")
 
 
 def cmd_sweep(args):
@@ -218,7 +257,9 @@ def cmd_sweep(args):
                   f"born {res['born_error']:.4e}")
         fileio.emit_table_csv(rows, out)
     elif args.subsample:
-        factors = [int(v) for v in args.subsample.split(",")]
+        if not args.measurements:
+            raise ConfigError("--subsample needs --measurements")
+        factors = _parse_factors(args.subsample)
         mset = fileio.load_measurements(args.measurements)
         rcfg = fileio.recon_config_from_config(cfg)
         full = fista_reconstruct(mset, grid, rcfg, model=args.model)
@@ -262,8 +303,9 @@ def build_parser():
     s.add_argument("--radius", type=float, required=True, help="object radius (m)")
     s.add_argument("--index", type=float, required=True, help="refractive index")
     s.add_argument("--source-distance", type=float, required=True)
-    s.add_argument("--wavelength", type=float, help="background wavelength (m)")
-    s.add_argument("--k-b", type=float, help="background wavenumber (1/m)")
+    wave = s.add_mutually_exclusive_group(required=True)
+    wave.add_argument("--wavelength", type=float, help="background wavelength (m)")
+    wave.add_argument("--k-b", type=float, help="background wavenumber (1/m)")
     s.add_argument("--dim", type=int, choices=[2, 3], default=2)
     s.add_argument("--truncation", type=int)
     s.add_argument("--points", help="CSV of r,theta sample points")

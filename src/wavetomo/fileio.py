@@ -405,13 +405,15 @@ def save_measurements(path, mset):
 
 
 def load_measurements(path):
+    # split the bytes, not the text: str.splitlines also breaks at form feed,
+    # vertical tab and U+2028, which would shift every later line number
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        lines = data.decode().splitlines()
-    except UnicodeDecodeError as exc:
-        raise MeasurementParseError("not UTF-8 text",
-                                    line=data.count(b"\n", 0, exc.start) + 1) from None
+        lines = []
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                lines.append(raw.decode())
+            except UnicodeDecodeError:
+                raise MeasurementParseError("not UTF-8 text", line=lineno) from None
     if not lines:
         raise MeasurementParseError("empty file", line=1)
     transmitters, receivers, frequency_hz = _read_header(lines[0])
@@ -444,6 +446,9 @@ def load_measurements(path):
         seen.add((t, r))
         per_tx_ix[t].append(r)
         per_tx_y[t].append(v)
+    for t, ix in enumerate(per_tx_ix):
+        if not ix:
+            raise MeasurementParseError(f"transmitter {t} has no data rows", line=1)
     return MeasurementSet(
         transmitters=transmitters,
         receivers=receivers,
@@ -537,18 +542,20 @@ def load_fresnel_ascii(path, frequency_ghz=3.0):
 
     transmitters = []
     for t in range(n_tx):
+        if not per_ix[t]:
+            # named at the first row whose transmitter index implies this one
+            raise MeasurementParseError(
+                f"transmitter {t + 1} has no rows at {frequency_ghz} GHz",
+                line=next(ln for ln, v in sel if v[0] > t + 1))
         ang = np.deg2rad(t * tx_step)
         pos = (FRESNEL_RING_RADIUS_M * np.cos(ang),
                FRESNEL_RING_RADIUS_M * np.sin(ang))
-        tx = Transmitter("point", position=pos)
-        ix = np.array(per_ix[t], dtype=int)
-        if ix.size:
-            model = tx.field_at(receivers.positions[ix], k_b)
-            rec = np.array(per_inc[t], dtype=complex)
-            denom = np.vdot(model, model)
-            amp = np.vdot(model, rec) / denom if abs(denom) > 0 else 1.0
-            tx = Transmitter("point", position=pos, amplitude=complex(amp))
-        transmitters.append(tx)
+        model = Transmitter("point", position=pos).field_at(
+            receivers.positions[per_ix[t]], k_b)
+        rec = np.array(per_inc[t], dtype=complex)
+        denom = np.vdot(model, model)
+        amp = np.vdot(model, rec) / denom if abs(denom) > 0 else 1.0
+        transmitters.append(Transmitter("point", position=pos, amplitude=complex(amp)))
 
     return MeasurementSet(
         transmitters=transmitters,

@@ -1,19 +1,24 @@
 """Self-contained special functions used by the Green's kernels and the
 closed-form scattering series.
 
-Cylindrical Bessel functions of order 0 and 1 are evaluated by the ascending
-power series for x <= 12 and by the Hankel large-argument expansion (P/Q form,
-exact rational coefficients, optimally truncated) beyond.  The crossover sits
-where both branches stay below 1e-10 relative to the envelope sqrt(2/(pi*x));
-double precision holds that on (0, 100] and degrades only slowly above.
+Cylindrical Bessel functions of order 0 and 1 come from one routine per
+order, ``_bessel(n, x)``, which returns (J_n, Y_n) and evaluates nothing of
+the other order: the ascending power series for x <= 12 and the Hankel
+large-argument expansion (P/Q form, exact rational coefficients, optimally
+truncated, phase looked up by order) beyond.  The crossover sits where both
+branches stay below 1e-10 relative to the envelope sqrt(2/(pi*x)); double
+precision holds that on (0, 100] and degrades only slowly above.
 
 Higher integer orders come from the standard recurrences: downward (Miller)
 recurrence with sum normalization for J_n, upward recurrence for Y_n.
 Spherical Bessel functions use the same pattern with their own closed-form
-seeds, and Legendre polynomials the three-term recurrence.
+seeds, and Legendre polynomials the three-term recurrence; the three upward
+tables share one loop.
 
 All functions accept scalars or numpy arrays of positive arguments.
 """
+
+import functools
 
 import numpy as np
 
@@ -25,36 +30,17 @@ _SERIES_MAX_TERMS = 80
 _ASYM_MAX_TERMS = 40
 
 
-def _as_positive_array(x):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("argument must be positive")
-    return x
-
-
-def _j0_series(x):
+def _j_series(n, x):
+    # J_n(x) = (x/2)^n sum_k (-x^2/4)^k / (k! (k+n)!), n = 0 or 1
     q = -0.25 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
     for k in range(1, _SERIES_MAX_TERMS):
-        term = term * q / (k * k)
+        term = term * q / (k * (k + n))
         total = total + term
         if np.all(np.abs(term) < 1e-18):
             break
-    return total
-
-
-def _j1_series(x):
-    # J1(x) = (x/2) sum_k (-x^2/4)^k / (k! (k+1)!)
-    q = -0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, _SERIES_MAX_TERMS):
-        term = term * q / (k * (k + 1))
-        total = total + term
-        if np.all(np.abs(term) < 1e-18):
-            break
-    return 0.5 * x * total
+    return total * (0.5 * x) ** n
 
 
 def _y0_series(x, j0x):
@@ -97,6 +83,11 @@ def _y1_series(x, j1x):
             - 2.0 / (np.pi * x) - total / np.pi)
 
 
+# per order n: the Y_n series and the Hankel phase offset (2n+1) pi/4
+_Y_SERIES = (_y0_series, _y1_series)
+_PHASE = (0.25 * np.pi, 0.75 * np.pi)
+
+
 def _pq_asymptotic(order, x):
     """P/Q amplitude-phase sums of the Hankel expansion at integer order 0 or 1.
 
@@ -123,75 +114,72 @@ def _pq_asymptotic(order, x):
     return p, q
 
 
-def _bessel01(x):
-    """J0, Y0, J1, Y1 evaluated together on a positive array."""
-    x = _as_positive_array(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    j0 = np.empty_like(x)
-    y0 = np.empty_like(x)
-    j1 = np.empty_like(x)
-    y1 = np.empty_like(x)
+def _table(order_name, positive=True):
+    """Preamble of the ``f(order, x)`` functions here whose first axis is the
+    order (or J/Y): checks the order, hands the body x as a float array of at
+    least one axis (positive unless told otherwise), returns a scalar's column."""
+    def wrap(body):
+        @functools.wraps(body)
+        def table(order, x):
+            if order < 0:
+                raise ConfigError(f"{order_name} must be >= 0")
+            x = np.asarray(x, dtype=float)
+            if positive and np.any(x <= 0.0):
+                raise ValueError("argument must be positive")
+            out = body(order, np.atleast_1d(x))
+            return out[:, 0] if x.ndim == 0 else out
+        return table
+    return wrap
 
+
+@_table("n")
+def _bessel(n, x):
+    """[J_n, Y_n] for n = 0 or 1, shape (2,) + x.shape."""
+    out = np.empty((2,) + x.shape)
     small = x <= _SERIES_CUTOFF
     if np.any(small):
         xs = x[small]
-        j0s = _j0_series(xs)
-        j1s = _j1_series(xs)
-        j0[small] = j0s
-        j1[small] = j1s
-        y0[small] = _y0_series(xs, j0s)
-        y1[small] = _y1_series(xs, j1s)
+        js = _j_series(n, xs)
+        out[0, small] = js
+        out[1, small] = _Y_SERIES[n](xs, js)
     if np.any(~small):
         xl = x[~small]
         amp = np.sqrt(2.0 / (np.pi * xl))
-        p0, q0 = _pq_asymptotic(0, xl)
-        chi0 = xl - 0.25 * np.pi
-        c0, s0 = np.cos(chi0), np.sin(chi0)
-        j0[~small] = amp * (p0 * c0 - q0 * s0)
-        y0[~small] = amp * (p0 * s0 + q0 * c0)
-        p1, q1 = _pq_asymptotic(1, xl)
-        chi1 = xl - 0.75 * np.pi
-        c1, s1 = np.cos(chi1), np.sin(chi1)
-        j1[~small] = amp * (p1 * c1 - q1 * s1)
-        y1[~small] = amp * (p1 * s1 + q1 * c1)
-
-    if scalar:
-        return j0[0], y0[0], j1[0], y1[0]
-    return j0, y0, j1, y1
-
-
-def bessel_j0(x):
-    return _bessel01(x)[0]
-
-
-def bessel_y0(x):
-    return _bessel01(x)[1]
-
-
-def bessel_j1(x):
-    return _bessel01(x)[2]
-
-
-def bessel_y1(x):
-    return _bessel01(x)[3]
+        p, q = _pq_asymptotic(n, xl)
+        chi = xl - _PHASE[n]
+        c, s = np.cos(chi), np.sin(chi)
+        out[0, ~small] = amp * (p * c - q * s)
+        out[1, ~small] = amp * (p * s + q * c)
+    return out
 
 
 def hankel1_0(x):
     """H0^(1)(x) = J0(x) + j Y0(x)."""
-    j0, y0, _, _ = _bessel01(x)
+    j0, y0 = _bessel(0, x)
     return j0 + 1j * y0
 
 
 def hankel1_1(x):
     """H1^(1)(x) = J1(x) + j Y1(x)."""
-    _, _, j1, y1 = _bessel01(x)
+    j1, y1 = _bessel(1, x)
     return j1 + 1j * y1
+
+
+def _upward(nmax, x, seed0, seed1, step):
+    """Orders 0..nmax from two seeds by out[n+1] = step(n, out[n], out[n-1])."""
+    out = np.zeros((nmax + 1,) + x.shape)
+    out[0] = seed0
+    if nmax >= 1:
+        out[1] = seed1
+    for n in range(1, nmax):
+        out[n + 1] = step(n, out[n], out[n - 1])
+    return out
 
 
 _RESCALE = 1e250
 
 
+@_table("nmax")
 def bessel_jn_all(nmax, x):
     """J_n(x) for n = 0..nmax, shape (nmax+1,) + x.shape.
 
@@ -199,11 +187,6 @@ def bessel_jn_all(nmax, x):
     normalized with J0 + 2*sum_k J_{2k} = 1.  Intermediate values are rescaled
     per point when they approach overflow.
     """
-    if nmax < 0:
-        raise ConfigError("nmax must be >= 0")
-    x = _as_positive_array(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     top = int(max(nmax, np.ceil(np.max(x)))) if x.size else nmax
     start = top + int(np.ceil(2.0 * np.sqrt(max(top, 1)))) + 24
     if start % 2 == 1:
@@ -228,37 +211,23 @@ def bessel_jn_all(nmax, x):
                 norm[big] /= _RESCALE
                 out[:, big] /= _RESCALE
     out /= norm
-    return out[:, 0] if scalar else out
+    return out
 
 
+@_table("nmax")
 def bessel_yn_all(nmax, x):
     """Y_n(x) for n = 0..nmax via the (stable) upward recurrence."""
-    if nmax < 0:
-        raise ConfigError("nmax must be >= 0")
-    x = _as_positive_array(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    j0, y0, j1, y1 = _bessel01(x)
-    out = np.zeros((nmax + 1,) + x.shape)
-    out[0] = y0
-    if nmax >= 1:
-        out[1] = y1
-    for n in range(1, nmax):
-        out[n + 1] = (2.0 * n / x) * out[n] - out[n - 1]
-    return out[:, 0] if scalar else out
+    return _upward(nmax, x, _bessel(0, x)[1], _bessel(1, x)[1],
+                   lambda n, y, y_prev: (2.0 * n / x) * y - y_prev)
 
 
+@_table("lmax")
 def spherical_jn_all(lmax, x):
     """Spherical j_l(x) for l = 0..lmax.
 
     Downward recurrence normalized with sum_l (2l+1) j_l^2 = 1, which avoids
     the zeros of any single seed order.
     """
-    if lmax < 0:
-        raise ConfigError("lmax must be >= 0")
-    x = _as_positive_array(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     top = int(max(lmax, np.ceil(np.max(x)))) if x.size else lmax
     start = top + int(np.ceil(2.0 * np.sqrt(max(top, 1)))) + 24
 
@@ -289,36 +258,18 @@ def spherical_jn_all(lmax, x):
     ref = np.where(np.abs(ref0) >= np.abs(ref1), ref0, ref1)
     sign = np.where(raw * scale * ref < 0, -1.0, 1.0)
     out *= scale * sign
-    return out[:, 0] if scalar else out
+    return out
 
 
+@_table("lmax")
 def spherical_yn_all(lmax, x):
     """Spherical n_l(x) for l = 0..lmax via upward recurrence."""
-    if lmax < 0:
-        raise ConfigError("lmax must be >= 0")
-    x = _as_positive_array(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros((lmax + 1,) + x.shape)
-    out[0] = -np.cos(x) / x
-    if lmax >= 1:
-        out[1] = -np.cos(x) / (x * x) - np.sin(x) / x
-    for l in range(1, lmax):
-        out[l + 1] = ((2.0 * l + 1.0) / x) * out[l] - out[l - 1]
-    return out[:, 0] if scalar else out
+    return _upward(lmax, x, -np.cos(x) / x, -np.cos(x) / (x * x) - np.sin(x) / x,
+                   lambda l, n, n_prev: ((2.0 * l + 1.0) / x) * n - n_prev)
 
 
+@_table("lmax", positive=False)
 def legendre_all(lmax, x):
     """Legendre polynomials P_l(x) for l = 0..lmax on x in [-1, 1]."""
-    if lmax < 0:
-        raise ConfigError("lmax must be >= 0")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros((lmax + 1,) + x.shape)
-    out[0] = 1.0
-    if lmax >= 1:
-        out[1] = x
-    for l in range(1, lmax):
-        out[l + 1] = ((2.0 * l + 1.0) * x * out[l] - l * out[l - 1]) / (l + 1.0)
-    return out[:, 0] if scalar else out
+    return _upward(lmax, x, 1.0, x, lambda l, p, p_prev:
+                   ((2.0 * l + 1.0) * x * p - l * p_prev) / (l + 1.0))

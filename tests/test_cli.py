@@ -55,6 +55,30 @@ class TestAnalyticCommand:
             g = wt.green_3d(np.array([r * np.sin(t), 0.0, r * np.cos(t) - 1.0]), self.K_B)
             assert E == pytest.approx(g, rel=1e-9)
 
+    @pytest.mark.parametrize("wave, message", [
+        ([], "one of the arguments --wavelength --k-b is required"),
+        (["--wavelength", "0.0749", "--k-b", "84.0"],
+         "argument --k-b: not allowed with argument --wavelength"),
+        (["--wavelength", "0"], "--wavelength must be positive"),
+    ], ids=["neither", "both", "zero wavelength"])
+    def test_wavelength_or_k_b(self, tmp_path, capsys, wave, message):
+        rc = main(["analytic", "--radius", "0.0749", "--index", "1.1",
+                   "--source-distance", "1.0", *wave, "--out", str(tmp_path / "f.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines()[-1] == f"error: {message}"
+
+    @pytest.mark.parametrize("row", ["0.2,x", "0.2", "0.2;0.3", "nan,0.3"])
+    def test_malformed_points(self, tmp_path, capsys, row):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"# r, theta\n0.1,0.2\n\n{row}\n0.3,0.4\n")
+        rc = main(["analytic", "--radius", "0.0749", "--index", "1.1",
+                   "--source-distance", "1.0", "--wavelength", "0.0749",
+                   "--points", str(pts), "--out", str(tmp_path / "f.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == ("i/o error: line 4: expected finite "
+                                           "numbers r,theta\n")
+
 
 class TestSimulateReconstruct:
     def test_null_phantom_round_trip(self, tmp_path):
@@ -125,6 +149,24 @@ class TestSweepCommand:
         # expansion beats the linearization, which degrades with contrast
         assert all(err < born for _, err, born in rows)
         assert rows[1][2] > rows[0][2]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--subsample", "2"], "--subsample needs --measurements"),
+        (["--subsample", "2,x", "--measurements", "m.dat"],
+         "--subsample: expected comma-separated powers of 2 up to 128, got '2,x'"),
+        (["--contrast", "0.1:x:0.2"],
+         "--contrast: expected start:step:stop numbers, got '0.1:x:0.2'"),
+        (["--contrast", "0.1:0.1"],
+         "--contrast: expected start:step:stop numbers, got '0.1:0.1'"),
+    ], ids=["subsample without measurements", "non-integer factor",
+            "non-numeric bound", "two bounds"])
+    def test_bad_sweep_flags(self, tmp_path, capsys, flags, message):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        rc = main(["sweep", "--config", str(cfg_path), *flags,
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _set(section, **values):
@@ -281,6 +323,22 @@ class TestExitCodes:
         assert rc == 1
         assert err == ("error: measurement receiver positions have 2 axes "
                        "but the grid has 3\n")
+
+    def test_transmitter_without_rows(self, tmp_path, capsys):
+        # it used to load and fail in reconstruct on an empty receiver mask
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        meas = tmp_path / "m.dat"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
+        lines = meas.read_bytes().splitlines()
+        kept = [ln for ln in lines if not ln.startswith(b"1,")]
+        meas.write_bytes(b"\n".join(kept) + b"\n")
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", str(cfg_path),
+                   "--measurements", str(meas), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == ("i/o error: line 1: transmitter 1 has no "
+                                           "data rows\n")
 
     def test_malformed_grid_csv_is_io_error(self, tmp_path, capsys):
         grid = wt.centered_grid((3, 3), spacing=0.01, wavelength=0.1)

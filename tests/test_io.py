@@ -106,6 +106,10 @@ MALFORMED_FILES = {
     "repeated pair": (lambda lines: lines.append(lines[2]), 7),
     "non-finite value": (_row(5, b"1,0,nan,0"), 6),
     "not UTF-8": (_row(2, b"0,0,\xff,0"), 3),
+    # a form feed is not a line break: the repeat on line 4 used to be line 5
+    "form feed in a row": (lambda lines: (lines.__setitem__(1, lines[1] + b"\x0c"),
+                                          lines.__setitem__(3, lines[2])), 4),
+    "transmitter without rows": (lambda lines: lines.__delitem__(slice(4, 6)), 1),
 }
 
 
@@ -287,6 +291,14 @@ class TestFresnelLoader:
         with pytest.raises(MeasurementParseError, match="line 3") as exc:
             fileio.load_fresnel_ascii(path, frequency_ghz=3.0)
         assert message in str(exc.value)
+
+    def test_transmitter_gap_names_it(self, tmp_path):
+        # the 2 GHz row does not fill the gap in the 3 GHz channel
+        path = tmp_path / "gap.txt"
+        path.write_text("1 10 3.0 1 0 1 0\n2 20 2.0 1 0 1 0\n3 30 3.0 1 0 1 0\n")
+        with pytest.raises(MeasurementParseError,
+                           match=r"^line 3: transmitter 2 has no rows at 3.0 GHz$"):
+            fileio.load_fresnel_ascii(path, frequency_ghz=3.0)
 
     def test_non_utf8_byte_names_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"

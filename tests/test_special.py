@@ -1,18 +1,26 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from reference import mp_j, mp_sph_j, mp_sph_y, mp_y
-from wavetomo.special import (bessel_j0, bessel_j1, bessel_jn_all, bessel_y0,
-                              bessel_y1, bessel_yn_all, hankel1_0, hankel1_1,
+from wavetomo import special
+from wavetomo.special import (bessel_jn_all, bessel_yn_all, hankel1_0, hankel1_1,
                               legendre_all, spherical_jn_all, spherical_yn_all)
+
+# Exact values recorded before order 0 and order 1 were split into separate
+# routines.  The mpmath checks hold only to 1e-10, so these pin the last bits.
+FROZEN = json.loads((Path(__file__).parent / "special_frozen.json").read_text())
 
 
 def test_order01_kernels_frozen_values():
-    # high-precision references (mpmath, 30 digits)
-    assert bessel_j0(1.0) == pytest.approx(0.76519768655796655, abs=1e-13)
-    assert bessel_y0(1.0) == pytest.approx(0.08825696421567696, abs=1e-13)
-    assert bessel_j1(1.0) == pytest.approx(0.44005058574493355, abs=1e-13)
-    assert bessel_y1(1.0) == pytest.approx(-0.78121282130028871, abs=1e-13)
+    # high-precision references (mpmath, 30 digits): H_n = J_n + j Y_n
+    h0, h1 = hankel1_0(1.0), hankel1_1(1.0)
+    assert h0.real == pytest.approx(0.76519768655796655, abs=1e-13)
+    assert h0.imag == pytest.approx(0.08825696421567696, abs=1e-13)
+    assert h1.real == pytest.approx(0.44005058574493355, abs=1e-13)
+    assert h1.imag == pytest.approx(-0.78121282130028871, abs=1e-13)
 
 
 def test_order01_kernels_sweep_against_mpmath():
@@ -22,23 +30,45 @@ def test_order01_kernels_sweep_against_mpmath():
                          [0.02, 7.99, 8.0, 11.999, 12.0, 12.001, 100.0]])
     for x in xs:
         envelope = np.sqrt(2.0 / (np.pi * x))
-        assert abs(bessel_j0(x) - mp_j(0, x)) <= 1e-10 * envelope
-        assert abs(bessel_y0(x) - mp_y(0, x)) <= 1e-10 * envelope
-        assert abs(bessel_j1(x) - mp_j(1, x)) <= 1e-10 * envelope
-        assert abs(bessel_y1(x) - mp_y(1, x)) <= 1e-10 * envelope
+        h0, h1 = hankel1_0(x), hankel1_1(x)
+        assert abs(h0.real - mp_j(0, x)) <= 1e-10 * envelope
+        assert abs(h0.imag - mp_y(0, x)) <= 1e-10 * envelope
+        assert abs(h1.real - mp_j(1, x)) <= 1e-10 * envelope
+        assert abs(h1.imag - mp_y(1, x)) <= 1e-10 * envelope
 
 
 def test_kernels_reject_nonpositive():
     with pytest.raises(ValueError):
-        bessel_j0(0.0)
+        hankel1_0(0.0)
     with pytest.raises(ValueError):
-        bessel_y0(-1.0)
+        hankel1_1(np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        bessel_yn_all(3, 0.0)
 
 
 def test_hankel_composition():
-    x = 2.7
-    assert hankel1_0(x) == pytest.approx(bessel_j0(x) + 1j * bessel_y0(x))
-    assert hankel1_1(x) == pytest.approx(bessel_j1(x) + 1j * bessel_y1(x))
+    # H_n = J_n + j Y_n: Y_n is the seed of the Y_n table, J_n agrees with Miller's
+    x = np.array([2.7, 12.0, 30.5])
+    yn = bessel_yn_all(1, x)
+    jn = bessel_jn_all(1, x)
+    for n, h in enumerate((hankel1_0(x), hankel1_1(x))):
+        assert np.array_equal(h.imag, yn[n])
+        assert np.allclose(h.real, jn[n], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["hankel1_0", "hankel1_1"])
+def test_hankel_frozen_bits(name):
+    fn = getattr(special, name)
+    want = [complex(*v) for v in FROZEN[name]]
+    assert [complex(fn(x)) for x in FROZEN["hankel_x"]] == want
+    assert fn(np.array(FROZEN["hankel_x"])).tolist() == want
+
+
+@pytest.mark.parametrize("name", ["bessel_yn_all", "spherical_yn_all", "legendre_all"])
+def test_table_frozen_bits(name):
+    table = FROZEN[name]
+    got = getattr(special, name)(table["order"], np.array(table["x"]))
+    assert got.tolist() == table["values"]
 
 
 @pytest.mark.parametrize("x", [0.3, 2.0, 6.28, 22.4, 83.9, 104.9])
