@@ -26,12 +26,18 @@ from .special import (bessel_jn_all, bessel_yn_all, legendre_all,
                       spherical_jn_all, spherical_yn_all)
 
 
+# highest harmonic order a scene may need: the radial tables hold one row per
+# order and evaluation point, so the cutoff bounds their time and memory
+_MAX_ORDER = 1000
+
+
 @dataclass(frozen=True)
 class AnalyticScene:
     """Geometry of the closed-form scattering problem.
 
     truncation: highest retained harmonic order; defaults to
-    ceil(k_b * r_sph) + 30 (size parameter plus margin).
+    ceil(k_b * r_sph) + 30 (size parameter plus margin).  The cutoff, given
+    or derived, must not exceed 1000.
     """
 
     r_sph: float
@@ -41,14 +47,20 @@ class AnalyticScene:
     truncation: int | None = None
 
     def __post_init__(self):
-        if not (self.r_s > self.r_sph > 0):
-            raise ConfigError("need source distance r_s > object radius r_sph > 0")
-        if not self.refractive_index > 0:
-            raise ConfigError("refractive index must be positive")
-        if not self.k_b > 0:
-            raise ConfigError("background wavenumber must be positive")
+        if not (np.inf > self.r_s > self.r_sph > 0):
+            raise ConfigError("need finite source distance r_s > object radius "
+                              "r_sph > 0")
+        if not np.inf > self.refractive_index > 0:
+            raise ConfigError("refractive index must be positive and finite")
+        if not np.inf > self.k_b > 0:
+            raise ConfigError("background wavenumber must be positive and finite")
         if self.truncation is not None and self.truncation < 1:
             raise ConfigError("truncation must be >= 1")
+        # checked as a float: int() in order_cutoff overflows on a huge size
+        cutoff = self.truncation or np.ceil(self.k_b * self.r_sph) + 30
+        if not cutoff <= _MAX_ORDER:
+            raise ConfigError(f"harmonic order cutoff {cutoff:.6g} exceeds the "
+                              f"maximum {_MAX_ORDER}")
 
     @property
     def order_cutoff(self):

@@ -105,16 +105,14 @@ def _scene_from_args(args):
 
 def _read_points(path):
     """(r, theta) from the first two columns of a CSV; ``#`` starts a comment."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     points = []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        text = raw.split(b"#", 1)[0].strip()
+    for lineno, line in fileio._numbered_lines(path):
+        text = line.split("#", 1)[0].strip()
         if not text:
             continue
         try:
-            cells = [float(v) for v in text.decode().split(",")]
-        except (UnicodeDecodeError, ValueError):
+            cells = [float(v) for v in text.split(",")]
+        except ValueError:
             cells = []
         if len(cells) < 2 or not all(map(math.isfinite, cells)):
             raise MeasurementParseError("expected finite numbers r,theta", line=lineno)

@@ -47,11 +47,26 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _numbered_lines(path):
+    """(line number, text) for each line of a UTF-8 text file.
+
+    The bytes are split, not the text: lines end only at \\n, \\r or \\r\\n,
+    whereas str.splitlines also breaks at form feed, vertical tab and U+2028,
+    which would shift every later line number.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            yield lineno, raw.decode()
+        except UnicodeDecodeError:
+            raise MeasurementParseError("not UTF-8 text", line=lineno) from None
+
+
 # ---------------------------------------------------------------------------
 # experiment configuration
 #
-# Each schema maps a key to (type, default).  A default is REQUIRED, a value,
-# or a function of the raw section for defaults that depend on other keys.
+# Each schema maps a key to (type, default); a default is REQUIRED or a value.
 # Range and combination checks belong to the objects the readers build
 # (DomainGrid, ForwardConfig, ReconConfig, BoxConstraint, Transmitter,
 # ring_sensors, refined_grid); _build reports them under the key path.
@@ -129,8 +144,7 @@ CYLINDER_SCHEMA = {
 # the keys of RECON_SCHEMA and FORWARD_SCHEMA are ReconConfig / ForwardConfig fields
 RECON_SCHEMA = {
     "forward": (OBJECT, {}),
-    "tau": (NUMBER_OR_NULL, None),
-    "tau_rel": (NUMBER_OR_NULL, lambda r: 1.5e-9 if r.get("tau") is None else None),
+    "tau_rel": (NUMBER, 1.5e-9),
     "step_gamma": (NUMBER_OR_NULL, None),
     "fista_iters": (INT, 50),
     "tv_variant": (STRING, "iso"),
@@ -141,11 +155,10 @@ RECON_SCHEMA = {
 }
 FORWARD_SCHEMA = {
     "K": (INT, 60),
-    "delta_tol": (NUMBER, 0.0),
-    "delta_tol_rel": (NUMBER_OR_NULL, lambda f: None if "delta_tol" in f else 5e-7),
+    "delta_tol_rel": (NUMBER, 5e-7),
     "step_mode": (STRING, "adaptive"),
     "nu": (NUMBER_OR_NULL, None),
-    "stop_on": (STRING, lambda f: "gradient" if "delta_tol" in f else "objective"),
+    "stop_on": (STRING, "objective"),
 }
 BOX_SCHEMA = {"lower": (NUMBER, 0.0), "upper": (NUMBER, math.inf)}
 GENERATION_SCHEMA = {
@@ -164,7 +177,7 @@ def _value(section, path, key, spec):
     if key not in section:
         if default is REQUIRED:
             raise ConfigError(f"{_join(path, key)}: required")
-        return default(section) if callable(default) else default
+        return default
     value = section[key]
     if not check(value):
         raise ConfigError(f"{_join(path, key)}: expected {type_name}, "
@@ -405,22 +418,14 @@ def save_measurements(path, mset):
 
 
 def load_measurements(path):
-    # split the bytes, not the text: str.splitlines also breaks at form feed,
-    # vertical tab and U+2028, which would shift every later line number
-    with open(path, "rb") as fh:
-        lines = []
-        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-            try:
-                lines.append(raw.decode())
-            except UnicodeDecodeError:
-                raise MeasurementParseError("not UTF-8 text", line=lineno) from None
+    lines = list(_numbered_lines(path))
     if not lines:
         raise MeasurementParseError("empty file", line=1)
-    transmitters, receivers, frequency_hz = _read_header(lines[0])
+    transmitters, receivers, frequency_hz = _read_header(lines[0][1])
     per_tx_ix = [[] for _ in transmitters]
     per_tx_y = [[] for _ in transmitters]
     seen = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in lines[1:]:
         if not raw.strip():
             continue
         parts = raw.split(",")
@@ -480,29 +485,25 @@ def load_fresnel_ascii(path, frequency_ghz=3.0):
     least-squares fit of the line-source model to its recorded incident field.
     """
     rows = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                s = raw.decode().strip()
-            except UnicodeDecodeError:
-                raise MeasurementParseError("not UTF-8 text", line=lineno) from None
-            if not s or s.startswith("#"):
-                continue
-            parts = s.split()
-            if len(parts) != 7:
+    for lineno, line in _numbered_lines(path):
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        parts = s.split()
+        if len(parts) != 7:
+            raise MeasurementParseError(
+                f"expected 7 columns, got {len(parts)}", line=lineno)
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise MeasurementParseError(str(exc), line=lineno) from None
+        # transmitters sit on the receivers' ring, so both index its slots
+        for name, text, ix in zip(("transmitter", "receiver"), parts, vals):
+            if not (ix.is_integer() and 1 <= ix <= FRESNEL_RECEIVER_SLOTS):
                 raise MeasurementParseError(
-                    f"expected 7 columns, got {len(parts)}", line=lineno)
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError as exc:
-                raise MeasurementParseError(str(exc), line=lineno) from None
-            # transmitters sit on the receivers' ring, so both index its slots
-            for name, text, ix in zip(("transmitter", "receiver"), parts, vals):
-                if not (ix.is_integer() and 1 <= ix <= FRESNEL_RECEIVER_SLOTS):
-                    raise MeasurementParseError(
-                        f"{name} index {text} is not an integer in "
-                        f"1..{FRESNEL_RECEIVER_SLOTS}", line=lineno)
-            rows.append((lineno, vals))
+                    f"{name} index {text} is not an integer in "
+                    f"1..{FRESNEL_RECEIVER_SLOTS}", line=lineno)
+        rows.append((lineno, vals))
     if not rows:
         raise MeasurementParseError("no data rows", line=1)
 
@@ -615,16 +616,10 @@ def load_grid_csv(path):
     rows and a header shape that does not hold the values each raise
     MeasurementParseError with the line.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     meta = {}
     rows = []
     shape_line = None
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        try:
-            ln = raw.decode()
-        except UnicodeDecodeError:
-            raise MeasurementParseError("not UTF-8 text", line=lineno) from None
+    for lineno, ln in _numbered_lines(path):
         if not ln.strip():
             continue
         if ln.startswith("#"):

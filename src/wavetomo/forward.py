@@ -20,41 +20,35 @@ class ForwardConfig:
     """Knobs of the forward field solve.
 
     K : maximum number of iterations (>= 1).
-    delta_tol : absolute early-stop threshold; compared against ||grad||_2
-        when ``stop_on == "gradient"`` (the default) or against S(s^k) when
-        ``stop_on == "objective"``.  0 disables early stopping.
-    delta_tol_rel : convenience alternative scaled per solve by ||u_in||
-        (gradient mode) or ||u_in||^2 (objective mode).
+    delta_tol_rel : early-stop threshold, scaled per solve by ||u_in||^2 and
+        compared against S(s^k) when ``stop_on == "objective"`` (the
+        default), or scaled by ||u_in|| and compared against ||grad||_2 when
+        ``stop_on == "gradient"``.  0 disables early stopping.
     step_mode : "adaptive" (exact line-search step ||g||^2/||Ag||^2) or
         "fixed" (constant ``nu``; required for exact adjoint gradients).
     momentum : setting False zeroes the extrapolation (plain gradient descent).
     """
 
     K: int
-    delta_tol: float = 0.0
-    delta_tol_rel: float | None = None
+    delta_tol_rel: float = 0.0
     step_mode: str = "adaptive"
     nu: float | None = None
-    stop_on: str = "gradient"
+    stop_on: str = "objective"
     momentum: bool = True
 
     def __post_init__(self):
         if self.K < 1:
             raise ConfigError("K must be >= 1")
-        if self.delta_tol < 0:
-            raise ConfigError("delta_tol must be >= 0")
-        if self.delta_tol_rel is not None:
-            if self.delta_tol_rel < 0:
-                raise ConfigError("delta_tol_rel must be >= 0")
-            if self.delta_tol > 0:
-                raise ConfigError("set at most one of delta_tol / delta_tol_rel")
+        if not 0 <= self.delta_tol_rel < np.inf:
+            raise ConfigError("delta_tol_rel must be a finite number >= 0")
         if self.step_mode not in ("adaptive", "fixed"):
             raise ConfigError("step_mode must be 'adaptive' or 'fixed'")
         if self.stop_on not in ("gradient", "objective"):
             raise ConfigError("stop_on must be 'gradient' or 'objective'")
-        if self.step_mode == "fixed":
-            if self.nu is None or not self.nu > 0:
-                raise ConfigError("fixed step mode requires nu > 0")
+        if self.nu is not None and not np.inf > self.nu > 0:
+            raise ConfigError("nu must be a finite number > 0")
+        if self.step_mode == "fixed" and self.nu is None:
+            raise ConfigError("fixed step mode requires nu")
 
 
 @dataclass
@@ -115,7 +109,7 @@ def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
 
     u^{-1} = u^0 = u_init (defaults to u_in, which the reverse-mode gradient
     assumes), t_0 = 0.  Each iteration extrapolates s^k from the two previous
-    iterates, takes a gradient step, and may stop early on ``cfg.delta_tol``.
+    iterates, takes a gradient step, and may stop early on ``cfg.delta_tol_rel``.
     When H is given, z = H(u_hat * f) and the trace keeps each iteration's
     s^k, gamma_k, mu_k and G^H residual for the backward pass, the stopping
     iteration included, so the histories always have K_effective entries.
@@ -128,11 +122,9 @@ def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
     u_prev2 = u_in.copy() if u_init is None else grid.check_field(u_init).astype(complex)
     u_prev1 = u_prev2.copy()
 
-    tol = cfg.delta_tol
-    if cfg.delta_tol_rel is not None:
-        uin_sq = float(np.vdot(u_in, u_in).real)
-        tol = cfg.delta_tol_rel * (uin_sq if cfg.stop_on == "objective"
-                                   else np.sqrt(uin_sq))
+    uin_sq = float(np.vdot(u_in, u_in).real)
+    tol = cfg.delta_tol_rel * (uin_sq if cfg.stop_on == "objective"
+                               else np.sqrt(uin_sq))
 
     trace = ForwardTrace() if H is None else ForwardTrace([], [], [], [])
     t_prev = 0.0

@@ -73,8 +73,6 @@ class DomainGreensOperator:
     across threads.
     """
 
-    kind = "domain"
-
     def __init__(self, grid):
         if any(n < 2 for n in grid.shape):
             raise ConfigError("domain operator needs every grid dim >= 2")
@@ -110,8 +108,6 @@ class DomainGreensOperator:
 class SensorGreensOperator:
     """Domain-to-sensor operator: dense M x N matrix of pixel-weighted g values."""
 
-    kind = "sensor"
-
     def __init__(self, grid, sensors):
         self.grid = grid
         self.sensors = sensors
@@ -143,8 +139,6 @@ class SensorGreensOperator:
 class MaskedSensorOperator:
     """Row subset of a shared SensorGreensOperator (per-transmitter active receivers)."""
 
-    kind = "sensor"
-
     def __init__(self, base, indices):
         indices = np.asarray(indices, dtype=int)
         if indices.ndim != 1 or indices.size < 1:
@@ -154,9 +148,6 @@ class MaskedSensorOperator:
         self.grid = base.grid
         self.base = base
         self.indices = indices
-
-    def __len__(self):
-        return self.indices.size
 
     def apply(self, v):
         return self.base.apply(v)[self.indices]

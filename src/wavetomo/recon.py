@@ -133,8 +133,7 @@ class ReconConfig:
     """All solver knobs of the outer image-formation loop."""
 
     forward: ForwardConfig
-    tau: float | None = None          # absolute TV weight
-    tau_rel: float | None = None      # tau = tau_rel * ||y||^2 when given
+    tau_rel: float = 1.5e-9           # TV weight tau = tau_rel * ||y||^2
     step_gamma: float | None = None   # None: backtracking estimate, then frozen
     fista_iters: int = 50
     tv_variant: str = "iso"
@@ -149,20 +148,19 @@ class ReconConfig:
                 raise ConfigError(f"{name} must be an integer")
         if self.fista_iters < 1:
             raise ConfigError("fista_iters must be >= 1")
-        if self.step_gamma is not None and not self.step_gamma > 0:
-            raise ConfigError("step_gamma must be positive")
+        if self.tv_iters < 0:
+            raise ConfigError("tv_iters must be >= 0")
+        if self.step_gamma is not None and not np.inf > self.step_gamma > 0:
+            raise ConfigError("step_gamma must be a finite number > 0")
         if self.tv_variant not in ("iso", "aniso"):
             raise ConfigError("tv_variant must be 'iso' or 'aniso'")
-        if (self.tau is None) == (self.tau_rel is None):
-            raise ConfigError("set exactly one of tau / tau_rel")
-        if (self.tau if self.tau is not None else self.tau_rel) < 0:
-            raise ConfigError("TV weight must be >= 0")
+        for name in ("tau_rel", "tv_delta"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be a finite number >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
     def resolve_tau(self, measurements):
-        if self.tau is not None:
-            return self.tau
         return self.tau_rel * measurements.y_norm_sq()
 
 

@@ -4,8 +4,8 @@ The prox is evaluated on the dual problem with accelerated projected gradient
 ascent (fast gradient projection): the dual variable is a per-pixel vector
 field constrained to unit balls (l-inf per component for anisotropic TV, l2
 per pixel for isotropic), and the primal iterate is recovered by the box
-projection of z - tau D^T g.  The dual step defaults to 1/(12 tau), the bound
-valid in 3D (conservative in 2D); ``dual_step_divisor`` overrides it.
+projection of z - tau D^T g.  The dual step is 1/(12 tau), the bound valid
+in 3D (conservative in 2D).
 
 The discrete gradient D takes forward differences with replicate-edge
 (Neumann) closure; its adjoint is the matching negative divergence, exact to
@@ -101,7 +101,7 @@ def dual_objective(g, z, tau, box):
 
 
 def prox_tv(z, tau, box=BoxConstraint(), variant="iso", iters=10, delta_in=1e-4,
-            dual_init=None, dual_step_divisor=12.0, return_dual=False):
+            dual_init=None, return_dual=False):
     """Box-constrained TV proximal operator argmin 0.5||f - z||^2 + tau R(f).
 
     Runs at most ``iters`` fast-gradient-projection steps on the dual (the
@@ -117,7 +117,7 @@ def prox_tv(z, tau, box=BoxConstraint(), variant="iso", iters=10, delta_in=1e-4,
         f = proj_box(z, box)
         return (f, np.zeros(z.shape + (z.ndim,))) if return_dual else f
 
-    gamma = 1.0 / (dual_step_divisor * tau)
+    gamma = 1.0 / (12.0 * tau)
     if dual_init is None:
         g = np.zeros(z.shape + (z.ndim,))
     else:

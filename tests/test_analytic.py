@@ -52,6 +52,21 @@ class TestCoefficients2D:
             rhs = b * j_b[m] + c * y_b[m]
             assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_b", np.inf), ("r_sph", np.nan), ("r_s", np.inf),
+        ("refractive_index", np.inf), ("truncation", 1001), ("k_b", 1e300)])
+    def test_scene_rejects_non_finite_and_huge_orders(self, field, value):
+        # 1000 is the highest harmonic order a scene may need
+        kwargs = dict(r_sph=3 * WL, refractive_index=1.1, r_s=1.0, k_b=KB)
+        kwargs[field] = value
+        with pytest.raises(ConfigError):
+            wt.AnalyticScene(**kwargs)
+
+    def test_scene_accepts_the_maximum_order(self):
+        scene = wt.AnalyticScene(r_sph=3 * WL, refractive_index=1.1, r_s=1.0, k_b=KB,
+                                 truncation=1000)
+        assert scene.order_cutoff == 1000
+
     def test_truncation_out_of_range(self):
         scene = scene_2d(truncation=5)
         with pytest.raises(ConfigError):

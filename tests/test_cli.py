@@ -60,13 +60,33 @@ class TestAnalyticCommand:
         (["--wavelength", "0.0749", "--k-b", "84.0"],
          "argument --k-b: not allowed with argument --wavelength"),
         (["--wavelength", "0"], "--wavelength must be positive"),
-    ], ids=["neither", "both", "zero wavelength"])
+        # these two used to end in an OverflowError and a TypeError traceback
+        (["--k-b", "inf"], "background wavenumber must be positive and finite"),
+        (["--wavelength", "1e-300"],
+         "harmonic order cutoff 4.70611e+299 exceeds the maximum 1000"),
+        (["--k-b", "84.0", "--index", "inf"],
+         "refractive index must be positive and finite"),
+        (["--k-b", "84.0", "--source-distance", "inf"],
+         "need finite source distance r_s > object radius r_sph > 0"),
+        (["--k-b", "84.0", "--truncation", "1001"],
+         "harmonic order cutoff 1001 exceeds the maximum 1000"),
+    ], ids=["neither", "both", "zero wavelength", "infinite k_b", "tiny wavelength",
+            "infinite index", "infinite source distance", "truncation past the maximum"])
     def test_wavelength_or_k_b(self, tmp_path, capsys, wave, message):
         rc = main(["analytic", "--radius", "0.0749", "--index", "1.1",
                    "--source-distance", "1.0", *wave, "--out", str(tmp_path / "f.csv")])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.splitlines()[-1] == f"error: {message}"
+
+    def test_points_not_utf8(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_bytes(b"0.1,0.2\n0.2,0.3 \xff\n")
+        rc = main(["analytic", "--radius", "0.0749", "--index", "1.1",
+                   "--source-distance", "1.0", "--wavelength", "0.0749",
+                   "--points", str(pts), "--out", str(tmp_path / "f.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == "i/o error: line 2: not UTF-8 text\n"
 
     @pytest.mark.parametrize("row", ["0.2,x", "0.2", "0.2;0.3", "nan,0.3"])
     def test_malformed_points(self, tmp_path, capsys, row):
@@ -209,6 +229,9 @@ MALFORMED_CONFIGS = {
         lambda cfg: cfg.update(transmitters=[]), "transmitters: need at least one"),
     "zero grid refinement": (
         _set("generation", grid_refine=0), "generation.grid_refine: grid refinement"),
+    "NaN tau_rel": (
+        _set("recon", tau_rel=float("nan")), "recon: tau_rel must be a finite number"),
+    "removed key recon.tau": (_set("recon", tau=1e-6), "recon.tau: unknown key"),
 }
 
 

@@ -151,6 +151,13 @@ class TestSensorOperator:
         y = random_field(rng, (3,))
         assert adjoint_gap(Hm.apply, Hm.apply_adjoint, x, y) <= 1e-12
 
+    def test_no_unread_attributes(self):
+        # ``kind`` and the masked operator's ``len`` had no reader
+        for cls in (wt.DomainGreensOperator, wt.SensorGreensOperator,
+                    wt.MaskedSensorOperator):
+            assert not hasattr(cls, "kind")
+        assert not hasattr(wt.MaskedSensorOperator, "__len__")
+
     def test_adjoint_equals_conjugate_transpose_product(self, small_setup, rng):
         # the adjoint forms (y^H M)^H without copying M^H; same numbers
         _, _, H, _ = small_setup

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,40 @@ def base_config():
     }
 
 
+# (key path under recon, bad value): loop settings __post_init__ rejects
+BAD_LOOP_SETTINGS = [
+    ("tau_rel", float("nan")), ("tau_rel", float("inf")), ("tau_rel", -1e-9),
+    ("forward.delta_tol_rel", float("nan")), ("forward.delta_tol_rel", float("inf")),
+    ("tv_iters", -3), ("tv_delta", -1e-4), ("tv_delta", float("nan")),
+    ("step_gamma", float("inf")), ("forward.nu", float("inf")),
+]
+
+
+def _recon_with(path, value):
+    recon = {"forward": {"K": 4}}
+    section, _, key = path.rpartition(".")
+    (recon.setdefault(section, {}) if section else recon)[key] = value
+    return {"recon": recon}
+
+
 class TestConfig:
+    @pytest.mark.parametrize("path, value", BAD_LOOP_SETTINGS,
+                             ids=[f"{p}={v}" for p, v in BAD_LOOP_SETTINGS])
+    def test_bad_loop_setting_names_its_key(self, path, value):
+        # all but a negative tau_rel used to be accepted, then ignored or overflowed
+        key = path.rpartition(".")[2]
+        with pytest.raises(ConfigError, match=rf"^recon\S*: {key} must be"):
+            fileio.recon_config_from_config(_recon_with(path, value))
+
+    def test_infinite_box_upper_stays_valid(self):
+        cfg = fileio.recon_config_from_config(_recon_with("box.upper", float("inf")))
+        assert cfg.box.b == np.inf
+
+    @pytest.mark.parametrize("path", ["tau", "forward.delta_tol"])
+    def test_removed_absolute_keys_are_unknown(self, path):
+        with pytest.raises(ConfigError, match=rf"^recon\.{path}: unknown key$"):
+            fileio.recon_config_from_config(_recon_with(path, 1e-6))
+
     def test_round_trip(self):
         text = fileio.serialize_config(base_config())
         cfg = fileio.parse_config(text)
@@ -300,6 +336,20 @@ class TestFresnelLoader:
                            match=r"^line 3: transmitter 2 has no rows at 3.0 GHz$"):
             fileio.load_fresnel_ascii(path, frequency_ghz=3.0)
 
+    @pytest.mark.parametrize("ending", [b"\r", b"\r\n"], ids=["CR", "CRLF"])
+    def test_line_endings(self, tmp_path, ending):
+        # CR-only files used to read as one line of 14 columns
+        rows = [b"# comment", b"1 10 3.0 1 0 1 0", b"1 20 3.0 2 0 1 0"]
+        (tmp_path / "lf.txt").write_bytes(b"\n".join(rows) + b"\n")
+        (tmp_path / "cr.txt").write_bytes(ending.join(rows) + ending)
+        lf = fileio.load_fresnel_ascii(tmp_path / "lf.txt")
+        cr = fileio.load_fresnel_ascii(tmp_path / "cr.txt")
+        assert np.array_equal(cr.active_indices[0], lf.active_indices[0])
+        assert np.array_equal(cr.y[0], lf.y[0])
+        (tmp_path / "bad.txt").write_bytes(ending.join(rows + [b"1 30 3.0 x 0 1 0"]))
+        with pytest.raises(MeasurementParseError, match="^line 4: "):
+            fileio.load_fresnel_ascii(tmp_path / "bad.txt")
+
     def test_non_utf8_byte_names_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"# comment\n1 10 3.0 1 0 1 0\n1 20 3.0 1 \xff 1 0\n")
@@ -380,3 +430,46 @@ class TestImagesAndTables:
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[2] == "2,4.5"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "benchmarks" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _readme():
+    return (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+class TestConfigDocs:
+    def test_shipped_configs_resolve_as_before(self):
+        # resolved tau (at ||y||^2 = 30), delta_tol_rel, stop_on and K, as
+        # recorded before tau and delta_tol were removed
+        workloads = _benchmark_workloads()
+        example = json.loads(re.search(r"```json\n(.*?)```", _readme(), re.S).group(1))
+        mset = wt.MeasurementSet([wt.Transmitter("point", position=(1.0, 0.0))],
+                                 wt.ring_sensors(2, 1.0), [[0, 1]], [[3 + 4j, 1 - 2j]])
+        for cfg in (workloads.FullRecon2D().config(0),
+                    workloads.LinearRecon2D().config(0), example):
+            rcfg = fileio.recon_config_from_config(cfg)
+            got = (rcfg.resolve_tau(mset), rcfg.forward.delta_tol_rel,
+                   rcfg.forward.stop_on, rcfg.forward.K)
+            assert got == (4.5e-08, 5e-07, "objective", 60)
+
+    def test_readme_table_lists_schema_keys(self):
+        sections = {"grid": fileio.GRID_SCHEMA, "receivers": fileio.RECEIVERS_SCHEMA,
+                    "recon": fileio.RECON_SCHEMA, "recon.forward": fileio.FORWARD_SCHEMA,
+                    "recon.box": fileio.BOX_SCHEMA,
+                    "generation": fileio.GENERATION_SCHEMA}
+        leaves = {f"{name}.{key}" for name, schema in sections.items()
+                  for key in schema if f"{name}.{key}" not in sections}
+        rows = set(re.findall(r"^\| `([\w.\[\]]+)` \|", _readme(), re.M))
+        listed = {row for row in rows if "." in row and row.split(".")[0] in
+                  {"grid", "receivers", "recon", "generation"}}
+        assert listed == leaves

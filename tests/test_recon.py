@@ -40,7 +40,7 @@ class TestMeasurementSet:
 class TestTotalGradient:
     def test_zero_residual(self, rng):
         grid, mset = tiny_problem(rng)
-        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=4), tau=0.0)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=4), tau_rel=0.0)
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
         mset.y[:] = wt.predict_all(f, problem, cfg)
@@ -48,7 +48,7 @@ class TestTotalGradient:
 
     def test_single_tx_matches_module(self, rng):
         grid, mset = tiny_problem(rng, n_tx=1)
-        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=5), tau=0.0)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=5), tau_rel=0.0)
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
         got = wt.total_gradient(f, problem, cfg)
@@ -58,7 +58,7 @@ class TestTotalGradient:
 
     def test_duplicate_tx_doubles(self, rng):
         grid, mset1 = tiny_problem(rng, n_tx=1)
-        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=5), tau=0.0)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=5), tau_rel=0.0)
         mset2 = wt.MeasurementSet(
             transmitters=mset1.transmitters * 2,
             receivers=mset1.receivers,
@@ -73,7 +73,7 @@ class TestTotalGradient:
         # predict_all solves without H and applies H afterwards: same z
         grid, mset = tiny_problem(rng)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=20, delta_tol_rel=1e-3),
-                             tau=0.0)
+                             tau_rel=0.0)
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
         expect = [wt.forward_solve(f, u_in, problem.G, H, cfg.forward).z
@@ -84,8 +84,8 @@ class TestTotalGradient:
     def test_workers_give_same_sum(self, rng):
         grid, mset = tiny_problem(rng, n_tx=3)
         f = random_potential(rng, grid)
-        cfg1 = wt.ReconConfig(forward=wt.ForwardConfig(K=4), tau=0.0, workers=1)
-        cfg2 = wt.ReconConfig(forward=wt.ForwardConfig(K=4), tau=0.0, workers=3)
+        cfg1 = wt.ReconConfig(forward=wt.ForwardConfig(K=4), tau_rel=0.0, workers=1)
+        cfg2 = wt.ReconConfig(forward=wt.ForwardConfig(K=4), tau_rel=0.0, workers=3)
         p = ScatteringProblem(mset, grid)
         assert np.array_equal(wt.total_gradient(f, p, cfg1),
                               wt.total_gradient(f, p, cfg2))
@@ -131,16 +131,16 @@ class TestFista:
 
     def test_tau_config_validation(self):
         with pytest.raises(ConfigError):
-            wt.ReconConfig(forward=wt.ForwardConfig(K=3))
+            wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=-1.0)
         with pytest.raises(ConfigError):
-            wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau=1.0, tau_rel=1.0)
+            wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=float("nan"))
 
     @pytest.mark.parametrize("field, value", [
         ("tv_variant", "foo"), ("fista_iters", 1.5), ("tv_iters", 2.0)])
     def test_loop_config_validation(self, field, value):
         # rejected at construction, not at the first prox or range() call
         with pytest.raises(ConfigError, match=field):
-            wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau=1.0, **{field: value})
+            wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1.0, **{field: value})
 
 
 class TestLinearBaselines:

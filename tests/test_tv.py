@@ -142,13 +142,6 @@ class TestProx:
         f1 = wt.prox_tv(z, 0.3, iters=10)
         assert np.linalg.norm(f2 - f_long) <= np.linalg.norm(f1 - f_long)
 
-    def test_step_divisor_override(self, rng):
-        # the 2D-classical 1/(8 tau) step also converges to the same prox
-        z = rng.standard_normal((5, 5))
-        a = wt.prox_tv(z, 0.3, iters=4000, delta_in=0.0)
-        b = wt.prox_tv(z, 0.3, iters=4000, delta_in=0.0, dual_step_divisor=8.0)
-        assert np.allclose(a, b, atol=1e-8)
-
     def test_aniso_prox_beats_oracle(self, rng):
         z = 10.0 * rng.standard_normal((5, 5))
         tau = 0.7
