@@ -116,6 +116,8 @@ def _read_points(path):
             cells = []
         if len(cells) < 2 or not all(map(math.isfinite, cells)):
             raise MeasurementParseError("expected finite numbers r,theta", line=lineno)
+        if cells[0] < 0:
+            raise MeasurementParseError("r must be >= 0", line=lineno)
         points.append(cells[:2])
     if not points:
         raise MeasurementParseError("no sample points", line=1)
@@ -127,7 +129,12 @@ def cmd_analytic(args):
     if args.points:
         r, theta = _read_points(args.points)
     else:
-        r = np.full(args.n_samples, args.sample_radius or 2.0 * scene.r_sph)
+        if args.n_samples < 1:
+            raise ConfigError("--n-samples must be >= 1")
+        radius = 2.0 * scene.r_sph if args.sample_radius is None else args.sample_radius
+        if not np.inf > radius > 0:
+            raise ConfigError("--sample-radius must be positive and finite")
+        r = np.full(args.n_samples, radius)
         theta = np.linspace(0.0, 2.0 * np.pi, args.n_samples, endpoint=False)
     field_fn = analytic_field_2d if args.dim == 2 else analytic_field_3d
     E = field_fn(r, theta, scene)
@@ -156,11 +163,7 @@ def cmd_gradcheck(args):
         y = rng.standard_normal(len(sensors)) + 1j * rng.standard_normal(len(sensors))
         y *= np.mean(np.abs(forward_solve(f, u_in, G, H,
                                           ForwardConfig(K=K)).z)) or 1.0
-        if args.adaptive:
-            cfg = ForwardConfig(K=K)
-        else:
-            cfg = ForwardConfig(K=K, step_mode="fixed",
-                                nu=estimate_fixed_step(f, G))
+        cfg = ForwardConfig(K=K, nu=None if args.adaptive else estimate_fixed_step(f, G))
         grad = gradient_data_fidelity(f, y, u_in, G, H, cfg)
         fd = np.zeros_like(grad)
         delta = 1e-5 * np.max(np.abs(f))
@@ -241,17 +244,16 @@ def cmd_sweep(args):
         if tx.kind != "point":
             raise ConfigError("contrast sweep needs a point source")
         src = np.asarray(tx.position)
-        K_values = [int(k) for k in args.K]
         G = build_domain_operator(grid)
         rows = {"contrast": [], "error": [], "born_error": []}
         for c in contrasts:
             scene = AnalyticScene(r_sph=radius, refractive_index=np.sqrt(1.0 + c),
                                   r_s=float(np.linalg.norm(src)), k_b=grid.k_b)
-            res = simulate.forward_error_vs_analytic(grid, scene, K_values, src, G=G)
+            res = simulate.forward_error_vs_analytic(grid, scene, [args.K], src, G=G)
             rows["contrast"].append(c)
-            rows["error"].append(res["error"][-1])
+            rows["error"].append(res["error"][0])
             rows["born_error"].append(res["born_error"])
-            print(f"contrast {c:.3f}: error {res['error'][-1]:.4e} "
+            print(f"contrast {c:.3f}: error {res['error'][0]:.4e} "
                   f"born {res['born_error']:.4e}")
         fileio.emit_table_csv(rows, out)
     elif args.subsample:
@@ -329,8 +331,7 @@ def build_parser():
     s = sub.add_parser("sweep", help="contrast or subsampling sweeps -> CSV")
     s.add_argument("--config", required=True)
     s.add_argument("--contrast", help="start:step:stop relative contrasts")
-    s.add_argument("--K", type=int, nargs="+", default=[128],
-                   help="expansion orders; the last is reported")
+    s.add_argument("--K", type=int, default=128, help="expansion order")
     s.add_argument("--subsample", help="comma-separated factors")
     s.add_argument("--measurements", help="measurement file for --subsample")
     s.add_argument("--model", choices=["full", "born", "rytov"], default="full")

@@ -156,7 +156,6 @@ RECON_SCHEMA = {
 FORWARD_SCHEMA = {
     "K": (INT, 60),
     "delta_tol_rel": (NUMBER, 5e-7),
-    "step_mode": (STRING, "adaptive"),
     "nu": (NUMBER_OR_NULL, None),
     "stop_on": (STRING, "objective"),
 }
@@ -592,14 +591,14 @@ def emit_image(values, path):
         fh.write(f"min {_fmt(lo)}\nmax {_fmt(hi)}\n")
 
 
-def emit_grid_csv(values, grid, path, units="1/m^2"):
+def emit_grid_csv(values, grid, path):
     """CSV matrix of a grid image with a header naming units and grid spec."""
     values = np.asarray(values)
     header = (f"# shape={'x'.join(str(n) for n in grid.shape)}"
               f" spacing_m={_fmt(grid.spacing)}"
               f" origin_m={','.join(_fmt(c) for c in grid.origin)}"
               f" wavelength_m={_fmt(grid.wavelength)}"
-              f" units={units}")
+              " units=1/m^2")
     lines = [header]
     for row in values.reshape(grid.shape[0], -1):
         lines.append(",".join(_fmt(v) for v in row))

@@ -7,6 +7,7 @@ solve given the sensor operator H records them, because the reverse-mode
 gradient of the data fit differentiates through every iteration.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,31 +25,28 @@ class ForwardConfig:
         compared against S(s^k) when ``stop_on == "objective"`` (the
         default), or scaled by ||u_in|| and compared against ||grad||_2 when
         ``stop_on == "gradient"``.  0 disables early stopping.
-    step_mode : "adaptive" (exact line-search step ||g||^2/||Ag||^2) or
-        "fixed" (constant ``nu``; required for exact adjoint gradients).
+    nu : None for the exact line-search step ||g||^2/||Ag||^2, or a constant
+        step (required for exact adjoint gradients; see estimate_fixed_step).
     momentum : setting False zeroes the extrapolation (plain gradient descent).
     """
 
     K: int
     delta_tol_rel: float = 0.0
-    step_mode: str = "adaptive"
     nu: float | None = None
     stop_on: str = "objective"
     momentum: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.K, numbers.Integral):
+            raise ConfigError("K must be an integer")
         if self.K < 1:
             raise ConfigError("K must be >= 1")
         if not 0 <= self.delta_tol_rel < np.inf:
             raise ConfigError("delta_tol_rel must be a finite number >= 0")
-        if self.step_mode not in ("adaptive", "fixed"):
-            raise ConfigError("step_mode must be 'adaptive' or 'fixed'")
         if self.stop_on not in ("gradient", "objective"):
             raise ConfigError("stop_on must be 'gradient' or 'objective'")
         if self.nu is not None and not np.inf > self.nu > 0:
             raise ConfigError("nu must be a finite number > 0")
-        if self.step_mode == "fixed" and self.nu is None:
-            raise ConfigError("fixed step mode requires nu")
 
 
 @dataclass
@@ -104,7 +102,7 @@ def predict_scattered(u_hat, f, H):
     return H.apply(grid.check_field(u_hat, "u_hat") * grid.check_field(f, "potential"))
 
 
-def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
+def forward_solve(f, u_in, G, H, cfg, u_init=None):
     """Accelerated-gradient field solve; returns a ForwardTrace.
 
     u^{-1} = u^0 = u_init (defaults to u_in, which the reverse-mode gradient
@@ -114,8 +112,6 @@ def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
     s^k, gamma_k, mu_k and G^H residual for the backward pass, the stopping
     iteration included, so the histories always have K_effective entries.
     """
-    if cfg is None:
-        raise ConfigError("forward_solve requires a ForwardConfig")
     grid = G.grid
     f = grid.check_field(f, "potential")
     u_in = grid.check_field(u_in, "u_in").astype(complex)
@@ -145,7 +141,7 @@ def forward_solve(f, u_in, G, H=None, cfg=None, u_init=None):
             else:
                 stop = 0.5 * float(np.vdot(resid, resid).real) < tol
 
-        if cfg.step_mode == "fixed":
+        if cfg.nu is not None:
             gamma_k = cfg.nu
         elif g_norm_sq == 0.0:
             # exact stationary point: any positive step multiplies a zero

@@ -146,11 +146,10 @@ class SensorSet:
                 "proceeding anyway", stacklevel=2)
 
 
-def ring_sensors(count, radius, center=(0.0, 0.0), phase=0.0):
-    """2D ring of equally spaced sensors starting at angle ``phase``."""
+def ring_sensors(count, radius, phase=0.0):
+    """2D ring of equally spaced sensors about the origin, from angle ``phase``."""
     if count < 1:
         raise ConfigError("ring needs at least one sensor")
     ang = phase + 2.0 * np.pi * np.arange(count) / count
-    pos = np.stack([center[0] + radius * np.cos(ang),
-                    center[1] + radius * np.sin(ang)], axis=1)
+    pos = np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
     return SensorSet(pos)

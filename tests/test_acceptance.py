@@ -91,8 +91,7 @@ def test_criterion_2_gradient_correctness():
             z0 = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=K)).z
             y = z0 + 0.3 * np.mean(np.abs(z0)) * random_field(rng, (16,))
             delta = 1e-5 * np.max(np.abs(f))
-            cfg_f = wt.ForwardConfig(K=K, step_mode="fixed",
-                                     nu=wt.estimate_fixed_step(f, G))
+            cfg_f = wt.ForwardConfig(K=K, nu=wt.estimate_fixed_step(f, G))
             gf = wt.gradient_data_fidelity(f, y, u_in, G, H, cfg_f)
             ef = fd(f, y, cfg_f, delta)
             worst_fixed = max(worst_fixed,

@@ -100,8 +100,7 @@ class TestGradient:
         y = random_field(rng, (len(H.sensors),))
         y *= np.mean(np.abs(wt.forward_solve(f, u_in, G, H,
                                              wt.ForwardConfig(K=K)).z))
-        cfg = wt.ForwardConfig(K=K, step_mode="fixed",
-                               nu=wt.estimate_fixed_step(f, G))
+        cfg = wt.ForwardConfig(K=K, nu=wt.estimate_fixed_step(f, G))
         grad = wt.gradient_data_fidelity(f, y, u_in, G, H, cfg)
 
         def D_of(fv):
@@ -151,8 +150,7 @@ class TestGradient:
         grid, G, H, u_in = small_setup
         f = random_potential(rng, grid)
         y = random_field(rng, (len(H.sensors),))
-        cfg = wt.ForwardConfig(K=1, step_mode="fixed",
-                               nu=wt.estimate_fixed_step(f, G))
+        cfg = wt.ForwardConfig(K=1, nu=wt.estimate_fixed_step(f, G))
         grad = wt.gradient_data_fidelity(f, y, u_in, G, H, cfg)
 
         def D_of(fv):
@@ -164,7 +162,7 @@ class TestGradient:
 
 FUSED_CASES = {
     "adaptive": dict(K=12),
-    "fixed": dict(K=12, step_mode="fixed"),
+    "fixed": dict(K=12, nu=wt.estimate_fixed_step),
     "no momentum": dict(K=12, momentum=False),
     "K_eff 1": dict(K=1),
 }
@@ -172,8 +170,8 @@ FUSED_CASES = {
 
 def _forward_config(case, f, G):
     kw = dict(FUSED_CASES[case])
-    if kw.get("step_mode") == "fixed":
-        kw["nu"] = wt.estimate_fixed_step(f, G)
+    if "nu" in kw:
+        kw["nu"] = kw["nu"](f, G)
     return wt.ForwardConfig(**kw)
 
 
@@ -209,7 +207,7 @@ class TestFusedBackward:
         wt.gradient_from_trace(f, y, G, H, trace)
         K = trace.K_effective
         # the adaptive step costs one more apply (A g) per iteration
-        assert forward_calls == (2 if cfg.step_mode == "fixed" else 3) * K
+        assert forward_calls == (2 if cfg.nu is not None else 3) * K
         assert len(calls) - forward_calls == 2 * K
         del calls[:]
         assert wt.forward_solve(f, u_in, G, None, cfg).K_effective == K

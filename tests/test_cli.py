@@ -1,11 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wavetomo as wt
 from wavetomo import fileio
-from wavetomo.cli import main
+from wavetomo.cli import build_parser, main
 
 
 def write_config(path, overrides=None):
@@ -22,6 +25,30 @@ def write_config(path, overrides=None):
             cfg[key] = val
     path.write_text(fileio.serialize_config(cfg))
     return cfg
+
+
+def _readme_commands():
+    """Each `wavetomo ...` line of README's code blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(ln, comments=True)[1:] for ln in lines if ln.startswith("wavetomo ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+class TestReadmeCommands:
+    """README's commands parse, so a flag that changes shape fails until the
+    README follows (the CLI twin of test_readme_table_lists_schema_keys)."""
+
+    def test_every_subcommand_is_shown(self):
+        assert {argv[0] for argv in README_COMMANDS} == {
+            "simulate", "reconstruct", "metrics", "analytic", "gradcheck", "sweep"}
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=[a[0] for a in README_COMMANDS])
+    def test_command_parses(self, argv):
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def _free_space_fields(tmp_path, dim, rows):
@@ -87,6 +114,33 @@ class TestAnalyticCommand:
                    "--points", str(pts), "--out", str(tmp_path / "f.csv")])
         assert rc == 3
         assert capsys.readouterr().err == "i/o error: line 2: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n-samples", "-1"], "--n-samples must be >= 1"),
+        (["--n-samples", "0"], "--n-samples must be >= 1"),
+        (["--sample-radius", "inf"], "--sample-radius must be positive and finite"),
+        (["--sample-radius", "-1"], "--sample-radius must be positive and finite"),
+        (["--sample-radius", "0"], "--sample-radius must be positive and finite"),
+    ], ids=["negative count", "zero count", "infinite radius", "negative radius",
+            "zero radius"])
+    def test_bad_sampling_flags(self, tmp_path, capsys, flags, message):
+        # these used to end in a traceback, an empty table, rows at the
+        # center labelled r = -1, or a silent 2*radius for --sample-radius 0
+        rc = main(["analytic", "--radius", "0.0749", "--index", "1.1",
+                   "--source-distance", "1.0", "--wavelength", "0.0749",
+                   *flags, "--out", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_negative_point_radius(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.1,0.2\n0.0,0.3\n-0.1,0.4\n")
+        rc = main(["analytic", "--radius", "0.0749", "--index", "1.1",
+                   "--source-distance", "1.0", "--wavelength", "0.0749",
+                   "--points", str(pts), "--out", str(tmp_path / "f.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == "i/o error: line 3: r must be >= 0\n"
 
     @pytest.mark.parametrize("row", ["0.2,x", "0.2", "0.2;0.3", "nan,0.3"])
     def test_malformed_points(self, tmp_path, capsys, row):
@@ -187,6 +241,17 @@ class TestSweepCommand:
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_K_takes_one_order(self, tmp_path, capsys):
+        # a list of orders used to run a full solve per order and report the last
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        rc = main(["sweep", "--config", str(cfg_path), "--contrast", "0.1:0.1:0.2",
+                   "--K", "16", "64", "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: wavetomo")
+        assert err[-1] == "error: unrecognized arguments: 64"
 
 
 def _set(section, **values):

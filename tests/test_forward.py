@@ -117,7 +117,7 @@ class TestForwardSolve:
         u_adapt = wt.forward_solve(f, u_in, G, None, wt.ForwardConfig(K=400)).u_hat
         nu = wt.estimate_fixed_step(f, G)
         cfg = wt.ForwardConfig(K=4000, delta_tol_rel=1e-11 / np.linalg.norm(u_in),
-                               step_mode="fixed", nu=nu, stop_on="gradient")
+                               nu=nu, stop_on="gradient")
         u_fixed = wt.forward_solve(f, u_in, G, None, cfg).u_hat
         rel = np.linalg.norm(u_fixed - u_adapt) / np.linalg.norm(u_adapt)
         assert rel <= 1e-6
@@ -156,11 +156,19 @@ class TestForwardSolve:
         # s^1 = u0 for any momentum, since u^0 = u^-1 = u0
         assert np.allclose(trace.s_history[0], u0)
 
+    def test_nu_alone_selects_fixed_step(self, small_setup, rng):
+        # a nu without a separate mode switch used to run the adaptive step
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=3, nu=0.5))
+        assert trace.gamma_history == [0.5, 0.5, 0.5]
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             wt.ForwardConfig(K=0)
-        with pytest.raises(ConfigError):
-            wt.ForwardConfig(K=5, step_mode="fixed")
+        # K=2.5 used to pass and then fail with a TypeError inside range()
+        with pytest.raises(ConfigError, match="^K must be an integer$"):
+            wt.ForwardConfig(K=2.5)
         with pytest.raises(ConfigError):
             wt.ForwardConfig(K=5, delta_tol_rel=-1.0)
 
@@ -181,7 +189,7 @@ def test_objective_fd_consistency(small_setup, rng):
     grid, G, H, u_in = small_setup
     f = random_potential(rng, grid)
     y = random_field(rng, (len(H.sensors),))
-    cfg = wt.ForwardConfig(K=3, step_mode="fixed", nu=wt.estimate_fixed_step(f, G))
+    cfg = wt.ForwardConfig(K=3, nu=wt.estimate_fixed_step(f, G))
 
     def D_of(fv):
         return wt.data_fidelity(wt.forward_solve(fv, u_in, G, H, cfg).z, y)

@@ -60,6 +60,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^recon\.{path}: unknown key$"):
             fileio.recon_config_from_config(_recon_with(path, 1e-6))
 
+    def test_removed_step_mode_is_unknown(self):
+        # nu alone picks the step: null is adaptive, a number is that fixed step
+        with pytest.raises(ConfigError, match=r"^recon\.forward\.step_mode: unknown key$"):
+            fileio.recon_config_from_config(_recon_with("forward.step_mode", "fixed"))
+
     def test_round_trip(self):
         text = fileio.serialize_config(base_config())
         cfg = fileio.parse_config(text)
