@@ -24,10 +24,13 @@ iteration is
 
 where GHr_k = G^H(A s^k - u_in) was formed by the forward step at s^k and is
 read from the trace.  That is 2 G-applies per iteration (one in A, one in
-G^H), so a transmitter gradient costs 3K forward + 2K backward applies.
+G^H), so a transmitter gradient costs 2K + 1 forward + 2K backward applies
+with the adaptive step (2K forward with a fixed one).
 ``apply_Sk`` and ``apply_Tk`` are the unfused operators (6 applies between
 them); the fused update performs their operations in the same order and
-gives the same result bit for bit.
+gives the same result bit for bit when the trace's residuals were formed
+from a direct A s^k (a fixed step, or K = 1).  An adaptive solve
+extrapolates A s^k from carried fields, so there the two agree to round-off.
 
 Memory: a solve given H keeps two fields per iteration, s^k and GHr_k,
 O(2 K N) complex values; an H-free solve keeps only its final field u_hat.

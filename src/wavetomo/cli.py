@@ -147,6 +147,11 @@ def cmd_analytic(args):
 
 
 def cmd_gradcheck(args):
+    tol = args.tol
+    if tol is None:
+        tol = 1e-3 if args.adaptive else 1e-6
+    elif not np.inf > tol > 0:
+        raise ConfigError("--tol must be positive and finite")
     rng = np.random.default_rng(args.seed)
     n = args.grid_size
     grid = centered_grid((n, n), spacing=0.1, wavelength=0.5)
@@ -177,7 +182,6 @@ def cmd_gradcheck(args):
         worst = max(worst, rel)
         mode = "adaptive" if args.adaptive else "fixed"
         print(f"K={K:3d} {mode:8s} rel l2 error {rel:.3e}")
-    tol = args.tol if args.tol else (1e-3 if args.adaptive else 1e-6)
     if worst > tol:
         raise NumericalError(f"gradient check failed: {worst:.3e} > {tol:.1e}")
     print(f"gradient check passed (worst {worst:.3e} <= {tol:.1e})")

@@ -8,11 +8,12 @@ gradient of the data fit differentiates through every iteration.
 """
 
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StepDegeneracyError
+from .errors import ConfigError, ConvergenceWarning, StepDegeneracyError
 from .greens import apply_A, apply_AH
 
 
@@ -107,10 +108,20 @@ def forward_solve(f, u_in, G, H, cfg, u_init=None):
 
     u^{-1} = u^0 = u_init (defaults to u_in, which the reverse-mode gradient
     assumes), t_0 = 0.  Each iteration extrapolates s^k from the two previous
-    iterates, takes a gradient step, and may stop early on ``cfg.delta_tol_rel``.
+    iterates, takes a gradient step, and may stop early on ``cfg.delta_tol_rel``;
+    a solve with a tolerance that runs all K iterations without meeting it
+    warns with ConvergenceWarning.
     When H is given, z = H(u_hat * f) and the trace keeps each iteration's
     s^k, gamma_k, mu_k and G^H residual for the backward pass, the stopping
     iteration included, so the histories always have K_effective entries.
+
+    The adaptive step (``cfg.nu`` None) forms A g, so it carries A u^k =
+    A s^k - gamma_k A g alongside u^k and extrapolates A s^k from A u^{k-1}
+    and A u^{k-2} as s^k is extrapolated: A is applied directly only to
+    u^0, and a solve costs 2K + 1 G-applies.  The carried residual drifts
+    from A s^k - u_in by round-off; the true final residual of a long solve
+    bottoms out near 1e-13 ||u_in||.  A fixed step never forms A g, so it
+    applies A to every s^k and costs 2K.
     """
     grid = G.grid
     f = grid.check_field(f, "potential")
@@ -124,11 +135,17 @@ def forward_solve(f, u_in, G, H, cfg, u_init=None):
 
     trace = ForwardTrace() if H is None else ForwardTrace([], [], [], [])
     t_prev = 0.0
+    carry = cfg.nu is None
+    # A u^{k-1} and A u^{k-2}, carried by the adaptive step
+    Au_prev1 = Au_prev2 = apply_A(f, u_prev1, G) if carry else None
     for k in range(1, cfg.K + 1):
         t_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
         mu_k = (1.0 - t_prev) / t_k if cfg.momentum else 0.0
         s_k = (1.0 - mu_k) * u_prev1 + mu_k * u_prev2
-        As = apply_A(f, s_k, G)
+        if carry:
+            As = (1.0 - mu_k) * Au_prev1 + mu_k * Au_prev2
+        else:
+            As = apply_A(f, s_k, G)
         resid = As - u_in
         GHr = G.apply_adjoint(resid)
         g = resid - f * GHr           # A^H resid, as apply_AH forms it
@@ -147,6 +164,7 @@ def forward_solve(f, u_in, G, H, cfg, u_init=None):
             # exact stationary point: any positive step multiplies a zero
             # gradient, so keep the trace invariant gamma > 0 with a placeholder
             gamma_k = 1.0
+            Au_k = As
         else:
             Ag = apply_A(f, g, G)
             Ag_norm_sq = float(np.vdot(Ag, Ag).real)
@@ -154,6 +172,7 @@ def forward_solve(f, u_in, G, H, cfg, u_init=None):
                 raise StepDegeneracyError(
                     "||A g|| vanished while ||g|| > 0; adaptive step undefined")
             gamma_k = g_norm_sq / Ag_norm_sq
+            Au_k = As - gamma_k * Ag
 
         u_k = s_k - gamma_k * g
         if H is not None:
@@ -163,10 +182,16 @@ def forward_solve(f, u_in, G, H, cfg, u_init=None):
             trace.GHr_history.append(GHr)
         trace.K_effective = k
         u_prev2, u_prev1 = u_prev1, u_k
+        if carry:
+            Au_prev2, Au_prev1 = Au_prev1, Au_k
         t_prev = t_k
         if stop:
             break
 
+    if tol > 0 and not stop:
+        warnings.warn(f"forward solve reached K = {cfg.K} without meeting "
+                      f"delta_tol_rel = {cfg.delta_tol_rel:g} on the {cfg.stop_on}",
+                      ConvergenceWarning, stacklevel=2)
     trace.u_hat = u_prev1
     if H is not None:
         trace.z = predict_scattered(trace.u_hat, f, H)

@@ -183,10 +183,17 @@ class TestFusedBackward:
         grid, G, H, u_in = small_setup
         f = random_potential(rng, grid, contrast=0.3)
         y = random_field(rng, (len(H.sensors),))
-        trace = wt.forward_solve(f, u_in, G, H, _forward_config(case, f, G))
+        cfg = _forward_config(case, f, G)
+        trace = wt.forward_solve(f, u_in, G, H, cfg)
         assert trace.K_effective == FUSED_CASES[case]["K"]
         got = wt.gradient_from_trace(f, y, G, H, trace)
-        assert np.array_equal(got, backprop_two_term_naive(f, y, u_in, G, H, trace))
+        expect = backprop_two_term_naive(f, y, u_in, G, H, trace)
+        if cfg.nu is None and trace.K_effective > 1:
+            # the trace's residuals come from the carried A s^k, the oracle's
+            # from a direct A s^k: they agree to round-off, not bit for bit
+            assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+        else:
+            assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("case", list(FUSED_CASES))
     def test_G_apply_count(self, small_setup, rng, monkeypatch, case):
@@ -206,8 +213,9 @@ class TestFusedBackward:
         forward_calls = len(calls)
         wt.gradient_from_trace(f, y, G, H, trace)
         K = trace.K_effective
-        # the adaptive step costs one more apply (A g) per iteration
-        assert forward_calls == (2 if cfg.nu is not None else 3) * K
+        # the adaptive step applies A to g, and to s^k only at k = 1: later
+        # A s^k are extrapolated from the carried A u^k
+        assert forward_calls == (2 * K if cfg.nu is not None else 2 * K + 1)
         assert len(calls) - forward_calls == 2 * K
         del calls[:]
         assert wt.forward_solve(f, u_in, G, None, cfg).K_effective == K

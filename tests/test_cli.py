@@ -200,6 +200,13 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--grid-size", "6", "--K", "1", "2",
                      "--seed", "1"]) == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tol(self, capsys, tol):
+        # a nan tolerance would pass any gradient; 0 must not fall back to the default
+        rc = main(["gradcheck", "--grid-size", "4", "--K", "1", "--tol", tol])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: --tol must be positive and finite\n")
+
 
 class TestSweepCommand:
     def test_contrast_sweep_table(self, tmp_path):

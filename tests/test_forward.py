@@ -1,10 +1,13 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
 import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import fd_gradient
-from wavetomo.errors import ConfigError
+from wavetomo.errors import ConfigError, ConvergenceWarning
 
 
 class TestObjective:
@@ -92,7 +95,11 @@ class TestForwardSolve:
         # S(u^k) by prefix replay: a solve capped at K = k ends at u^k
         obj = []
         for k in range(1, trace.K_effective + 1):
-            short = wt.forward_solve(f, u_in, G, None, wt.ForwardConfig(K=k, **tol))
+            # capped short of K_effective, a solve misses its tolerance and warns
+            capped = (pytest.warns(ConvergenceWarning, match=f"reached K = {k} ")
+                      if k < trace.K_effective else contextlib.nullcontext())
+            with capped:
+                short = wt.forward_solve(f, u_in, G, None, wt.ForwardConfig(K=k, **tol))
             assert short.K_effective == k
             obj.append(wt.scattering_objective(f, short.u_hat, u_in, G))
         obj = np.array(obj)
@@ -100,6 +107,61 @@ class TestForwardSolve:
         assert trace.K_effective < 120
         tail = obj[3:]
         assert np.all(np.diff(tail) <= 1e-12 * tail[:-1])
+
+    def test_carried_residual_tracks_direct(self, small_setup, rng):
+        # the adaptive step extrapolates A s^k from the carried A u^k instead
+        # of applying A to s^k; its round-off must stay far below any tolerance
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid, contrast=0.3)
+        trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=200))
+        assert trace.K_effective == 200
+        bound = 1e-12 * np.linalg.norm(u_in)
+        for s_k, GHr_k in zip(trace.s_history, trace.GHr_history):
+            direct = G.apply_adjoint(wt.apply_A(f, s_k, G) - u_in)
+            assert np.linalg.norm(GHr_k - direct) <= bound
+
+    def test_carried_residual_floor_64(self):
+        # a long solve drives the true residual ||A u_hat - u_in|| down to the
+        # carry's round-off floor, about 1e-13 ||u_in|| on this scene
+        wl = 0.0749
+        grid = wt.centered_grid((64, 64), spacing=wl / 16, wavelength=wl)
+        f = wt.cylinders(grid, [((0.0, 0.0), 2 * wl / 2, 0.10)])
+        G = wt.build_domain_operator(grid)
+        u_in = wt.Transmitter("point", position=(1.0, 0.0)).field_on_grid(grid)
+        u_hat = wt.forward_solve(f, u_in, G, None, wt.ForwardConfig(K=600)).u_hat
+        resid = wt.apply_A(f, u_hat, G) - u_in
+        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(u_in)
+
+    @pytest.mark.parametrize("stop_on", ["objective", "gradient"])
+    def test_capped_solve_warns(self, small_setup, rng, stop_on):
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        cfg = wt.ForwardConfig(K=3, delta_tol_rel=1e-12, stop_on=stop_on)
+        with pytest.warns(ConvergenceWarning,
+                          match=f"reached K = 3 without meeting delta_tol_rel = 1e-12 "
+                                f"on the {stop_on}"):
+            trace = wt.forward_solve(f, u_in, G, H, cfg)
+        assert trace.K_effective == 3
+
+    def test_no_tolerance_never_warns(self, small_setup, rng):
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for K in (1, 3, 40):
+                cfg = wt.ForwardConfig(K=K, delta_tol_rel=0.0)
+                assert wt.forward_solve(f, u_in, G, H, cfg).K_effective == K
+
+    def test_tolerance_met_on_last_iteration_does_not_warn(self, small_setup, rng):
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        tol = dict(delta_tol_rel=1e-10)
+        K_eff = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=200, **tol)).K_effective
+        assert 1 < K_eff < 200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=K_eff, **tol))
+        assert trace.K_effective == K_eff
 
     def test_deterministic_prefix_replay(self, small_setup, rng):
         grid, G, H, u_in = small_setup

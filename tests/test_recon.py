@@ -4,7 +4,9 @@ import pytest
 import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import fd_gradient
+from wavetomo import recon
 from wavetomo.errors import ConfigError, TransformError
+from wavetomo.greens import DomainGreensOperator
 from wavetomo.recon import ScatteringProblem
 
 
@@ -68,6 +70,37 @@ class TestTotalGradient:
         g1 = wt.total_gradient(f, ScatteringProblem(mset1, grid), cfg)
         g2 = wt.total_gradient(f, ScatteringProblem(mset2, grid), cfg)
         assert np.allclose(g2, 2.0 * g1)
+
+    def test_G_apply_budget(self, rng, monkeypatch):
+        # per transmitter, a gradient costs 4 K_eff + 1 G-applies (2 K_eff + 1
+        # in the adaptive forward solve, 2 K_eff backward) and a monitoring
+        # solve 2 K_eff + 1; an extra apply per iteration fails here
+        grid, mset = tiny_problem(rng, n=16)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=60, delta_tol_rel=5e-7),
+                             tau_rel=0.0)
+        problem = ScatteringProblem(mset, grid)
+        f = random_potential(rng, grid)
+        calls, K_eff = [], {True: [], False: []}
+        apply, solve = DomainGreensOperator.apply, recon.forward_solve
+
+        def counted(self, v):
+            calls.append(1)
+            return apply(self, v)
+
+        def recorded(f, u_in, G, H, cfg):
+            trace = solve(f, u_in, G, H, cfg)
+            K_eff[H is not None].append(trace.K_effective)
+            return trace
+
+        monkeypatch.setattr(DomainGreensOperator, "apply", counted)
+        monkeypatch.setattr(recon, "forward_solve", recorded)
+        wt.total_gradient(f, problem, cfg)
+        gradient_calls = len(calls)
+        wt.predict_all(f, problem, cfg)
+        assert len(K_eff[True]) == len(K_eff[False]) == 2
+        assert min(K_eff[True]) > 1
+        assert gradient_calls == sum(4 * K + 1 for K in K_eff[True])
+        assert len(calls) - gradient_calls == sum(2 * K + 1 for K in K_eff[False])
 
     def test_predict_all_equals_differentiable_solve(self, rng):
         # predict_all solves without H and applies H afterwards: same z
