@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate, reconstruct, analytic, gradcheck, metrics, sweep.
-Exit codes: 0 ok, 1 usage/config error, 2 numerical failure, 3 I/O error.
+Exit codes: 0 ok, 1 usage/config error (a shape mismatch or a sensor on a pixel
+center included), 2 numerical failure, 3 I/O error.
 The WAVETOMO_OUTDIR environment variable supplies the default output
 directory.
 """
@@ -18,7 +19,8 @@ import numpy as np
 from . import fileio, simulate
 from .adjoint import gradient_data_fidelity, data_fidelity
 from .analytic import AnalyticScene, analytic_field_2d, analytic_field_3d
-from .errors import ConfigError, MeasurementParseError, NumericalError
+from .errors import (ConfigError, DimensionError, MeasurementParseError,
+                     NumericalError, SingularityError)
 from .forward import ForwardConfig, estimate_fixed_step, forward_solve
 from .greens import build_domain_operator, build_sensor_operator
 from .grid import centered_grid, ring_sensors
@@ -353,7 +355,7 @@ def main(argv=None):
         return 1
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, DimensionError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, FloatingPointError) as exc:

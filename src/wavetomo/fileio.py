@@ -147,7 +147,6 @@ RECON_SCHEMA = {
     "tau_rel": (NUMBER, 1.5e-9),
     "step_gamma": (NUMBER_OR_NULL, None),
     "fista_iters": (INT, 50),
-    "tv_variant": (STRING, "iso"),
     "tv_iters": (INT, 10),
     "tv_delta": (NUMBER, 1e-4),
     "box": (OBJECT, {}),
@@ -303,10 +302,9 @@ def transmitters_from_config(cfg):
                           "point-ring")
         if ndim != 2:
             raise ConfigError("transmitters: a point-ring needs a 2D grid")
-        ang = ring.phase_rad + 2.0 * np.pi * np.arange(ring.count) / ring.count
-        out = [Transmitter("point", position=(ring.radius_m * np.cos(a),
-                                              ring.radius_m * np.sin(a)))
-               for a in ang]
+        sources = _build("transmitters", ring_sensors, ring.count, ring.radius_m,
+                         phase=ring.phase_rad)
+        out = [Transmitter("point", position=p) for p in sources.positions]
     else:
         out = [_read_transmitter(d, f"transmitters[{i}]", TRANSMITTER_KINDS, "point",
                                  ndim)
@@ -328,6 +326,16 @@ def receivers_from_config(cfg):
     return ring, r.subsample
 
 
+def _check_finite(path, *values):
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{path}: must be finite")
+
+
+def _check_positive(path, value):
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{path}: must be positive and finite")
+
+
 def phantom_from_config(cfg):
     """The phantom's kind and parameters, checked but not rendered."""
     p = _read_kind(_section(cfg, "phantom"), "phantom", PHANTOM_KINDS, "none")
@@ -336,14 +344,25 @@ def phantom_from_config(cfg):
                        for i, c in enumerate(p.cylinders)]
         ndim = grid_from_config(cfg).ndim
         for i, c in enumerate(p.cylinders):
-            _check_length(f"phantom.cylinders[{i}].center_m", c.center_m, ndim)
+            path = f"phantom.cylinders[{i}]"
+            _check_length(f"{path}.center_m", c.center_m, ndim)
+            _check_finite(f"{path}.center_m", *c.center_m)
+            _check_positive(f"{path}.radius_m", c.radius_m)
+            _check_finite(f"{path}.contrast", c.contrast)
+    if p.kind == "shepp_logan":
+        _check_finite("phantom.contrast", p.contrast)
+        if p.extent_m is not None:
+            _check_positive("phantom.extent_m", p.extent_m)
     if p.kind == "from_file" and not os.path.exists(p.path):
         raise ConfigError(f"phantom.path: file not found: {p.path}")
     return p
 
 
 def generation_from_config(cfg):
-    return _read(_section(cfg, "generation"), "generation", GENERATION_SCHEMA)
+    gen = _read(_section(cfg, "generation"), "generation", GENERATION_SCHEMA)
+    if gen.noise_snr_db is not None:
+        _check_finite("generation.noise_snr_db", gen.noise_snr_db)
+    return gen
 
 
 def rng_from_config(cfg):

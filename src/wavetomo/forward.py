@@ -28,14 +28,12 @@ class ForwardConfig:
         ``stop_on == "gradient"``.  0 disables early stopping.
     nu : None for the exact line-search step ||g||^2/||Ag||^2, or a constant
         step (required for exact adjoint gradients; see estimate_fixed_step).
-    momentum : setting False zeroes the extrapolation (plain gradient descent).
     """
 
     K: int
     delta_tol_rel: float = 0.0
     nu: float | None = None
     stop_on: str = "objective"
-    momentum: bool = True
 
     def __post_init__(self):
         if not isinstance(self.K, numbers.Integral):
@@ -140,7 +138,7 @@ def forward_solve(f, u_in, G, H, cfg, u_init=None):
     Au_prev1 = Au_prev2 = apply_A(f, u_prev1, G) if carry else None
     for k in range(1, cfg.K + 1):
         t_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
-        mu_k = (1.0 - t_prev) / t_k if cfg.momentum else 0.0
+        mu_k = (1.0 - t_prev) / t_k
         s_k = (1.0 - mu_k) * u_prev1 + mu_k * u_prev2
         if carry:
             As = (1.0 - mu_k) * Au_prev1 + mu_k * Au_prev2

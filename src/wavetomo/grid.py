@@ -5,6 +5,7 @@ scattering potentials are plain numpy arrays shaped like ``grid.shape``;
 ``grid.pixel_centers()`` gives the physical coordinate of every pixel center.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,6 +41,7 @@ class DomainGrid:
     def __post_init__(self):
         shape = tuple(int(n) for n in self.shape)
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "spacing", float(self.spacing))
         object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
         if len(shape) not in (2, 3):
             raise ConfigError("grid must have 2 or 3 axes")
@@ -47,10 +49,19 @@ class DomainGrid:
             raise ConfigError("all grid dims must be >= 1")
         if len(self.origin) != len(shape):
             raise ConfigError("origin length must match the number of axes")
-        if not (self.spacing > 0):
-            raise ConfigError("spacing must be positive")
-        if not (self.wavelength > 0):
-            raise ConfigError("wavelength must be positive")
+        if not 0 < self.spacing < math.inf:
+            raise ConfigError("spacing must be positive and finite")
+        try:
+            volume = self.pixel_volume
+        except OverflowError:
+            volume = math.inf
+        if not 0 < volume < math.inf:
+            raise ConfigError(f"pixel volume spacing**{len(shape)} must be positive "
+                              "and finite")
+        if not all(map(math.isfinite, self.origin)):
+            raise ConfigError("origin must be finite")
+        if not 0 < self.wavelength < math.inf:
+            raise ConfigError("wavelength must be positive and finite")
         if not (self.background_permittivity > 0):
             raise ConfigError("background permittivity must be positive")
         if not (np.isfinite(self.k) and np.isfinite(self.k_b)):
@@ -131,6 +142,8 @@ class SensorSet:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if pos.ndim != 2 or pos.shape[0] < 1:
             raise ConfigError("sensor set needs at least one position")
+        if not np.all(np.isfinite(pos)):
+            raise ConfigError("sensor positions must be finite")
         object.__setattr__(self, "positions", pos)
 
     def __len__(self):
@@ -150,6 +163,8 @@ def ring_sensors(count, radius, phase=0.0):
     """2D ring of equally spaced sensors about the origin, from angle ``phase``."""
     if count < 1:
         raise ConfigError("ring needs at least one sensor")
+    if not (math.isfinite(radius) and math.isfinite(phase)):
+        raise ConfigError("ring radius and phase must be finite")
     ang = phase + 2.0 * np.pi * np.arange(count) / count
     pos = np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
     return SensorSet(pos)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 
 def _pair(a, b):
@@ -18,7 +18,7 @@ def normalized_error(u_hat, u_true):
     u_hat, u_true = _pair(u_hat, u_true)
     denom = float(np.vdot(u_true, u_true).real)
     if denom == 0.0:
-        raise ValueError("reference field has zero norm")
+        raise ConfigError("reference field has zero norm")
     diff = u_hat - u_true
     return float(np.vdot(diff, diff).real) / denom
 
@@ -38,7 +38,7 @@ def snr_db(f_hat, f_ref):
     f_hat, f_ref = _pair(f_hat, f_ref)
     ref = float(np.vdot(f_ref, f_ref).real)
     if ref == 0.0:
-        raise ValueError("reference has zero norm")
+        raise ConfigError("reference has zero norm")
     diff = f_hat - f_ref
     err = float(np.vdot(diff, diff).real)
     if err == 0.0:

@@ -36,8 +36,8 @@ def cylinders(grid, specs, supersample=4):
     subs = _subpixel_offsets(grid, supersample)
     for center, radius, c in specs:
         center = np.asarray(center, dtype=float)
-        if radius <= 0:
-            raise ConfigError("cylinder radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ConfigError("cylinder radius must be positive and finite")
         coverage = np.zeros(grid.shape)
         for off in zip(*(s.ravel() for s in subs)):
             pts = centers + np.asarray(off)

@@ -1,9 +1,9 @@
 """Outer image-formation loop: TV-regularized FISTA on the data fidelity.
 
 Minimizes D(f) + tau R(f) where D sums 0.5||y_t - z_t(f)||^2 over the
-transmitters and R is (by default isotropic) TV with a box constraint.  The
-gradient of D comes from the reverse-mode pass through the nonlinear forward
-model; switching ``model`` to "born" or "rytov" replaces the forward operator
+transmitters and R is isotropic TV with a box constraint.  The gradient of D
+comes from the reverse-mode pass through the nonlinear forward model;
+switching ``model`` to "born" or "rytov" replaces the forward operator
 by the linearized one (Rytov additionally replaces y by the complex-log
 transformed data) so the baselines run under the identical FISTA/TV machinery.
 """
@@ -50,12 +50,14 @@ class Transmitter:
                 raise ConfigError("plane transmitter needs a direction")
             d = np.asarray(self.direction, dtype=float)
             norm = np.linalg.norm(d)
-            if norm == 0:
-                raise ConfigError("plane-wave direction must be nonzero")
+            if not 0 < norm < np.inf:
+                raise ConfigError("plane-wave direction must have a nonzero finite norm")
             object.__setattr__(self, "direction", tuple(d / norm))
         else:
             raise ConfigError("transmitter kind must be 'point' or 'plane'")
         object.__setattr__(self, "amplitude", complex(self.amplitude))
+        if not np.all(np.isfinite([*(self.position or ()), self.amplitude])):
+            raise ConfigError("transmitter position and amplitude must be finite")
 
     def field_at(self, points, k_b):
         """Incident field at physical points of shape (..., ndim)."""
@@ -136,7 +138,6 @@ class ReconConfig:
     tau_rel: float = 1.5e-9           # TV weight tau = tau_rel * ||y||^2
     step_gamma: float | None = None   # None: backtracking estimate, then frozen
     fista_iters: int = 50
-    tv_variant: str = "iso"
     tv_iters: int = 10
     tv_delta: float = 1e-4
     box: BoxConstraint = field(default_factory=lambda: BoxConstraint(0.0, np.inf))
@@ -152,8 +153,6 @@ class ReconConfig:
             raise ConfigError("tv_iters must be >= 0")
         if self.step_gamma is not None and not np.inf > self.step_gamma > 0:
             raise ConfigError("step_gamma must be a finite number > 0")
-        if self.tv_variant not in ("iso", "aniso"):
-            raise ConfigError("tv_variant must be 'iso' or 'aniso'")
         for name in ("tau_rel", "tv_delta"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be a finite number >= 0")
@@ -294,10 +293,16 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
 
     model: "full" uses the multiple-scattering forward/adjoint pair; "born"
     the first-Born linearization; "rytov" the Born machinery on complex-log
-    transformed data.  Deterministic for fixed inputs.
+    transformed data.  A ``ground_truth`` must have the grid's shape and a
+    nonzero norm; it is checked before the first field solve.  Deterministic
+    for fixed inputs.
     """
     if model not in ("full", "born", "rytov"):
         raise ConfigError("model must be 'full', 'born' or 'rytov'")
+    if ground_truth is not None:
+        ground_truth = grid.check_field(ground_truth, "ground truth")
+        if not np.any(ground_truth):
+            raise ConfigError("ground truth has zero norm")
     problem = ScatteringProblem(measurements, grid)
 
     data = measurements.y
@@ -340,9 +345,8 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {it}")
         f_new, dual = prox_tv(f_tilde - gamma * grad, gamma * tau, box=cfg.box,
-                              variant=cfg.tv_variant, iters=cfg.tv_iters,
-                              delta_in=cfg.tv_delta, dual_init=dual,
-                              return_dual=True)
+                              iters=cfg.tv_iters, delta_in=cfg.tv_delta,
+                              dual_init=dual, return_dual=True)
         q_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * q_prev * q_prev))
         f_tilde = f_new + ((q_prev - 1.0) / q_new) * (f_new - f_prev)
         step_norm = float(np.linalg.norm(f_new - f_prev))

@@ -2,10 +2,9 @@
 
 The prox is evaluated on the dual problem with accelerated projected gradient
 ascent (fast gradient projection): the dual variable is a per-pixel vector
-field constrained to unit balls (l-inf per component for anisotropic TV, l2
-per pixel for isotropic), and the primal iterate is recovered by the box
-projection of z - tau D^T g.  The dual step is 1/(12 tau), the bound valid
-in 3D (conservative in 2D).
+field constrained to the l2 unit ball (the penalty is isotropic TV), and the
+primal iterate is recovered by the box projection of z - tau D^T g.  The
+dual step is 1/(12 tau), the bound valid in 3D (conservative in 2D).
 
 The discrete gradient D takes forward differences with replicate-edge
 (Neumann) closure; its adjoint is the matching negative divergence, exact to
@@ -63,14 +62,10 @@ def grad_adjoint(g):
     return out
 
 
-def tv_value(f, variant="iso"):
-    """Isotropic (per-pixel l2) or anisotropic (per-component l1) TV of f."""
+def tv_value(f):
+    """Isotropic TV of f: the sum over pixels of the l2 norm of the gradient."""
     g = grad_op(f)
-    if variant == "iso":
-        return float(np.sum(np.sqrt(np.sum(g * g, axis=-1))))
-    if variant == "aniso":
-        return float(np.sum(np.abs(g)))
-    raise ConfigError("variant must be 'iso' or 'aniso'")
+    return float(np.sum(np.sqrt(np.sum(g * g, axis=-1))))
 
 
 def proj_box(f, box):
@@ -78,19 +73,12 @@ def proj_box(f, box):
     return np.clip(np.asarray(f, dtype=float), box.a, box.b)
 
 
-def proj_dual(g, variant="iso"):
-    """Projection onto the dual unit balls.
-
-    iso: each pixel's component vector is divided by max(1, its l2 norm);
-    aniso: each component is divided by max(1, its absolute value).
-    """
+def proj_dual(g):
+    """Projection onto the dual unit balls: each pixel's component vector is
+    divided by max(1, its l2 norm)."""
     g = np.asarray(g, dtype=float)
-    if variant == "iso":
-        norm = np.sqrt(np.sum(g * g, axis=-1))
-        return g / np.maximum(1.0, norm)[..., None]
-    if variant == "aniso":
-        return g / np.maximum(1.0, np.abs(g))
-    raise ConfigError("variant must be 'iso' or 'aniso'")
+    norm = np.sqrt(np.sum(g * g, axis=-1))
+    return g / np.maximum(1.0, norm)[..., None]
 
 
 def dual_objective(g, z, tau, box):
@@ -100,8 +88,8 @@ def dual_objective(g, z, tau, box):
     return -0.5 * float(np.sum((w - p) ** 2)) + 0.5 * float(np.sum(w * w))
 
 
-def prox_tv(z, tau, box=BoxConstraint(), variant="iso", iters=10, delta_in=1e-4,
-            dual_init=None, return_dual=False):
+def prox_tv(z, tau, box=BoxConstraint(), iters=10, delta_in=1e-4, dual_init=None,
+            return_dual=False):
     """Box-constrained TV proximal operator argmin 0.5||f - z||^2 + tau R(f).
 
     Runs at most ``iters`` fast-gradient-projection steps on the dual (the
@@ -130,7 +118,7 @@ def prox_tv(z, tau, box=BoxConstraint(), variant="iso", iters=10, delta_in=1e-4,
     for _ in range(iters):
         g_prev = g
         f_inner = proj_box(z - tau * grad_adjoint(g_t), box)
-        g = proj_dual(g_t + gamma * grad_op(f_inner), variant)
+        g = proj_dual(g_t + gamma * grad_op(f_inner))
         q_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * q * q))
         g_t = g + ((q - 1.0) / q_new) * (g - g_prev)
         q = q_new

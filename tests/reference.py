@@ -118,24 +118,6 @@ def backprop_three_vector(f, y, u_in, G, H, trace):
     return np.real(r)
 
 
-def backprop_unrolled_plain(f, y, u_in, G, H, trace):
-    """Chain rule of the momentum-free iteration u^k = u^{k-1} - gamma grad S;
-    valid only for traces produced with momentum disabled."""
-    from wavetomo.adjoint import apply_Sk, apply_Tk
-
-    assert all(mu == 0.0 for mu in trace.mu_history)
-    resid = trace.z - y
-    back = H.apply_adjoint(resid)
-    v = f * back
-    r = np.conj(trace.u_hat) * back
-    for k in range(trace.K_effective, 0, -1):
-        s_k = trace.s_history[k - 1]
-        gamma_k = trace.gamma_history[k - 1]
-        r = r + gamma_k * apply_Tk(f, s_k, v, u_in, G)
-        v = apply_Sk(f, gamma_k, v, G)
-    return np.real(r)
-
-
 # ---------------------------------------------------------------------------
 # TV prox oracle
 

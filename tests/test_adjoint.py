@@ -4,8 +4,7 @@ import pytest
 import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import (backprop_three_vector, backprop_two_term_naive,
-                       backprop_unrolled_plain, dense_A_matrix,
-                       dense_domain_matrix, fd_gradient)
+                       dense_A_matrix, dense_domain_matrix, fd_gradient)
 from wavetomo.errors import ConfigError, DimensionError
 from wavetomo.greens import DomainGreensOperator
 
@@ -132,20 +131,6 @@ class TestGradient:
             expect = backprop_three_vector(f, y, u_in, G, H, trace)
             assert np.allclose(got, expect, rtol=1e-12, atol=1e-13)
 
-    def test_zero_momentum_matches_unrolled_chain_rule(self, rng):
-        grid = wt.centered_grid((6, 6), spacing=0.5 / 16, wavelength=0.5)
-        G = wt.build_domain_operator(grid)
-        sensors = wt.ring_sensors(9, radius=0.35)
-        H = wt.build_sensor_operator(grid, sensors)
-        u_in = wt.Transmitter("point", position=(0.4, 0.03)).field_on_grid(grid)
-        f = random_potential(rng, grid)
-        y = random_field(rng, (9,))
-        cfg = wt.ForwardConfig(K=7, momentum=False)
-        trace = wt.forward_solve(f, u_in, G, H, cfg)
-        got = wt.gradient_from_trace(f, y, G, H, trace)
-        expect = backprop_unrolled_plain(f, y, u_in, G, H, trace)
-        assert np.allclose(got, expect, rtol=1e-12, atol=1e-13)
-
     def test_K1_boundary_case(self, small_setup, rng):
         grid, G, H, u_in = small_setup
         f = random_potential(rng, grid)
@@ -163,7 +148,6 @@ class TestGradient:
 FUSED_CASES = {
     "adaptive": dict(K=12),
     "fixed": dict(K=12, nu=wt.estimate_fixed_step),
-    "no momentum": dict(K=12, momentum=False),
     "K_eff 1": dict(K=1),
 }
 

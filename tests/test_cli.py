@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wavetomo as wt
-from wavetomo import fileio
+from wavetomo import fileio, recon, simulate
 from wavetomo.cli import build_parser, main
 
 
@@ -294,7 +294,7 @@ MALFORMED_CONFIGS = {
     "fractional fista_iters": (
         _set("recon", fista_iters=1.5), "recon.fista_iters: expected an integer"),
     "unknown tv_variant": (
-        _set("recon", tv_variant="foo"), "recon: tv_variant must be 'iso' or 'aniso'"),
+        _set("recon", tv_variant="foo"), "recon.tv_variant: unknown key"),
     "unknown key recon.fista_iter": (
         _set("recon", fista_iter=3), "recon.fista_iter: unknown key"),
     "no transmitters": (
@@ -304,7 +304,37 @@ MALFORMED_CONFIGS = {
     "NaN tau_rel": (
         _set("recon", tau_rel=float("nan")), "recon: tau_rel must be a finite number"),
     "removed key recon.tau": (_set("recon", tau=1e-6), "recon.tau: unknown key"),
+    # non-finite numbers: each used to run the whole simulation, then exit 0
+    # with an empty phantom, exit 1 naming no key, or end in a traceback
+    "NaN cylinder radius": (
+        _set("phantom", kind="cylinders", cylinders=[
+            {"center_m": [0.0, 0.0], "radius_m": float("nan"), "contrast": 0.1}]),
+        "phantom.cylinders[0].radius_m: must be positive and finite"),
+    "NaN cylinder contrast": (
+        _set("phantom", kind="cylinders", cylinders=[
+            {"center_m": [0.0, 0.0], "radius_m": 0.05, "contrast": float("nan")}]),
+        "phantom.cylinders[0].contrast: must be finite"),
+    "overflowing pixel volume": (
+        _set("grid", spacing_m=1e200),
+        "grid: pixel volume spacing**2 must be positive and finite"),
+    "infinite spacing": (
+        _set("grid", spacing_m=float("inf")), "grid: spacing must be positive and finite"),
+    "NaN origin": (
+        _set("grid", origin_m=[float("nan"), 0.0]), "grid: origin must be finite"),
+    "NaN receiver ring radius": (
+        _set("receivers", ring_radius_m=float("nan")),
+        "receivers: ring radius and phase must be finite"),
+    "infinite transmitter ring radius": (
+        _set("transmitters", radius_m=float("inf")),
+        "transmitters: ring radius and phase must be finite"),
+    "NaN noise SNR": (
+        _set("generation", noise_snr_db=float("nan")),
+        "generation.noise_snr_db: must be finite"),
 }
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a field solve ran")
 
 
 class TestMalformedConfig:
@@ -323,7 +353,9 @@ class TestMalformedConfig:
         return err
 
     @pytest.mark.parametrize("case", list(MALFORMED_CONFIGS))
-    def test_malformed_config(self, tmp_path, capsys, case):
+    def test_malformed_config(self, tmp_path, capsys, monkeypatch, case):
+        # rejected while the config is read, before any field solve
+        monkeypatch.setattr(simulate, "forward_solve", _no_solve)
         edit, expected = MALFORMED_CONFIGS[case]
         cfg = write_config(tmp_path / "base.json")
         edit(cfg)
@@ -459,6 +491,54 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == "error: estimate shape (3, 3) differs from reference shape (3, 4)\n"
+
+    def test_metrics_zero_reference(self, tmp_path, capsys):
+        # it used to end in a ValueError traceback from the metric
+        grid = wt.centered_grid((3, 3), spacing=0.01, wavelength=0.1)
+        for name, values in (("est.csv", np.ones(grid.shape)),
+                             ("ref.csv", np.zeros(grid.shape))):
+            fileio.emit_grid_csv(values, grid, tmp_path / name)
+        rc = main(["metrics", "--estimate", str(tmp_path / "est.csv"),
+                   "--reference", str(tmp_path / "ref.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: reference field has zero norm\n"
+
+    @pytest.mark.parametrize("shape, values, message", [
+        ((3, 3), 1.0, "ground truth has shape (3, 3), expected grid shape (12, 12)"),
+        ((12, 12), 0.0, "ground truth has zero norm")], ids=["wrong shape", "all zero"])
+    def test_bad_ground_truth(self, tmp_path, capsys, monkeypatch, shape, values,
+                              message):
+        # these used to end in a traceback, the wrong shape only after the
+        # initial gradient; now they are rejected before any field solve
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        meas = tmp_path / "m.dat"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
+        truth = tmp_path / "truth.csv"
+        grid = wt.centered_grid(shape, spacing=0.5 / 16, wavelength=0.5)
+        fileio.emit_grid_csv(np.full(shape, values), grid, truth)
+        capsys.readouterr()
+        monkeypatch.setattr(recon, "forward_solve", _no_solve)
+        rc = main(["reconstruct", "--config", str(cfg_path), "--measurements", str(meas),
+                   "--ground-truth", str(truth), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_receiver_on_pixel_center(self, tmp_path, capsys):
+        # 15 x 15 pixels at 1 cm: the 7 cm ring's receivers sit on pixel
+        # centers of the unrefined generation grid; it used to end in a
+        # SingularityError traceback
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, overrides={
+            "grid": {"shape": [15, 15], "spacing_m": 0.01, "wavelength_m": 0.16},
+            "receivers": {"ring_radius_m": 0.07, "count": 4},
+            "generation": {"grid_refine": 1}})
+        with pytest.warns(UserWarning, match="inside the imaging domain"):
+            rc = main(["simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "m.dat")])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: a sensor coincides with a "
+                                           "pixel center\n")
 
     def test_bad_config_value(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

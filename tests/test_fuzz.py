@@ -29,13 +29,20 @@ def _configs():
     listed["phantom"] = {"kind": "shepp_logan", "contrast": 0.05, "extent_m": None}
     listed["recon"] = {"forward": {"K": 4, "delta_tol_rel": 1e-6, "nu": 0.5,
                                    "stop_on": "gradient"},
-                       "tau_rel": 0.0, "tv_variant": "aniso",
+                       "tau_rel": 0.0,
                        "box": {"lower": -1.0, "upper": 1.0}}
     listed["generation"]["noise_snr_db"] = 20.0
     return [ring, listed]
 
 
 VALID_CONFIGS = _configs()
+
+
+def test_seed_configs_parse():
+    # the fuzz tests swallow ConfigError, so a seed that stopped parsing would
+    # silently stop reaching the readers past the one that rejects it
+    for cfg in VALID_CONFIGS:
+        fileio.parse_config(json.dumps(cfg))
 
 
 def _slots(node):

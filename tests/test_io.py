@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -50,6 +51,15 @@ class TestConfig:
         key = path.rpartition(".")[2]
         with pytest.raises(ConfigError, match=rf"^recon\S*: {key} must be"):
             fileio.recon_config_from_config(_recon_with(path, value))
+
+    @pytest.mark.parametrize("schema, settings", [
+        (fileio.FORWARD_SCHEMA, wt.ForwardConfig),
+        (fileio.RECON_SCHEMA, wt.ReconConfig)], ids=["forward", "recon"])
+    def test_schema_keys_are_config_fields(self, schema, settings):
+        # a setting without a config key is one only library callers and
+        # tests can reach; defaults are not compared (K and delta_tol_rel
+        # differ between the dataclass and the schema on purpose)
+        assert set(schema) == {f.name for f in dataclasses.fields(settings)}
 
     def test_infinite_box_upper_stays_valid(self):
         cfg = fileio.recon_config_from_config(_recon_with("box.upper", float("inf")))
@@ -142,6 +152,11 @@ MALFORMED_FILES = {
         _header(lambda h: h["transmitters"][1].update(direction=[0, 0])), 1),
     "ragged receiver positions": (
         _header(lambda h: h["receiver_positions_m"][0].append(1.0)), 1),
+    # non-finite geometry used to load and end in reconstruct (exit 2)
+    "NaN receiver position": (
+        _header(lambda h: h["receiver_positions_m"][0].__setitem__(0, float("nan"))), 1),
+    "infinite transmitter amplitude": (
+        _header(lambda h: h["transmitters"][0].update(amplitude=[float("inf"), 0.0])), 1),
     "receiver index past the ring": (_row(3, b"0,99,1,0"), 4),
     "negative receiver index": (_row(3, b"0,-1,1,0"), 4),
     "repeated pair": (lambda lines: lines.append(lines[2]), 7),

@@ -169,7 +169,7 @@ class TestFista:
             wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=float("nan"))
 
     @pytest.mark.parametrize("field, value", [
-        ("tv_variant", "foo"), ("fista_iters", 1.5), ("tv_iters", 2.0)])
+        ("fista_iters", 1.5), ("tv_iters", 2.0)])
     def test_loop_config_validation(self, field, value):
         # rejected at construction, not at the first prox or range() call
         with pytest.raises(ConfigError, match=field):

@@ -7,8 +7,8 @@ from wavetomo.errors import ConfigError
 from wavetomo.tv import dual_objective
 
 
-def composite_objective(f, z, tau, variant="iso"):
-    return 0.5 * float(np.sum((f - z) ** 2)) + tau * wt.tv_value(f, variant)
+def composite_objective(f, z, tau):
+    return 0.5 * float(np.sum((f - z) ** 2)) + tau * wt.tv_value(f)
 
 
 class TestGradOperator:
@@ -32,16 +32,12 @@ class TestGradOperator:
 
 class TestTvValue:
     def test_constant_zero(self):
-        assert wt.tv_value(np.full((5, 5), 1.7), "iso") == 0.0
-        assert wt.tv_value(np.full((5, 5), 1.7), "aniso") == 0.0
+        assert wt.tv_value(np.full((5, 5), 1.7)) == 0.0
 
     def test_single_axis_step(self):
+        # each row steps by 1 along the second axis: two unit gradients
         f = np.array([[0.0, 1.0], [0.0, 1.0]])
-        assert wt.tv_value(f, "iso") == pytest.approx(wt.tv_value(f, "aniso"))
-
-    def test_aniso_dominates_iso(self, rng):
-        f = rng.standard_normal((5, 5))
-        assert wt.tv_value(f, "aniso") >= wt.tv_value(f, "iso")
+        assert wt.tv_value(f) == 2.0
 
 
 class TestProjections:
@@ -60,14 +56,9 @@ class TestProjections:
     def test_dual_iso(self):
         g = np.zeros((1, 1, 2))
         g[0, 0] = [3.0, 4.0]
-        assert np.allclose(wt.proj_dual(g, "iso")[0, 0], [0.6, 0.8])
+        assert np.allclose(wt.proj_dual(g)[0, 0], [0.6, 0.8])
         small = np.full((2, 2, 2), 0.3)
-        assert np.allclose(wt.proj_dual(small, "iso"), small)
-
-    def test_dual_aniso(self):
-        g = np.zeros((1, 1, 2))
-        g[0, 0] = [2.0, -0.5]
-        assert np.allclose(wt.proj_dual(g, "aniso")[0, 0], [1.0, -0.5])
+        assert np.allclose(wt.proj_dual(small), small)
 
 
 class TestProx:
@@ -141,14 +132,3 @@ class TestProx:
         # warm-started pass gets closer than a cold 10-iteration pass
         f1 = wt.prox_tv(z, 0.3, iters=10)
         assert np.linalg.norm(f2 - f_long) <= np.linalg.norm(f1 - f_long)
-
-    def test_aniso_prox_beats_oracle(self, rng):
-        z = 10.0 * rng.standard_normal((5, 5))
-        tau = 0.7
-        f = wt.prox_tv(z, tau, variant="aniso", iters=4000, delta_in=0.0)
-        F = composite_objective(f, z, tau, "aniso")
-        # crude check: componentwise soft-threshold-free baseline cannot beat it
-        base = composite_objective(z, z, tau, "aniso")
-        assert F <= base
-        g = wt.grad_op(f)
-        assert np.max(np.abs(g)) <= np.max(np.abs(wt.grad_op(z))) + 1e-9
