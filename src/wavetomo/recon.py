@@ -49,10 +49,13 @@ class Transmitter:
             if self.direction is None:
                 raise ConfigError("plane transmitter needs a direction")
             d = np.asarray(self.direction, dtype=float)
-            norm = np.linalg.norm(d)
-            if not 0 < norm < np.inf:
-                raise ConfigError("plane-wave direction must have a nonzero finite norm")
-            object.__setattr__(self, "direction", tuple(d / norm))
+            scale = np.max(np.abs(d), initial=0.0)
+            if not 0 < scale < np.inf:
+                raise ConfigError("plane-wave direction must be finite and nonzero")
+            # scaling by the largest entry first keeps the norm from
+            # overflowing or underflowing
+            d = d / scale
+            object.__setattr__(self, "direction", tuple(d / np.linalg.norm(d)))
         else:
             raise ConfigError("transmitter kind must be 'point' or 'plane'")
         object.__setattr__(self, "amplitude", complex(self.amplitude))
@@ -165,7 +168,13 @@ class ReconConfig:
 
 @dataclass
 class ReconReport:
-    """Reconstruction output with per-iteration diagnostics."""
+    """Reconstruction output with per-iteration diagnostics.
+
+    ``data_fit_history`` holds one normalized data fit ||z - y||^2/||y||^2
+    per iteration.  Entries 1..n-1 are at the extrapolated point f~_k where
+    that iteration took its gradient, and come free with it; the last entry
+    is at ``f_hat``.
+    """
 
     f_hat: np.ndarray
     data_fit_history: list
@@ -203,16 +212,26 @@ def _map_tx(fn, problem, workers):
         return list(pool.map(fn, idx))
 
 
+def _sum_parts(parts):
+    """Sum (gradient, D) pairs over transmitters, in transmitter order."""
+    grads, Ds = zip(*parts)
+    return np.sum(grads, axis=0), float(sum(Ds))
+
+
 def total_gradient(f, problem, cfg):
-    """Sum of per-transmitter data-fidelity gradients."""
+    """Sum of per-transmitter data-fidelity gradients, and D at f.
+
+    D is read from the predictions z_t the gradient's own solves formed, so
+    it costs no G-apply and equals the D of ``predict_all`` bit for bit.
+    """
 
     def one(t):
+        y = problem.measurements.y[t]
         trace = forward_solve(f, problem.u_in[t], problem.G, problem.H[t], cfg.forward)
-        return gradient_from_trace(f, problem.measurements.y[t], problem.G,
-                                   problem.H[t], trace)
+        return (gradient_from_trace(f, y, problem.G, problem.H[t], trace),
+                data_fidelity(trace.z, y))
 
-    parts = _map_tx(one, problem, cfg.workers)
-    return np.sum(parts, axis=0)
+    return _sum_parts(_map_tx(one, problem, cfg.workers))
 
 
 def predict_all(f, problem, cfg):
@@ -231,9 +250,10 @@ def born_predict(f, u_in, H):
 
 
 def born_gradient(f, y, u_in, H):
-    """Gradient of 0.5||y - z_B(f)||^2 under the first-Born linear model."""
+    """Gradient of D = 0.5||y - z_B(f)||^2 under the first-Born linear model, and D."""
     resid = born_predict(f, u_in, H) - np.asarray(y)
-    return np.real(np.conj(u_in) * H.apply_adjoint(resid))
+    return (np.real(np.conj(u_in) * H.apply_adjoint(resid)),
+            0.5 * float(np.vdot(resid, resid).real))
 
 
 def rytov_transform(u_total, u_in):
@@ -264,7 +284,7 @@ def _linear_gradient(f, problem, cfg, data):
     def one(t):
         return born_gradient(f, data[t], problem.u_in[t], problem.H[t])
 
-    return np.sum(_map_tx(one, problem, cfg.workers), axis=0)
+    return _sum_parts(_map_tx(one, problem, cfg.workers))
 
 
 def _linear_predict(f, problem, cfg):
@@ -326,11 +346,13 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
     f_tilde = f_prev.copy()
 
     gamma = cfg.step_gamma
+    # the backtracking's gradient at f = 0 is also iteration 1's
+    first = None
     if gamma is None:
-        grad0 = grad_fn(f_tilde)
+        first = grad0, D0 = grad_fn(f_tilde)
         if not np.all(np.isfinite(grad0)):
             raise NumericalError("non-finite gradient at the initial iterate")
-        gamma = _backtrack_step(f_tilde, grad0, eval_D, eval_D(f_tilde))
+        gamma = _backtrack_step(f_tilde, grad0, eval_D, D0)
     if not np.isfinite(gamma * tau):
         raise NumericalError("tau * gamma overflow")
 
@@ -341,7 +363,8 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
     q_prev = 1.0
     for it in range(1, cfg.fista_iters + 1):
         tic = time.perf_counter()
-        grad = grad_fn(f_tilde)
+        grad, D = first or grad_fn(f_tilde)
+        first = None
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {it}")
         f_new, dual = prox_tv(f_tilde - gamma * grad, gamma * tau, box=cfg.box,
@@ -353,16 +376,20 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
         ref_norm = float(np.linalg.norm(f_prev))
         f_prev = f_new
         q_prev = q_new
+        last = (it == cfg.fista_iters
+                or (ref_norm > 0 and step_norm < STOP_REL_CHANGE * ref_norm))
 
-        # normalized data fit ||z - y||^2/||y||^2; a null measurement set
-        # (no object) fits exactly by convention
-        D_new = eval_D(f_new)
-        data_fit_hist.append(2.0 * D_new / y_norm_sq if y_norm_sq > 0
-                             else (0.0 if D_new == 0.0 else np.inf))
+        # normalized data fit ||z - y||^2/||y||^2: the gradient's free D at
+        # f_tilde, and one H-free prediction at f_hat after the last step; a
+        # null measurement set (no object) fits exactly by convention
+        if last:
+            D = eval_D(f_new)
+        data_fit_hist.append(2.0 * D / y_norm_sq if y_norm_sq > 0
+                             else (0.0 if D == 0.0 else np.inf))
         if err_hist is not None:
             err_hist.append(normalized_recon_error(f_new, ground_truth))
         secs.append(time.perf_counter() - tic)
-        if ref_norm > 0 and step_norm < STOP_REL_CHANGE * ref_norm:
+        if last:
             break
 
     return ReconReport(f_hat=f_prev, data_fit_history=data_fit_hist,

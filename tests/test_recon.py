@@ -39,6 +39,20 @@ class TestMeasurementSet:
             mset.subsample(3)
 
 
+class TestTransmitter:
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1.0])
+    def test_plane_direction_extreme_scale(self, scale):
+        # a finite direction normalizes without overflow or underflow
+        tx = wt.Transmitter("plane", direction=(scale, scale))
+        assert np.allclose(tx.direction, (np.sqrt(0.5), np.sqrt(0.5)), rtol=1e-15)
+
+    @pytest.mark.parametrize("direction", [
+        (0.0, 0.0), (np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan)])
+    def test_plane_direction_rejected(self, direction):
+        with pytest.raises(ConfigError, match="direction"):
+            wt.Transmitter("plane", direction=direction)
+
+
 class TestTotalGradient:
     def test_zero_residual(self, rng):
         grid, mset = tiny_problem(rng)
@@ -46,14 +60,15 @@ class TestTotalGradient:
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
         mset.y[:] = wt.predict_all(f, problem, cfg)
-        assert np.allclose(wt.total_gradient(f, problem, cfg), 0.0)
+        grad, _ = wt.total_gradient(f, problem, cfg)
+        assert np.allclose(grad, 0.0)
 
     def test_single_tx_matches_module(self, rng):
         grid, mset = tiny_problem(rng, n_tx=1)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=5), tau_rel=0.0)
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
-        got = wt.total_gradient(f, problem, cfg)
+        got, _ = wt.total_gradient(f, problem, cfg)
         expect = wt.gradient_data_fidelity(f, mset.y[0], problem.u_in[0],
                                            problem.G, problem.H[0], cfg.forward)
         assert np.array_equal(got, expect)
@@ -67,8 +82,8 @@ class TestTotalGradient:
             active_indices=mset1.active_indices * 2,
             y=mset1.y * 2)
         f = random_potential(rng, grid)
-        g1 = wt.total_gradient(f, ScatteringProblem(mset1, grid), cfg)
-        g2 = wt.total_gradient(f, ScatteringProblem(mset2, grid), cfg)
+        g1, _ = wt.total_gradient(f, ScatteringProblem(mset1, grid), cfg)
+        g2, _ = wt.total_gradient(f, ScatteringProblem(mset2, grid), cfg)
         assert np.allclose(g2, 2.0 * g1)
 
     def test_G_apply_budget(self, rng, monkeypatch):
@@ -114,14 +129,26 @@ class TestTotalGradient:
         got = wt.predict_all(f, problem, cfg)
         assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
+    def test_returned_D_matches_prediction(self, rng):
+        # the D read from the gradient's own solves is the D of a cold
+        # H-free prediction, bit for bit
+        grid, mset = tiny_problem(rng, n_tx=3)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=20, delta_tol_rel=1e-3),
+                             tau_rel=0.0)
+        problem = ScatteringProblem(mset, grid)
+        f = random_potential(rng, grid)
+        _, D = wt.total_gradient(f, problem, cfg)
+        z = wt.predict_all(f, problem, cfg)
+        assert D == sum(wt.data_fidelity(zt, yt) for zt, yt in zip(z, mset.y))
+
     def test_workers_give_same_sum(self, rng):
         grid, mset = tiny_problem(rng, n_tx=3)
         f = random_potential(rng, grid)
         cfg1 = wt.ReconConfig(forward=wt.ForwardConfig(K=4), tau_rel=0.0, workers=1)
         cfg2 = wt.ReconConfig(forward=wt.ForwardConfig(K=4), tau_rel=0.0, workers=3)
         p = ScatteringProblem(mset, grid)
-        assert np.array_equal(wt.total_gradient(f, p, cfg1),
-                              wt.total_gradient(f, p, cfg2))
+        assert np.array_equal(wt.total_gradient(f, p, cfg1)[0],
+                              wt.total_gradient(f, p, cfg2)[0])
 
 
 class TestFista:
@@ -176,6 +203,77 @@ class TestFista:
             wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1.0, **{field: value})
 
 
+class TestMonitoring:
+    """The data fit costs one H-free prediction per reconstruction."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        fn = getattr(recon, name)
+
+        def counted(*args):
+            calls.append(1)
+            return fn(*args)
+
+        monkeypatch.setattr(recon, name, counted)
+        return calls
+
+    @staticmethod
+    def final_fit(rep, mset, grid, cfg):
+        problem = ScatteringProblem(mset, grid)
+        z = wt.predict_all(rep.f_hat, problem, cfg)
+        D = sum(wt.data_fidelity(zt, yt) for zt, yt in zip(z, mset.y))
+        return 2.0 * D / mset.y_norm_sq()
+
+    @pytest.mark.parametrize("iters", [1, 4])
+    def test_one_prediction_with_fixed_step(self, rng, monkeypatch, iters):
+        grid, mset = tiny_problem(rng)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1e-10,
+                             fista_iters=iters, step_gamma=1.0)
+        calls = self.count_calls(monkeypatch, "predict_all")
+        rep = wt.fista_reconstruct(mset, grid, cfg)
+        assert len(calls) == 1
+        assert len(rep.data_fit_history) == iters
+
+    def test_one_linear_prediction_with_fixed_step(self, rng, monkeypatch):
+        grid, mset = tiny_problem(rng)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1e-10,
+                             fista_iters=4, step_gamma=1.0)
+        calls = self.count_calls(monkeypatch, "_linear_predict")
+        wt.fista_reconstruct(mset, grid, cfg, model="born")
+        assert len(calls) == 1
+
+    def test_last_entry_is_fit_at_f_hat(self, rng):
+        grid, mset = tiny_problem(rng)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1e-10,
+                             fista_iters=4)
+        rep = wt.fista_reconstruct(mset, grid, cfg)
+        assert rep.data_fit_history[-1] == self.final_fit(rep, mset, grid, cfg)
+        # entry 1 is at f~_1 = 0, where z = 0 fits ||y||^2 exactly
+        assert rep.data_fit_history[0] == 1.0
+
+    def test_backtracking_gradient_is_iteration_one(self, rng, monkeypatch):
+        # the step search's gradient at f = 0 is reused, not recomputed
+        grid, mset = tiny_problem(rng)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1e-10,
+                             fista_iters=3)
+        calls = self.count_calls(monkeypatch, "total_gradient")
+        wt.fista_reconstruct(mset, grid, cfg)
+        assert len(calls) == 3
+
+    def test_early_stop_keeps_one_entry_per_iteration(self, rng, monkeypatch):
+        grid, mset = tiny_problem(rng)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1e-10,
+                             fista_iters=6, step_gamma=1.0)
+        # any step below 10x the iterate's norm stops the loop at iteration 2
+        monkeypatch.setattr(recon, "STOP_REL_CHANGE", 10.0)
+        calls = self.count_calls(monkeypatch, "predict_all")
+        rep = wt.fista_reconstruct(mset, grid, cfg)
+        assert len(rep.data_fit_history) == len(rep.iter_seconds) == 2
+        assert len(calls) == 1
+        assert rep.data_fit_history[-1] == self.final_fit(rep, mset, grid, cfg)
+
+
 class TestLinearBaselines:
     def test_born_trivial(self, small_setup, rng):
         grid, _, H, u_in = small_setup
@@ -188,7 +286,7 @@ class TestLinearBaselines:
         grid, _, H, u_in = small_setup
         f = random_potential(rng, grid)
         y = random_field(rng, (len(H.sensors),))
-        grad = wt.born_gradient(f, y, u_in, H)
+        grad, _ = wt.born_gradient(f, y, u_in, H)
 
         def D_of(fv):
             return wt.data_fidelity(wt.born_predict(fv, u_in, H), y)
@@ -197,6 +295,13 @@ class TestLinearBaselines:
         # truncation error; a large step just suppresses roundoff
         fd = fd_gradient(D_of, f, 1e-2 * np.max(np.abs(f)))
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-8
+
+    def test_born_gradient_returns_D(self, small_setup, rng):
+        grid, _, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        y = random_field(rng, (len(H.sensors),))
+        _, D = wt.born_gradient(f, y, u_in, H)
+        assert D == wt.data_fidelity(wt.born_predict(f, u_in, H), y)
 
     def test_rytov_trivial(self, rng):
         u_in = random_field(rng, (12,))
