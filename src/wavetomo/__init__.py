@@ -8,16 +8,14 @@ linearizations available as baselines, and closed-form cylinder/sphere
 solutions for validation.
 """
 
-from .adjoint import (apply_Sk, apply_Tk, data_fidelity, gradient_data_fidelity,
-                      gradient_from_trace)
+from .adjoint import data_fidelity, gradient_data_fidelity, gradient_from_trace
 from .analytic import (AnalyticScene, analytic_field_2d, analytic_field_3d,
                        helmholtz_residual, radial_coeffs_2d, radial_coeffs_3d)
 from .errors import (ConfigError, ConvergenceWarning, DimensionError,
                      MeasurementParseError, NumericalError, ResonanceError,
                      SingularityError, StepDegeneracyError, TransformError)
 from .forward import (ForwardConfig, ForwardTrace, estimate_fixed_step,
-                      forward_solve, objective_gradient, predict_scattered,
-                      scattering_objective)
+                      forward_solve, predict_scattered)
 from .greens import (DomainGreensOperator, MaskedSensorOperator,
                      SensorGreensOperator, apply_A, apply_AH,
                      build_domain_operator, build_sensor_operator, green_2d,
@@ -30,7 +28,7 @@ from .recon import (MeasurementSet, ReconConfig, ReconReport,
                     ScatteringProblem, Transmitter, born_gradient,
                     born_predict, fista_reconstruct, predict_all,
                     rytov_transform, total_gradient)
-from .tv import (BoxConstraint, dual_objective, grad_adjoint, grad_op,
-                 proj_box, proj_dual, prox_tv, tv_value)
+from .tv import (BoxConstraint, grad_adjoint, grad_op, proj_box, proj_dual,
+                 prox_tv, tv_value)
 
 __version__ = "0.1.0"

@@ -26,11 +26,12 @@ where GHr_k = G^H(A s^k - u_in) was formed by the forward step at s^k and is
 read from the trace.  That is 2 G-applies per iteration (one in A, one in
 G^H), so a transmitter gradient costs 2K + 1 forward + 2K backward applies
 with the adaptive step (2K forward with a fixed one).
-``apply_Sk`` and ``apply_Tk`` are the unfused operators (6 applies between
-them); the fused update performs their operations in the same order and
-gives the same result bit for bit when the trace's residuals were formed
-from a direct A s^k (a fixed step, or K = 1).  An adaptive solve
-extrapolates A s^k from carried fields, so there the two agree to round-off.
+The unfused S^k and T^k operators (6 applies between them) are test
+oracles in ``tests/reference.py``; the fused update performs their
+operations in the same order and gives the same result bit for bit when the
+trace's residuals were formed from a direct A s^k (a fixed step, or K = 1).
+An adaptive solve extrapolates A s^k from carried fields, so there the two
+agree to round-off.
 
 Memory: a solve given H keeps two fields per iteration, s^k and GHr_k,
 O(2 K N) complex values; an H-free solve keeps only its final field u_hat.
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .forward import forward_solve
-from .greens import apply_A, apply_AH
+from .greens import apply_A
 
 
 def data_fidelity(z, y):
@@ -51,20 +52,6 @@ def data_fidelity(z, y):
         raise DimensionError(f"sensor counts differ: {z.shape} vs {y.shape}")
     resid = y - z
     return 0.5 * float(np.vdot(resid, resid).real)
-
-
-def apply_Sk(f, gamma_k, v, G):
-    """S^k v = v - gamma_k A^H (A v)."""
-    return v - gamma_k * apply_AH(f, apply_A(f, v, G), G)
-
-
-def apply_Tk(f, s_k, v, u_in, G):
-    """T^k v = conj(G^H (A s^k - u_in)) * v + conj(s^k) * G^H (A v)."""
-    grid = G.grid
-    v = grid.check_field(v, "multiplier")
-    resid = apply_A(f, s_k, G) - grid.check_field(u_in, "u_in")
-    return (np.conj(G.apply_adjoint(resid)) * v
-            + np.conj(s_k) * G.apply_adjoint(apply_A(f, v, G)))
 
 
 def gradient_from_trace(f, y, G, H, trace):

@@ -27,6 +27,9 @@ from .grid import centered_grid, ring_sensors
 from .metrics import normalized_error, normalized_recon_error, snr_db
 from .recon import SUBSAMPLE_FACTORS, Transmitter, fista_reconstruct
 
+# a contrast sweep runs one forward solve per point
+MAX_SWEEP_POINTS = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -220,6 +223,11 @@ def _parse_range(spec):
             and stop >= start):
         raise ConfigError("--contrast: range must be finite with step > 0 "
                           "and stop >= start")
+    # span / step + 1 bounds the length of the np.arange below; a span that
+    # overflows to inf fails the test too
+    if not (stop - start) / step + 1 <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"--contrast: range must have at most "
+                          f"{MAX_SWEEP_POINTS} points")
     return np.arange(start, stop + 0.5 * step, step)
 
 

@@ -145,7 +145,6 @@ CYLINDER_SCHEMA = {
 RECON_SCHEMA = {
     "forward": (OBJECT, {}),
     "tau_rel": (NUMBER, 1.5e-9),
-    "step_gamma": (NUMBER_OR_NULL, None),
     "fista_iters": (INT, 50),
     "tv_iters": (INT, 10),
     "tv_delta": (NUMBER, 1e-4),
@@ -482,15 +481,6 @@ def load_measurements(path):
 
 # ---------------------------------------------------------------------------
 # Institut-Fresnel ASCII layout
-
-
-def fresnel_active_slots(tx_angle_deg, n_slots=FRESNEL_RECEIVER_SLOTS,
-                         keep_min_deg=60.0):
-    """Receiver slots used for one transmitter: the 119 closest are excluded,
-    i.e. keep circular angular distance >= 60 degrees (241 of 360 slots)."""
-    slot_angles = np.arange(n_slots) * (360.0 / n_slots)
-    d = np.abs((slot_angles - tx_angle_deg + 180.0) % 360.0 - 180.0)
-    return np.nonzero(d >= keep_min_deg - 1e-9)[0]
 
 
 def load_fresnel_ascii(path, frequency_ghz=3.0):

@@ -16,6 +16,11 @@ import numpy as np
 from .errors import ConfigError, ConvergenceWarning, StepDegeneracyError
 from .greens import apply_A, apply_AH
 
+# the adaptive solve's carried residual bottoms out near 1e-13 ||u_in||: an
+# objective tolerance below 0.5 (1e-13)^2 would be reported as met although
+# the true objective never reached it
+MIN_OBJECTIVE_TOL_REL = 1e-26
+
 
 @dataclass
 class ForwardConfig:
@@ -25,7 +30,8 @@ class ForwardConfig:
     delta_tol_rel : early-stop threshold, scaled per solve by ||u_in||^2 and
         compared against S(s^k) when ``stop_on == "objective"`` (the
         default), or scaled by ||u_in|| and compared against ||grad||_2 when
-        ``stop_on == "gradient"``.  0 disables early stopping.
+        ``stop_on == "gradient"``.  0 disables early stopping; an objective
+        tolerance must otherwise be at least MIN_OBJECTIVE_TOL_REL.
     nu : None for the exact line-search step ||g||^2/||Ag||^2, or a constant
         step (required for exact adjoint gradients; see estimate_fixed_step).
     """
@@ -42,6 +48,9 @@ class ForwardConfig:
             raise ConfigError("K must be >= 1")
         if not 0 <= self.delta_tol_rel < np.inf:
             raise ConfigError("delta_tol_rel must be a finite number >= 0")
+        if self.stop_on == "objective" and 0 < self.delta_tol_rel < MIN_OBJECTIVE_TOL_REL:
+            raise ConfigError(f"delta_tol_rel must be 0 or >= {MIN_OBJECTIVE_TOL_REL:g} "
+                              "on the objective, above the solve's round-off floor")
         if self.stop_on not in ("gradient", "objective"):
             raise ConfigError("stop_on must be 'gradient' or 'objective'")
         if self.nu is not None and not np.inf > self.nu > 0:
@@ -79,18 +88,6 @@ class ForwardTrace:
             raise ConfigError("trace contains a nonpositive step size")
 
 
-def scattering_objective(f, u, u_in, G):
-    """S(u) = 0.5 ||A u - u_in||_2^2."""
-    resid = apply_A(f, u, G) - G.grid.check_field(u_in, "u_in")
-    return 0.5 * float(np.vdot(resid, resid).real)
-
-
-def objective_gradient(f, u, u_in, G):
-    """grad S(u) = A^H (A u - u_in)."""
-    resid = apply_A(f, u, G) - G.grid.check_field(u_in, "u_in")
-    return apply_AH(f, resid, G)
-
-
 def predict_scattered(u_hat, f, H):
     """Scattered field at the sensors, H (u_hat * f).
 
@@ -101,14 +98,14 @@ def predict_scattered(u_hat, f, H):
     return H.apply(grid.check_field(u_hat, "u_hat") * grid.check_field(f, "potential"))
 
 
-def forward_solve(f, u_in, G, H, cfg, u_init=None):
+def forward_solve(f, u_in, G, H, cfg):
     """Accelerated-gradient field solve; returns a ForwardTrace.
 
-    u^{-1} = u^0 = u_init (defaults to u_in, which the reverse-mode gradient
-    assumes), t_0 = 0.  Each iteration extrapolates s^k from the two previous
-    iterates, takes a gradient step, and may stop early on ``cfg.delta_tol_rel``;
-    a solve with a tolerance that runs all K iterations without meeting it
-    warns with ConvergenceWarning.
+    The solve starts at u^{-1} = u^0 = u_in, the start the reverse-mode
+    gradient assumes, with t_0 = 0.  Each iteration extrapolates s^k from
+    the two previous iterates, takes a gradient step, and may stop early on
+    ``cfg.delta_tol_rel``; a solve with a tolerance that runs all K
+    iterations without meeting it warns with ConvergenceWarning.
     When H is given, z = H(u_hat * f) and the trace keeps each iteration's
     s^k, gamma_k, mu_k and G^H residual for the backward pass, the stopping
     iteration included, so the histories always have K_effective entries.
@@ -124,8 +121,8 @@ def forward_solve(f, u_in, G, H, cfg, u_init=None):
     grid = G.grid
     f = grid.check_field(f, "potential")
     u_in = grid.check_field(u_in, "u_in").astype(complex)
-    u_prev2 = u_in.copy() if u_init is None else grid.check_field(u_init).astype(complex)
-    u_prev1 = u_prev2.copy()
+    u_prev2 = u_in.copy()
+    u_prev1 = u_in.copy()
 
     uin_sq = float(np.vdot(u_in, u_in).real)
     tol = cfg.delta_tol_rel * (uin_sq if cfg.stop_on == "objective"

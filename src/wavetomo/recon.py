@@ -139,7 +139,6 @@ class ReconConfig:
 
     forward: ForwardConfig
     tau_rel: float = 1.5e-9           # TV weight tau = tau_rel * ||y||^2
-    step_gamma: float | None = None   # None: backtracking estimate, then frozen
     fista_iters: int = 50
     tv_iters: int = 10
     tv_delta: float = 1e-4
@@ -154,8 +153,6 @@ class ReconConfig:
             raise ConfigError("fista_iters must be >= 1")
         if self.tv_iters < 0:
             raise ConfigError("tv_iters must be >= 0")
-        if self.step_gamma is not None and not np.inf > self.step_gamma > 0:
-            raise ConfigError("step_gamma must be a finite number > 0")
         for name in ("tau_rel", "tv_delta"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be a finite number >= 0")
@@ -173,7 +170,8 @@ class ReconReport:
     ``data_fit_history`` holds one normalized data fit ||z - y||^2/||y||^2
     per iteration.  Entries 1..n-1 are at the extrapolated point f~_k where
     that iteration took its gradient, and come free with it; the last entry
-    is at ``f_hat``.
+    is at ``f_hat``.  ``step_gamma`` is the FISTA step the backtracking at
+    f = 0 found and every iteration used.
     """
 
     f_hat: np.ndarray
@@ -345,14 +343,11 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
     f_prev = np.zeros(grid.shape)
     f_tilde = f_prev.copy()
 
-    gamma = cfg.step_gamma
     # the backtracking's gradient at f = 0 is also iteration 1's
-    first = None
-    if gamma is None:
-        first = grad0, D0 = grad_fn(f_tilde)
-        if not np.all(np.isfinite(grad0)):
-            raise NumericalError("non-finite gradient at the initial iterate")
-        gamma = _backtrack_step(f_tilde, grad0, eval_D, D0)
+    grad, D = grad_fn(f_tilde)
+    if not np.all(np.isfinite(grad)):
+        raise NumericalError("non-finite gradient at the initial iterate")
+    gamma = _backtrack_step(f_tilde, grad, eval_D, D)
     if not np.isfinite(gamma * tau):
         raise NumericalError("tau * gamma overflow")
 
@@ -363,8 +358,8 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
     q_prev = 1.0
     for it in range(1, cfg.fista_iters + 1):
         tic = time.perf_counter()
-        grad, D = first or grad_fn(f_tilde)
-        first = None
+        if it > 1:
+            grad, D = grad_fn(f_tilde)
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {it}")
         f_new, dual = prox_tv(f_tilde - gamma * grad, gamma * tau, box=cfg.box,

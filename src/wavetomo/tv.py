@@ -81,13 +81,6 @@ def proj_dual(g):
     return g / np.maximum(1.0, norm)[..., None]
 
 
-def dual_objective(g, z, tau, box):
-    """Dual-ascent objective being minimized by the FGP iterations."""
-    w = z - tau * grad_adjoint(g)
-    p = proj_box(w, box)
-    return -0.5 * float(np.sum((w - p) ** 2)) + 0.5 * float(np.sum(w * w))
-
-
 def prox_tv(z, tau, box=BoxConstraint(), iters=10, delta_in=1e-4, dual_init=None,
             return_dual=False):
     """Box-constrained TV proximal operator argmin 0.5||f - z||^2 + tau R(f).

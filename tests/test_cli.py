@@ -239,8 +239,13 @@ class TestSweepCommand:
          "--contrast: expected start:step:stop numbers, got '0.1:x:0.2'"),
         (["--contrast", "0.1:0.1"],
          "--contrast: expected start:step:stop numbers, got '0.1:0.1'"),
+        (["--contrast", "0:1e-300:1"],
+         "--contrast: range must have at most 10000 points"),
+        (["--contrast=-1e308:1:1e308"],
+         "--contrast: range must have at most 10000 points"),
     ], ids=["subsample without measurements", "non-integer factor",
-            "non-numeric bound", "two bounds"])
+            "non-numeric bound", "two bounds", "too many points",
+            "overflowing span"])
     def test_bad_sweep_flags(self, tmp_path, capsys, flags, message):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)

@@ -31,8 +31,8 @@ def base_config():
 BAD_LOOP_SETTINGS = [
     ("tau_rel", float("nan")), ("tau_rel", float("inf")), ("tau_rel", -1e-9),
     ("forward.delta_tol_rel", float("nan")), ("forward.delta_tol_rel", float("inf")),
-    ("tv_iters", -3), ("tv_delta", -1e-4), ("tv_delta", float("nan")),
-    ("step_gamma", float("inf")), ("forward.nu", float("inf")),
+    ("forward.delta_tol_rel", 1e-30), ("tv_iters", -3), ("tv_delta", -1e-4),
+    ("tv_delta", float("nan")), ("forward.nu", float("inf")),
 ]
 
 
@@ -74,6 +74,11 @@ class TestConfig:
         # nu alone picks the step: null is adaptive, a number is that fixed step
         with pytest.raises(ConfigError, match=r"^recon\.forward\.step_mode: unknown key$"):
             fileio.recon_config_from_config(_recon_with("forward.step_mode", "fixed"))
+
+    def test_removed_step_gamma_is_unknown(self):
+        # the FISTA step always comes from the backtracking at f = 0
+        with pytest.raises(ConfigError, match=r"^recon\.step_gamma: unknown key$"):
+            fileio.recon_config_from_config(_recon_with("step_gamma", 1.0))
 
     def test_round_trip(self):
         text = fileio.serialize_config(base_config())
@@ -247,6 +252,15 @@ class TestMeasurementFile:
             fileio.load_measurements(path)
 
 
+def fresnel_active_slots(tx_angle_deg, n_slots=fileio.FRESNEL_RECEIVER_SLOTS,
+                         keep_min_deg=60.0):
+    """Receiver slots used for one transmitter: the 119 closest are excluded,
+    i.e. keep circular angular distance >= 60 degrees (241 of 360 slots)."""
+    slot_angles = np.arange(n_slots) * (360.0 / n_slots)
+    d = np.abs((slot_angles - tx_angle_deg + 180.0) % 360.0 - 180.0)
+    return np.nonzero(d >= keep_min_deg - 1e-9)[0]
+
+
 def write_fresnel(path, n_tx=8, freq_ghz=3.0, extra_freqs=(), scale=1.0):
     """Synthetic file in the documented ASCII layout; total = 2x incident so
     the scattered field equals the incident field."""
@@ -258,7 +272,7 @@ def write_fresnel(path, n_tx=8, freq_ghz=3.0, extra_freqs=(), scale=1.0):
         pos = (fileio.FRESNEL_RING_RADIUS_M * np.cos(ang),
                fileio.FRESNEL_RING_RADIUS_M * np.sin(ang))
         tx = wt.Transmitter("point", position=pos, amplitude=scale)
-        slots = fileio.fresnel_active_slots(t * 360.0 / n_tx)
+        slots = fresnel_active_slots(t * 360.0 / n_tx)
         inc = tx.field_at(ring.positions[slots], k_b)
         for freq in (freq_ghz, *extra_freqs):
             for r, v in zip(slots, inc):

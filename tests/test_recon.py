@@ -156,7 +156,7 @@ class TestFista:
         grid, mset = tiny_problem(rng)
         mset.y[:] = [np.zeros(10, dtype=complex) for _ in mset.y]
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=4), tau_rel=1.5e-9,
-                             fista_iters=1, step_gamma=1.0)
+                             fista_iters=1)
         rep = wt.fista_reconstruct(mset, grid, cfg)
         assert np.all(rep.f_hat == 0.0)
         assert rep.data_fit_history == [0.0]
@@ -204,18 +204,31 @@ class TestFista:
 
 
 class TestMonitoring:
-    """The data fit costs one H-free prediction per reconstruction."""
+    """The loop's data fit costs one H-free prediction per reconstruction;
+    the step search at f = 0 makes predictions of its own."""
 
     @staticmethod
     def count_calls(monkeypatch, name):
+        """Count the calls of ``recon.<name>`` made outside the step search."""
         calls = []
+        searching = []
         fn = getattr(recon, name)
+        backtrack = recon._backtrack_step
 
         def counted(*args):
-            calls.append(1)
+            if not searching:
+                calls.append(1)
             return fn(*args)
 
+        def backtrack_step(*args):
+            searching.append(1)
+            try:
+                return backtrack(*args)
+            finally:
+                searching.pop()
+
         monkeypatch.setattr(recon, name, counted)
+        monkeypatch.setattr(recon, "_backtrack_step", backtrack_step)
         return calls
 
     @staticmethod
@@ -227,9 +240,10 @@ class TestMonitoring:
 
     @pytest.mark.parametrize("iters", [1, 4])
     def test_one_prediction_with_fixed_step(self, rng, monkeypatch, iters):
+        # the step the search at f = 0 finds stays fixed for every iteration
         grid, mset = tiny_problem(rng)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1e-10,
-                             fista_iters=iters, step_gamma=1.0)
+                             fista_iters=iters)
         calls = self.count_calls(monkeypatch, "predict_all")
         rep = wt.fista_reconstruct(mset, grid, cfg)
         assert len(calls) == 1
@@ -238,7 +252,7 @@ class TestMonitoring:
     def test_one_linear_prediction_with_fixed_step(self, rng, monkeypatch):
         grid, mset = tiny_problem(rng)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1e-10,
-                             fista_iters=4, step_gamma=1.0)
+                             fista_iters=4)
         calls = self.count_calls(monkeypatch, "_linear_predict")
         wt.fista_reconstruct(mset, grid, cfg, model="born")
         assert len(calls) == 1
@@ -264,7 +278,7 @@ class TestMonitoring:
     def test_early_stop_keeps_one_entry_per_iteration(self, rng, monkeypatch):
         grid, mset = tiny_problem(rng)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1e-10,
-                             fista_iters=6, step_gamma=1.0)
+                             fista_iters=6)
         # any step below 10x the iterate's norm stops the loop at iteration 2
         monkeypatch.setattr(recon, "STOP_REL_CHANGE", 10.0)
         calls = self.count_calls(monkeypatch, "predict_all")

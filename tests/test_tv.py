@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import wavetomo as wt
-from reference import subgradient_prox_batch
+from reference import dual_objective, subgradient_prox_batch
 from wavetomo.errors import ConfigError
-from wavetomo.tv import dual_objective
 
 
 def composite_objective(f, z, tau):
