@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +34,11 @@ MAX_SWEEP_POINTS = 10_000
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # argparse takes a value that starts with '-', like the range
+        # -0.1:0.1:0.2, for the next flag unless '=' joins it to its own
+        flag = re.fullmatch(r"argument (--[\w-]+): expected one argument", message)
+        if flag:
+            message += f" (a value that starts with '-' needs {flag[1]}=VALUE)"
         self.print_usage(sys.stderr)
         raise SystemExit2(message)
 

@@ -69,9 +69,17 @@ def _numbered_lines(path):
 # Each schema maps a key to (type, default); a default is REQUIRED or a value.
 # Range and combination checks belong to the objects the readers build
 # (DomainGrid, ForwardConfig, ReconConfig, BoxConstraint, Transmitter,
-# ring_sensors, refined_grid); _build reports them under the key path.
+# ring_sensors, refined_grid); _build reports them under the key path.  The
+# readers check what only two objects together define: phases against
+# MAX_PHASE_RAD.
 
 REQUIRED = object()
+# Largest phase a config may imply: k_b times a distance from the coordinate
+# origin or across the grid, or the wavenumber inside a phantom,
+# k_b sqrt(|contrast|), times the grid extent.  Double precision carries such a
+# phase to about 1e-8 rad; far above it the Green's functions, and then the
+# measurements, lose every digit or overflow.
+MAX_PHASE_RAD = 1e8
 
 
 def _is_int(v):
@@ -252,13 +260,36 @@ def serialize_config(cfg):
     return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
 
 
+def _check_phase(path, phase, what):
+    if not phase <= MAX_PHASE_RAD:
+        raise ConfigError(f"{path}: {what} is {phase:.3g} rad, above the "
+                          f"{MAX_PHASE_RAD:.0e} rad double precision resolves")
+
+
+# plain floats: they overflow to inf without numpy's RuntimeWarning
+def _k_b(grid):
+    return float(grid.k_b)
+
+
+def _extent(grid):
+    return grid.spacing * max(grid.shape)
+
+
 def grid_from_config(cfg):
     g = _read(_section(cfg, "grid"), "grid", GRID_SCHEMA)
     if g.origin_m is None:
-        return _build("grid", centered_grid, g.shape, g.spacing_m, g.wavelength_m,
+        grid = _build("grid", centered_grid, g.shape, g.spacing_m, g.wavelength_m,
                       g.background_permittivity)
-    return _build("grid", DomainGrid, tuple(g.shape), g.spacing_m, tuple(g.origin_m),
-                  g.wavelength_m, g.background_permittivity)
+    else:
+        grid = _build("grid", DomainGrid, tuple(g.shape), g.spacing_m,
+                      tuple(g.origin_m), g.wavelength_m, g.background_permittivity)
+    _check_phase("grid", _k_b(grid) * _extent(grid),
+                 "k_b times the grid extent, from grid.wavelength_m, "
+                 "grid.background_permittivity, grid.spacing_m and grid.shape,")
+    center = [c + 0.5 * grid.spacing * (n - 1) for c, n in zip(grid.origin, grid.shape)]
+    _check_phase("grid.origin_m", _k_b(grid) * math.hypot(*center),
+                 "k_b times the distance of the grid center from the origin")
+    return grid
 
 
 def recon_config_from_config(cfg):
@@ -295,7 +326,8 @@ def _read_transmitter(d, path, kinds, default_kind, ndim):
 def transmitters_from_config(cfg):
     """Transmitters of a ``point-ring`` section or of an explicit list."""
     t = _section(cfg, "transmitters")
-    ndim = grid_from_config(cfg).ndim
+    grid = grid_from_config(cfg)
+    ndim, k_b = grid.ndim, _k_b(grid)
     if isinstance(t, dict):
         ring = _read_kind(t, "transmitters", {"point-ring": TRANSMITTER_RING_SCHEMA},
                           "point-ring")
@@ -303,11 +335,18 @@ def transmitters_from_config(cfg):
             raise ConfigError("transmitters: a point-ring needs a 2D grid")
         sources = _build("transmitters", ring_sensors, ring.count, ring.radius_m,
                          phase=ring.phase_rad)
+        _check_phase("transmitters.radius_m", k_b * abs(ring.radius_m),
+                     "k_b times the ring radius")
         out = [Transmitter("point", position=p) for p in sources.positions]
     else:
         out = [_read_transmitter(d, f"transmitters[{i}]", TRANSMITTER_KINDS, "point",
                                  ndim)
                for i, d in enumerate(t)]
+        for i, tx in enumerate(out):
+            if tx.kind == "point":
+                _check_phase(f"transmitters[{i}].position_m",
+                             k_b * math.hypot(*tx.position),
+                             "k_b times the distance from the origin")
     if not out:
         raise ConfigError("transmitters: need at least one transmitter")
     return out
@@ -318,10 +357,13 @@ def receivers_from_config(cfg):
     r = _read(_section(cfg, "receivers"), "receivers", RECEIVERS_SCHEMA)
     if r.subsample not in SUBSAMPLE_FACTORS:
         raise ConfigError("receivers.subsample: must be a power of 2 up to 128")
-    if grid_from_config(cfg).ndim != 2:
+    grid = grid_from_config(cfg)
+    if grid.ndim != 2:
         raise ConfigError("receivers: a receiver ring needs a 2D grid")
     ring = _build("receivers", ring_sensors, r.count, r.ring_radius_m,
                   phase=r.phase_rad)
+    _check_phase("receivers.ring_radius_m", _k_b(grid) * abs(r.ring_radius_m),
+                 "k_b times the ring radius")
     return ring, r.subsample
 
 
@@ -335,21 +377,29 @@ def _check_positive(path, value):
         raise ConfigError(f"{path}: must be positive and finite")
 
 
+def _check_contrast(path, contrast, grid):
+    _check_finite(path, contrast)
+    # sqrt(|f|) for the potential f = contrast * k_b^2 is a wavenumber
+    _check_phase(path, _k_b(grid) * math.sqrt(abs(contrast)) * _extent(grid),
+                 "k_b sqrt(|contrast|) times the grid extent")
+
+
 def phantom_from_config(cfg):
     """The phantom's kind and parameters, checked but not rendered."""
     p = _read_kind(_section(cfg, "phantom"), "phantom", PHANTOM_KINDS, "none")
+    if p.kind in ("cylinders", "shepp_logan"):
+        grid = grid_from_config(cfg)
     if p.kind == "cylinders":
         p.cylinders = [_read(c, f"phantom.cylinders[{i}]", CYLINDER_SCHEMA)
                        for i, c in enumerate(p.cylinders)]
-        ndim = grid_from_config(cfg).ndim
         for i, c in enumerate(p.cylinders):
             path = f"phantom.cylinders[{i}]"
-            _check_length(f"{path}.center_m", c.center_m, ndim)
+            _check_length(f"{path}.center_m", c.center_m, grid.ndim)
             _check_finite(f"{path}.center_m", *c.center_m)
             _check_positive(f"{path}.radius_m", c.radius_m)
-            _check_finite(f"{path}.contrast", c.contrast)
+            _check_contrast(f"{path}.contrast", c.contrast, grid)
     if p.kind == "shepp_logan":
-        _check_finite("phantom.contrast", p.contrast)
+        _check_contrast("phantom.contrast", p.contrast, grid)
         if p.extent_m is not None:
             _check_positive("phantom.extent_m", p.extent_m)
     if p.kind == "from_file" and not os.path.exists(p.path):

@@ -6,6 +6,8 @@ comes from the reverse-mode pass through the nonlinear forward model;
 switching ``model`` to "born" or "rytov" replaces the forward operator
 by the linearized one (Rytov additionally replaces y by the complex-log
 transformed data) so the baselines run under the identical FISTA/TV machinery.
+The linear model treats all transmitters at once: a prediction is one matrix
+product with H and a gradient one more with its adjoint.
 """
 
 import numbers
@@ -193,10 +195,18 @@ class ScatteringProblem:
         self.measurements = measurements
         self.grid = grid
         self.G = build_domain_operator(grid)
-        self._H_ring = build_sensor_operator(grid, measurements.receivers)
-        self.H = [MaskedSensorOperator(self._H_ring, ix)
-                  for ix in measurements.active_indices]
-        self.u_in = [tx.field_on_grid(grid) for tx in measurements.transmitters]
+        # H holds only the receiver slots some transmitter recorded; each
+        # transmitter's mask indexes into that union
+        active = measurements.active_indices
+        recorded = np.unique(np.concatenate(active))
+        self._H_ring = build_sensor_operator(
+            grid, SensorSet(measurements.receivers.positions[recorded]))
+        self.H = [MaskedSensorOperator(self._H_ring, np.searchsorted(recorded, ix))
+                  for ix in active]
+        # row t is u_in[t] raveled, and u_in[t] is a view of it
+        self.U_in = np.stack([tx.field_on_grid(grid).ravel()
+                              for tx in measurements.transmitters])
+        self.u_in = [u.reshape(grid.shape) for u in self.U_in]
         self.u_in_sensors = [
             tx.field_at(measurements.receivers.positions[ix], grid.k_b)
             for tx, ix in zip(measurements.transmitters, measurements.active_indices)]
@@ -208,12 +218,6 @@ def _map_tx(fn, problem, workers):
         return [fn(t) for t in idx]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, idx))
-
-
-def _sum_parts(parts):
-    """Sum (gradient, D) pairs over transmitters, in transmitter order."""
-    grads, Ds = zip(*parts)
-    return np.sum(grads, axis=0), float(sum(Ds))
 
 
 def total_gradient(f, problem, cfg):
@@ -229,7 +233,8 @@ def total_gradient(f, problem, cfg):
         return (gradient_from_trace(f, y, problem.G, problem.H[t], trace),
                 data_fidelity(trace.z, y))
 
-    return _sum_parts(_map_tx(one, problem, cfg.workers))
+    grads, Ds = zip(*_map_tx(one, problem, cfg.workers))
+    return np.sum(grads, axis=0), float(sum(Ds))
 
 
 def predict_all(f, problem, cfg):
@@ -278,18 +283,30 @@ def rytov_transform(u_total, u_in):
     return u_in * (np.log(np.abs(ratio)) + 1j * np.unwrap(phase))
 
 
-def _linear_gradient(f, problem, cfg, data):
-    def one(t):
-        return born_gradient(f, data[t], problem.u_in[t], problem.H[t])
-
-    return _sum_parts(_map_tx(one, problem, cfg.workers))
+def _born_rows(f, problem):
+    """Row t is H (u_in[t] * f) on every recorded slot: one GEMM for all T."""
+    f = problem.grid.check_field(f, "potential")
+    return (problem.U_in * f.ravel()) @ problem._H_ring.matrix.T
 
 
 def _linear_predict(f, problem, cfg):
-    def one(t):
-        return born_predict(f, problem.u_in[t], problem.H[t])
+    """``born_predict`` for every transmitter."""
+    return [z[h.indices] for z, h in zip(_born_rows(f, problem), problem.H)]
 
-    return _map_tx(one, problem, cfg.workers)
+
+def _linear_gradient(f, problem, data):
+    """Sum over transmitters of ``born_gradient``, and D: two GEMMs in all."""
+    R = _born_rows(f, problem)
+    D = 0.0
+    for r, h, y in zip(R, problem.H, data):
+        resid = r[h.indices] - y
+        D += 0.5 * float(np.vdot(resid, resid).real)
+        r[:] = 0.0
+        r[h.indices] = resid
+    # row t of conj(R) H is conj(H^H r_t), so Re(conj(u_t) H^H r_t) is the
+    # real part of u_t times that row
+    B = R.conj() @ problem._H_ring.matrix
+    return np.real(np.sum(problem.U_in * B, axis=0)).reshape(problem.grid.shape), D
 
 
 def _backtrack_step(f0, grad0, eval_D, D0):
@@ -333,7 +350,7 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
         grad_fn = lambda f: total_gradient(f, problem, cfg)
         pred_fn = lambda f: predict_all(f, problem, cfg)
     else:
-        grad_fn = lambda f: _linear_gradient(f, problem, cfg, data)
+        grad_fn = lambda f: _linear_gradient(f, problem, data)
         pred_fn = lambda f: _linear_predict(f, problem, cfg)
 
     def eval_D(f):

@@ -243,9 +243,11 @@ class TestSweepCommand:
          "--contrast: range must have at most 10000 points"),
         (["--contrast=-1e308:1:1e308"],
          "--contrast: range must have at most 10000 points"),
+        (["--contrast=-0.1:0.1:-0.2"],
+         "--contrast: range must be finite with step > 0 and stop >= start"),
     ], ids=["subsample without measurements", "non-integer factor",
             "non-numeric bound", "two bounds", "too many points",
-            "overflowing span"])
+            "overflowing span", "negative start after ="])
     def test_bad_sweep_flags(self, tmp_path, capsys, flags, message):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)
@@ -253,6 +255,18 @@ class TestSweepCommand:
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_negative_start_needs_equals(self, tmp_path, capsys):
+        # argparse reads a range that starts with '-' as the next flag
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        rc = main(["sweep", "--config", str(cfg_path), "--contrast", "-0.1:0.1:0.2",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: wavetomo")
+        assert err[-1] == ("error: argument --contrast: expected one argument "
+                           "(a value that starts with '-' needs --contrast=VALUE)")
 
     def test_K_takes_one_order(self, tmp_path, capsys):
         # a list of orders used to run a full solve per order and report the last
@@ -332,6 +346,32 @@ MALFORMED_CONFIGS = {
     "infinite transmitter ring radius": (
         _set("transmitters", radius_m=float("inf")),
         "transmitters: ring radius and phase must be finite"),
+    # huge but finite numbers: each used to run the whole simulation, then
+    # exit 1 on a non-finite measurement that named no key
+    "tiny wavelength": (
+        _set("grid", wavelength_m=1e-300),
+        "grid: k_b times the grid extent, from grid.wavelength_m,"),
+    "huge background permittivity": (
+        _set("grid", background_permittivity=1e300), "grid.background_permittivity"),
+    "far grid origin": (
+        _set("grid", origin_m=[1e300, 0.0]),
+        "grid.origin_m: k_b times the distance of the grid center"),
+    "huge cylinder contrast": (
+        _set("phantom", kind="cylinders", cylinders=[
+            {"center_m": [0.0, 0.0], "radius_m": 0.05, "contrast": 1e300}]),
+        "phantom.cylinders[0].contrast: k_b sqrt(|contrast|) times the grid extent"),
+    "huge head phantom contrast": (
+        _set("phantom", kind="shepp_logan", contrast=-1e300),
+        "phantom.contrast: k_b sqrt(|contrast|) times the grid extent"),
+    "huge receiver ring radius": (
+        _set("receivers", ring_radius_m=1e300),
+        "receivers.ring_radius_m: k_b times the ring radius"),
+    "huge transmitter ring radius": (
+        _set("transmitters", radius_m=-1e300),
+        "transmitters.radius_m: k_b times the ring radius"),
+    "far point source": (
+        lambda cfg: cfg.update(transmitters=[{"position_m": [1e300, 1e300]}]),
+        "transmitters[0].position_m: k_b times the distance from the origin"),
     "NaN noise SNR": (
         _set("generation", noise_snr_db=float("nan")),
         "generation.noise_snr_db: must be finite"),

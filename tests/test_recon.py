@@ -6,7 +6,8 @@ from conftest import random_field, random_potential
 from reference import fd_gradient
 from wavetomo import recon
 from wavetomo.errors import ConfigError, TransformError
-from wavetomo.greens import DomainGreensOperator
+from wavetomo.greens import (DomainGreensOperator, MaskedSensorOperator,
+                             build_sensor_operator)
 from wavetomo.recon import ScatteringProblem
 
 
@@ -19,6 +20,28 @@ def tiny_problem(rng, n_tx=2, n=8, wl=0.5):
     mset = wt.MeasurementSet(transmitters=tx, receivers=ring,
                              active_indices=[np.arange(10)] * n_tx, y=y)
     return grid, mset
+
+
+def masked_problem(rng, n=12, slots=12):
+    """Three transmitters that record different receiver slots; none records slot 0.
+
+    Each measurement is the incident field at its receiver times a factor
+    within 0.3 of 1, so the Rytov transform of y + u_in unwraps cleanly.
+    """
+    grid = wt.centered_grid((n, n), spacing=0.5 / 16, wavelength=0.5)
+    ring = wt.ring_sensors(slots, radius=0.4)
+    tx = [wt.Transmitter("point", position=(0.45 * np.cos(a), 0.45 * np.sin(a)))
+          for a in (0.3, 2.4, 4.5)]
+    active = [np.arange(1, slots), np.arange(2, slots, 3), np.array([1, 4, 5, 11])]
+    y = [t.field_at(ring.positions[ix], grid.k_b) * 0.2
+         * (rng.uniform(-1, 1, ix.size) + 1j * rng.uniform(-1, 1, ix.size))
+         for t, ix in zip(tx, active)]
+    return grid, wt.MeasurementSet(transmitters=tx, receivers=ring,
+                                   active_indices=active, y=y)
+
+
+def rel_err(got, expect):
+    return np.linalg.norm(got - expect) / np.linalg.norm(expect)
 
 
 class TestMeasurementSet:
@@ -149,6 +172,60 @@ class TestTotalGradient:
         p = ScatteringProblem(mset, grid)
         assert np.array_equal(wt.total_gradient(f, p, cfg1)[0],
                               wt.total_gradient(f, p, cfg2)[0])
+
+
+class TestLinearModel:
+    """The Born and Rytov loop's two-GEMM model against ``born_gradient`` and
+    ``born_predict`` applied one transmitter at a time."""
+
+    @pytest.mark.parametrize("model", ["born", "rytov"])
+    def test_batched_matches_per_transmitter_sums(self, rng, model):
+        grid, mset = masked_problem(rng)
+        problem = ScatteringProblem(mset, grid)
+        data = mset.y
+        if model == "rytov":
+            data = [wt.rytov_transform(y + u, u)
+                    for y, u in zip(mset.y, problem.u_in_sensors)]
+        f = random_potential(rng, grid)
+        parts = [wt.born_gradient(f, y, u, h)
+                 for y, u, h in zip(data, problem.u_in, problem.H)]
+        grad, D = recon._linear_gradient(f, problem, data)
+        assert rel_err(grad, np.sum([g for g, _ in parts], axis=0)) <= 1e-13
+        assert abs(D - sum(d for _, d in parts)) <= 1e-13 * D
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=3))
+        z = recon._linear_predict(f, problem, cfg)
+        for zt, u, h in zip(z, problem.u_in, problem.H):
+            assert rel_err(zt, wt.born_predict(f, u, h)) <= 1e-13
+
+
+class TestRecordedRows:
+    """H is built only for the receiver slots some transmitter recorded."""
+
+    def test_subsampled_set_builds_the_union(self, rng):
+        grid, mset = masked_problem(rng)
+        sub = mset.subsample(2)
+        problem = ScatteringProblem(sub, grid)
+        recorded = np.unique(np.concatenate(sub.active_indices))
+        assert problem._H_ring.matrix.shape[0] == recorded.size < len(sub.receivers)
+        # the same problem with every transmitter masked out of the whole ring
+        ring_H = build_sensor_operator(grid, sub.receivers)
+        ref = ScatteringProblem(sub, grid)
+        ref.H = [MaskedSensorOperator(ring_H, ix) for ix in sub.active_indices]
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=20, delta_tol_rel=1e-3))
+        f = random_potential(rng, grid)
+        for got, expect in zip(wt.predict_all(f, problem, cfg),
+                               wt.predict_all(f, ref, cfg)):
+            assert rel_err(got, expect) <= 1e-13
+        grad, D = wt.total_gradient(f, problem, cfg)
+        grad_ref, D_ref = wt.total_gradient(f, ref, cfg)
+        assert rel_err(grad, grad_ref) <= 1e-13
+        assert abs(D - D_ref) <= 1e-13 * D_ref
+
+    def test_all_recorded_keeps_the_ring_matrix(self, rng):
+        grid, mset = tiny_problem(rng)
+        problem = ScatteringProblem(mset, grid)
+        ring_H = build_sensor_operator(grid, mset.receivers)
+        assert np.array_equal(problem._H_ring.matrix, ring_H.matrix)
 
 
 class TestFista:
