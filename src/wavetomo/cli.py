@@ -77,7 +77,7 @@ def cmd_reconstruct(args):
     cfg = _read_config(args.config)
     grid = fileio.grid_from_config(cfg)
     rcfg = fileio.recon_config_from_config(cfg)
-    mset = fileio.load_measurements(args.measurements)
+    mset = fileio.load_measurements(args.measurements, grid)
     truth = None
     if args.ground_truth:
         truth, _ = fileio.load_grid_csv(args.ground_truth)
@@ -280,7 +280,7 @@ def cmd_sweep(args):
         if not args.measurements:
             raise ConfigError("--subsample needs --measurements")
         factors = _parse_factors(args.subsample)
-        mset = fileio.load_measurements(args.measurements)
+        mset = fileio.load_measurements(args.measurements, grid)
         rcfg = fileio.recon_config_from_config(cfg)
         full = fista_reconstruct(mset, grid, rcfg, model=args.model)
         rows = {"factor": [], "receivers_per_tx": [], "snr_db": [], "data_fit": []}

@@ -74,11 +74,11 @@ def _numbered_lines(path):
 # MAX_PHASE_RAD.
 
 REQUIRED = object()
-# Largest phase a config may imply: k_b times a distance from the coordinate
-# origin or across the grid, or the wavenumber inside a phantom,
-# k_b sqrt(|contrast|), times the grid extent.  Double precision carries such a
-# phase to about 1e-8 rad; far above it the Green's functions, and then the
-# measurements, lose every digit or overflow.
+# Largest phase a config or a measurement header may imply: k_b times a distance
+# from the coordinate origin, from the grid center or across the grid, or the
+# wavenumber inside a phantom, k_b sqrt(|contrast|), times the grid extent.
+# Double precision carries such a phase to about 1e-8 rad; far above it the
+# Green's functions, and then the measurements, lose every digit or overflow.
 MAX_PHASE_RAD = 1e8
 
 
@@ -275,6 +275,10 @@ def _extent(grid):
     return grid.spacing * max(grid.shape)
 
 
+def _center(grid):
+    return [c + 0.5 * grid.spacing * (n - 1) for c, n in zip(grid.origin, grid.shape)]
+
+
 def grid_from_config(cfg):
     g = _read(_section(cfg, "grid"), "grid", GRID_SCHEMA)
     if g.origin_m is None:
@@ -286,8 +290,7 @@ def grid_from_config(cfg):
     _check_phase("grid", _k_b(grid) * _extent(grid),
                  "k_b times the grid extent, from grid.wavelength_m, "
                  "grid.background_permittivity, grid.spacing_m and grid.shape,")
-    center = [c + 0.5 * grid.spacing * (n - 1) for c, n in zip(grid.origin, grid.shape)]
-    _check_phase("grid.origin_m", _k_b(grid) * math.hypot(*center),
+    _check_phase("grid.origin_m", _k_b(grid) * math.hypot(*_center(grid)),
                  "k_b times the distance of the grid center from the origin")
     return grid
 
@@ -445,7 +448,21 @@ MEASUREMENT_TRANSMITTER_KINDS = {
     for kind, keys in TRANSMITTER_KINDS.items()}
 
 
-def _read_header(line):
+def _check_header_phases(transmitters, receivers, grid):
+    # an axis-count mismatch is reported where the problem is built
+    if receivers.positions.shape[1] != grid.ndim:
+        return
+    k_b, center = _k_b(grid), _center(grid)
+    points = [(f"header.receiver_positions_m[{i}]", p)
+              for i, p in enumerate(receivers.positions.tolist())]
+    points += [(f"header.transmitters[{i}].position_m", tx.position)
+               for i, tx in enumerate(transmitters) if tx.kind == "point"]
+    for path, p in points:
+        _check_phase(path, k_b * math.dist(p, center),
+                     "k_b times the distance from the grid center")
+
+
+def _read_header(line, grid):
     """(transmitters, receivers, frequency_hz) from a measurement file's first line."""
     try:
         header = json.loads(line)
@@ -463,6 +480,8 @@ def _read_header(line):
                         for i, d in enumerate(h.transmitters)]
         if not transmitters:
             raise ConfigError("header.transmitters: need at least one transmitter")
+        if grid is not None:
+            _check_header_phases(transmitters, receivers, grid)
     except ConfigError as exc:
         raise MeasurementParseError(str(exc), line=1) from None
     return transmitters, receivers, h.frequency_hz
@@ -484,11 +503,17 @@ def save_measurements(path, mset):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_measurements(path):
+def load_measurements(path, grid=None):
+    """MeasurementSet from a native measurement file.
+
+    Given the ``grid`` the data will be reconstructed on, the header's
+    receivers and point transmitters are also bounded: k_b times each one's
+    distance from the grid center may not exceed MAX_PHASE_RAD.
+    """
     lines = list(_numbered_lines(path))
     if not lines:
         raise MeasurementParseError("empty file", line=1)
-    transmitters, receivers, frequency_hz = _read_header(lines[0][1])
+    transmitters, receivers, frequency_hz = _read_header(lines[0][1], grid)
     per_tx_ix = [[] for _ in transmitters]
     per_tx_y = [[] for _ in transmitters]
     seen = set()

@@ -2,10 +2,13 @@
 
 The domain-to-domain operator G applies the convolution with the Helmholtz
 Green's function over the pixel grid.  It is realized as a circulant embedding
-on a grid of doubled extent per axis, so one apply costs two FFTs on the
-padded grid instead of a dense N x N product (which would not fit in memory
-for production grid sizes).  The domain-to-sensor operator H is a small dense
-M x N matrix.
+on a grid of doubled extent per axis, so one apply costs a forward and an
+inverse FFT of the padded grid instead of a dense N x N product (which would
+not fit in memory for production grid sizes).  The transforms run one axis at
+a time, skip the lines that are all zero and crop each axis as soon as it is
+inverse-transformed, so no padded buffer is zero-filled; the result matches
+the padded fftn/ifftn bit for bit.  The domain-to-sensor operator H is a small
+dense M x N matrix.
 
 Discretization convention (used consistently package-wide): off-center kernel
 entries are midpoint samples of g times the pixel area/volume; the zero-offset
@@ -69,8 +72,11 @@ class DomainGreensOperator:
     """Domain-to-domain operator: v -> integral of g(x - x') v(x') over the grid.
 
     Applies as an FFT convolution on the zero-padded doubled grid; cost
-    O(N log N) per apply.  Immutable after construction and safe to share
-    across threads.
+    O(N log N) per apply.  The transforms run axis by axis, skipping lines
+    that are all zero and cropping as they go: a 2D apply runs 6 and a 3D
+    apply 14 of the 8 and 24 half-grid line transforms the full padded
+    fftn/ifftn pair would, with bit-identical output.  Immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(self, grid):
@@ -90,14 +96,21 @@ class DomainGreensOperator:
         kernel *= grid.pixel_volume
         kernel[(0,) * grid.ndim] = self_interaction(grid)
         self._kernel_hat = np.fft.fftn(kernel)
-        self._padded = padded
 
     def apply(self, v):
-        v = self.grid.check_field(v)
-        buf = np.zeros(self._padded, dtype=complex)
-        buf[tuple(slice(0, n) for n in self.grid.shape)] = v
-        out = np.fft.ifftn(np.fft.fftn(buf) * self._kernel_hat)
-        return out[tuple(slice(0, n) for n in self.grid.shape)]
+        # last axis first, as fftn/ifftn run them: every line kept then sees
+        # fftn's inputs in fftn's order, so the bits match the padded fftn.
+        # fft(n=2n) pads only the lines earlier passes made nonzero; each
+        # inverse pass crops its axis so the next one runs on fewer lines.
+        shape = self.grid.shape
+        spec = self.grid.check_field(v)
+        for ax in reversed(range(len(shape))):
+            spec = np.fft.fft(spec, n=2 * shape[ax], axis=ax)
+        spec *= self._kernel_hat
+        for ax in reversed(range(len(shape))):
+            spec = np.fft.ifft(spec, axis=ax)
+            spec = spec[(slice(None),) * ax + (slice(0, shape[ax]),)]
+        return spec
 
     def apply_adjoint(self, v):
         # the kernel is even in the offset, so the matrix is complex symmetric

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written against the package's production
-paths: dense matrices instead of FFT convolutions, naive recursions instead
+paths: dense matrices instead of FFT convolutions, the zero-filled padded
+fftn instead of the pruned per-axis transforms, naive recursions instead
 of the fused backward pass, subgradient descent instead of the dual prox
 solver, and mpmath arbitrary-precision special functions.  The objectives
 and unfused operators that only tests evaluate live here too.
@@ -55,6 +56,15 @@ def dense_domain_matrix(grid):
 
 def dense_A_matrix(grid, f):
     return np.eye(grid.size, dtype=complex) - dense_domain_matrix(grid) @ np.diag(f.ravel())
+
+
+def padded_fft_apply(G, v):
+    """G v by fftn/ifftn over a zero-filled buffer of doubled extent per axis."""
+    shape = G.grid.shape
+    buf = np.zeros(tuple(2 * n for n in shape), dtype=complex)
+    buf[tuple(slice(0, n) for n in shape)] = v
+    out = np.fft.ifftn(np.fft.fftn(buf) * G._kernel_hat)
+    return out[tuple(slice(0, n) for n in shape)]
 
 
 # ---------------------------------------------------------------------------

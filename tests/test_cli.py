@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +512,34 @@ class TestExitCodes:
         assert rc == 3
         assert capsys.readouterr().err == ("i/o error: line 1: transmitter 1 has no "
                                            "data rows\n")
+
+    @pytest.mark.parametrize("path, phase", [
+        ("header.receiver_positions_m[3]", "1.26e+301"),
+        ("header.transmitters[1].position_m", "1.26e+13"),
+    ], ids=["receiver", "point transmitter"])
+    def test_far_header_position(self, tmp_path, capsys, path, phase):
+        # a far receiver used to pass the loader and end in RuntimeWarnings
+        # and "non-finite gradient at the initial iterate" (exit 2)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        meas = tmp_path / "m.dat"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
+        lines = meas.read_text().splitlines()
+        header = json.loads(lines[0])
+        if "receiver" in path:
+            header["receiver_positions_m"][3] = [1e300, 0.0]
+        else:
+            header["transmitters"][1]["position_m"] = [0.0, -1e12]
+        meas.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["reconstruct", "--config", str(cfg_path), "--measurements",
+                       str(meas), "--model", "born", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"i/o error: line 1: {path}: k_b times the distance from the grid "
+            f"center is {phase} rad, above the 1e+08 rad double precision resolves\n")
 
     def test_malformed_grid_csv_is_io_error(self, tmp_path, capsys):
         grid = wt.centered_grid((3, 3), spacing=0.01, wavelength=0.1)
