@@ -85,7 +85,8 @@ def cmd_reconstruct(args):
                                model=args.model)
     outdir = _outdir(args)
     fileio.emit_grid_csv(report.f_hat, grid, outdir / "f_hat.csv")
-    fileio.emit_image(report.f_hat, outdir / "f_hat.pgm")
+    if grid.ndim == 2:
+        fileio.emit_image(report.f_hat, outdir / "f_hat.pgm")
     summary = {
         "model": args.model,
         "iterations": len(report.data_fit_history),

@@ -157,13 +157,11 @@ RECON_SCHEMA = {
     "tv_iters": (INT, 10),
     "tv_delta": (NUMBER, 1e-4),
     "box": (OBJECT, {}),
-    "workers": (INT, 1),
 }
 FORWARD_SCHEMA = {
     "K": (INT, 60),
     "delta_tol_rel": (NUMBER, 5e-7),
     "nu": (NUMBER_OR_NULL, None),
-    "stop_on": (STRING, "objective"),
 }
 BOX_SCHEMA = {"lower": (NUMBER, 0.0), "upper": (NUMBER, math.inf)}
 GENERATION_SCHEMA = {
@@ -365,6 +363,10 @@ def receivers_from_config(cfg):
         raise ConfigError("receivers: a receiver ring needs a 2D grid")
     ring = _build("receivers", ring_sensors, r.count, r.ring_radius_m,
                   phase=r.phase_rad)
+    # MeasurementSet.subsample keeps slots 1, 1 + factor, ...: none of one
+    if r.subsample > 1 and r.count < 2:
+        raise ConfigError(f"receivers.subsample: factor {r.subsample} keeps no "
+                          f"receiver of {r.count}")
     _check_phase("receivers.ring_radius_m", _k_b(grid) * abs(r.ring_radius_m),
                  "k_b times the ring radius")
     return ring, r.subsample

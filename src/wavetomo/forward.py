@@ -9,7 +9,7 @@ gradient of the data fit differentiates through every iteration.
 
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -27,11 +27,9 @@ class ForwardConfig:
     """Knobs of the forward field solve.
 
     K : maximum number of iterations (>= 1).
-    delta_tol_rel : early-stop threshold, scaled per solve by ||u_in||^2 and
-        compared against S(s^k) when ``stop_on == "objective"`` (the
-        default), or scaled by ||u_in|| and compared against ||grad||_2 when
-        ``stop_on == "gradient"``.  0 disables early stopping; an objective
-        tolerance must otherwise be at least MIN_OBJECTIVE_TOL_REL.
+    delta_tol_rel : early-stop threshold on the objective, scaled per solve
+        by ||u_in||^2 and compared against S(s^k).  0 disables early
+        stopping; it must otherwise be at least MIN_OBJECTIVE_TOL_REL.
     nu : None for the exact line-search step ||g||^2/||Ag||^2, or a constant
         step (required for exact adjoint gradients; see estimate_fixed_step).
     """
@@ -39,20 +37,21 @@ class ForwardConfig:
     K: int
     delta_tol_rel: float = 0.0
     nu: float | None = None
-    stop_on: str = "objective"
+    # benchmarks/workloads.py passes "objective"; ROADMAP item 1 deletes it
+    stop_on: InitVar[str] = "objective"
 
-    def __post_init__(self):
+    def __post_init__(self, stop_on):
+        if stop_on != "objective":
+            raise ConfigError("stop_on must be 'objective'")
         if not isinstance(self.K, numbers.Integral):
             raise ConfigError("K must be an integer")
         if self.K < 1:
             raise ConfigError("K must be >= 1")
         if not 0 <= self.delta_tol_rel < np.inf:
             raise ConfigError("delta_tol_rel must be a finite number >= 0")
-        if self.stop_on == "objective" and 0 < self.delta_tol_rel < MIN_OBJECTIVE_TOL_REL:
+        if 0 < self.delta_tol_rel < MIN_OBJECTIVE_TOL_REL:
             raise ConfigError(f"delta_tol_rel must be 0 or >= {MIN_OBJECTIVE_TOL_REL:g} "
                               "on the objective, above the solve's round-off floor")
-        if self.stop_on not in ("gradient", "objective"):
-            raise ConfigError("stop_on must be 'gradient' or 'objective'")
         if self.nu is not None and not np.inf > self.nu > 0:
             raise ConfigError("nu must be a finite number > 0")
 
@@ -124,9 +123,7 @@ def forward_solve(f, u_in, G, H, cfg):
     u_prev2 = u_in.copy()
     u_prev1 = u_in.copy()
 
-    uin_sq = float(np.vdot(u_in, u_in).real)
-    tol = cfg.delta_tol_rel * (uin_sq if cfg.stop_on == "objective"
-                               else np.sqrt(uin_sq))
+    tol = cfg.delta_tol_rel * float(np.vdot(u_in, u_in).real)
 
     trace = ForwardTrace() if H is None else ForwardTrace([], [], [], [])
     t_prev = 0.0
@@ -146,12 +143,7 @@ def forward_solve(f, u_in, G, H, cfg):
         g = resid - f * GHr           # A^H resid, as apply_AH forms it
         g_norm_sq = float(np.vdot(g, g).real)
 
-        stop = False
-        if tol > 0:
-            if cfg.stop_on == "gradient":
-                stop = np.sqrt(g_norm_sq) < tol
-            else:
-                stop = 0.5 * float(np.vdot(resid, resid).real) < tol
+        stop = tol > 0 and 0.5 * float(np.vdot(resid, resid).real) < tol
 
         if cfg.nu is not None:
             gamma_k = cfg.nu
@@ -185,7 +177,7 @@ def forward_solve(f, u_in, G, H, cfg):
 
     if tol > 0 and not stop:
         warnings.warn(f"forward solve reached K = {cfg.K} without meeting "
-                      f"delta_tol_rel = {cfg.delta_tol_rel:g} on the {cfg.stop_on}",
+                      f"delta_tol_rel = {cfg.delta_tol_rel:g} on the objective",
                       ConvergenceWarning, stacklevel=2)
     trace.u_hat = u_prev1
     if H is not None:

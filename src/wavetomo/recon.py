@@ -13,7 +13,6 @@ product with H and a gradient one more with its adjoint.
 import numbers
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +104,8 @@ class MeasurementSet:
             if ix.shape != v.shape:
                 raise DimensionError(f"transmitter {t}: {ix.size} receivers but "
                                      f"{v.size} measurements")
+            if ix.size == 0:
+                raise ConfigError(f"transmitter {t}: no receivers")
             if not np.all(np.isfinite(v.view(float))):
                 raise ConfigError(f"transmitter {t}: non-finite measurement")
 
@@ -127,6 +128,10 @@ class MeasurementSet:
         if factor == 1:
             return self
         keep = [np.arange(1, ix.size, factor) for ix in self.active_indices]
+        for t, kp in enumerate(keep):
+            if kp.size == 0:
+                raise ConfigError(f"subsampling by {factor} leaves transmitter {t} "
+                                  "no receivers")
         return MeasurementSet(
             transmitters=self.transmitters,
             receivers=self.receivers,
@@ -145,7 +150,8 @@ class ReconConfig:
     tv_iters: int = 10
     tv_delta: float = 1e-4
     box: BoxConstraint = field(default_factory=lambda: BoxConstraint(0.0, np.inf))
-    workers: int = 1
+    # not a field: benchmarks/workloads.py reads it; ROADMAP item 1 deletes it
+    workers = 1
 
     def __post_init__(self):
         for name in ("fista_iters", "tv_iters"):
@@ -158,8 +164,6 @@ class ReconConfig:
         for name in ("tau_rel", "tv_delta"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be a finite number >= 0")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def resolve_tau(self, measurements):
         return self.tau_rel * measurements.y_norm_sq()
@@ -212,39 +216,27 @@ class ScatteringProblem:
             for tx, ix in zip(measurements.transmitters, measurements.active_indices)]
 
 
-def _map_tx(fn, problem, workers):
-    idx = range(problem.measurements.n_tx)
-    if workers <= 1 or problem.measurements.n_tx == 1:
-        return [fn(t) for t in idx]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, idx))
-
-
 def total_gradient(f, problem, cfg):
     """Sum of per-transmitter data-fidelity gradients, and D at f.
 
     D is read from the predictions z_t the gradient's own solves formed, so
     it costs no G-apply and equals the D of ``predict_all`` bit for bit.
     """
-
-    def one(t):
-        y = problem.measurements.y[t]
-        trace = forward_solve(f, problem.u_in[t], problem.G, problem.H[t], cfg.forward)
-        return (gradient_from_trace(f, y, problem.G, problem.H[t], trace),
-                data_fidelity(trace.z, y))
-
-    grads, Ds = zip(*_map_tx(one, problem, cfg.workers))
+    grads, Ds = [], []
+    for u_in, H, y in zip(problem.u_in, problem.H, problem.measurements.y):
+        trace = forward_solve(f, u_in, problem.G, H, cfg.forward)
+        grads.append(gradient_from_trace(f, y, problem.G, H, trace))
+        Ds.append(data_fidelity(trace.z, y))
     return np.sum(grads, axis=0), float(sum(Ds))
 
 
 def predict_all(f, problem, cfg):
     """Predicted scattered field per transmitter at the current f."""
-
-    def one(t):
-        trace = forward_solve(f, problem.u_in[t], problem.G, None, cfg.forward)
-        return predict_scattered(trace.u_hat, f, problem.H[t])
-
-    return _map_tx(one, problem, cfg.workers)
+    z = []
+    for u_in, H in zip(problem.u_in, problem.H):
+        trace = forward_solve(f, u_in, problem.G, None, cfg.forward)
+        z.append(predict_scattered(trace.u_hat, f, H))
+    return z
 
 
 def born_predict(f, u_in, H):
@@ -289,7 +281,7 @@ def _born_rows(f, problem):
     return (problem.U_in * f.ravel()) @ problem._H_ring.matrix.T
 
 
-def _linear_predict(f, problem, cfg):
+def _linear_predict(f, problem):
     """``born_predict`` for every transmitter."""
     return [z[h.indices] for z, h in zip(_born_rows(f, problem), problem.H)]
 
@@ -351,7 +343,7 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
         pred_fn = lambda f: predict_all(f, problem, cfg)
     else:
         grad_fn = lambda f: _linear_gradient(f, problem, data)
-        pred_fn = lambda f: _linear_predict(f, problem, cfg)
+        pred_fn = lambda f: _linear_predict(f, problem)
 
     def eval_D(f):
         return float(sum(data_fidelity(z, yv) for z, yv in zip(pred_fn(f), data)))

@@ -170,6 +170,30 @@ class TestSimulateReconstruct:
         assert (outdir / "f_hat.pgm").exists()
         assert (outdir / "report.json").exists()
 
+    def test_3d_reconstruct_writes_report(self, tmp_path, rng):
+        # it used to finish the solve, write f_hat.csv, then exit 1 on the
+        # 2D-only graymap before writing report.json
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(fileio.serialize_config({
+            "grid": {"shape": [6, 6, 6], "spacing_m": 0.5 / 16, "wavelength_m": 0.5},
+            "recon": {"forward": {"K": 3, "delta_tol_rel": 0}, "fista_iters": 2}}))
+        # 12 receivers on a sphere: the vertices of an icosahedron
+        phi = 0.5 * (1 + np.sqrt(5))
+        corners = [(0.0, a, b * phi) for a in (-1, 1) for b in (-1, 1)]
+        points = np.array([np.roll(c, shift) for c in corners for shift in range(3)])
+        receivers = wt.SensorSet(0.9 * points / np.linalg.norm(points, axis=1)[:, None])
+        y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        meas = tmp_path / "m.dat"
+        fileio.save_measurements(meas, wt.MeasurementSet(
+            [wt.Transmitter("point", position=(0.8, 0.0, 0.0))], receivers,
+            [np.arange(12)], [1e-3 * y]))
+        outdir = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg_path),
+                     "--measurements", str(meas), "--out", str(outdir)]) == 0
+        assert (outdir / "report.json").exists()
+        assert fileio.load_grid_csv(outdir / "f_hat.csv")[0].shape == (6, 6, 6)
+        assert not list(outdir.glob("*.pgm*"))
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)
@@ -317,6 +341,10 @@ MALFORMED_CONFIGS = {
         _set("recon", tv_variant="foo"), "recon.tv_variant: unknown key"),
     "unknown key recon.fista_iter": (
         _set("recon", fista_iter=3), "recon.fista_iter: unknown key"),
+    # it used to exit 0 and write a file with no data rows
+    "subsample that keeps no receiver": (
+        _set("receivers", count=1, subsample=2),
+        "receivers.subsample: factor 2 keeps no receiver of 1"),
     "no transmitters": (
         lambda cfg: cfg.update(transmitters=[]), "transmitters: need at least one"),
     "zero grid refinement": (
@@ -324,6 +352,10 @@ MALFORMED_CONFIGS = {
     "NaN tau_rel": (
         _set("recon", tau_rel=float("nan")), "recon: tau_rel must be a finite number"),
     "removed key recon.tau": (_set("recon", tau=1e-6), "recon.tau: unknown key"),
+    "removed key recon.workers": (_set("recon", workers=2), "recon.workers: unknown key"),
+    "removed key recon.forward.stop_on": (
+        lambda cfg: cfg["recon"]["forward"].update(stop_on="gradient"),
+        "recon.forward.stop_on: unknown key"),
     # non-finite numbers: each used to run the whole simulation, then exit 0
     # with an empty phantom, exit 1 naming no key, or end in a traceback
     "NaN cylinder radius": (

@@ -35,6 +35,14 @@ BAD_LOOP_SETTINGS = [
     ("tv_delta", float("nan")), ("forward.nu", float("inf")),
 ]
 
+# (key path under recon, a value it used to accept): each removed key; the
+# README's "Removed keys" table says why each went and what to do instead
+REMOVED_KEYS = [
+    ("tau", 1e-6), ("forward.delta_tol", 1e-6), ("forward.step_mode", "fixed"),
+    ("step_gamma", 1.0), ("tv_variant", "iso"), ("workers", 2),
+    ("forward.stop_on", "gradient"),
+]
+
 
 def _recon_with(path, value):
     recon = {"forward": {"K": 4}}
@@ -65,20 +73,11 @@ class TestConfig:
         cfg = fileio.recon_config_from_config(_recon_with("box.upper", float("inf")))
         assert cfg.box.b == np.inf
 
-    @pytest.mark.parametrize("path", ["tau", "forward.delta_tol"])
-    def test_removed_absolute_keys_are_unknown(self, path):
-        with pytest.raises(ConfigError, match=rf"^recon\.{path}: unknown key$"):
-            fileio.recon_config_from_config(_recon_with(path, 1e-6))
-
-    def test_removed_step_mode_is_unknown(self):
-        # nu alone picks the step: null is adaptive, a number is that fixed step
-        with pytest.raises(ConfigError, match=r"^recon\.forward\.step_mode: unknown key$"):
-            fileio.recon_config_from_config(_recon_with("forward.step_mode", "fixed"))
-
-    def test_removed_step_gamma_is_unknown(self):
-        # the FISTA step always comes from the backtracking at f = 0
-        with pytest.raises(ConfigError, match=r"^recon\.step_gamma: unknown key$"):
-            fileio.recon_config_from_config(_recon_with("step_gamma", 1.0))
+    @pytest.mark.parametrize("path, value", REMOVED_KEYS,
+                             ids=[path for path, _ in REMOVED_KEYS])
+    def test_removed_keys_are_unknown(self, path, value):
+        with pytest.raises(ConfigError, match=rf"^recon\.{re.escape(path)}: unknown key$"):
+            fileio.recon_config_from_config(_recon_with(path, value))
 
     def test_round_trip(self):
         text = fileio.serialize_config(base_config())
@@ -483,8 +482,8 @@ def _readme():
 
 class TestConfigDocs:
     def test_shipped_configs_resolve_as_before(self):
-        # resolved tau (at ||y||^2 = 30), delta_tol_rel, stop_on and K, as
-        # recorded before tau and delta_tol were removed
+        # resolved tau (at ||y||^2 = 30), delta_tol_rel and K, as recorded
+        # before tau and delta_tol were removed
         workloads = _benchmark_workloads()
         example = json.loads(re.search(r"```json\n(.*?)```", _readme(), re.S).group(1))
         mset = wt.MeasurementSet([wt.Transmitter("point", position=(1.0, 0.0))],
@@ -492,9 +491,20 @@ class TestConfigDocs:
         for cfg in (workloads.FullRecon2D().config(0),
                     workloads.LinearRecon2D().config(0), example):
             rcfg = fileio.recon_config_from_config(cfg)
-            got = (rcfg.resolve_tau(mset), rcfg.forward.delta_tol_rel,
-                   rcfg.forward.stop_on, rcfg.forward.K)
-            assert got == (4.5e-08, 5e-07, "objective", 60)
+            got = (rcfg.resolve_tau(mset), rcfg.forward.delta_tol_rel, rcfg.forward.K)
+            assert got == (4.5e-08, 5e-07, 60)
+
+    def test_benchmark_stubs_hold(self):
+        # benchmarks/workloads.py reads ReconConfig.workers and passes
+        # stop_on="objective"; removing either stub before the benchmark
+        # stops using it fails here rather than in a benchmark run
+        workloads = _benchmark_workloads()
+        for cfg in (workloads.FullRecon2D().config(0),
+                    workloads.LinearRecon2D().config(0)):
+            assert fileio.recon_config_from_config(cfg).workers == 1
+        wt.ForwardConfig(K=1, stop_on="objective")
+        with pytest.raises(ConfigError, match="^stop_on must be 'objective'$"):
+            wt.ForwardConfig(K=1, stop_on="gradient")
 
     def test_readme_table_lists_schema_keys(self):
         sections = {"grid": fileio.GRID_SCHEMA, "receivers": fileio.RECEIVERS_SCHEMA,
@@ -503,7 +513,8 @@ class TestConfigDocs:
                     "generation": fileio.GENERATION_SCHEMA}
         leaves = {f"{name}.{key}" for name, schema in sections.items()
                   for key in schema if f"{name}.{key}" not in sections}
-        rows = set(re.findall(r"^\| `([\w.\[\]]+)` \|", _readme(), re.M))
+        key_table = _readme().split("## Removed keys")[0]
+        rows = set(re.findall(r"^\| `([\w.\[\]]+)` \|", key_table, re.M))
         listed = {row for row in rows if "." in row and row.split(".")[0] in
                   {"grid", "receivers", "recon", "generation"}}
         assert listed == leaves
