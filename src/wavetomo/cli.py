@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate, reconstruct, analytic, gradcheck, metrics, sweep.
-Exit codes: 0 ok, 1 usage/config error (a shape mismatch or a sensor on a pixel
-center included), 2 numerical failure, 3 I/O error.
+Exit codes: 0 ok, 1 usage/config error (a shape mismatch, a sensor on a pixel
+center and running out of memory included), 2 numerical failure, 3 I/O error.
 The WAVETOMO_OUTDIR environment variable supplies the default output
 directory.
 """
@@ -164,6 +164,8 @@ def cmd_gradcheck(args):
         tol = 1e-3 if args.adaptive else 1e-6
     elif not np.inf > tol > 0:
         raise ConfigError("--tol must be positive and finite")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     n = args.grid_size
     grid = centered_grid((n, n), spacing=0.1, wavelength=0.5)
@@ -372,6 +374,9 @@ def main(argv=None):
         return args.fn(args)
     except (ConfigError, DimensionError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

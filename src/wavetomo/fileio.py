@@ -155,7 +155,6 @@ RECON_SCHEMA = {
     "tau_rel": (NUMBER, 1.5e-9),
     "fista_iters": (INT, 50),
     "tv_iters": (INT, 10),
-    "tv_delta": (NUMBER, 1e-4),
     "box": (OBJECT, {}),
 }
 FORWARD_SCHEMA = {
@@ -395,6 +394,7 @@ def phantom_from_config(cfg):
     if p.kind in ("cylinders", "shepp_logan"):
         grid = grid_from_config(cfg)
     if p.kind == "cylinders":
+        _check_positive("phantom.supersample", p.supersample)
         p.cylinders = [_read(c, f"phantom.cylinders[{i}]", CYLINDER_SCHEMA)
                        for i, c in enumerate(p.cylinders)]
         for i, c in enumerate(p.cylinders):
@@ -414,6 +414,7 @@ def phantom_from_config(cfg):
 
 def generation_from_config(cfg):
     gen = _read(_section(cfg, "generation"), "generation", GENERATION_SCHEMA)
+    _check_positive("generation.k_multiplier", gen.k_multiplier)
     if gen.noise_snr_db is not None:
         _check_finite("generation.noise_snr_db", gen.noise_snr_db)
     return gen

@@ -148,7 +148,6 @@ class ReconConfig:
     tau_rel: float = 1.5e-9           # TV weight tau = tau_rel * ||y||^2
     fista_iters: int = 50
     tv_iters: int = 10
-    tv_delta: float = 1e-4
     box: BoxConstraint = field(default_factory=lambda: BoxConstraint(0.0, np.inf))
     # not a field: benchmarks/workloads.py reads it; ROADMAP item 1 deletes it
     workers = 1
@@ -161,9 +160,8 @@ class ReconConfig:
             raise ConfigError("fista_iters must be >= 1")
         if self.tv_iters < 0:
             raise ConfigError("tv_iters must be >= 0")
-        for name in ("tau_rel", "tv_delta"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be a finite number >= 0")
+        if not 0 <= self.tau_rel < np.inf:
+            raise ConfigError("tau_rel must be a finite number >= 0")
 
     def resolve_tau(self, measurements):
         return self.tau_rel * measurements.y_norm_sq()
@@ -372,8 +370,7 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {it}")
         f_new, dual = prox_tv(f_tilde - gamma * grad, gamma * tau, box=cfg.box,
-                              iters=cfg.tv_iters, delta_in=cfg.tv_delta,
-                              dual_init=dual, return_dual=True)
+                              iters=cfg.tv_iters, dual_init=dual)
         q_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * q_prev * q_prev))
         f_tilde = f_new + ((q_prev - 1.0) / q_new) * (f_new - f_prev)
         step_norm = float(np.linalg.norm(f_new - f_prev))

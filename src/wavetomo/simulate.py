@@ -57,7 +57,7 @@ def simulate_measurements(cfg):
     receivers, subsample = receivers_from_config(cfg)
     G = build_domain_operator(fine)
     H = build_sensor_operator(fine, receivers)
-    fwd = ForwardConfig(K=max(1, gen.k_multiplier * recon_cfg.forward.K),
+    fwd = ForwardConfig(K=gen.k_multiplier * recon_cfg.forward.K,
                         delta_tol_rel=recon_cfg.forward.delta_tol_rel)
 
     all_slots = np.arange(len(receivers))

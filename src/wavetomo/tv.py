@@ -81,13 +81,12 @@ def proj_dual(g):
     return g / np.maximum(1.0, norm)[..., None]
 
 
-def prox_tv(z, tau, box=BoxConstraint(), iters=10, delta_in=1e-4, dual_init=None,
-            return_dual=False):
+def prox_tv(z, tau, box=BoxConstraint(), iters=10, dual_init=None):
     """Box-constrained TV proximal operator argmin 0.5||f - z||^2 + tau R(f).
 
-    Runs at most ``iters`` fast-gradient-projection steps on the dual (the
-    usual budget is 10 inside an outer loop) and stops early once the relative
-    dual change drops below ``delta_in``.  ``dual_init`` warm-starts the dual
+    Runs exactly ``iters`` fast-gradient-projection steps on the dual (the
+    usual budget is 10 inside an outer loop) and returns ``(f, dual)``; the
+    dual is zero when ``tau == 0``.  ``dual_init`` warm-starts the dual
     variable (callers keep it between outer iterations; this function is
     stateless); a cold start uses the zero dual field.
     """
@@ -95,8 +94,7 @@ def prox_tv(z, tau, box=BoxConstraint(), iters=10, delta_in=1e-4, dual_init=None
     if tau < 0:
         raise ConfigError("tau must be >= 0")
     if tau == 0.0:
-        f = proj_box(z, box)
-        return (f, np.zeros(z.shape + (z.ndim,))) if return_dual else f
+        return proj_box(z, box), np.zeros(z.shape + (z.ndim,))
 
     gamma = 1.0 / (12.0 * tau)
     if dual_init is None:
@@ -115,8 +113,4 @@ def prox_tv(z, tau, box=BoxConstraint(), iters=10, delta_in=1e-4, dual_init=None
         q_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * q * q))
         g_t = g + ((q - 1.0) / q_new) * (g - g_prev)
         q = q_new
-        denom = float(np.linalg.norm(g_prev))
-        if denom > 0 and float(np.linalg.norm(g - g_prev)) <= delta_in * denom:
-            break
-    f = proj_box(z - tau * grad_adjoint(g), box)
-    return (f, g) if return_dual else f
+    return proj_box(z - tau * grad_adjoint(g), box), g

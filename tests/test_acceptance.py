@@ -145,8 +145,7 @@ def test_criterion_4_tv_prox_oracle():
     worst = 0.0
     nonexpansive = True
     for tau, budget in budgets.items():
-        prox = np.stack([wt.prox_tv(Z[i], tau, wt.BoxConstraint(),
-                                    iters=2000, delta_in=0.0)
+        prox = np.stack([wt.prox_tv(Z[i], tau, wt.BoxConstraint(), iters=2000)[0]
                          for i in range(Z.shape[0])])
         F_fgp = prox_objective_batch(prox, Z, tau)
         F_orc = subgradient_prox_batch(Z.copy(), tau, budget)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wavetomo as wt
-from wavetomo import fileio, recon, simulate
+from wavetomo import cli, fileio, recon, simulate
 from wavetomo.cli import build_parser, main
 
 
@@ -232,6 +232,12 @@ class TestGradcheckCommand:
         assert rc == 1
         assert capsys.readouterr() == ("", "error: --tol must be positive and finite\n")
 
+    def test_negative_seed(self, capsys):
+        # numpy's seed error used to end in a traceback
+        rc = main(["gradcheck", "--grid-size", "4", "--K", "1", "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: --seed must be >= 0\n")
+
 
 class TestSweepCommand:
     def test_contrast_sweep_table(self, tmp_path):
@@ -345,6 +351,9 @@ MALFORMED_CONFIGS = {
     "subsample that keeps no receiver": (
         _set("receivers", count=1, subsample=2),
         "receivers.subsample: factor 2 keeps no receiver of 1"),
+    # it used to run the generation at K = 1 and exit 0
+    "negative k_multiplier": (
+        _set("generation", k_multiplier=-3), "generation.k_multiplier: must be positive"),
     "no transmitters": (
         lambda cfg: cfg.update(transmitters=[]), "transmitters: need at least one"),
     "zero grid refinement": (
@@ -353,6 +362,8 @@ MALFORMED_CONFIGS = {
         _set("recon", tau_rel=float("nan")), "recon: tau_rel must be a finite number"),
     "removed key recon.tau": (_set("recon", tau=1e-6), "recon.tau: unknown key"),
     "removed key recon.workers": (_set("recon", workers=2), "recon.workers: unknown key"),
+    "removed key recon.tv_delta": (
+        _set("recon", tv_delta=1e-4), "recon.tv_delta: unknown key"),
     "removed key recon.forward.stop_on": (
         lambda cfg: cfg["recon"]["forward"].update(stop_on="gradient"),
         "recon.forward.stop_on: unknown key"),
@@ -503,6 +514,19 @@ class TestConfigVectorLength:
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["reconstruct"]) == 1
+
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # an allocation too large for the host, such as analytic --n-samples
+        # 1e11, used to end in numpy's _ArrayMemoryError traceback
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(cli, "analytic_field_2d", fail)
+        rc = main(["analytic", "--radius", "0.0749", "--index", "1.1",
+                   "--source-distance", "1.0", "--wavelength", "0.0749",
+                   "--out", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 745. GiB\n"
 
     def test_missing_file_is_io_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

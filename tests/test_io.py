@@ -31,16 +31,17 @@ def base_config():
 BAD_LOOP_SETTINGS = [
     ("tau_rel", float("nan")), ("tau_rel", float("inf")), ("tau_rel", -1e-9),
     ("forward.delta_tol_rel", float("nan")), ("forward.delta_tol_rel", float("inf")),
-    ("forward.delta_tol_rel", 1e-30), ("tv_iters", -3), ("tv_delta", -1e-4),
-    ("tv_delta", float("nan")), ("forward.nu", float("inf")),
+    ("forward.delta_tol_rel", 1e-30), ("tv_iters", -3), ("forward.nu", float("inf")),
 ]
 
 # (key path under recon, a value it used to accept): each removed key; the
-# README's "Removed keys" table says why each went and what to do instead
+# README's "Removed keys" table says why each went and what to do instead.
+# tv_delta carries the two values its range check rejected: the key is
+# refused before any value is looked at.
 REMOVED_KEYS = [
     ("tau", 1e-6), ("forward.delta_tol", 1e-6), ("forward.step_mode", "fixed"),
     ("step_gamma", 1.0), ("tv_variant", "iso"), ("workers", 2),
-    ("forward.stop_on", "gradient"),
+    ("forward.stop_on", "gradient"), ("tv_delta", -1e-4), ("tv_delta", float("nan")),
 ]
 
 
@@ -74,7 +75,8 @@ class TestConfig:
         assert cfg.box.b == np.inf
 
     @pytest.mark.parametrize("path, value", REMOVED_KEYS,
-                             ids=[path for path, _ in REMOVED_KEYS])
+                             ids=[f"{p}={v}" if p == "tv_delta" else p
+                                  for p, v in REMOVED_KEYS])
     def test_removed_keys_are_unknown(self, path, value):
         with pytest.raises(ConfigError, match=rf"^recon\.{re.escape(path)}: unknown key$"):
             fileio.recon_config_from_config(_recon_with(path, value))
@@ -90,6 +92,18 @@ class TestConfig:
         cfg = base_config()
         cfg["grid"]["shape"] = [0, 12]
         with pytest.raises(ConfigError):
+            fileio.parse_config(json.dumps(cfg))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("generation", "k_multiplier", 0), ("generation", "k_multiplier", -3),
+        ("phantom", "supersample", 0), ("phantom", "supersample", -2),
+    ], ids=["k_multiplier=0", "k_multiplier=-3", "supersample=0", "supersample=-2"])
+    def test_count_below_one_names_its_key(self, section, key, value):
+        # k_multiplier used to run the generation at K = 1, and supersample
+        # failed only when the phantom was rendered, naming no key
+        cfg = base_config()
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be positive and finite$"):
             fileio.parse_config(json.dumps(cfg))
 
     def test_bad_subsample_rejected(self):
