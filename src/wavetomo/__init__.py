@@ -2,19 +2,21 @@
 
 Forward model: the total field under multiple scattering is computed as a
 convergent accelerated-gradient expansion of the Lippmann-Schwinger equation.
-Inverse problem: TV-regularized FISTA driven by the exact reverse-mode
-gradient of the data fit through that expansion, with first-Born and Rytov
+Inverse problem: TV-regularized FISTA driven by the adjoint-state gradient
+of the data fit on BiCGStab field solves (the exact reverse-mode gradient
+through the expansion stays as the checked reference), with first-Born and Rytov
 linearizations available as baselines, and closed-form cylinder/sphere
 solutions for validation.
 """
 
-from .adjoint import data_fidelity, gradient_data_fidelity, gradient_from_trace
+from .adjoint import (adjoint_state_gradient, data_fidelity,
+                      gradient_data_fidelity, gradient_from_trace)
 from .analytic import (AnalyticScene, analytic_field_2d, analytic_field_3d,
                        helmholtz_residual, radial_coeffs_2d, radial_coeffs_3d)
 from .errors import (ConfigError, ConvergenceWarning, DimensionError,
                      MeasurementParseError, NumericalError, ResonanceError,
                      SingularityError, StepDegeneracyError, TransformError)
-from .forward import (ForwardConfig, ForwardTrace, estimate_fixed_step,
+from .forward import (ForwardConfig, ForwardTrace, bicgstab, estimate_fixed_step,
                       forward_solve, predict_scattered)
 from .greens import (DomainGreensOperator, MaskedSensorOperator,
                      SensorGreensOperator, apply_A, apply_AH,

@@ -1,9 +1,26 @@
-"""Reverse-mode gradient of the data-fidelity term through the forward solve.
+"""Gradients of the data-fidelity term D(f) = 0.5 ||H(f u) - y||^2.
 
-The forward field is a composition of K accelerated-gradient iterations, so
-the gradient of D(f) = 0.5 ||y - z(f)||^2 with respect to f is obtained by
-backpropagating the sensor residual through the recorded iterates.  Two
-multiplier fields are carried backwards per iteration:
+Two gradients live here.  The FISTA loop takes the adjoint-state gradient
+(Soubies, Pham and Unser, 2017), which does not depend on how the field was
+solved.  With A = I - G diag(f) and f real:
+
+  u solves A u = u_in,   r = H(f u) - y,
+  w solves A^H w = f H^H r,
+  grad D = Re(conj(u) (H^H r + G^H w)).
+
+``adjoint_state_gradient`` solves both systems with BiCGStab to the residual
+the series' objective stop implies, sqrt(2 delta_tol_rel) of the right-hand
+side, and keeps no trace.  It costs the two solves' applies plus one for
+G^H w; at f = 0 the u solve stops after its initial residual and the w solve
+is skipped, so the gradient costs one apply.  Its D, and so the loop's data
+fit before the last iteration, comes from the BiCGStab field, not the series.
+
+The paper's gradient, ``gradient_from_trace``, stays as the reference the
+acceptance gate and ``wavetomo gradcheck`` check.  It differentiates the
+series itself: the forward field is a composition of K accelerated-gradient
+iterations, so the gradient is obtained by backpropagating the sensor
+residual through the recorded iterates.  Two multiplier fields are carried
+backwards per iteration:
 
   q^k -- the vector multiplying the (never-materialized) Jacobian of u^k,
   r^k -- the accumulated f-dependence already peeled off.
@@ -40,8 +57,8 @@ O(2 K N) complex values; an H-free solve keeps only its final field u_hat.
 import numpy as np
 
 from .errors import DimensionError
-from .forward import forward_solve
-from .greens import apply_A
+from .forward import bicgstab, forward_solve
+from .greens import apply_A, apply_AH
 
 
 def data_fidelity(z, y):
@@ -96,3 +113,24 @@ def gradient_data_fidelity(f, y, u_in, G, H, cfg):
     """Gradient of 0.5||y - z(f)||^2; runs the forward solve internally."""
     trace = forward_solve(f, u_in, G, H, cfg)
     return gradient_from_trace(f, y, G, H, trace)
+
+
+def adjoint_state_gradient(f, y, u_in, G, H, cfg):
+    """Adjoint-state gradient of 0.5||y - z(f)||^2 on BiCGStab fields, and D.
+
+    Both solves stop at sqrt(2 cfg.delta_tol_rel) of their right-hand side
+    and run at most cfg.K iterations; u starts at u_in, w at 0.
+    """
+    grid = G.grid
+    f = grid.check_field(f, "potential")
+    u_in = grid.check_field(u_in, "u_in").astype(complex)
+    tol = np.sqrt(2.0 * cfg.delta_tol_rel)
+    u, _ = bicgstab(lambda v: apply_A(f, v, G), u_in, u_in, tol, cfg.K)
+    z = H.apply(f * u)
+    D = data_fidelity(z, y)
+    back = H.apply_adjoint(z - y)
+    b = f * back
+    if np.any(b):
+        w, _ = bicgstab(lambda v: apply_AH(f, v, G), b, np.zeros_like(b), tol, cfg.K)
+        back = back + G.apply_adjoint(w)
+    return np.real(np.conj(u) * back), D

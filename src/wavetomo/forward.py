@@ -4,7 +4,9 @@ The total field for a potential f is computed by minimizing
 S(u) = 0.5 ||A u - u_in||^2 with A = I - G diag(f), using accelerated
 gradient descent.  The iterates form a series expansion of the field; a
 solve given the sensor operator H records them, because the reverse-mode
-gradient of the data fit differentiates through every iteration.
+gradient of the data fit differentiates through every iteration.  The
+series is the forward model of every prediction.  ``bicgstab`` solves
+A u = u_in and A^H w = b for the adjoint-state gradient the FISTA loop takes.
 """
 
 import numbers
@@ -13,7 +15,8 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceWarning, StepDegeneracyError
+from .errors import (ConfigError, ConvergenceWarning, NumericalError,
+                     StepDegeneracyError)
 from .greens import apply_A, apply_AH
 
 # the adaptive solve's carried residual bottoms out near 1e-13 ||u_in||: an
@@ -26,12 +29,15 @@ MIN_OBJECTIVE_TOL_REL = 1e-26
 class ForwardConfig:
     """Knobs of the forward field solve.
 
-    K : maximum number of iterations (>= 1).
+    K : maximum number of iterations (>= 1), of the series and of the
+        adjoint-state gradient's BiCGStab solves alike.
     delta_tol_rel : early-stop threshold on the objective, scaled per solve
         by ||u_in||^2 and compared against S(s^k).  0 disables early
         stopping; it must otherwise be at least MIN_OBJECTIVE_TOL_REL.
+        BiCGStab stops at the residual it implies, sqrt(2 delta_tol_rel).
     nu : None for the exact line-search step ||g||^2/||Ag||^2, or a constant
-        step (required for exact adjoint gradients; see estimate_fixed_step).
+        step (required for exact reverse-mode gradients through the series;
+        see estimate_fixed_step).  BiCGStab does not read it.
     """
 
     K: int
@@ -184,6 +190,59 @@ def forward_solve(f, u_in, G, H, cfg):
         trace.z = predict_scattered(trace.u_hat, f, H)
     trace.validate()
     return trace
+
+
+def bicgstab(op, b, x0, tol, maxiter):
+    """Unpreconditioned BiCGStab (van der Vorst, 1992) for op(x) = b.
+
+    Stops once ||b - op(x)|| <= tol ||b|| or after ``maxiter`` iterations of
+    two applies each; a nonzero x0 costs one more apply for the initial
+    residual.  ``tol`` 0 runs all ``maxiter`` iterations silently, as
+    ``forward_solve`` does with ``delta_tol_rel`` 0; an exactly zero
+    residual returns at once whatever the tolerance.  A solve with ``tol``
+    > 0 that reaches ``maxiter`` warns with ConvergenceWarning.  A
+    breakdown, <r0, r>, <r0, A p> or the stabilizing step omega vanishing
+    while r is nonzero, raises NumericalError.  Returns (x, the number of
+    op applies).
+    """
+    x = x0.copy()
+    applies = int(np.any(x0))
+    r = b - op(x0) if applies else b.copy()
+    bound = tol * np.linalg.norm(b)
+    if np.linalg.norm(r) <= bound:
+        return x, applies
+    r0 = r.copy()
+    rho_prev = alpha = omega = 1.0
+    p = v = np.zeros_like(b)
+    for _ in range(maxiter):
+        rho = np.vdot(r0, r)
+        if rho == 0:
+            raise NumericalError("BiCGStab breakdown: <r0, r> vanished")
+        p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
+        v = op(p)
+        applies += 1
+        r0v = np.vdot(r0, v)
+        if r0v == 0:
+            raise NumericalError("BiCGStab breakdown: <r0, A p> vanished")
+        alpha = rho / r0v
+        x += alpha * p
+        r = r - alpha * v
+        if np.linalg.norm(r) <= bound:
+            return x, applies
+        t = op(r)
+        applies += 1
+        omega = np.vdot(t, r) / np.vdot(t, t)
+        if omega == 0:
+            raise NumericalError("BiCGStab breakdown: the stabilizing step vanished")
+        x += omega * r
+        r = r - omega * t
+        if np.linalg.norm(r) <= bound:
+            return x, applies
+        rho_prev = rho
+    if tol > 0:
+        warnings.warn(f"BiCGStab reached {maxiter} iterations without meeting "
+                      f"the relative residual {tol:g}", ConvergenceWarning, stacklevel=2)
+    return x, applies
 
 
 def estimate_fixed_step(f, G, iters=20, tol=1e-3, seed=0):

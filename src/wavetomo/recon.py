@@ -2,8 +2,9 @@
 
 Minimizes D(f) + tau R(f) where D sums 0.5||y_t - z_t(f)||^2 over the
 transmitters and R is isotropic TV with a box constraint.  The gradient of D
-comes from the reverse-mode pass through the nonlinear forward model;
-switching ``model`` to "born" or "rytov" replaces the forward operator
+is the adjoint-state gradient on BiCGStab field solves; every prediction,
+the step search's included, runs the paper's series (``forward_solve``).
+Switching ``model`` to "born" or "rytov" replaces the forward operator
 by the linearized one (Rytov additionally replaces y by the complex-log
 transformed data) so the baselines run under the identical FISTA/TV machinery.
 The linear model treats all transmitters at once: a prediction is one matrix
@@ -17,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import data_fidelity, gradient_from_trace
+from .adjoint import adjoint_state_gradient, data_fidelity
+# not called: benchmarks/layers.py wraps it; ROADMAP item 1 drops the site
+from .adjoint import gradient_from_trace  # noqa: F401
 from .errors import ConfigError, DimensionError, NumericalError, TransformError
 from .forward import ForwardConfig, forward_solve, predict_scattered
 from .greens import (MaskedSensorOperator, build_domain_operator,
@@ -173,9 +176,10 @@ class ReconReport:
 
     ``data_fit_history`` holds one normalized data fit ||z - y||^2/||y||^2
     per iteration.  Entries 1..n-1 are at the extrapolated point f~_k where
-    that iteration took its gradient, and come free with it; the last entry
-    is at ``f_hat``.  ``step_gamma`` is the FISTA step the backtracking at
-    f = 0 found and every iteration used.
+    that iteration took its gradient, and come free with it: z is formed
+    from the gradient's BiCGStab fields.  The last entry is at ``f_hat``,
+    from one prediction on the series.  ``step_gamma`` is the FISTA step
+    the backtracking at f = 0 found and every iteration used.
     """
 
     f_hat: np.ndarray
@@ -215,16 +219,18 @@ class ScatteringProblem:
 
 
 def total_gradient(f, problem, cfg):
-    """Sum of per-transmitter data-fidelity gradients, and D at f.
+    """Sum of per-transmitter adjoint-state gradients, and D at f.
 
-    D is read from the predictions z_t the gradient's own solves formed, so
-    it costs no G-apply and equals the D of ``predict_all`` bit for bit.
+    Each transmitter solves A u = u_in and A^H w = f H^H r by BiCGStab (see
+    ``adjoint_state_gradient``), not the series.  D is read from the
+    predictions those fields give, so it costs no G-apply; it agrees with
+    the D of ``predict_all`` to the solves' tolerance, not bit for bit.
     """
     grads, Ds = [], []
     for u_in, H, y in zip(problem.u_in, problem.H, problem.measurements.y):
-        trace = forward_solve(f, u_in, problem.G, H, cfg.forward)
-        grads.append(gradient_from_trace(f, y, problem.G, H, trace))
-        Ds.append(data_fidelity(trace.z, y))
+        grad, D = adjoint_state_gradient(f, y, u_in, problem.G, H, cfg.forward)
+        grads.append(grad)
+        Ds.append(D)
     return np.sum(grads, axis=0), float(sum(Ds))
 
 

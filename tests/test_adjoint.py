@@ -146,6 +146,57 @@ class TestGradient:
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-6
 
 
+class TestAdjointStateGradient:
+    """The loop's gradient: A u = u_in and A^H w = f H^H r by BiCGStab."""
+
+    def test_fd_match_with_tight_solves(self, small_setup, rng):
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        y = random_field(rng, (len(H.sensors),))
+        cfg = wt.ForwardConfig(K=200, delta_tol_rel=1e-26)
+        grad, _ = wt.adjoint_state_gradient(f, y, u_in, G, H, cfg)
+
+        def D_of(fv):
+            return wt.adjoint_state_gradient(fv, y, u_in, G, H, cfg)[1]
+
+        # central differences of D on solved fields: 1.6e-7 measured, the
+        # differences' own truncation error
+        fd = fd_gradient(D_of, f, 1e-5 * np.max(np.abs(f)))
+        assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-6
+
+    def test_agrees_with_unrolled_as_tolerances_shrink(self, small_setup, rng):
+        # both gradients tend to the gradient of D on the exact field
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        y = random_field(rng, (len(H.sensors),))
+        gaps = []
+        for tol in (1e-6, 1e-14, 1e-26):
+            cfg = wt.ForwardConfig(K=2000, delta_tol_rel=tol)
+            adjoint_state, _ = wt.adjoint_state_gradient(f, y, u_in, G, H, cfg)
+            unrolled = wt.gradient_data_fidelity(f, y, u_in, G, H, cfg)
+            gaps.append(np.linalg.norm(adjoint_state - unrolled) / np.linalg.norm(unrolled))
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] <= 1e-11
+
+    def test_f_zero_closed_form(self, small_setup, rng):
+        grid, G, H, u_in = small_setup
+        y = random_field(rng, (len(H.sensors),))
+        grad, D = wt.adjoint_state_gradient(np.zeros(grid.shape), y, u_in, G, H,
+                                            wt.ForwardConfig(K=4))
+        # u = u_in and r = -y, and f H^H r = 0 skips the w solve
+        assert np.array_equal(grad, np.real(np.conj(u_in) * H.apply_adjoint(-y)))
+        assert D == wt.data_fidelity(np.zeros_like(y), y)
+
+    def test_zero_residual_gives_zero(self, small_setup, rng):
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        cfg = wt.ForwardConfig(K=6)
+        u, _ = wt.bicgstab(lambda v: wt.apply_A(f, v, G), u_in.astype(complex),
+                           u_in.astype(complex), 0.0, cfg.K)
+        grad, D = wt.adjoint_state_gradient(f, H.apply(f * u), u_in, G, H, cfg)
+        assert np.all(grad == 0) and D == 0.0
+
+
 FUSED_CASES = {
     "adaptive": dict(K=12),
     "fixed": dict(K=12, nu=wt.estimate_fixed_step),

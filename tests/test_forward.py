@@ -7,7 +7,7 @@ import pytest
 import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import fd_gradient, objective_gradient, scattering_objective
-from wavetomo.errors import ConfigError, ConvergenceWarning
+from wavetomo.errors import ConfigError, ConvergenceWarning, NumericalError
 
 
 class TestObjective:
@@ -231,6 +231,89 @@ class TestForwardSolve:
         assert wt.ForwardConfig(K=5, delta_tol_rel=1e-26).delta_tol_rel == 1e-26
         with pytest.raises(ConfigError, match="^delta_tol_rel must be 0 or >= 1e-26 "):
             wt.ForwardConfig(K=5, delta_tol_rel=1e-27)
+
+
+class TestBicgstab:
+    """The Krylov solve of the adjoint-state gradient, on small matrices."""
+
+    @staticmethod
+    def counted(M):
+        calls = []
+
+        def op(x):
+            calls.append(1)
+            return M @ x
+        return op, calls
+
+    @staticmethod
+    def system(rng, n=12):
+        M = np.eye(n) + 0.3 * (random_field(rng, (n, n))) / np.sqrt(n)
+        return M, random_field(rng, (n,))
+
+    def test_meets_residual_bound(self, rng):
+        M, b = self.system(rng)
+        op, calls = self.counted(M)
+        x, applies = wt.bicgstab(op, b, np.zeros_like(b), 1e-10, 50)
+        assert np.linalg.norm(b - M @ x) <= 1e-10 * np.linalg.norm(b)
+        assert applies == len(calls) < 2 * 50
+
+    def test_nonzero_start_costs_one_apply(self, rng):
+        M, b = self.system(rng)
+        op, calls = self.counted(M)
+        x0 = np.linalg.solve(M, b)
+        # the initial residual is round-off, so a loose bound stops at once
+        x, applies = wt.bicgstab(op, b, x0, 1e-8, 50)
+        assert applies == len(calls) == 1
+        assert np.array_equal(x, x0)
+
+    def test_scaled_identity_one_apply(self, rng):
+        # one half step solves 2 x = b exactly: an extra apply fails here
+        b = random_field(rng, (5,))
+        op, calls = self.counted(2.0 * np.eye(5))
+        x, applies = wt.bicgstab(op, b, np.zeros_like(b), 1e-3, 10)
+        assert applies == len(calls) == 1
+        assert np.array_equal(x, 0.5 * b)
+
+    @pytest.mark.parametrize("M, vanished", [
+        # <r0, A r0> = 0 for a rotation, so the first step is undefined
+        ([[0.0, 1.0], [-1.0, 0.0]], "<r0, A p>"),
+        # with b = e1 one exact iteration leaves r = (0, -1/2, 1/2), nonzero
+        # and orthogonal to r0
+        ([[1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, -1.0, 1.0]], "<r0, r>"),
+    ], ids=["r0 orthogonal to A p", "r0 orthogonal to r"])
+    def test_breakdown_raises(self, M, vanished):
+        M = np.array(M)
+        op, _ = self.counted(M)
+        b = np.eye(len(M), dtype=complex)[0]
+        with pytest.raises(NumericalError, match=f"^BiCGStab breakdown: {vanished} vanished$"):
+            wt.bicgstab(op, b, np.zeros_like(b), 1e-3, 10)
+
+    def test_cap_with_tolerance_warns(self, rng):
+        M, b = self.system(rng)
+        op, calls = self.counted(M)
+        with pytest.warns(ConvergenceWarning, match="BiCGStab reached 2 iterations"):
+            wt.bicgstab(op, b, np.zeros_like(b), 1e-12, 2)
+        assert len(calls) == 4
+
+    def test_zero_tolerance_runs_the_cap_silently(self, rng):
+        # like forward_solve with delta_tol_rel = 0: no early stop, no warning
+        M, b = self.system(rng)
+        op, calls = self.counted(M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, applies = wt.bicgstab(op, b, np.zeros_like(b), 0.0, 3)
+        assert applies == len(calls) == 6
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    def test_zero_residual_returns(self, tol):
+        op, calls = self.counted(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        b = np.zeros(2, dtype=complex)
+        x, applies = wt.bicgstab(op, b, np.zeros_like(b), tol, 10)
+        assert applies == len(calls) == 0 and not np.any(x)
+        # a start that solves the system exactly costs its residual only
+        x0 = np.array([0.0, -1.0], dtype=complex)
+        x, applies = wt.bicgstab(op, op(x0), x0, tol, 10)
+        assert applies == 1 and np.array_equal(x, x0)
 
 
 class TestEstimateStep:

@@ -482,9 +482,9 @@ class TestImagesAndTables:
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _benchmark_workloads():
+def _benchmark_module(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "benchmarks" / "workloads.py")
+        f"bench_{name}", ROOT / "benchmarks" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -498,7 +498,7 @@ class TestConfigDocs:
     def test_shipped_configs_resolve_as_before(self):
         # resolved tau (at ||y||^2 = 30), delta_tol_rel and K, as recorded
         # before tau and delta_tol were removed
-        workloads = _benchmark_workloads()
+        workloads = _benchmark_module("workloads")
         example = json.loads(re.search(r"```json\n(.*?)```", _readme(), re.S).group(1))
         mset = wt.MeasurementSet([wt.Transmitter("point", position=(1.0, 0.0))],
                                  wt.ring_sensors(2, 1.0), [[0, 1]], [[3 + 4j, 1 - 2j]])
@@ -508,17 +508,25 @@ class TestConfigDocs:
             got = (rcfg.resolve_tau(mset), rcfg.forward.delta_tol_rel, rcfg.forward.K)
             assert got == (4.5e-08, 5e-07, 60)
 
-    def test_benchmark_stubs_hold(self):
+    def test_benchmark_stubs_hold(self, monkeypatch):
         # benchmarks/workloads.py reads ReconConfig.workers and passes
-        # stop_on="objective"; removing either stub before the benchmark
-        # stops using it fails here rather than in a benchmark run
-        workloads = _benchmark_workloads()
+        # stop_on="objective", and the traced run wraps each name in
+        # benchmarks/layers.py's SITES (recon's gradient_from_trace is only
+        # imported for it); removing any of them before the benchmark stops
+        # using it fails here rather than in a benchmark run
+        workloads = _benchmark_module("workloads")
         for cfg in (workloads.FullRecon2D().config(0),
                     workloads.LinearRecon2D().config(0)):
             assert fileio.recon_config_from_config(cfg).workers == 1
         wt.ForwardConfig(K=1, stop_on="objective")
         with pytest.raises(ConfigError, match="^stop_on must be 'objective'$"):
             wt.ForwardConfig(K=1, stop_on="gradient")
+        monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+        layers = _benchmark_module("layers")
+        missing = [f"{module}.{cls + '.' if cls else ''}{attr}"
+                   for module, cls, attr, _, _ in layers.SITES
+                   if attr not in vars(layers.site_owner(module, cls))]
+        assert missing == []
 
     def test_readme_table_lists_schema_keys(self):
         sections = {"grid": fileio.GRID_SCHEMA, "receivers": fileio.RECEIVERS_SCHEMA,

@@ -4,7 +4,7 @@ import pytest
 import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import fd_gradient
-from wavetomo import recon
+from wavetomo import adjoint, recon
 from wavetomo.errors import ConfigError, TransformError
 from wavetomo.greens import (DomainGreensOperator, MaskedSensorOperator,
                              build_sensor_operator)
@@ -108,10 +108,11 @@ class TestTotalGradient:
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=5), tau_rel=0.0)
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
-        got, _ = wt.total_gradient(f, problem, cfg)
-        expect = wt.gradient_data_fidelity(f, mset.y[0], problem.u_in[0],
-                                           problem.G, problem.H[0], cfg.forward)
+        got, D = wt.total_gradient(f, problem, cfg)
+        expect, D_expect = wt.adjoint_state_gradient(
+            f, mset.y[0], problem.u_in[0], problem.G, problem.H[0], cfg.forward)
         assert np.array_equal(got, expect)
+        assert D == D_expect
 
     def test_duplicate_tx_doubles(self, rng):
         grid, mset1 = tiny_problem(rng, n_tx=1)
@@ -127,35 +128,51 @@ class TestTotalGradient:
         assert np.allclose(g2, 2.0 * g1)
 
     def test_G_apply_budget(self, rng, monkeypatch):
-        # per transmitter, a gradient costs 4 K_eff + 1 G-applies (2 K_eff + 1
-        # in the adaptive forward solve, 2 K_eff backward) and a monitoring
-        # solve 2 K_eff + 1; an extra apply per iteration fails here
+        # per transmitter, a gradient costs the applies its u and w BiCGStab
+        # solves report plus one for G^H w, and a monitoring solve costs
+        # 2 K_eff + 1; at f = 0 the u solve stops after its initial residual
+        # and the w solve and G^H w are skipped, so a gradient costs one
+        # apply.  An extra apply per solve fails here
         grid, mset = tiny_problem(rng, n=16)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=60, delta_tol_rel=5e-7),
                              tau_rel=0.0)
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
-        calls, K_eff = [], {True: [], False: []}
-        apply, solve = DomainGreensOperator.apply, recon.forward_solve
+        calls, solves, K_eff = [], [], []
+        apply, solve, krylov = (DomainGreensOperator.apply, recon.forward_solve,
+                                adjoint.bicgstab)
 
         def counted(self, v):
             calls.append(1)
             return apply(self, v)
 
-        def recorded(f, u_in, G, H, cfg):
+        def recorded_solve(f, u_in, G, H, cfg):
             trace = solve(f, u_in, G, H, cfg)
-            K_eff[H is not None].append(trace.K_effective)
+            K_eff.append(trace.K_effective)
             return trace
 
+        def recorded_krylov(op, b, x0, tol, maxiter):
+            before = len(calls)
+            x, applies = krylov(op, b, x0, tol, maxiter)
+            assert len(calls) - before == applies
+            solves.append(applies)
+            return x, applies
+
         monkeypatch.setattr(DomainGreensOperator, "apply", counted)
-        monkeypatch.setattr(recon, "forward_solve", recorded)
+        monkeypatch.setattr(recon, "forward_solve", recorded_solve)
+        monkeypatch.setattr(adjoint, "bicgstab", recorded_krylov)
         wt.total_gradient(f, problem, cfg)
         gradient_calls = len(calls)
         wt.predict_all(f, problem, cfg)
-        assert len(K_eff[True]) == len(K_eff[False]) == 2
-        assert min(K_eff[True]) > 1
-        assert gradient_calls == sum(4 * K + 1 for K in K_eff[True])
-        assert len(calls) - gradient_calls == sum(2 * K + 1 for K in K_eff[False])
+        # u and w for each of the two transmitters; the series runs only to
+        # predict
+        assert len(solves) == 4 and len(K_eff) == 2
+        assert min(solves) > 1
+        assert gradient_calls == sum(solves) + 2
+        assert len(calls) - gradient_calls == sum(2 * K + 1 for K in K_eff)
+        del calls[:], solves[:]
+        wt.total_gradient(np.zeros(grid.shape), problem, cfg)
+        assert solves == [1, 1] and len(calls) == 2
 
     def test_predict_all_equals_differentiable_solve(self, rng):
         # predict_all solves without H and applies H afterwards: same z
@@ -169,17 +186,27 @@ class TestTotalGradient:
         got = wt.predict_all(f, problem, cfg)
         assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
-    def test_returned_D_matches_prediction(self, rng):
-        # the D read from the gradient's own solves is the D of a cold
-        # H-free prediction, bit for bit
+    @staticmethod
+    def D_gap(rng, delta_tol_rel):
         grid, mset = tiny_problem(rng, n_tx=3)
-        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=20, delta_tol_rel=1e-3),
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=200, delta_tol_rel=delta_tol_rel),
                              tau_rel=0.0)
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
         _, D = wt.total_gradient(f, problem, cfg)
         z = wt.predict_all(f, problem, cfg)
-        assert D == sum(wt.data_fidelity(zt, yt) for zt, yt in zip(z, mset.y))
+        D_pred = sum(wt.data_fidelity(zt, yt) for zt, yt in zip(z, mset.y))
+        return abs(D - D_pred) / D_pred
+
+    def test_returned_D_matches_prediction(self, rng):
+        # the D read from the gradient's BiCGStab fields and the D of a
+        # series prediction solve the same system to the same residual
+        # bound, so they agree to that bound, not bit for bit (over five
+        # draws at 1e-3 they differed by at most 1.1e-5)
+        assert self.D_gap(rng, 1e-3) <= 1e-4
+
+    def test_returned_D_converges_to_prediction(self, rng):
+        assert self.D_gap(rng, 1e-20) <= 1e-9
 
 
 class TestLinearModel:
