@@ -202,8 +202,8 @@ def bicgstab(op, b, x0, tol, maxiter):
     residual returns at once whatever the tolerance.  A solve with ``tol``
     > 0 that reaches ``maxiter`` warns with ConvergenceWarning.  A
     breakdown, <r0, r>, <r0, A p> or the stabilizing step omega vanishing
-    while r is nonzero, raises NumericalError.  Returns (x, the number of
-    op applies).
+    while r is nonzero, or omega undefined because A r vanished, raises
+    NumericalError.  Returns (x, the number of op applies).
     """
     x = x0.copy()
     applies = int(np.any(x0))
@@ -231,7 +231,10 @@ def bicgstab(op, b, x0, tol, maxiter):
             return x, applies
         t = op(r)
         applies += 1
-        omega = np.vdot(t, r) / np.vdot(t, t)
+        tt = np.vdot(t, t)
+        if tt == 0:
+            raise NumericalError("BiCGStab breakdown: the stabilizing step is undefined")
+        omega = np.vdot(t, r) / tt
         if omega == 0:
             raise NumericalError("BiCGStab breakdown: the stabilizing step vanished")
         x += omega * r

@@ -6,9 +6,11 @@ on a grid of doubled extent per axis, so one apply costs a forward and an
 inverse FFT of the padded grid instead of a dense N x N product (which would
 not fit in memory for production grid sizes).  The transforms run one axis at
 a time, skip the lines that are all zero and crop each axis as soon as it is
-inverse-transformed, so no padded buffer is zero-filled; the result matches
-the padded fftn/ifftn bit for bit.  The domain-to-sensor operator H is a small
-dense M x N matrix.
+inverse-transformed, so no padded buffer is zero-filled.  The forward passes
+run first axis first, so the largest one runs on the contiguous last axis;
+the result matches the padded fftn over the reversed axes bit for bit, and
+the default-order fftn to round-off.  The domain-to-sensor operator H is a
+small dense M x N matrix.
 
 Discretization convention (used consistently package-wide): off-center kernel
 entries are midpoint samples of g times the pixel area/volume; the zero-offset
@@ -75,8 +77,9 @@ class DomainGreensOperator:
     O(N log N) per apply.  The transforms run axis by axis, skipping lines
     that are all zero and cropping as they go: a 2D apply runs 6 and a 3D
     apply 14 of the 8 and 24 half-grid line transforms the full padded
-    fftn/ifftn pair would, with bit-identical output.  Immutable after
-    construction and safe to share across threads.
+    fftn/ifftn pair would.  The output is bit-identical to
+    ifftn(fftn(pad(v), axes=reversed(range(ndim))) * K_hat), cropped.
+    Immutable after construction and safe to share across threads.
     """
 
     def __init__(self, grid):
@@ -98,13 +101,16 @@ class DomainGreensOperator:
         self._kernel_hat = np.fft.fftn(kernel)
 
     def apply(self, v):
-        # last axis first, as fftn/ifftn run them: every line kept then sees
-        # fftn's inputs in fftn's order, so the bits match the padded fftn.
-        # fft(n=2n) pads only the lines earlier passes made nonzero; each
-        # inverse pass crops its axis so the next one runs on fewer lines.
+        # forward passes first axis first: each pass doubles the lines the
+        # next one transforms, so the largest pass runs on the last axis,
+        # whose lines are contiguous (pocketfft gathers strided lines one at
+        # a time).  fft(n=2n) pads only the lines earlier passes made
+        # nonzero.  The inverse passes run last axis first, each cropping its
+        # axis so the next one runs on fewer lines.  The bits match fftn over
+        # the reversed axes, followed by the padded ifftn.
         shape = self.grid.shape
         spec = self.grid.check_field(v)
-        for ax in reversed(range(len(shape))):
+        for ax in range(len(shape)):
             spec = np.fft.fft(spec, n=2 * shape[ax], axis=ax)
         spec *= self._kernel_hat
         for ax in reversed(range(len(shape))):

@@ -58,12 +58,19 @@ def dense_A_matrix(grid, f):
     return np.eye(grid.size, dtype=complex) - dense_domain_matrix(grid) @ np.diag(f.ravel())
 
 
-def padded_fft_apply(G, v):
-    """G v by fftn/ifftn over a zero-filled buffer of doubled extent per axis."""
+def padded_fft_apply(G, v, axes_order=None):
+    """G v by fftn/ifftn over a zero-filled buffer of doubled extent per axis.
+
+    The forward fftn runs over ``axes_order``: by default the reversed axes,
+    so it transforms axis 0 first, as ``G.apply`` does; ``range(ndim)`` gives
+    numpy's default order, which transforms the last axis first.
+    """
     shape = G.grid.shape
+    if axes_order is None:
+        axes_order = tuple(reversed(range(len(shape))))
     buf = np.zeros(tuple(2 * n for n in shape), dtype=complex)
     buf[tuple(slice(0, n) for n in shape)] = v
-    out = np.fft.ifftn(np.fft.fftn(buf) * G._kernel_hat)
+    out = np.fft.ifftn(np.fft.fftn(buf, axes=axes_order) * G._kernel_hat)
     return out[tuple(slice(0, n) for n in shape)]
 
 

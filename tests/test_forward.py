@@ -274,19 +274,23 @@ class TestBicgstab:
         assert applies == len(calls) == 1
         assert np.array_equal(x, 0.5 * b)
 
-    @pytest.mark.parametrize("M, vanished", [
+    @pytest.mark.parametrize("M, b, cause", [
         # <r0, A r0> = 0 for a rotation, so the first step is undefined
-        ([[0.0, 1.0], [-1.0, 0.0]], "<r0, A p>"),
+        ([[0.0, 1.0], [-1.0, 0.0]], [1, 0], "<r0, A p> vanished"),
         # with b = e1 one exact iteration leaves r = (0, -1/2, 1/2), nonzero
         # and orthogonal to r0
-        ([[1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, -1.0, 1.0]], "<r0, r>"),
-    ], ids=["r0 orthogonal to A p", "r0 orthogonal to r"])
-    def test_breakdown_raises(self, M, vanished):
-        M = np.array(M)
-        op, _ = self.counted(M)
-        b = np.eye(len(M), dtype=complex)[0]
-        with pytest.raises(NumericalError, match=f"^BiCGStab breakdown: {vanished} vanished$"):
-            wt.bicgstab(op, b, np.zeros_like(b), 1e-3, 10)
+        ([[1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, -1.0, 1.0]], [1, 0, 0],
+         "<r0, r> vanished"),
+        # one half step leaves r = (-1, 1) with A r = 0, so omega is 0/0
+        ([[1.0, 1.0], [0.0, 0.0]], [1, 1], "the stabilizing step is undefined"),
+    ], ids=["r0 orthogonal to A p", "r0 orthogonal to r", "A r vanished"])
+    def test_breakdown_raises(self, M, b, cause):
+        op, _ = self.counted(np.array(M))
+        b = np.array(b, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"^BiCGStab breakdown: {cause}$"):
+                wt.bicgstab(op, b, np.zeros_like(b), 1e-8, 10)
 
     def test_cap_with_tolerance_warns(self, rng):
         M, b = self.system(rng)

@@ -102,12 +102,16 @@ class TestDomainOperator:
         expect = (dense @ v.ravel()).reshape(grid.shape)
         assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
+    @staticmethod
+    def fft_grid_operator(shape):
+        origin = tuple(-0.02 * n for n in shape)
+        return wt.build_domain_operator(wt.DomainGrid(shape, 0.04, origin, 0.45))
+
     @pytest.mark.parametrize("shape", [(9, 7), (16, 16), (5, 4, 4), (7, 9, 6)])
     def test_bit_identical_to_padded_fftn(self, rng, shape):
         # per-axis transforms that skip zero lines and crop as they go feed
-        # every kept line fftn's inputs in fftn's axis order
-        origin = tuple(-0.02 * n for n in shape)
-        G = wt.build_domain_operator(wt.DomainGrid(shape, 0.04, origin, 0.45))
+        # every kept line the inputs fftn gives it over the reversed axes
+        G = self.fft_grid_operator(shape)
         for v in (random_field(rng, shape), rng.standard_normal(shape)):
             before = v.copy()
             got = G.apply(v)
@@ -117,6 +121,36 @@ class TestDomainOperator:
             assert np.array_equal(G.apply_adjoint(v),
                                   np.conj(padded_fft_apply(G, np.conj(v))))
             assert np.array_equal(v, before)
+
+    @pytest.mark.parametrize("shape", [(9, 7), (16, 16), (5, 4, 4), (7, 9, 6), (32, 32, 32)])
+    def test_close_to_default_order_fftn(self, rng, shape):
+        # the axis order of the forward passes changes only round-off
+        G = self.fft_grid_operator(shape)
+        v = random_field(rng, shape)
+        expect = padded_fft_apply(G, v, axes_order=range(len(shape)))
+        assert np.max(np.abs(G.apply(v) - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+    def test_forward_passes_run_first_axis_first(self, rng, monkeypatch):
+        # pocketfft gathers strided lines one at a time, so the largest
+        # forward pass has to run on the contiguous last axis
+        shape = (5, 4, 3)
+        n0, n1, n2 = shape
+        G = self.fft_grid_operator(shape)
+        passes = []
+        for name in ("fft", "ifft"):
+            def record(a, *args, _name=name, _fn=getattr(np.fft, name), **kw):
+                passes.append((_name, kw["axis"], a.shape))
+                return _fn(a, *args, **kw)
+            monkeypatch.setattr(np.fft, name, record)
+        G.apply(random_field(rng, shape))
+        assert passes == [
+            ("fft", 0, (n0, n1, n2)),
+            ("fft", 1, (2 * n0, n1, n2)),
+            ("fft", 2, (2 * n0, 2 * n1, n2)),
+            ("ifft", 2, (2 * n0, 2 * n1, 2 * n2)),
+            ("ifft", 1, (2 * n0, 2 * n1, n2)),
+            ("ifft", 0, (2 * n0, n1, n2)),
+        ]
 
     def test_too_small_grid_rejected(self):
         grid = wt.centered_grid((1, 8), spacing=0.05, wavelength=0.5)
