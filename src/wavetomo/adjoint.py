@@ -2,18 +2,21 @@
 
 Two gradients live here.  The FISTA loop takes the adjoint-state gradient
 (Soubies, Pham and Unser, 2017), which does not depend on how the field was
-solved.  With A = I - G diag(f) and f real:
+solved.  With A = I - G diag(f), f real and G complex symmetric (its kernel
+is even), the adjoint problem A^H w = f H^H r is the forward problem with a
+conjugated source: w = f conj(x) where A x = conj(H^H r), and then
+H^H r + G^H w = conj(x).  So both solves run on A:
 
   u solves A u = u_in,   r = H(f u) - y,
-  w solves A^H w = f H^H r,
-  grad D = Re(conj(u) (H^H r + G^H w)).
+  x solves A x = conj(H^H r),
+  grad D = Re(u x).
 
 ``adjoint_state_gradient`` solves both systems with BiCGStab to the residual
 the series' objective stop implies, sqrt(2 delta_tol_rel) of the right-hand
-side, and keeps no trace.  It costs the two solves' applies plus one for
-G^H w; at f = 0 the u solve stops after its initial residual and the w solve
-is skipped, so the gradient costs one apply.  Its D, and so the loop's data
-fit before the last iteration, comes from the BiCGStab field, not the series.
+side, and keeps no trace.  It costs the applies of its two solves and no
+G^H apply; at f = 0, A = I and each solve stops after its initial residual,
+so the gradient costs two applies.  Its D, and so the loop's data fit
+before the last iteration, comes from the BiCGStab field, not the series.
 
 The paper's gradient, ``gradient_from_trace``, stays as the reference the
 acceptance gate and ``wavetomo gradcheck`` check.  It differentiates the
@@ -58,7 +61,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .forward import bicgstab, forward_solve
-from .greens import apply_A, apply_AH
+from .greens import apply_A
 
 
 def data_fidelity(z, y):
@@ -118,19 +121,18 @@ def gradient_data_fidelity(f, y, u_in, G, H, cfg):
 def adjoint_state_gradient(f, y, u_in, G, H, cfg):
     """Adjoint-state gradient of 0.5||y - z(f)||^2 on BiCGStab fields, and D.
 
-    Both solves stop at sqrt(2 cfg.delta_tol_rel) of their right-hand side
-    and run at most cfg.K iterations; u starts at u_in, w at 0.
+    Both solves run on A, stop at sqrt(2 cfg.delta_tol_rel) of their
+    right-hand side and run at most cfg.K iterations; each starts at its
+    right-hand side.
     """
     grid = G.grid
     f = grid.check_field(f, "potential")
     u_in = grid.check_field(u_in, "u_in").astype(complex)
     tol = np.sqrt(2.0 * cfg.delta_tol_rel)
-    u, _ = bicgstab(lambda v: apply_A(f, v, G), u_in, u_in, tol, cfg.K)
+    op = lambda v: apply_A(f, v, G)
+    u, _ = bicgstab(op, u_in, u_in, tol, cfg.K)
     z = H.apply(f * u)
     D = data_fidelity(z, y)
-    back = H.apply_adjoint(z - y)
-    b = f * back
-    if np.any(b):
-        w, _ = bicgstab(lambda v: apply_AH(f, v, G), b, np.zeros_like(b), tol, cfg.K)
-        back = back + G.apply_adjoint(w)
-    return np.real(np.conj(u) * back), D
+    b = np.conj(H.apply_adjoint(z - y))
+    x, _ = bicgstab(op, b, b, tol, cfg.K)
+    return np.real(u * x), D

@@ -5,8 +5,8 @@ S(u) = 0.5 ||A u - u_in||^2 with A = I - G diag(f), using accelerated
 gradient descent.  The iterates form a series expansion of the field; a
 solve given the sensor operator H records them, because the reverse-mode
 gradient of the data fit differentiates through every iteration.  The
-series is the forward model of every prediction.  ``bicgstab`` solves
-A u = u_in and A^H w = b for the adjoint-state gradient the FISTA loop takes.
+series is the forward model of every prediction.  ``bicgstab`` solves the
+two systems on A of the adjoint-state gradient the FISTA loop takes.
 """
 
 import numbers
@@ -49,16 +49,17 @@ class ForwardConfig:
     def __post_init__(self, stop_on):
         if stop_on != "objective":
             raise ConfigError("stop_on must be 'objective'")
-        if not isinstance(self.K, numbers.Integral):
+        # bool is an Integral, and the config file rejects it
+        if isinstance(self.K, bool) or not isinstance(self.K, numbers.Integral):
             raise ConfigError("K must be an integer")
         if self.K < 1:
             raise ConfigError("K must be >= 1")
-        if not 0 <= self.delta_tol_rel < np.inf:
+        if isinstance(self.delta_tol_rel, bool) or not 0 <= self.delta_tol_rel < np.inf:
             raise ConfigError("delta_tol_rel must be a finite number >= 0")
         if 0 < self.delta_tol_rel < MIN_OBJECTIVE_TOL_REL:
             raise ConfigError(f"delta_tol_rel must be 0 or >= {MIN_OBJECTIVE_TOL_REL:g} "
                               "on the objective, above the solve's round-off floor")
-        if self.nu is not None and not np.inf > self.nu > 0:
+        if self.nu is not None and (isinstance(self.nu, bool) or not np.inf > self.nu > 0):
             raise ConfigError("nu must be a finite number > 0")
 
 

@@ -2,8 +2,9 @@
 
 Minimizes D(f) + tau R(f) where D sums 0.5||y_t - z_t(f)||^2 over the
 transmitters and R is isotropic TV with a box constraint.  The gradient of D
-is the adjoint-state gradient on BiCGStab field solves; every prediction,
-the step search's included, runs the paper's series (``forward_solve``).
+is the adjoint-state gradient, two BiCGStab solves on A = I - G diag(f) per
+transmitter; every prediction, the step search's included, runs the paper's
+series (``forward_solve``).
 Switching ``model`` to "born" or "rytov" replaces the forward operator
 by the linearized one (Rytov additionally replaces y by the complex-log
 transformed data) so the baselines run under the identical FISTA/TV machinery.
@@ -156,14 +157,15 @@ class ReconConfig:
     workers = 1
 
     def __post_init__(self):
-        for name in ("fista_iters", "tv_iters"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+        for name, value in (("fista_iters", self.fista_iters), ("tv_iters", self.tv_iters)):
+            # bool is an Integral, and the config file rejects it
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer")
         if self.fista_iters < 1:
             raise ConfigError("fista_iters must be >= 1")
         if self.tv_iters < 0:
             raise ConfigError("tv_iters must be >= 0")
-        if not 0 <= self.tau_rel < np.inf:
+        if isinstance(self.tau_rel, bool) or not 0 <= self.tau_rel < np.inf:
             raise ConfigError("tau_rel must be a finite number >= 0")
 
     def resolve_tau(self, measurements):
@@ -221,10 +223,11 @@ class ScatteringProblem:
 def total_gradient(f, problem, cfg):
     """Sum of per-transmitter adjoint-state gradients, and D at f.
 
-    Each transmitter solves A u = u_in and A^H w = f H^H r by BiCGStab (see
-    ``adjoint_state_gradient``), not the series.  D is read from the
-    predictions those fields give, so it costs no G-apply; it agrees with
-    the D of ``predict_all`` to the solves' tolerance, not bit for bit.
+    Each transmitter solves A u = u_in and A x = conj(H^H r) by BiCGStab
+    (see ``adjoint_state_gradient``), not the series, and applies no G^H.
+    D is read from the predictions those fields give, so it costs no
+    G-apply; it agrees with the D of ``predict_all`` to the solves'
+    tolerance, not bit for bit.
     """
     grads, Ds = [], []
     for u_in, H, y in zip(problem.u_in, problem.H, problem.measurements.y):

@@ -3,14 +3,16 @@
 Everything here is deliberately written against the package's production
 paths: dense matrices instead of FFT convolutions, the zero-filled padded
 fftn instead of the pruned per-axis transforms, naive recursions instead
-of the fused backward pass, subgradient descent instead of the dual prox
-solver, and mpmath arbitrary-precision special functions.  The objectives
-and unfused operators that only tests evaluate live here too.
+of the fused backward pass, the A^H solve instead of its reciprocal forward
+solve in the adjoint-state gradient, subgradient descent instead of the
+dual prox solver, and mpmath arbitrary-precision special functions.  The
+objectives and unfused operators that only tests evaluate live here too.
 """
 
 import mpmath as mp
 import numpy as np
 
+from wavetomo.forward import bicgstab
 from wavetomo.greens import apply_A, apply_AH, green_2d, green_3d, self_interaction
 from wavetomo.tv import grad_adjoint, proj_box
 
@@ -160,6 +162,22 @@ def backprop_three_vector(f, y, u_in, G, H, trace):
         if k > 1:
             q, p = p + (1.0 - mu_k) * Sq, mu_k * Sq
     return np.real(r)
+
+
+def adjoint_state_gradient_AH(f, y, u_in, G, H, cfg):
+    """The adjoint-state gradient in its A^H form, without reciprocity.
+
+    u solves A u = u_in, w solves A^H w = f H^H r, and the gradient is
+    Re(conj(u) (H^H r + G^H w)); both BiCGStab solves use the production
+    solver's tolerance and cap, u started at u_in and w at 0.
+    """
+    u_in = u_in.astype(complex)
+    tol = np.sqrt(2.0 * cfg.delta_tol_rel)
+    u, _ = bicgstab(lambda v: apply_A(f, v, G), u_in, u_in, tol, cfg.K)
+    back = H.apply_adjoint(H.apply(f * u) - y)
+    b = f * back
+    w, _ = bicgstab(lambda v: apply_AH(f, v, G), b, np.zeros_like(b), tol, cfg.K)
+    return np.real(np.conj(u) * (back + G.apply_adjoint(w)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ import pytest
 
 import wavetomo as wt
 from conftest import random_field, random_potential
-from reference import (apply_Sk, apply_Tk, backprop_three_vector,
-                       backprop_two_term_naive, dense_A_matrix,
-                       dense_domain_matrix, fd_gradient)
+from reference import (adjoint_state_gradient_AH, apply_Sk, apply_Tk,
+                       backprop_three_vector, backprop_two_term_naive,
+                       dense_A_matrix, dense_domain_matrix, fd_gradient)
 from wavetomo.errors import ConfigError, DimensionError
 from wavetomo.greens import DomainGreensOperator
 
@@ -147,7 +147,7 @@ class TestGradient:
 
 
 class TestAdjointStateGradient:
-    """The loop's gradient: A u = u_in and A^H w = f H^H r by BiCGStab."""
+    """The loop's gradient: A u = u_in and A x = conj(H^H r) by BiCGStab."""
 
     def test_fd_match_with_tight_solves(self, small_setup, rng):
         grid, G, H, u_in = small_setup
@@ -178,12 +178,24 @@ class TestAdjointStateGradient:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-11
 
+    def test_agrees_with_A_H_form(self, small_setup, rng):
+        # reciprocity: w = f conj(x) solves A^H w = f H^H r, so the two forms
+        # differ only by their solves' residuals
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        y = random_field(rng, (len(H.sensors),))
+        cfg = wt.ForwardConfig(K=200, delta_tol_rel=1e-26)
+        got, _ = wt.adjoint_state_gradient(f, y, u_in, G, H, cfg)
+        expect = adjoint_state_gradient_AH(f, y, u_in, G, H, cfg)
+        assert np.linalg.norm(got - expect) <= 1e-11 * np.linalg.norm(expect)
+
     def test_f_zero_closed_form(self, small_setup, rng):
         grid, G, H, u_in = small_setup
         y = random_field(rng, (len(H.sensors),))
         grad, D = wt.adjoint_state_gradient(np.zeros(grid.shape), y, u_in, G, H,
                                             wt.ForwardConfig(K=4))
-        # u = u_in and r = -y, and f H^H r = 0 skips the w solve
+        # A = I, so u = u_in and x = conj(H^H r) with r = -y: each solve
+        # returns after its initial residual
         assert np.array_equal(grad, np.real(np.conj(u_in) * H.apply_adjoint(-y)))
         assert D == wt.data_fidelity(np.zeros_like(y), y)
 

@@ -9,6 +9,7 @@ import pytest
 
 import wavetomo as wt
 from wavetomo import cli, fileio, recon, simulate
+from wavetomo.adjoint import adjoint_state_gradient
 from wavetomo.cli import build_parser, main
 
 
@@ -224,6 +225,19 @@ class TestGradcheckCommand:
     def test_fixed_step_passes(self):
         assert main(["gradcheck", "--grid-size", "6", "--K", "1", "2",
                      "--seed", "1"]) == 0
+
+    def test_wrong_loop_gradient_fails(self, capsys, monkeypatch):
+        # the reference gradient still passes; only the loop's line fails
+        def flipped(*args):
+            grad, D = adjoint_state_gradient(*args)
+            return -grad, D
+
+        monkeypatch.setattr(cli, "adjoint_state_gradient", flipped)
+        rc = main(["gradcheck", "--grid-size", "4", "--K", "1", "--seed", "1"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert [line.split()[2] for line in out.splitlines()] == ["fixed", "loop"]
+        assert err.startswith("numerical failure: gradient check failed: 2.000e+00")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_tol(self, capsys, tol):

@@ -70,6 +70,18 @@ class TestConfig:
         # differ between the dataclass and the schema on purpose)
         assert set(schema) == {f.name for f in dataclasses.fields(settings)}
 
+    @pytest.mark.parametrize("field, value", [
+        ("K", True), ("delta_tol_rel", True), ("nu", True),
+        ("fista_iters", True), ("tv_iters", False), ("tau_rel", True)])
+    def test_config_dataclasses_reject_bool(self, field, value):
+        # the config file rejects a bool for every one of these keys; the
+        # dataclasses used to take it as the integer 1 or 0
+        with pytest.raises(ConfigError, match=rf"^{field} must be"):
+            if field in ("K", "delta_tol_rel", "nu"):
+                wt.ForwardConfig(**{"K": 3, field: value})
+            else:
+                wt.ReconConfig(forward=wt.ForwardConfig(K=3), **{field: value})
+
     def test_infinite_box_upper_stays_valid(self):
         cfg = fileio.recon_config_from_config(_recon_with("box.upper", float("inf")))
         assert cfg.box.b == np.inf

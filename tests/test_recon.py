@@ -128,23 +128,28 @@ class TestTotalGradient:
         assert np.allclose(g2, 2.0 * g1)
 
     def test_G_apply_budget(self, rng, monkeypatch):
-        # per transmitter, a gradient costs the applies its u and w BiCGStab
-        # solves report plus one for G^H w, and a monitoring solve costs
-        # 2 K_eff + 1; at f = 0 the u solve stops after its initial residual
-        # and the w solve and G^H w are skipped, so a gradient costs one
-        # apply.  An extra apply per solve fails here
+        # per transmitter, a gradient costs exactly the applies its u and x
+        # BiCGStab solves report and applies no G^H, and a monitoring solve
+        # costs 2 K_eff + 1; at f = 0, A = I and each solve stops after its
+        # initial residual, so a gradient costs two applies.  An extra apply
+        # per solve fails here
         grid, mset = tiny_problem(rng, n=16)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=60, delta_tol_rel=5e-7),
                              tau_rel=0.0)
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
-        calls, solves, K_eff = [], [], []
-        apply, solve, krylov = (DomainGreensOperator.apply, recon.forward_solve,
-                                adjoint.bicgstab)
+        calls, adjoint_calls, solves, K_eff = [], [], [], []
+        apply, apply_adjoint, solve, krylov = (
+            DomainGreensOperator.apply, DomainGreensOperator.apply_adjoint,
+            recon.forward_solve, adjoint.bicgstab)
 
         def counted(self, v):
             calls.append(1)
             return apply(self, v)
+
+        def counted_adjoint(self, v):
+            adjoint_calls.append(1)
+            return apply_adjoint(self, v)
 
         def recorded_solve(f, u_in, G, H, cfg):
             trace = solve(f, u_in, G, H, cfg)
@@ -159,20 +164,23 @@ class TestTotalGradient:
             return x, applies
 
         monkeypatch.setattr(DomainGreensOperator, "apply", counted)
+        monkeypatch.setattr(DomainGreensOperator, "apply_adjoint", counted_adjoint)
         monkeypatch.setattr(recon, "forward_solve", recorded_solve)
         monkeypatch.setattr(adjoint, "bicgstab", recorded_krylov)
         wt.total_gradient(f, problem, cfg)
         gradient_calls = len(calls)
+        assert adjoint_calls == []
         wt.predict_all(f, problem, cfg)
-        # u and w for each of the two transmitters; the series runs only to
+        # u and x for each of the two transmitters; the series runs only to
         # predict
         assert len(solves) == 4 and len(K_eff) == 2
         assert min(solves) > 1
-        assert gradient_calls == sum(solves) + 2
+        assert gradient_calls == sum(solves)
         assert len(calls) - gradient_calls == sum(2 * K + 1 for K in K_eff)
-        del calls[:], solves[:]
+        del calls[:], solves[:], adjoint_calls[:]
         wt.total_gradient(np.zeros(grid.shape), problem, cfg)
-        assert solves == [1, 1] and len(calls) == 2
+        assert solves == [1, 1, 1, 1] and len(calls) == 4
+        assert adjoint_calls == []
 
     def test_predict_all_equals_differentiable_solve(self, rng):
         # predict_all solves without H and applies H afterwards: same z
