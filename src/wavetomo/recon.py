@@ -24,8 +24,10 @@ from .adjoint import adjoint_state_gradient, data_fidelity
 from .adjoint import gradient_from_trace  # noqa: F401
 from .errors import ConfigError, DimensionError, NumericalError, TransformError
 from .forward import ForwardConfig, forward_solve, predict_scattered
-from .greens import (MaskedSensorOperator, build_domain_operator,
-                     build_sensor_operator, green_2d, green_3d)
+from .greens import (MaskedSensorOperator, SensorGreensOperator,
+                     build_domain_operator, green_2d, green_3d, sensor_rows)
+# not called: benchmarks/layers.py wraps it
+from .greens import build_sensor_operator  # noqa: F401
 from .grid import SensorSet
 from .metrics import normalized_recon_error
 from .tv import BoxConstraint, prox_tv
@@ -192,6 +194,28 @@ class ReconReport:
     tau: float
 
 
+def sensors_and_incident(grid, receivers, transmitters):
+    """The sensor operator on ``receivers``, and the (T, N) array whose row t
+    is transmitter t's incident field on the grid, raveled.
+
+    The receivers' rows and the point sources' fields come from one
+    ``sensor_rows`` call, which builds its Graf grid table once; plane waves
+    are evaluated on their own.
+    """
+    point = [t for t, tx in enumerate(transmitters) if tx.kind == "point"]
+    m = len(receivers)
+    rows = sensor_rows(
+        grid, receivers,
+        np.array([transmitters[t].position for t in point]).reshape(len(point), grid.ndim),
+        [transmitters[t].amplitude for t in point])
+    U_in = np.empty((len(transmitters), grid.size), dtype=complex)
+    U_in[point] = rows[m:]
+    for t, tx in enumerate(transmitters):
+        if tx.kind == "plane":
+            U_in[t] = tx.field_on_grid(grid).ravel()
+    return SensorGreensOperator(grid, receivers, rows[:m]), U_in
+
+
 class ScatteringProblem:
     """Precomputed operators binding a measurement set to a grid."""
 
@@ -207,13 +231,12 @@ class ScatteringProblem:
         # transmitter's mask indexes into that union
         active = measurements.active_indices
         recorded = np.unique(np.concatenate(active))
-        self._H_ring = build_sensor_operator(
-            grid, SensorSet(measurements.receivers.positions[recorded]))
+        self._H_ring, self.U_in = sensors_and_incident(
+            grid, SensorSet(measurements.receivers.positions[recorded]),
+            measurements.transmitters)
         self.H = [MaskedSensorOperator(self._H_ring, np.searchsorted(recorded, ix))
                   for ix in active]
-        # row t is u_in[t] raveled, and u_in[t] is a view of it
-        self.U_in = np.stack([tx.field_on_grid(grid).ravel()
-                              for tx in measurements.transmitters])
+        # row t of U_in is u_in[t] raveled, and u_in[t] is a view of it
         self.u_in = [u.reshape(grid.shape) for u in self.U_in]
         self.u_in_sensors = [
             tx.field_at(measurements.receivers.positions[ix], grid.k_b)

@@ -17,10 +17,12 @@ from .fileio import (SPEED_OF_LIGHT, generation_from_config, grid_from_config,
                      recon_config_from_config, rng_from_config,
                      transmitters_from_config)
 from .forward import ForwardConfig, forward_solve, predict_scattered
-from .greens import build_domain_operator, build_sensor_operator
+from .greens import build_domain_operator
+# not called: benchmarks/layers.py wraps it
+from .greens import build_sensor_operator  # noqa: F401
 from .grid import refined_grid
 from .metrics import normalized_error
-from .recon import MeasurementSet, Transmitter
+from .recon import MeasurementSet, Transmitter, sensors_and_incident
 
 
 def render_phantom(cfg, grid):
@@ -56,15 +58,14 @@ def simulate_measurements(cfg):
     transmitters = transmitters_from_config(cfg)
     receivers, subsample = receivers_from_config(cfg)
     G = build_domain_operator(fine)
-    H = build_sensor_operator(fine, receivers)
+    H, U_in = sensors_and_incident(fine, receivers, transmitters)
     fwd = ForwardConfig(K=gen.k_multiplier * recon_cfg.forward.K,
                         delta_tol_rel=recon_cfg.forward.delta_tol_rel)
 
     all_slots = np.arange(len(receivers))
     y = []
-    for tx in transmitters:
-        u_in = tx.field_on_grid(fine)
-        trace = forward_solve(f_fine, u_in, G, None, fwd)
+    for u_in in U_in:
+        trace = forward_solve(f_fine, u_in.reshape(fine.shape), G, None, fwd)
         y.append(predict_scattered(trace.u_hat, f_fine, H))
 
     if gen.noise_snr_db is not None:

@@ -10,10 +10,10 @@ branches stay below 1e-10 relative to the envelope sqrt(2/(pi*x)); double
 precision holds that on (0, 100] and degrades only slowly above.
 
 Higher integer orders come from the standard recurrences: downward (Miller)
-recurrence with sum normalization for J_n, upward recurrence for Y_n.
-Spherical Bessel functions use the same pattern with their own closed-form
-seeds, and Legendre polynomials the three-term recurrence; the three upward
-tables share one loop.
+recurrence with sum normalization for J_n, upward recurrence for Y_n and for
+H_n^(1) = J_n + j Y_n.  Spherical Bessel functions use the same pattern with
+their own closed-form seeds, and Legendre polynomials the three-term
+recurrence; the four upward tables share one loop.
 
 All functions accept scalars or numpy arrays of positive arguments.
 """
@@ -167,7 +167,7 @@ def hankel1_1(x):
 
 def _upward(nmax, x, seed0, seed1, step):
     """Orders 0..nmax from two seeds by out[n+1] = step(n, out[n], out[n-1])."""
-    out = np.zeros((nmax + 1,) + x.shape)
+    out = np.zeros((nmax + 1,) + x.shape, dtype=np.result_type(seed0, seed1))
     out[0] = seed0
     if nmax >= 1:
         out[1] = seed1
@@ -219,6 +219,20 @@ def bessel_yn_all(nmax, x):
     """Y_n(x) for n = 0..nmax via the (stable) upward recurrence."""
     return _upward(nmax, x, _bessel(0, x)[1], _bessel(1, x)[1],
                    lambda n, y, y_prev: (2.0 * n / x) * y - y_prev)
+
+
+@_table("nmax")
+def hankel1_all(nmax, x):
+    """H_n^(1)(x) = J_n(x) + j Y_n(x) for n = 0..nmax by the recurrence of
+    ``bessel_yn_all``, run on the complex seeds.
+
+    The imaginary part is ``bessel_yn_all`` bit for bit.  Y_n dominates the
+    recurrence once n > x, so each entry is accurate relative to |H_n|, not
+    its real part J_n alone.  The cost is O(nmax) per point whatever x is,
+    where Miller's recurrence for J_n starts above x.
+    """
+    return _upward(nmax, x, hankel1_0(x), hankel1_1(x),
+                   lambda n, h, h_prev: (2.0 * n / x) * h - h_prev)
 
 
 @_table("lmax")

@@ -11,6 +11,8 @@ The discrete gradient D takes forward differences with replicate-edge
 machine precision.
 """
 
+import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,11 @@ class BoxConstraint:
     b: float = np.inf
 
     def __post_init__(self):
+        for name, value in (("a", self.a), ("b", self.b)):
+            # bool is a Real, and the config file rejects it
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"box bound {name}: expected a number, "
+                                  f"got {json.dumps(value, default=str)}")
         if not self.a <= self.b:
             raise ConfigError(f"box requires a <= b, got [{self.a}, {self.b}]")
 

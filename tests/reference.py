@@ -1,12 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written against the package's production
-paths: dense matrices instead of FFT convolutions, the zero-filled padded
-fftn instead of the pruned per-axis transforms, naive recursions instead
-of the fused backward pass, the A^H solve instead of its reciprocal forward
-solve in the adjoint-state gradient, subgradient descent instead of the
-dual prox solver, and mpmath arbitrary-precision special functions.  The
-objectives and unfused operators that only tests evaluate live here too.
+paths: dense matrices instead of FFT convolutions, one Hankel evaluation
+per point and pixel instead of the Graf-factored sensor matrix, the
+zero-filled padded fftn instead of the pruned per-axis transforms, naive
+recursions instead of the fused backward pass, the A^H solve instead of its
+reciprocal forward solve in the adjoint-state gradient, subgradient descent
+instead of the dual prox solver, and mpmath arbitrary-precision special
+functions.  The objectives and unfused operators that only tests evaluate
+live here too.
 """
 
 import mpmath as mp
@@ -38,6 +40,16 @@ def mp_sph_y(l, x):
     return float(mp.sqrt(mp.pi / (2 * x)) * mp.bessely(l + 0.5, x))
 
 
+def mp_hankel1(n, x):
+    return complex(mp.hankel1(n, x))
+
+
+def mp_green_2d(source, point, k_b):
+    """(j/4) H0^(1)(k_b |source - point|) with the distance taken in mpmath."""
+    dist = mp.sqrt(sum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(source, point)))
+    return complex(0.25j * mp.hankel1(0, k_b * dist))
+
+
 # ---------------------------------------------------------------------------
 # dense operator oracles
 
@@ -54,6 +66,15 @@ def dense_domain_matrix(grid):
         out[i, nz] = g(disp[nz], grid.k_b) * grid.pixel_volume
         out[i, i] = self_interaction(grid)
     return out
+
+
+def direct_green_matrix(grid, points, weights):
+    """weights[p] * g(points[p] - x_n): one Hankel evaluation per entry."""
+    centers = grid.pixel_centers().reshape(-1, grid.ndim)
+    disp = np.asarray(points)[:, None, :] - centers[None, :, :]
+    g = green_2d if grid.ndim == 2 else green_3d
+    weights = np.broadcast_to(weights, disp.shape[:1])
+    return weights[:, None] * g(disp, grid.k_b)
 
 
 def dense_A_matrix(grid, f):

@@ -3,10 +3,13 @@ import pytest
 
 import wavetomo as wt
 from conftest import random_field, random_potential
-from reference import (dense_A_matrix, dense_domain_matrix, mp_j, mp_y,
-                       padded_fft_apply)
+from reference import (dense_A_matrix, dense_domain_matrix, direct_green_matrix,
+                       mp_green_2d, mp_j, mp_y, padded_fft_apply)
+from wavetomo import greens
 from wavetomo.analytic import helmholtz_residual
 from wavetomo.errors import ConfigError, DimensionError, SingularityError
+from wavetomo.greens import GRAF_TAIL, green_matrix
+from wavetomo.grid import refined_grid
 
 
 def adjoint_gap(apply_fn, adjoint_fn, x, y):
@@ -216,6 +219,172 @@ class TestSensorOperator:
                   rng.standard_normal(len(H.sensors))):
             expect = (H.matrix.conj().T @ y).reshape(H.grid.shape)
             assert np.array_equal(H.apply_adjoint(y), expect)
+
+
+WL = 0.0749  # wavelength of the criterion-5 and benchmark scenes, m
+
+
+def ring(count, radius, phase=0.0):
+    return wt.ring_sensors(count, radius, phase).positions
+
+
+def rel_entries(got, expect):
+    return np.max(np.abs(got - expect) / np.abs(expect))
+
+
+def graf_bound(grid):
+    """The distance from the grid center beyond which a point takes the Graf
+    rows, by the rule green_matrix documents."""
+    center = np.asarray(grid.origin) + 0.5 * grid.spacing * (np.asarray(grid.shape) - 1)
+    rho_max = np.max(np.linalg.norm(grid.pixel_centers() - center, axis=-1))
+    k_rho = grid.k_b * rho_max
+    order = int(np.ceil(k_rho + 12.0 * np.cbrt(k_rho) + 10.0))
+    return center, rho_max, rho_max * max(2.0, GRAF_TAIL ** (-1.0 / order))
+
+
+@pytest.fixture
+def direct_rows(monkeypatch):
+    """Counts the points green_matrix evaluates directly, call by call."""
+    calls = []
+
+    def spy(r, k_b):
+        calls.append(np.asarray(r).shape[0])
+        return wt.green_2d(r, k_b)
+
+    monkeypatch.setattr(greens, "green_2d", spy)
+    return calls
+
+
+@pytest.mark.filterwarnings("error")
+class TestGreenMatrix:
+    """green_matrix against one Hankel evaluation per entry (the oracle)."""
+
+    def check_scene(self, grid, points, weights, direct_rows, columns=slice(None)):
+        got = green_matrix(grid, points, weights)
+        assert direct_rows == []
+        assert got.shape == (len(points), grid.size) and got.dtype == complex
+        assert got.flags.c_contiguous
+        expect = direct_green_matrix(grid, points, weights)
+        assert rel_entries(got[:, columns], expect[:, columns]) <= 1e-12
+
+    def test_criterion_5_scene(self, direct_rows):
+        # 60 receivers and 8 sources about the 64^2 grid, and its 2x refined
+        # generation grid
+        grid = wt.centered_grid((64, 64), spacing=WL / 16, wavelength=WL)
+        points = np.concatenate([ring(60, 0.5), ring(8, 0.45)])
+        weights = np.concatenate([np.full(60, grid.pixel_volume), np.ones(8)])
+        self.check_scene(grid, points, weights, direct_rows)
+        self.check_scene(refined_grid(grid, 2), points, weights, direct_rows,
+                         columns=slice(None, None, 3))
+
+    def test_shifted_linear_scene(self, direct_rows):
+        # the recon_linear_2d scene on a grid moved by whole pixels, as its
+        # jittered seeds move it: the expansion runs about the grid center
+        h = WL / 16
+        origin = (-63.5 * h - 3 * h, -63.5 * h + 2 * h)
+        grid = wt.DomainGrid((128, 128), h, origin, WL)
+        points = np.concatenate([ring(120, 1.0, 0.02), ring(16, 0.9, 0.3)])
+        weights = np.concatenate([np.full(120, grid.pixel_volume),
+                                  np.full(16, 0.7 - 0.2j)])
+        self.check_scene(grid, points, weights, direct_rows,
+                         columns=slice(None, None, 3))
+
+    def test_pixel_at_the_expansion_center(self, direct_rows):
+        # odd by odd pixels: the center pixel has rho = 0, which
+        # bessel_jn_all rejects, so its column is J_0 = 1 alone
+        grid = wt.DomainGrid((9, 7), WL / 16, (0.02, -0.01), WL)
+        center, _, _ = graf_bound(grid)
+        assert np.any(np.all(grid.pixel_centers() == center, axis=-1))
+        points = center + ring(12, 0.5, 0.1)
+        self.check_scene(grid, points, 1.0, direct_rows)
+
+    def test_entries_against_mpmath(self, direct_rows):
+        grid = wt.centered_grid((64, 64), spacing=WL / 16, wavelength=WL)
+        points = np.concatenate([ring(60, 0.5), ring(8, 0.45)])
+        got = green_matrix(grid, points, 1.0)
+        assert direct_rows == []
+        centers = grid.pixel_centers().reshape(-1, 2)
+        for p, n in [(0, 0), (7, 2080), (31, 4095), (59, 1234), (60, 2016), (67, 63)]:
+            expect = mp_green_2d(points[p], centers[n], grid.k_b)
+            assert abs(got[p, n] - expect) <= 1e-12 * abs(expect)
+
+    def test_inside_the_circle_takes_the_direct_row(self, direct_rows):
+        # outside the bounding box but inside the circumscribed circle
+        grid = wt.centered_grid((64, 64), spacing=WL / 16, wavelength=WL)
+        lo, hi = grid.bounding_box()
+        near = np.array([[hi[0] + 0.1 * (hi[0] - lo[0]), 0.0]])
+        _, rho_max, _ = graf_bound(grid)
+        assert hi[0] < near[0, 0] < rho_max
+        points = np.concatenate([ring(3, 0.5), near])
+        got = green_matrix(grid, points, grid.pixel_volume)
+        assert direct_rows == [1]
+        expect = direct_green_matrix(grid, points, np.full(4, grid.pixel_volume))
+        assert np.array_equal(got[3], expect[3])
+        assert rel_entries(got[:3], expect[:3]) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(8, 8), (64, 64)])
+    def test_rule_at_the_bound(self, direct_rows, shape):
+        # 8^2: the tail bound GRAF_TAIL^(-1/L) = 3.9 decides; 64^2: the floor 2
+        grid = wt.centered_grid(shape, spacing=WL / 16, wavelength=WL)
+        center, _, bound = graf_bound(grid)
+        direction = np.array([np.cos(0.3), np.sin(0.3)])
+        points = center + bound * np.outer([1.0 - 1e-9, 1.0 + 1e-9], direction)
+        got = green_matrix(grid, points, 1.0)
+        assert direct_rows == [1]
+        centers = grid.pixel_centers().reshape(-1, 2)
+        # the nearest pixel, where the series converges slowest
+        n = np.argmin(np.linalg.norm(centers - points[1], axis=1))
+        for col in (n, 0, grid.size - 1):
+            expect = mp_green_2d(points[1], centers[col], grid.k_b)
+            assert abs(got[1, col] - expect) <= 1e-12 * abs(expect)
+
+    def test_single_pixel_and_3d_are_direct(self, direct_rows):
+        grid = wt.DomainGrid((1, 1), WL / 16, (0.0, 0.0), WL)
+        points = ring(4, 0.5)
+        assert np.array_equal(green_matrix(grid, points, 2.0),
+                              direct_green_matrix(grid, points, np.full(4, 2.0)))
+        assert direct_rows == [4]
+        grid3 = wt.DomainGrid((4, 3, 2), WL / 16, (0.0, 0.0, 0.0), WL)
+        points3 = np.array([[0.5, 0.0, 0.1], [0.0, -0.6, 0.0]])
+        assert np.array_equal(green_matrix(grid3, points3, 1.0),
+                              direct_green_matrix(grid3, points3, np.ones(2)))
+
+    def test_points_must_match_the_axes(self):
+        grid = wt.centered_grid((8, 8), spacing=WL / 16, wavelength=WL)
+        with pytest.raises(DimensionError):
+            green_matrix(grid, np.zeros((2, 3)), 1.0)
+
+    def test_sensor_matrix_layout(self, direct_rows):
+        # the loop's GEMMs read H.matrix in place
+        grid = wt.centered_grid((64, 64), spacing=WL / 16, wavelength=WL)
+        H = wt.build_sensor_operator(grid, wt.ring_sensors(60, 0.5))
+        assert direct_rows == []
+        assert H.matrix.shape == (60, grid.size)
+        assert H.matrix.dtype == np.complex128 and H.matrix.flags.c_contiguous
+
+    def test_problem_rows_and_fields_from_one_call(self, monkeypatch):
+        grid = wt.centered_grid((64, 64), spacing=WL / 16, wavelength=WL)
+        H = wt.build_sensor_operator(grid, wt.ring_sensors(60, 0.5))
+        tx = [wt.Transmitter("point", position=(0.45, 0.0), amplitude=2.0 - 1.0j),
+              wt.Transmitter("plane", direction=(0.0, 1.0)),
+              wt.Transmitter("point", position=(0.0, -0.45))]
+        y = [np.ones(60, dtype=complex)] * 3
+        mset = wt.MeasurementSet(tx, wt.ring_sensors(60, 0.5), [np.arange(60)] * 3, y)
+        calls = []
+        monkeypatch.setattr(greens, "green_matrix",
+                            lambda grid, points, weights: calls.append(len(points))
+                            or green_matrix(grid, points, weights))
+        problem = wt.ScatteringProblem(mset, grid)
+        # the receivers' rows and the two point sources' fields, each with
+        # its own weight, from one call
+        assert calls == [62]
+        ring_H = problem._H_ring.matrix
+        assert ring_H.shape == (60, grid.size)
+        assert ring_H.dtype == np.complex128 and ring_H.flags.c_contiguous
+        assert rel_entries(ring_H, H.matrix) <= 1e-13
+        for t, u in enumerate(problem.u_in):
+            expect = tx[t].field_on_grid(grid)
+            assert rel_entries(u, expect) <= (0.0 if t == 1 else 1e-12)
 
 
 class TestScatteringOperator:

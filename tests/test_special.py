@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import mp_j, mp_sph_j, mp_sph_y, mp_y
+from reference import mp_hankel1, mp_j, mp_sph_j, mp_sph_y, mp_y
 from wavetomo import special
 from wavetomo.special import (bessel_jn_all, bessel_yn_all, hankel1_0, hankel1_1,
-                              legendre_all, spherical_jn_all, spherical_yn_all)
+                              hankel1_all, legendre_all, spherical_jn_all,
+                              spherical_yn_all)
 
 # Exact values recorded before order 0 and order 1 were split into separate
 # routines.  The mpmath checks hold only to 1e-10, so these pin the last bits.
@@ -81,6 +82,41 @@ def test_high_order_cylindrical(x):
         yt = mp_y(n, x)
         assert abs(jn[n] - jt) <= 1e-10 * max(abs(jt), 1e-250)
         assert abs(yn[n] - yt) <= 1e-10 * max(abs(yt), 1e-250)
+
+
+# (nmax, x) as the Graf sensor matrix reads them: J_n at k rho and H_n at
+# k r, orders up to about 100 and n > x included; at small x the order stops
+# where Y_n still fits a double
+GRAF_ORDERS = [(30, 1e-3), (60, 0.05), (100, 0.7), (100, 3.0), (100, 9.5), (100, 12.0),
+               (100, 17.5), (100, 35.3), (100, 60.0), (100, 84.0), (100, 100.0)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nmax,x", GRAF_ORDERS)
+def test_graf_orders_against_mpmath(nmax, x):
+    jn = bessel_jn_all(nmax, np.array([x]))[:, 0]
+    yn = bessel_yn_all(nmax, np.array([x]))[:, 0]
+    hn = hankel1_all(nmax, np.array([x]))[:, 0]
+    assert np.array_equal(hn.imag, yn)
+    for n in range(nmax + 1):
+        jt, yt = mp_j(n, x), mp_y(n, x)
+        ht = complex(jt, yt)
+        # J_n relative to itself once it decays (n > x), to |H_n| before
+        assert abs(jn[n] - jt) <= 1e-13 * (abs(jt) if n > x else abs(ht))
+        # the order-0 and order-1 seeds hold about 1e-11 at their
+        # series/asymptotic crossover x = 12, and the recurrence keeps it
+        assert abs(yn[n] - yt) <= 1e-11 * abs(ht)
+        assert abs(hn[n] - ht) <= 1e-11 * abs(ht)
+
+
+@pytest.mark.filterwarnings("error")
+def test_hankel_table_far_beyond_its_orders():
+    # O(nmax) work at any x; relative error about x * eps, the conditioning
+    x = np.array([1e4, 1e6])
+    hn = hankel1_all(85, x)
+    for n in (0, 1, 40, 85):
+        for i, xi in enumerate(x):
+            assert abs(hn[n, i] - mp_hankel1(n, xi)) <= xi * np.finfo(float).eps * abs(hn[n, i])
 
 
 @pytest.mark.parametrize("x", [0.3, 2.0, 6.28, 19.0, 84.0])

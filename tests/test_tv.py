@@ -52,6 +52,13 @@ class TestProjections:
         with pytest.raises(ConfigError):
             wt.BoxConstraint(2.0, 1.0)
 
+    @pytest.mark.parametrize("bounds,got", [((True, 2.0), "true"), ((0.0, False), "false"),
+                                            (("0", 1.0), '"0"')])
+    def test_box_rejects_non_numbers(self, bounds, got):
+        # bool is a Real; the words are the config file's for recon.box
+        with pytest.raises(ConfigError, match=f"expected a number, got {got}$"):
+            wt.BoxConstraint(*bounds)
+
     def test_dual_iso(self):
         g = np.zeros((1, 1, 2))
         g[0, 0] = [3.0, 4.0]
