@@ -1,12 +1,13 @@
 """Nonlinear inverse scattering toolbox.
 
 Forward model: the total field under multiple scattering is computed as a
-convergent accelerated-gradient expansion of the Lippmann-Schwinger equation.
+convergent accelerated-gradient expansion of the Lippmann-Schwinger equation,
+checked against closed-form cylinder/sphere solutions.
 Inverse problem: TV-regularized FISTA driven by the adjoint-state gradient
-of the data fit on BiCGStab field solves (the exact reverse-mode gradient
-through the expansion stays as the checked reference), with first-Born and Rytov
-linearizations available as baselines, and closed-form cylinder/sphere
-solutions for validation.
+of the data fit; the loop's fields and predictions, and the synthetic data,
+are BiCGStab solves of the same equation (the exact reverse-mode gradient
+through the expansion stays as the checked reference), with first-Born and
+Rytov linearizations available as baselines.
 """
 
 from .adjoint import (adjoint_state_gradient, data_fidelity,

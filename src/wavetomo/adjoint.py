@@ -15,8 +15,9 @@ H^H r + G^H w = conj(x).  So both solves run on A:
 the series' objective stop implies, sqrt(2 delta_tol_rel) of the right-hand
 side, and keeps no trace.  It costs the applies of its two solves and no
 G^H apply; at f = 0, A = I and each solve stops after its initial residual,
-so the gradient costs two applies.  Its D, and so the loop's data fit
-before the last iteration, comes from the BiCGStab field, not the series.
+so the gradient costs two applies.  Its u solve, ``loop_field``, is also
+the loop's prediction: the step search and every data fit run it, so the
+loop never runs the series.
 
 The paper's gradient, ``gradient_from_trace``, stays as the reference the
 acceptance gate and ``wavetomo gradcheck`` check.  It differentiates the
@@ -118,21 +119,35 @@ def gradient_data_fidelity(f, y, u_in, G, H, cfg):
     return gradient_from_trace(f, y, G, H, trace)
 
 
-def adjoint_state_gradient(f, y, u_in, G, H, cfg):
-    """Adjoint-state gradient of 0.5||y - z(f)||^2 on BiCGStab fields, and D.
+def loop_field(f, u_in, G, H, cfg):
+    """The loop's field solve: u solving A u = u_in, and z = H(f u).
 
-    Both solves run on A, stop at sqrt(2 cfg.delta_tol_rel) of their
-    right-hand side and run at most cfg.K iterations; each starts at its
-    right-hand side.
+    u is the BiCGStab solution started at u_in, stopped at sqrt(2
+    cfg.delta_tol_rel) of ||u_in|| or after cfg.K iterations.  The gradient
+    and every prediction of the FISTA loop take their field from here, so
+    the D they give at one f agree bit for bit.  Returns (u, z).
     """
     grid = G.grid
     f = grid.check_field(f, "potential")
     u_in = grid.check_field(u_in, "u_in").astype(complex)
-    tol = np.sqrt(2.0 * cfg.delta_tol_rel)
-    op = lambda v: apply_A(f, v, G)
-    u, _ = bicgstab(op, u_in, u_in, tol, cfg.K)
-    z = H.apply(f * u)
+    u = _solve_A(f, u_in, G, cfg)
+    return u, H.apply(f * u)
+
+
+def _solve_A(f, b, G, cfg):
+    x, _ = bicgstab(lambda v: apply_A(f, v, G), b, b,
+                    np.sqrt(2.0 * cfg.delta_tol_rel), cfg.K)
+    return x
+
+
+def adjoint_state_gradient(f, y, u_in, G, H, cfg):
+    """Adjoint-state gradient of 0.5||y - z(f)||^2 on BiCGStab fields, and D.
+
+    u and z come from ``loop_field``; x solves A x = conj(H^H r) the same
+    way, started at its right-hand side.
+    """
+    f = G.grid.check_field(f, "potential")
+    u, z = loop_field(f, u_in, G, H, cfg)
     D = data_fidelity(z, y)
-    b = np.conj(H.apply_adjoint(z - y))
-    x, _ = bicgstab(op, b, b, tol, cfg.K)
+    x = _solve_A(f, np.conj(H.apply_adjoint(z - y)), G, cfg)
     return np.real(u * x), D

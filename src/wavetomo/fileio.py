@@ -149,7 +149,9 @@ CYLINDER_SCHEMA = {
     "radius_m": (NUMBER, REQUIRED),
     "contrast": (NUMBER, REQUIRED),
 }
-# the keys of RECON_SCHEMA and FORWARD_SCHEMA are ReconConfig / ForwardConfig fields
+# the keys of RECON_SCHEMA and FORWARD_SCHEMA are ReconConfig / ForwardConfig
+# fields, all but ForwardConfig.nu, which only the series reads and no
+# config-driven command runs the series
 RECON_SCHEMA = {
     "forward": (OBJECT, {}),
     "tau_rel": (NUMBER, 1.5e-9),
@@ -160,7 +162,6 @@ RECON_SCHEMA = {
 FORWARD_SCHEMA = {
     "K": (INT, 60),
     "delta_tol_rel": (NUMBER, 5e-7),
-    "nu": (NUMBER_OR_NULL, None),
 }
 BOX_SCHEMA = {"lower": (NUMBER, 0.0), "upper": (NUMBER, math.inf)}
 GENERATION_SCHEMA = {

@@ -5,8 +5,10 @@ S(u) = 0.5 ||A u - u_in||^2 with A = I - G diag(f), using accelerated
 gradient descent.  The iterates form a series expansion of the field; a
 solve given the sensor operator H records them, because the reverse-mode
 gradient of the data fit differentiates through every iteration.  The
-series is the forward model of every prediction.  ``bicgstab`` solves the
-two systems on A of the adjoint-state gradient the FISTA loop takes.
+series is the paper's forward model, and stays where that model is checked:
+the reference gradient, the contrast sweep and the closed-form comparisons.
+``bicgstab`` solves every other system on A: the data generation's fields,
+and the gradient and predictions of the FISTA loop.
 """
 
 import numbers
@@ -30,14 +32,15 @@ class ForwardConfig:
     """Knobs of the forward field solve.
 
     K : maximum number of iterations (>= 1), of the series and of the
-        adjoint-state gradient's BiCGStab solves alike.
+        FISTA loop's BiCGStab solves alike.
     delta_tol_rel : early-stop threshold on the objective, scaled per solve
         by ||u_in||^2 and compared against S(s^k).  0 disables early
         stopping; it must otherwise be at least MIN_OBJECTIVE_TOL_REL.
         BiCGStab stops at the residual it implies, sqrt(2 delta_tol_rel).
     nu : None for the exact line-search step ||g||^2/||Ag||^2, or a constant
         step (required for exact reverse-mode gradients through the series;
-        see estimate_fixed_step).  BiCGStab does not read it.
+        see estimate_fixed_step).  BiCGStab does not read it, and no config
+        key sets it.
     """
 
     K: int

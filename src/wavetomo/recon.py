@@ -3,8 +3,9 @@
 Minimizes D(f) + tau R(f) where D sums 0.5||y_t - z_t(f)||^2 over the
 transmitters and R is isotropic TV with a box constraint.  The gradient of D
 is the adjoint-state gradient, two BiCGStab solves on A = I - G diag(f) per
-transmitter; every prediction, the step search's included, runs the paper's
-series (``forward_solve``).
+transmitter; every prediction, the step search's included, runs the
+gradient's u solve (``loop_field``), so the loop never runs the paper's
+series.
 Switching ``model`` to "born" or "rytov" replaces the forward operator
 by the linearized one (Rytov additionally replaces y by the complex-log
 transformed data) so the baselines run under the identical FISTA/TV machinery.
@@ -19,11 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import adjoint_state_gradient, data_fidelity
+from .adjoint import adjoint_state_gradient, data_fidelity, loop_field
 # not called: benchmarks/layers.py wraps it; ROADMAP item 1 drops the site
 from .adjoint import gradient_from_trace  # noqa: F401
 from .errors import ConfigError, DimensionError, NumericalError, TransformError
-from .forward import ForwardConfig, forward_solve, predict_scattered
+from .forward import ForwardConfig, predict_scattered
+# not called: benchmarks/layers.py wraps it
+from .forward import forward_solve  # noqa: F401
 from .greens import (MaskedSensorOperator, SensorGreensOperator,
                      build_domain_operator, green_2d, green_3d, sensor_rows)
 # not called: benchmarks/layers.py wraps it
@@ -182,8 +185,9 @@ class ReconReport:
     per iteration.  Entries 1..n-1 are at the extrapolated point f~_k where
     that iteration took its gradient, and come free with it: z is formed
     from the gradient's BiCGStab fields.  The last entry is at ``f_hat``,
-    from one prediction on the series.  ``step_gamma`` is the FISTA step
-    the backtracking at f = 0 found and every iteration used.
+    from one ``predict_all``, which runs the same u solve.  ``step_gamma``
+    is the FISTA step the backtracking at f = 0 found and every iteration
+    used.
     """
 
     f_hat: np.ndarray
@@ -249,8 +253,8 @@ def total_gradient(f, problem, cfg):
     Each transmitter solves A u = u_in and A x = conj(H^H r) by BiCGStab
     (see ``adjoint_state_gradient``), not the series, and applies no G^H.
     D is read from the predictions those fields give, so it costs no
-    G-apply; it agrees with the D of ``predict_all`` to the solves'
-    tolerance, not bit for bit.
+    G-apply; ``predict_all`` runs the same u solve, so its D at the same f
+    is the same bit for bit.
     """
     grads, Ds = [], []
     for u_in, H, y in zip(problem.u_in, problem.H, problem.measurements.y):
@@ -261,12 +265,9 @@ def total_gradient(f, problem, cfg):
 
 
 def predict_all(f, problem, cfg):
-    """Predicted scattered field per transmitter at the current f."""
-    z = []
-    for u_in, H in zip(problem.u_in, problem.H):
-        trace = forward_solve(f, u_in, problem.G, None, cfg.forward)
-        z.append(predict_scattered(trace.u_hat, f, H))
-    return z
+    """Predicted scattered field per transmitter at f, from ``loop_field``."""
+    return [loop_field(f, u_in, problem.G, H, cfg.forward)[1]
+            for u_in, H in zip(problem.u_in, problem.H)]
 
 
 def born_predict(f, u_in, H):
@@ -413,8 +414,8 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
                 or (ref_norm > 0 and step_norm < STOP_REL_CHANGE * ref_norm))
 
         # normalized data fit ||z - y||^2/||y||^2: the gradient's free D at
-        # f_tilde, and one H-free prediction at f_hat after the last step; a
-        # null measurement set (no object) fits exactly by convention
+        # f_tilde, and one prediction at f_hat after the last step; a null
+        # measurement set (no object) fits exactly by convention
         if last:
             D = eval_D(f_new)
         data_fit_hist.append(2.0 * D / y_norm_sq if y_norm_sq > 0

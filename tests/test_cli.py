@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wavetomo as wt
-from wavetomo import cli, fileio, recon, simulate
+from wavetomo import adjoint, cli, fileio, simulate
 from wavetomo.adjoint import adjoint_state_gradient
 from wavetomo.cli import build_parser, main
 
@@ -194,6 +194,20 @@ class TestSimulateReconstruct:
         assert (outdir / "report.json").exists()
         assert fileio.load_grid_csv(outdir / "f_hat.csv")[0].shape == (6, 6, 6)
         assert not list(outdir.glob("*.pgm*"))
+
+    def test_capped_generation_warns_and_writes(self, tmp_path):
+        # a generation solve that stops at k_multiplier * K iterations warns,
+        # and the command still writes its data and exits 0
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, overrides={
+            "phantom": {"kind": "cylinders", "cylinders": [
+                {"center_m": [0.0, 0.0], "radius_m": 0.07, "contrast": 0.1}]},
+            "recon": {"forward": {"K": 1}},
+            "generation": {"k_multiplier": 1}})
+        meas = tmp_path / "m.dat"
+        with pytest.warns(wt.ConvergenceWarning, match="BiCGStab reached 1 iterations"):
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
+        assert fileio.load_measurements(meas).n_tx == 2
 
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
@@ -381,6 +395,9 @@ MALFORMED_CONFIGS = {
     "removed key recon.forward.stop_on": (
         lambda cfg: cfg["recon"]["forward"].update(stop_on="gradient"),
         "recon.forward.stop_on: unknown key"),
+    "removed key recon.forward.nu": (
+        lambda cfg: cfg["recon"]["forward"].update(nu=0.5),
+        "recon.forward.nu: unknown key"),
     # non-finite numbers: each used to run the whole simulation, then exit 0
     # with an empty phantom, exit 1 naming no key, or end in a traceback
     "NaN cylinder radius": (
@@ -458,7 +475,7 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("case", list(MALFORMED_CONFIGS))
     def test_malformed_config(self, tmp_path, capsys, monkeypatch, case):
         # rejected while the config is read, before any field solve
-        monkeypatch.setattr(simulate, "forward_solve", _no_solve)
+        monkeypatch.setattr(simulate, "bicgstab", _no_solve)
         edit, expected = MALFORMED_CONFIGS[case]
         cfg = write_config(tmp_path / "base.json")
         edit(cfg)
@@ -662,7 +679,7 @@ class TestExitCodes:
         grid = wt.centered_grid(shape, spacing=0.5 / 16, wavelength=0.5)
         fileio.emit_grid_csv(np.full(shape, values), grid, truth)
         capsys.readouterr()
-        monkeypatch.setattr(recon, "forward_solve", _no_solve)
+        monkeypatch.setattr(adjoint, "bicgstab", _no_solve)
         rc = main(["reconstruct", "--config", str(cfg_path), "--measurements", str(meas),
                    "--ground-truth", str(truth), "--out", str(tmp_path / "out")])
         assert rc == 1
