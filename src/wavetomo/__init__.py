@@ -10,8 +10,7 @@ through the expansion stays as the checked reference), with first-Born and
 Rytov linearizations available as baselines.
 """
 
-from .adjoint import (adjoint_state_gradient, data_fidelity,
-                      gradient_data_fidelity, gradient_from_trace)
+from .adjoint import data_fidelity, gradient_data_fidelity, gradient_from_trace
 from .analytic import (AnalyticScene, analytic_field_2d, analytic_field_3d,
                        helmholtz_residual, radial_coeffs_2d, radial_coeffs_3d)
 from .errors import (ConfigError, ConvergenceWarning, DimensionError,

@@ -1,30 +1,12 @@
-"""Gradients of the data-fidelity term D(f) = 0.5 ||H(f u) - y||^2.
+"""The paper's gradient of the data-fidelity term D(f) = 0.5 ||H(f u) - y||^2.
 
-Two gradients live here.  The FISTA loop takes the adjoint-state gradient
-(Soubies, Pham and Unser, 2017), which does not depend on how the field was
-solved.  With A = I - G diag(f), f real and G complex symmetric (its kernel
-is even), the adjoint problem A^H w = f H^H r is the forward problem with a
-conjugated source: w = f conj(x) where A x = conj(H^H r), and then
-H^H r + G^H w = conj(x).  So both solves run on A:
-
-  u solves A u = u_in,   r = H(f u) - y,
-  x solves A x = conj(H^H r),
-  grad D = Re(u x).
-
-``adjoint_state_gradient`` solves both systems with BiCGStab to the residual
-the series' objective stop implies, sqrt(2 delta_tol_rel) of the right-hand
-side, and keeps no trace.  It costs the applies of its two solves and no
-G^H apply; at f = 0, A = I and each solve stops after its initial residual,
-so the gradient costs two applies.  Its u solve, ``loop_field``, is also
-the loop's prediction: the step search and every data fit run it, so the
-loop never runs the series.
-
-The paper's gradient, ``gradient_from_trace``, stays as the reference the
-acceptance gate and ``wavetomo gradcheck`` check.  It differentiates the
-series itself: the forward field is a composition of K accelerated-gradient
-iterations, so the gradient is obtained by backpropagating the sensor
-residual through the recorded iterates.  Two multiplier fields are carried
-backwards per iteration:
+``gradient_from_trace`` is the reference that the acceptance gate and
+``wavetomo gradcheck`` check; the FISTA loop takes the adjoint-state
+gradient of ``recon.total_gradient`` instead.  The reference
+differentiates the series itself: the forward field is a composition of K
+accelerated-gradient iterations, so the gradient is obtained by
+backpropagating the sensor residual through the recorded iterates.  Two
+multiplier fields are carried backwards per iteration:
 
   q^k -- the vector multiplying the (never-materialized) Jacobian of u^k,
   r^k -- the accumulated f-dependence already peeled off.
@@ -61,7 +43,7 @@ O(2 K N) complex values; an H-free solve keeps only its final field u_hat.
 import numpy as np
 
 from .errors import DimensionError
-from .forward import bicgstab, forward_solve
+from .forward import forward_solve
 from .greens import apply_A
 
 
@@ -117,37 +99,3 @@ def gradient_data_fidelity(f, y, u_in, G, H, cfg):
     """Gradient of 0.5||y - z(f)||^2; runs the forward solve internally."""
     trace = forward_solve(f, u_in, G, H, cfg)
     return gradient_from_trace(f, y, G, H, trace)
-
-
-def loop_field(f, u_in, G, H, cfg):
-    """The loop's field solve: u solving A u = u_in, and z = H(f u).
-
-    u is the BiCGStab solution started at u_in, stopped at sqrt(2
-    cfg.delta_tol_rel) of ||u_in|| or after cfg.K iterations.  The gradient
-    and every prediction of the FISTA loop take their field from here, so
-    the D they give at one f agree bit for bit.  Returns (u, z).
-    """
-    grid = G.grid
-    f = grid.check_field(f, "potential")
-    u_in = grid.check_field(u_in, "u_in").astype(complex)
-    u = _solve_A(f, u_in, G, cfg)
-    return u, H.apply(f * u)
-
-
-def _solve_A(f, b, G, cfg):
-    x, _ = bicgstab(lambda v: apply_A(f, v, G), b, b,
-                    np.sqrt(2.0 * cfg.delta_tol_rel), cfg.K)
-    return x
-
-
-def adjoint_state_gradient(f, y, u_in, G, H, cfg):
-    """Adjoint-state gradient of 0.5||y - z(f)||^2 on BiCGStab fields, and D.
-
-    u and z come from ``loop_field``; x solves A x = conj(H^H r) the same
-    way, started at its right-hand side.
-    """
-    f = G.grid.check_field(f, "potential")
-    u, z = loop_field(f, u_in, G, H, cfg)
-    D = data_fidelity(z, y)
-    x = _solve_A(f, np.conj(H.apply_adjoint(z - y)), G, cfg)
-    return np.real(u * x), D

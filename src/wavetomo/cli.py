@@ -2,7 +2,8 @@
 
 Subcommands: simulate, reconstruct, analytic, gradcheck, metrics, sweep.
 Exit codes: 0 ok, 1 usage/config error (a shape mismatch, a sensor on a pixel
-center and running out of memory included), 2 numerical failure, 3 I/O error.
+center, data the Rytov transform cannot take and running out of memory
+included), 2 numerical failure, 3 I/O error.
 The WAVETOMO_OUTDIR environment variable supplies the default output
 directory.
 """
@@ -18,15 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, simulate
-from .adjoint import adjoint_state_gradient, data_fidelity, gradient_data_fidelity
+from .adjoint import data_fidelity, gradient_data_fidelity
 from .analytic import AnalyticScene, analytic_field_2d, analytic_field_3d
 from .errors import (ConfigError, DimensionError, MeasurementParseError,
-                     NumericalError, SingularityError)
+                     NumericalError, SingularityError, TransformError)
 from .forward import ForwardConfig, estimate_fixed_step, forward_solve
-from .greens import build_domain_operator, build_sensor_operator
+from .greens import build_domain_operator
 from .grid import centered_grid, ring_sensors
 from .metrics import normalized_error, normalized_recon_error, snr_db
-from .recon import SUBSAMPLE_FACTORS, Transmitter, fista_reconstruct
+from .recon import (SUBSAMPLE_FACTORS, MeasurementSet, ReconConfig,
+                    ScatteringProblem, Transmitter, fista_reconstruct,
+                    total_gradient)
 
 # a contrast sweep runs one forward solve per point
 MAX_SWEEP_POINTS = 10_000
@@ -170,14 +173,16 @@ def cmd_gradcheck(args):
     n = args.grid_size
     grid = centered_grid((n, n), spacing=0.1, wavelength=0.5)
     sensors = ring_sensors(16, radius=0.12 * n)
-    G = build_domain_operator(grid)
-    H = build_sensor_operator(grid, sensors)
     tx = Transmitter("point", position=(0.14 * n, 0.0))
-    u_in = tx.field_on_grid(grid)
+    # the loop's gradient, total_gradient, on a one-transmitter problem; the
+    # data of each check are passed to it, so the set's own y is unused
+    problem = ScatteringProblem(MeasurementSet(
+        [tx], sensors, [np.arange(len(sensors))], [np.zeros(len(sensors))]), grid)
+    G, H, u_in = problem.G, problem.H[0], problem.u_in[0]
 
     # the loop's gradient is checked on BiCGStab fields at the tightest
     # tolerance a config accepts, with at most one iteration per pixel
-    loop_cfg = ForwardConfig(K=grid.size, delta_tol_rel=1e-26)
+    loop_cfg = ReconConfig(forward=ForwardConfig(K=grid.size, delta_tol_rel=1e-26))
     worst = 0.0
     for K in args.K:
         raw = rng.uniform(-1.0, 1.0, size=grid.shape)
@@ -189,8 +194,8 @@ def cmd_gradcheck(args):
             ("adaptive" if args.adaptive else "fixed",
              gradient_data_fidelity(f, y, u_in, G, H, cfg),
              lambda fv: data_fidelity(forward_solve(fv, u_in, G, H, cfg).z, y)),
-            ("loop", adjoint_state_gradient(f, y, u_in, G, H, loop_cfg)[0],
-             lambda fv: adjoint_state_gradient(fv, y, u_in, G, H, loop_cfg)[1])]
+            ("loop", total_gradient(f, problem, loop_cfg, [y])[0],
+             lambda fv: total_gradient(fv, problem, loop_cfg, [y])[1])]
         for name, grad, D_of in checks:
             fd = np.zeros_like(grad)
             delta = 1e-5 * np.max(np.abs(f))
@@ -376,7 +381,7 @@ def main(argv=None):
         return 1
     try:
         return args.fn(args)
-    except (ConfigError, DimensionError, SingularityError) as exc:
+    except (ConfigError, DimensionError, SingularityError, TransformError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -1,16 +1,14 @@
 """Outer image-formation loop: TV-regularized FISTA on the data fidelity.
 
 Minimizes D(f) + tau R(f) where D sums 0.5||y_t - z_t(f)||^2 over the
-transmitters and R is isotropic TV with a box constraint.  The gradient of D
-is the adjoint-state gradient, two BiCGStab solves on A = I - G diag(f) per
-transmitter; every prediction, the step search's included, runs the
-gradient's u solve (``loop_field``), so the loop never runs the paper's
-series.
-Switching ``model`` to "born" or "rytov" replaces the forward operator
-by the linearized one (Rytov additionally replaces y by the complex-log
-transformed data) so the baselines run under the identical FISTA/TV machinery.
-The linear model treats all transmitters at once: a prediction is one matrix
-product with H and a gradient one more with its adjoint.
+transmitters and R is isotropic TV with a box constraint.  One kernel,
+``total_gradient``, gives the gradient of D and D for all three models, and
+``predict_all`` runs its first half.  The full model solves A = I - G diag(f)
+by BiCGStab; the first-Born linearization is the same kernel with A = I, so
+its fields are the incident fields and its adjoint fields the back-projected
+residuals.  Rytov is Born on complex-log transformed data.  All transmitters
+share the H products: a prediction is one matrix product with H and a
+gradient one more with its adjoint.
 """
 
 import numbers
@@ -20,14 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import adjoint_state_gradient, data_fidelity, loop_field
+from .adjoint import data_fidelity
 # not called: benchmarks/layers.py wraps it; ROADMAP item 1 drops the site
 from .adjoint import gradient_from_trace  # noqa: F401
 from .errors import ConfigError, DimensionError, NumericalError, TransformError
-from .forward import ForwardConfig, predict_scattered
+from .forward import ForwardConfig, bicgstab, predict_scattered
 # not called: benchmarks/layers.py wraps it
 from .forward import forward_solve  # noqa: F401
-from .greens import (MaskedSensorOperator, SensorGreensOperator,
+from .greens import (MaskedSensorOperator, SensorGreensOperator, apply_A,
                      build_domain_operator, green_2d, green_3d, sensor_rows)
 # not called: benchmarks/layers.py wraps it
 from .greens import build_sensor_operator  # noqa: F401
@@ -184,8 +182,8 @@ class ReconReport:
     ``data_fit_history`` holds one normalized data fit ||z - y||^2/||y||^2
     per iteration.  Entries 1..n-1 are at the extrapolated point f~_k where
     that iteration took its gradient, and come free with it: z is formed
-    from the gradient's BiCGStab fields.  The last entry is at ``f_hat``,
-    from one ``predict_all``, which runs the same u solve.  ``step_gamma``
+    from the gradient's fields.  The last entry is at ``f_hat``, from one
+    ``predict_all``, which forms the same fields.  ``step_gamma``
     is the FISTA step the backtracking at f = 0 found and every iteration
     used.
     """
@@ -247,27 +245,63 @@ class ScatteringProblem:
             for tx, ix in zip(measurements.transmitters, measurements.active_indices)]
 
 
-def total_gradient(f, problem, cfg):
-    """Sum of per-transmitter adjoint-state gradients, and D at f.
+def _solve_rows(f, B, problem, cfg):
+    """Row t of B solved on A = I - G diag(f), or B itself when cfg is None
+    (the first-Born linearization, A = I).
 
-    Each transmitter solves A u = u_in and A x = conj(H^H r) by BiCGStab
-    (see ``adjoint_state_gradient``), not the series, and applies no G^H.
-    D is read from the predictions those fields give, so it costs no
-    G-apply; ``predict_all`` runs the same u solve, so its D at the same f
-    is the same bit for bit.
+    Each solve is BiCGStab started at its right-hand side and stopped at
+    sqrt(2 cfg.forward.delta_tol_rel) of its norm or after cfg.forward.K
+    iterations.
     """
-    grads, Ds = [], []
-    for u_in, H, y in zip(problem.u_in, problem.H, problem.measurements.y):
-        grad, D = adjoint_state_gradient(f, y, u_in, problem.G, H, cfg.forward)
-        grads.append(grad)
-        Ds.append(D)
-    return np.sum(grads, axis=0), float(sum(Ds))
+    if cfg is None:
+        return B
+    op = lambda v: apply_A(f, v, problem.G)
+    tol = np.sqrt(2.0 * cfg.forward.delta_tol_rel)
+    X = np.empty_like(B)
+    for x, b in zip(X, B):
+        b = b.reshape(problem.grid.shape)
+        x[:] = bicgstab(op, b, b, tol, cfg.forward.K)[0].ravel()
+    return X
+
+
+def _fields_and_rows(f, problem, cfg):
+    """The fields U, row t solving A u_t = u_in[t], and R = (U f) H^T: row t
+    is H (f u_t) on every recorded slot."""
+    U = _solve_rows(f, problem.U_in, problem, cfg)
+    return U, (U * f.ravel()) @ problem._H_ring.matrix.T
+
+
+def total_gradient(f, problem, cfg, data):
+    """Gradient of D = sum_t 0.5||H_t(f u_t) - y_t||^2 at f, and D.
+
+    The adjoint-state gradient: u_t solves A u_t = u_in[t], r_t is the
+    residual on transmitter t's recorded slots, x_t solves
+    A x_t = conj(H^H r_t), and the gradient is Re sum_t u_t x_t.  ``cfg`` is
+    the ``ReconConfig`` whose forward settings stop the BiCGStab solves
+    (see ``_solve_rows``), or None for the linear models, A = I, where
+    u_t = u_in[t] and x_t = conj(H^H r_t).  ``data`` holds y_t per
+    transmitter.  D is read from the rows ``predict_all`` returns, so at
+    the same f the two give the same D bit for bit.
+    """
+    f = problem.grid.check_field(f, "potential")
+    U, R = _fields_and_rows(f, problem, cfg)
+    D = 0.0
+    for r, h, y in zip(R, problem.H, data):
+        resid = r[h.indices] - y
+        D += 0.5 * float(np.vdot(resid, resid).real)
+        r[:] = 0.0
+        r[h.indices] = resid
+    # row t of conj(R) H is conj(H^H r_t)
+    X = _solve_rows(f, R.conj() @ problem._H_ring.matrix, problem, cfg)
+    return np.real(np.sum(U * X, axis=0)).reshape(problem.grid.shape), D
 
 
 def predict_all(f, problem, cfg):
-    """Predicted scattered field per transmitter at f, from ``loop_field``."""
-    return [loop_field(f, u_in, problem.G, H, cfg.forward)[1]
-            for u_in, H in zip(problem.u_in, problem.H)]
+    """Predicted scattered field per transmitter at f, from the fields
+    ``total_gradient`` solves; cfg None is the first-Born model."""
+    f = problem.grid.check_field(f, "potential")
+    _, R = _fields_and_rows(f, problem, cfg)
+    return [r[h.indices] for r, h in zip(R, problem.H)]
 
 
 def born_predict(f, u_in, H):
@@ -306,32 +340,6 @@ def rytov_transform(u_total, u_in):
     return u_in * (np.log(np.abs(ratio)) + 1j * np.unwrap(phase))
 
 
-def _born_rows(f, problem):
-    """Row t is H (u_in[t] * f) on every recorded slot: one GEMM for all T."""
-    f = problem.grid.check_field(f, "potential")
-    return (problem.U_in * f.ravel()) @ problem._H_ring.matrix.T
-
-
-def _linear_predict(f, problem):
-    """``born_predict`` for every transmitter."""
-    return [z[h.indices] for z, h in zip(_born_rows(f, problem), problem.H)]
-
-
-def _linear_gradient(f, problem, data):
-    """Sum over transmitters of ``born_gradient``, and D: two GEMMs in all."""
-    R = _born_rows(f, problem)
-    D = 0.0
-    for r, h, y in zip(R, problem.H, data):
-        resid = r[h.indices] - y
-        D += 0.5 * float(np.vdot(resid, resid).real)
-        r[:] = 0.0
-        r[h.indices] = resid
-    # row t of conj(R) H is conj(H^H r_t), so Re(conj(u_t) H^H r_t) is the
-    # real part of u_t times that row
-    B = R.conj() @ problem._H_ring.matrix
-    return np.real(np.sum(problem.U_in * B, axis=0)).reshape(problem.grid.shape), D
-
-
 def _backtrack_step(f0, grad0, eval_D, D0):
     """Halve gamma until the quadratic upper bound holds at the first step."""
     g_sq = float(np.vdot(grad0, grad0).real)
@@ -349,11 +357,11 @@ def _backtrack_step(f0, grad0, eval_D, D0):
 def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
     """TV-regularized FISTA reconstruction of the scattering potential.
 
-    model: "full" uses the multiple-scattering forward/adjoint pair; "born"
-    the first-Born linearization; "rytov" the Born machinery on complex-log
-    transformed data.  A ``ground_truth`` must have the grid's shape and a
-    nonzero norm; it is checked before the first field solve.  Deterministic
-    for fixed inputs.
+    model: "full" solves A = I - G diag(f) for the fields; "born" and
+    "rytov" take A = I, the first-Born linearization, and "rytov" fits it
+    to complex-log transformed data.  A ``ground_truth`` must have the
+    grid's shape and a nonzero norm; it is checked before the first field
+    solve.  Deterministic for fixed inputs.
     """
     if model not in ("full", "born", "rytov"):
         raise ConfigError("model must be 'full', 'born' or 'rytov'")
@@ -369,15 +377,13 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
                 for y, ui in zip(measurements.y, problem.u_in_sensors)]
     y_norm_sq = float(sum(np.vdot(v, v).real for v in data))
 
-    if model == "full":
-        grad_fn = lambda f: total_gradient(f, problem, cfg)
-        pred_fn = lambda f: predict_all(f, problem, cfg)
-    else:
-        grad_fn = lambda f: _linear_gradient(f, problem, data)
-        pred_fn = lambda f: _linear_predict(f, problem)
+    # the linear models solve nothing: A = I
+    solve_cfg = cfg if model == "full" else None
+    grad_fn = lambda f: total_gradient(f, problem, solve_cfg, data)
 
     def eval_D(f):
-        return float(sum(data_fidelity(z, yv) for z, yv in zip(pred_fn(f), data)))
+        return float(sum(data_fidelity(z, yv) for z, yv
+                         in zip(predict_all(f, problem, solve_cfg), data)))
 
     tau = cfg.resolve_tau(measurements)
     f_prev = np.zeros(grid.shape)

@@ -146,66 +146,79 @@ class TestGradient:
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-6
 
 
-class TestAdjointStateGradient:
-    """The loop's gradient: A u = u_in and A x = conj(H^H r) by BiCGStab."""
+@pytest.fixture
+def one_tx(small_grid):
+    """small_setup's scene as a one-transmitter problem; its own y is unused."""
+    sensors = wt.ring_sensors(12, radius=0.45)
+    tx = wt.Transmitter("point", position=(0.5, 0.05))
+    mset = wt.MeasurementSet(transmitters=[tx], receivers=sensors,
+                             active_indices=[np.arange(12)], y=[np.zeros(12)])
+    return wt.ScatteringProblem(mset, small_grid)
 
-    def test_fd_match_with_tight_solves(self, small_setup, rng):
-        grid, G, H, u_in = small_setup
-        f = random_potential(rng, grid)
-        y = random_field(rng, (len(H.sensors),))
-        cfg = wt.ForwardConfig(K=200, delta_tol_rel=1e-26)
-        grad, _ = wt.adjoint_state_gradient(f, y, u_in, G, H, cfg)
+
+def loop_config(**kw):
+    return wt.ReconConfig(forward=wt.ForwardConfig(**kw))
+
+
+class TestAdjointStateGradient:
+    """The loop's gradient, ``total_gradient`` on one transmitter:
+    A u = u_in and A x = conj(H^H r) by BiCGStab."""
+
+    def test_fd_match_with_tight_solves(self, one_tx, rng):
+        f = random_potential(rng, one_tx.grid)
+        y = random_field(rng, (12,))
+        cfg = loop_config(K=200, delta_tol_rel=1e-26)
+        grad, _ = wt.total_gradient(f, one_tx, cfg, [y])
 
         def D_of(fv):
-            return wt.adjoint_state_gradient(fv, y, u_in, G, H, cfg)[1]
+            return wt.total_gradient(fv, one_tx, cfg, [y])[1]
 
         # central differences of D on solved fields: 1.6e-7 measured, the
         # differences' own truncation error
         fd = fd_gradient(D_of, f, 1e-5 * np.max(np.abs(f)))
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-6
 
-    def test_agrees_with_unrolled_as_tolerances_shrink(self, small_setup, rng):
+    def test_agrees_with_unrolled_as_tolerances_shrink(self, one_tx, rng):
         # both gradients tend to the gradient of D on the exact field
-        grid, G, H, u_in = small_setup
-        f = random_potential(rng, grid)
-        y = random_field(rng, (len(H.sensors),))
+        f = random_potential(rng, one_tx.grid)
+        y = random_field(rng, (12,))
         gaps = []
         for tol in (1e-6, 1e-14, 1e-26):
-            cfg = wt.ForwardConfig(K=2000, delta_tol_rel=tol)
-            adjoint_state, _ = wt.adjoint_state_gradient(f, y, u_in, G, H, cfg)
-            unrolled = wt.gradient_data_fidelity(f, y, u_in, G, H, cfg)
+            cfg = loop_config(K=2000, delta_tol_rel=tol)
+            adjoint_state, _ = wt.total_gradient(f, one_tx, cfg, [y])
+            unrolled = wt.gradient_data_fidelity(f, y, one_tx.u_in[0], one_tx.G,
+                                                 one_tx.H[0], cfg.forward)
             gaps.append(np.linalg.norm(adjoint_state - unrolled) / np.linalg.norm(unrolled))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-11
 
-    def test_agrees_with_A_H_form(self, small_setup, rng):
+    def test_agrees_with_A_H_form(self, one_tx, rng):
         # reciprocity: w = f conj(x) solves A^H w = f H^H r, so the two forms
         # differ only by their solves' residuals
-        grid, G, H, u_in = small_setup
-        f = random_potential(rng, grid)
-        y = random_field(rng, (len(H.sensors),))
-        cfg = wt.ForwardConfig(K=200, delta_tol_rel=1e-26)
-        got, _ = wt.adjoint_state_gradient(f, y, u_in, G, H, cfg)
-        expect = adjoint_state_gradient_AH(f, y, u_in, G, H, cfg)
+        f = random_potential(rng, one_tx.grid)
+        y = random_field(rng, (12,))
+        cfg = loop_config(K=200, delta_tol_rel=1e-26)
+        got, _ = wt.total_gradient(f, one_tx, cfg, [y])
+        expect = adjoint_state_gradient_AH(f, y, one_tx.u_in[0], one_tx.G, one_tx.H[0],
+                                           cfg.forward)
         assert np.linalg.norm(got - expect) <= 1e-11 * np.linalg.norm(expect)
 
-    def test_f_zero_closed_form(self, small_setup, rng):
-        grid, G, H, u_in = small_setup
-        y = random_field(rng, (len(H.sensors),))
-        grad, D = wt.adjoint_state_gradient(np.zeros(grid.shape), y, u_in, G, H,
-                                            wt.ForwardConfig(K=4))
+    def test_f_zero_closed_form(self, one_tx, rng):
+        y = random_field(rng, (12,))
+        grad, D = wt.total_gradient(np.zeros(one_tx.grid.shape), one_tx,
+                                    loop_config(K=4), [y])
         # A = I, so u = u_in and x = conj(H^H r) with r = -y: each solve
         # returns after its initial residual
+        u_in, H = one_tx.u_in[0], one_tx.H[0]
         assert np.array_equal(grad, np.real(np.conj(u_in) * H.apply_adjoint(-y)))
         assert D == wt.data_fidelity(np.zeros_like(y), y)
 
-    def test_zero_residual_gives_zero(self, small_setup, rng):
-        grid, G, H, u_in = small_setup
-        f = random_potential(rng, grid)
-        cfg = wt.ForwardConfig(K=6)
-        u, _ = wt.bicgstab(lambda v: wt.apply_A(f, v, G), u_in.astype(complex),
-                           u_in.astype(complex), 0.0, cfg.K)
-        grad, D = wt.adjoint_state_gradient(f, H.apply(f * u), u_in, G, H, cfg)
+    def test_zero_residual_gives_zero(self, one_tx, rng):
+        f = random_potential(rng, one_tx.grid)
+        cfg = loop_config(K=6)
+        u_in, G, H = one_tx.u_in[0], one_tx.G, one_tx.H[0]
+        u, _ = wt.bicgstab(lambda v: wt.apply_A(f, v, G), u_in, u_in, 0.0, cfg.forward.K)
+        grad, D = wt.total_gradient(f, one_tx, cfg, [H.apply(f * u)])
         assert np.all(grad == 0) and D == 0.0
 
 

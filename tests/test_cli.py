@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import wavetomo as wt
-from wavetomo import adjoint, cli, fileio, simulate
-from wavetomo.adjoint import adjoint_state_gradient
+from wavetomo import cli, fileio, recon, simulate
 from wavetomo.cli import build_parser, main
 
 
@@ -243,10 +242,10 @@ class TestGradcheckCommand:
     def test_wrong_loop_gradient_fails(self, capsys, monkeypatch):
         # the reference gradient still passes; only the loop's line fails
         def flipped(*args):
-            grad, D = adjoint_state_gradient(*args)
+            grad, D = recon.total_gradient(*args)
             return -grad, D
 
-        monkeypatch.setattr(cli, "adjoint_state_gradient", flipped)
+        monkeypatch.setattr(cli, "total_gradient", flipped)
         rc = main(["gradcheck", "--grid-size", "4", "--K", "1", "--seed", "1"])
         assert rc == 2
         out, err = capsys.readouterr()
@@ -628,6 +627,23 @@ class TestExitCodes:
             f"i/o error: line 1: {path}: k_b times the distance from the grid "
             f"center is {phase} rad, above the 1e+08 rad double precision resolves\n")
 
+    def test_rytov_on_vanishing_incident_field(self, tmp_path, capsys):
+        # a transmitter of zero amplitude has no incident field at the
+        # receivers to divide by; it used to end in a TransformError traceback
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        meas = tmp_path / "m.dat"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
+        lines = meas.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["transmitters"][1]["amplitude"] = [0.0, 0.0]
+        meas.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", str(cfg_path), "--measurements",
+                   str(meas), "--model", "rytov", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: incident field vanishes at a sensor\n"
+
     def test_malformed_grid_csv_is_io_error(self, tmp_path, capsys):
         grid = wt.centered_grid((3, 3), spacing=0.01, wavelength=0.1)
         ref = tmp_path / "ref.csv"
@@ -679,7 +695,7 @@ class TestExitCodes:
         grid = wt.centered_grid(shape, spacing=0.5 / 16, wavelength=0.5)
         fileio.emit_grid_csv(np.full(shape, values), grid, truth)
         capsys.readouterr()
-        monkeypatch.setattr(adjoint, "bicgstab", _no_solve)
+        monkeypatch.setattr(recon, "bicgstab", _no_solve)
         rc = main(["reconstruct", "--config", str(cfg_path), "--measurements", str(meas),
                    "--ground-truth", str(truth), "--out", str(tmp_path / "out")])
         assert rc == 1

@@ -3,8 +3,8 @@ import pytest
 
 import wavetomo as wt
 from conftest import random_field, random_potential
-from reference import dense_A_matrix, fd_gradient
-from wavetomo import adjoint, recon
+from reference import adjoint_state_gradient_AH, dense_A_matrix, fd_gradient
+from wavetomo import recon
 from wavetomo.errors import ConfigError, TransformError
 from wavetomo.greens import (DomainGreensOperator, MaskedSensorOperator,
                              build_sensor_operator)
@@ -38,6 +38,13 @@ def masked_problem(rng, n=12, slots=12):
          for t, ix in zip(tx, active)]
     return grid, wt.MeasurementSet(transmitters=tx, receivers=ring,
                                    active_indices=active, y=y)
+
+
+def model_data(model, mset, problem):
+    """The data a model fits: Rytov-transformed for "rytov", y otherwise."""
+    if model != "rytov":
+        return mset.y
+    return [wt.rytov_transform(y + u, u) for y, u in zip(mset.y, problem.u_in_sensors)]
 
 
 def rel_err(got, expect):
@@ -100,19 +107,8 @@ class TestTotalGradient:
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
         mset.y[:] = wt.predict_all(f, problem, cfg)
-        grad, _ = wt.total_gradient(f, problem, cfg)
+        grad, _ = wt.total_gradient(f, problem, cfg, mset.y)
         assert np.allclose(grad, 0.0)
-
-    def test_single_tx_matches_module(self, rng):
-        grid, mset = tiny_problem(rng, n_tx=1)
-        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=5), tau_rel=0.0)
-        problem = ScatteringProblem(mset, grid)
-        f = random_potential(rng, grid)
-        got, D = wt.total_gradient(f, problem, cfg)
-        expect, D_expect = wt.adjoint_state_gradient(
-            f, mset.y[0], problem.u_in[0], problem.G, problem.H[0], cfg.forward)
-        assert np.array_equal(got, expect)
-        assert D == D_expect
 
     def test_duplicate_tx_doubles(self, rng):
         grid, mset1 = tiny_problem(rng, n_tx=1)
@@ -123,8 +119,8 @@ class TestTotalGradient:
             active_indices=mset1.active_indices * 2,
             y=mset1.y * 2)
         f = random_potential(rng, grid)
-        g1, _ = wt.total_gradient(f, ScatteringProblem(mset1, grid), cfg)
-        g2, _ = wt.total_gradient(f, ScatteringProblem(mset2, grid), cfg)
+        g1, _ = wt.total_gradient(f, ScatteringProblem(mset1, grid), cfg, mset1.y)
+        g2, _ = wt.total_gradient(f, ScatteringProblem(mset2, grid), cfg, mset2.y)
         assert np.allclose(g2, 2.0 * g1)
 
     def test_G_apply_budget(self, rng, monkeypatch):
@@ -141,7 +137,7 @@ class TestTotalGradient:
         calls, adjoint_calls, solves = [], [], []
         apply, apply_adjoint, krylov = (
             DomainGreensOperator.apply, DomainGreensOperator.apply_adjoint,
-            adjoint.bicgstab)
+            recon.bicgstab)
 
         def counted(self, v):
             calls.append(1)
@@ -160,19 +156,19 @@ class TestTotalGradient:
 
         monkeypatch.setattr(DomainGreensOperator, "apply", counted)
         monkeypatch.setattr(DomainGreensOperator, "apply_adjoint", counted_adjoint)
-        monkeypatch.setattr(adjoint, "bicgstab", recorded_krylov)
-        wt.total_gradient(f, problem, cfg)
+        monkeypatch.setattr(recon, "bicgstab", recorded_krylov)
+        wt.total_gradient(f, problem, cfg, mset.y)
         gradient_calls = len(calls)
-        # u and x for each of the two transmitters
+        # the two transmitters' u, then their x
         assert len(solves) == 4 and min(solves) > 1
         assert gradient_calls == sum(solves)
         wt.predict_all(f, problem, cfg)
         # the two u solves again
-        assert solves[4:] == solves[0:4:2]
+        assert solves[4:] == solves[0:2]
         assert len(calls) - gradient_calls == sum(solves[4:])
         assert adjoint_calls == []
         del calls[:], solves[:]
-        wt.total_gradient(np.zeros(grid.shape), problem, cfg)
+        wt.total_gradient(np.zeros(grid.shape), problem, cfg, mset.y)
         assert solves == [1, 1, 1, 1] and len(calls) == 4
         assert adjoint_calls == []
 
@@ -191,47 +187,66 @@ class TestTotalGradient:
             assert rel_err(z, H.apply(f * u)) <= 1e-3
 
     @staticmethod
-    def D_gap(rng, delta_tol_rel):
-        grid, mset = tiny_problem(rng, n_tx=3)
-        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=200, delta_tol_rel=delta_tol_rel),
-                             tau_rel=0.0)
+    def D_gap(rng, grid, mset, delta_tol_rel, model="full"):
+        cfg = (wt.ReconConfig(forward=wt.ForwardConfig(K=200, delta_tol_rel=delta_tol_rel),
+                              tau_rel=0.0)
+               if model == "full" else None)
         problem = ScatteringProblem(mset, grid)
+        data = model_data(model, mset, problem)
         f = random_potential(rng, grid)
-        _, D = wt.total_gradient(f, problem, cfg)
+        _, D = wt.total_gradient(f, problem, cfg, data)
         z = wt.predict_all(f, problem, cfg)
-        D_pred = sum(wt.data_fidelity(zt, yt) for zt, yt in zip(z, mset.y))
+        D_pred = sum(wt.data_fidelity(zt, yt) for zt, yt in zip(z, data))
         return abs(D - D_pred) / D_pred
 
     def test_returned_D_matches_prediction(self, rng):
-        # the gradient and predict_all take z from one u solve, so the D
-        # the gradient returns is the D of the prediction, bit for bit
-        assert self.D_gap(rng, 1e-3) == 0.0
-
-    def test_returned_D_converges_to_prediction(self, rng):
-        assert self.D_gap(rng, 1e-20) <= 1e-9
-
-
-class TestLinearModel:
-    """The Born and Rytov loop's two-GEMM model against ``born_gradient`` and
-    ``born_predict`` applied one transmitter at a time."""
+        # the gradient and predict_all take z from the same fields, so the
+        # D the gradient returns is the D of the prediction, bit for bit
+        assert self.D_gap(rng, *tiny_problem(rng, n_tx=3), 1e-3) == 0.0
 
     @pytest.mark.parametrize("model", ["born", "rytov"])
-    def test_batched_matches_per_transmitter_sums(self, rng, model):
+    def test_linear_returned_D_matches_prediction(self, rng, model):
+        # the same for A = I; masked_problem's data take the Rytov transform
+        # cleanly
+        assert self.D_gap(rng, *masked_problem(rng), 1e-3, model) == 0.0
+
+    def test_returned_D_converges_to_prediction(self, rng):
+        assert self.D_gap(rng, *tiny_problem(rng, n_tx=3), 1e-20) <= 1e-9
+
+
+class TestOneKernel:
+    """``total_gradient`` and ``predict_all`` for all three models against
+    per-transmitter oracles: ``born_gradient`` and ``born_predict`` for the
+    linear models (A = I), the reference A^H form for the full model."""
+
+    @pytest.mark.parametrize("model", ["born", "rytov"])
+    def test_linear_matches_per_transmitter_sums(self, rng, model):
         grid, mset = masked_problem(rng)
         problem = ScatteringProblem(mset, grid)
-        data = mset.y
-        if model == "rytov":
-            data = [wt.rytov_transform(y + u, u)
-                    for y, u in zip(mset.y, problem.u_in_sensors)]
+        data = model_data(model, mset, problem)
         f = random_potential(rng, grid)
         parts = [wt.born_gradient(f, y, u, h)
                  for y, u, h in zip(data, problem.u_in, problem.H)]
-        grad, D = recon._linear_gradient(f, problem, data)
+        grad, D = wt.total_gradient(f, problem, None, data)
         assert rel_err(grad, np.sum([g for g, _ in parts], axis=0)) <= 1e-13
         assert abs(D - sum(d for _, d in parts)) <= 1e-13 * D
-        z = recon._linear_predict(f, problem)
+        z = wt.predict_all(f, problem, None)
         for zt, u, h in zip(z, problem.u_in, problem.H):
             assert rel_err(zt, wt.born_predict(f, u, h)) <= 1e-13
+
+    def test_full_matches_A_H_form_per_transmitter(self, rng):
+        # reciprocity: the kernel's x solve on A against the A^H solve of
+        # the oracle, summed over transmitters that record different slots
+        grid, mset = masked_problem(rng)
+        problem = ScatteringProblem(mset, grid)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=200, delta_tol_rel=1e-26))
+        f = random_potential(rng, grid)
+        grad, D = wt.total_gradient(f, problem, cfg, mset.y)
+        expect = sum(adjoint_state_gradient_AH(f, y, u, problem.G, h, cfg.forward)
+                     for y, u, h in zip(mset.y, problem.u_in, problem.H))
+        assert rel_err(grad, expect) <= 1e-11
+        z = wt.predict_all(f, problem, cfg)
+        assert D == sum(wt.data_fidelity(zt, y) for zt, y in zip(z, mset.y))
 
 
 class TestRecordedRows:
@@ -246,14 +261,15 @@ class TestRecordedRows:
         # the same problem with every transmitter masked out of the whole ring
         ring_H = build_sensor_operator(grid, sub.receivers)
         ref = ScatteringProblem(sub, grid)
+        ref._H_ring = ring_H
         ref.H = [MaskedSensorOperator(ring_H, ix) for ix in sub.active_indices]
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=20, delta_tol_rel=1e-3))
         f = random_potential(rng, grid)
         for got, expect in zip(wt.predict_all(f, problem, cfg),
                                wt.predict_all(f, ref, cfg)):
             assert rel_err(got, expect) <= 1e-13
-        grad, D = wt.total_gradient(f, problem, cfg)
-        grad_ref, D_ref = wt.total_gradient(f, ref, cfg)
+        grad, D = wt.total_gradient(f, problem, cfg, sub.y)
+        grad_ref, D_ref = wt.total_gradient(f, ref, cfg, sub.y)
         assert rel_err(grad, grad_ref) <= 1e-13
         assert abs(D - D_ref) <= 1e-13 * D_ref
 
@@ -366,7 +382,7 @@ class TestMonitoring:
         grid, mset = tiny_problem(rng)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1e-10,
                              fista_iters=4)
-        calls = self.count_calls(monkeypatch, "_linear_predict")
+        calls = self.count_calls(monkeypatch, "predict_all")
         wt.fista_reconstruct(mset, grid, cfg, model="born")
         assert len(calls) == 1
 
