@@ -8,7 +8,8 @@ dual step is 1/(12 tau), the bound valid in 3D (conservative in 2D).
 
 The discrete gradient D takes forward differences with replicate-edge
 (Neumann) closure; its adjoint is the matching negative divergence, exact to
-machine precision.
+machine precision.  Gradient fields and the dual are stored component first,
+shape (ndim,) + f.shape, so each dual step reads whole contiguous blocks g[d].
 """
 
 import json
@@ -38,32 +39,33 @@ class BoxConstraint:
 
 
 def grad_op(f):
-    """Forward differences along every axis, shape f.shape + (ndim,).
+    """Forward differences along every axis, shape (ndim,) + f.shape.
 
-    The last sample along each axis is replicated (Neumann closure), so its
-    difference is zero.
+    out[d] holds the differences along axis d.  The last sample along each
+    axis is replicated (Neumann closure), so its difference is zero.
     """
     f = np.asarray(f, dtype=float)
-    out = np.zeros(f.shape + (f.ndim,))
+    out = np.zeros((f.ndim,) + f.shape)
     for d in range(f.ndim):
         head = tuple(slice(None, -1) if a == d else slice(None) for a in range(f.ndim))
         tail = tuple(slice(1, None) if a == d else slice(None) for a in range(f.ndim))
-        out[head + (d,)] = f[tail] - f[head]
+        out[(d,) + head] = f[tail] - f[head]
     return out
 
 
 def grad_adjoint(g):
-    """Exact adjoint of grad_op: <D f, g> = <f, grad_adjoint(g)> for all f, g."""
+    """Exact adjoint of grad_op: <D f, g> = <f, grad_adjoint(g)> for all f and
+    all g of grad_op's shape (ndim,) + f.shape."""
     g = np.asarray(g, dtype=float)
     ndim = g.ndim - 1
-    if g.shape[-1] != ndim:
-        raise DimensionError(f"gradient field has {g.shape[-1]} components "
+    if g.shape[0] != ndim:
+        raise DimensionError(f"gradient field has {g.shape[0]} components "
                              f"for {ndim} axes")
-    out = np.zeros(g.shape[:-1])
+    out = np.zeros(g.shape[1:])
     for d in range(ndim):
         head = tuple(slice(None, -1) if a == d else slice(None) for a in range(ndim))
         tail = tuple(slice(1, None) if a == d else slice(None) for a in range(ndim))
-        comp = g[..., d]
+        comp = g[d]
         out[head] -= comp[head]
         out[tail] += comp[head]
     return out
@@ -72,7 +74,7 @@ def grad_adjoint(g):
 def tv_value(f):
     """Isotropic TV of f: the sum over pixels of the l2 norm of the gradient."""
     g = grad_op(f)
-    return float(np.sum(np.sqrt(np.sum(g * g, axis=-1))))
+    return float(np.sum(np.sqrt(np.sum(g * g, axis=0))))
 
 
 def proj_box(f, box):
@@ -81,11 +83,11 @@ def proj_box(f, box):
 
 
 def proj_dual(g):
-    """Projection onto the dual unit balls: each pixel's component vector is
-    divided by max(1, its l2 norm)."""
+    """Projection onto the dual unit balls: each pixel's component vector
+    g[:, pixel] is divided by max(1, its l2 norm)."""
     g = np.asarray(g, dtype=float)
-    norm = np.sqrt(np.sum(g * g, axis=-1))
-    return g / np.maximum(1.0, norm)[..., None]
+    norm = np.sqrt(np.sum(g * g, axis=0))
+    return g / np.maximum(1.0, norm)
 
 
 def prox_tv(z, tau, box=BoxConstraint(), iters=10, dual_init=None):
@@ -93,24 +95,22 @@ def prox_tv(z, tau, box=BoxConstraint(), iters=10, dual_init=None):
 
     Runs exactly ``iters`` fast-gradient-projection steps on the dual (the
     usual budget is 10 inside an outer loop) and returns ``(f, dual)``; the
-    dual is zero when ``tau == 0``.  ``dual_init`` warm-starts the dual
-    variable (callers keep it between outer iterations; this function is
-    stateless); a cold start uses the zero dual field.
+    dual has grad_op's shape (ndim,) + z.shape and is zero when ``tau == 0``.
+    ``dual_init`` warm-starts it (callers keep it between outer iterations;
+    this function is stateless); a cold start uses the zero dual field.
     """
     z = np.asarray(z, dtype=float)
     if tau < 0:
         raise ConfigError("tau must be >= 0")
+    g = np.zeros((z.ndim,) + z.shape)
     if tau == 0.0:
-        return proj_box(z, box), np.zeros(z.shape + (z.ndim,))
+        return proj_box(z, box), g
 
     gamma = 1.0 / (12.0 * tau)
-    if dual_init is None:
-        g = np.zeros(z.shape + (z.ndim,))
-    else:
-        g = np.asarray(dual_init, dtype=float)
-        if g.shape != z.shape + (z.ndim,):
+    if dual_init is not None:
+        g = np.array(dual_init, dtype=float, order="C")
+        if g.shape != (z.ndim,) + z.shape:
             raise DimensionError("dual warm start has the wrong shape")
-        g = g.copy()
     g_t = g
     q = 1.0
     for _ in range(iters):

@@ -6,9 +6,10 @@ per point and pixel instead of the Graf-factored sensor matrix, the
 zero-filled padded fftn instead of the pruned per-axis transforms, naive
 recursions instead of the fused backward pass, the A^H solve instead of its
 reciprocal forward solve in the adjoint-state gradient, subgradient descent
-instead of the dual prox solver, and mpmath arbitrary-precision special
-functions.  The objectives and unfused operators that only tests evaluate
-live here too.
+instead of the dual prox solver, the dual prox with its gradient fields
+stored component last instead of component first, and mpmath
+arbitrary-precision special functions.  The objectives and unfused
+operators that only tests evaluate live here too.
 """
 
 import mpmath as mp
@@ -16,7 +17,7 @@ import numpy as np
 
 from wavetomo.forward import bicgstab
 from wavetomo.greens import apply_A, apply_AH, green_2d, green_3d, self_interaction
-from wavetomo.tv import grad_adjoint, proj_box
+from wavetomo.tv import BoxConstraint, grad_adjoint, proj_box
 
 mp.mp.dps = 30
 
@@ -209,6 +210,62 @@ def dual_objective(g, z, tau, box):
     w = z - tau * grad_adjoint(g)
     p = proj_box(w, box)
     return -0.5 * float(np.sum((w - p) ** 2)) + 0.5 * float(np.sum(w * w))
+
+
+def trailing_grad_op(f):
+    """grad_op with component d stored last, in out[..., d]."""
+    f = np.asarray(f, dtype=float)
+    out = np.zeros(f.shape + (f.ndim,))
+    for d in range(f.ndim):
+        head = tuple(slice(None, -1) if a == d else slice(None) for a in range(f.ndim))
+        tail = tuple(slice(1, None) if a == d else slice(None) for a in range(f.ndim))
+        out[head + (d,)] = f[tail] - f[head]
+    return out
+
+
+def trailing_grad_adjoint(g):
+    """grad_adjoint of a component-last field, shape f.shape + (ndim,)."""
+    g = np.asarray(g, dtype=float)
+    ndim = g.ndim - 1
+    assert g.shape[-1] == ndim
+    out = np.zeros(g.shape[:-1])
+    for d in range(ndim):
+        head = tuple(slice(None, -1) if a == d else slice(None) for a in range(ndim))
+        tail = tuple(slice(1, None) if a == d else slice(None) for a in range(ndim))
+        comp = g[..., d]
+        out[head] -= comp[head]
+        out[tail] += comp[head]
+    return out
+
+
+def trailing_proj_dual(g):
+    g = np.asarray(g, dtype=float)
+    norm = np.sqrt(np.sum(g * g, axis=-1))
+    return g / np.maximum(1.0, norm)[..., None]
+
+
+def trailing_prox_tv(z, tau, box=BoxConstraint(), iters=10, dual_init=None):
+    """prox_tv with the dual stored component last, shape z.shape + (ndim,):
+    the same fast gradient projection steps, in the same arithmetic order."""
+    z = np.asarray(z, dtype=float)
+    if tau == 0.0:
+        return proj_box(z, box), np.zeros(z.shape + (z.ndim,))
+    gamma = 1.0 / (12.0 * tau)
+    if dual_init is None:
+        g = np.zeros(z.shape + (z.ndim,))
+    else:
+        g = np.array(dual_init, dtype=float)
+        assert g.shape == z.shape + (z.ndim,)
+    g_t = g
+    q = 1.0
+    for _ in range(iters):
+        g_prev = g
+        f_inner = proj_box(z - tau * trailing_grad_adjoint(g_t), box)
+        g = trailing_proj_dual(g_t + gamma * trailing_grad_op(f_inner))
+        q_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * q * q))
+        g_t = g + ((q - 1.0) / q_new) * (g - g_prev)
+        q = q_new
+    return proj_box(z - tau * trailing_grad_adjoint(g), box), g
 
 
 def tv_iso_batch(F):

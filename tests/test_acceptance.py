@@ -45,7 +45,7 @@ def test_criterion_1_adjoint_identities():
         yg = random_field(rng, grid.shape)
         ys = random_field(rng, (24,))
         xr = rng.standard_normal(grid.shape)
-        yr = rng.standard_normal(grid.shape + (2,))
+        yr = rng.standard_normal((2,) + grid.shape)
         worst = max(worst, gap(G.apply, G.apply_adjoint, x, yg))
         worst = max(worst, gap(H.apply, H.apply_adjoint, x, ys))
         worst = max(worst, gap(lambda v: wt.apply_A(f, v, G),

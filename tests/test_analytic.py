@@ -3,7 +3,7 @@ import pytest
 
 import wavetomo as wt
 from wavetomo.analytic import helmholtz_residual
-from wavetomo.errors import ConfigError, ConvergenceWarning
+from wavetomo.errors import ConfigError, ConvergenceWarning, ResonanceError
 from wavetomo.special import (bessel_jn_all, bessel_yn_all, spherical_jn_all,
                               spherical_yn_all)
 
@@ -66,6 +66,16 @@ class TestCoefficients2D:
         scene = wt.AnalyticScene(r_sph=3 * WL, refractive_index=1.1, r_s=1.0, k_b=KB,
                                  truncation=1000)
         assert scene.order_cutoff == 1000
+
+    @pytest.mark.parametrize("coeffs", [wt.radial_coeffs_2d, wt.radial_coeffs_3d])
+    def test_overflowing_determinant_raises(self, coeffs):
+        # a size parameter k_b r_sph of 1e-3 far below the truncation: Y_m and
+        # y_l overflow at orders near 65, so the determinant is not finite
+        scene = wt.AnalyticScene(r_sph=1e-3, refractive_index=1.5, r_s=1.0, k_b=1.0,
+                                 truncation=200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ResonanceError, match="degenerate radial determinant"):
+                coeffs(200, scene)
 
     def test_truncation_out_of_range(self):
         scene = scene_2d(truncation=5)

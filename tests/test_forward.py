@@ -1,5 +1,6 @@
 import contextlib
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import fd_gradient, objective_gradient, scattering_objective
-from wavetomo.errors import ConfigError, ConvergenceWarning, NumericalError
+from wavetomo.errors import (ConfigError, ConvergenceWarning, NumericalError,
+                             StepDegeneracyError)
 
 
 class TestObjective:
@@ -58,6 +60,14 @@ class TestForwardSolve:
         assert len(trace.s_history) == 1
         assert np.allclose(trace.u_hat, u_in)
         assert np.allclose(trace.z, 0.0)
+
+    def test_vanishing_A_g_raises(self, small_setup):
+        # a stub G with G v = v and G^H = 0 and f = 1 make A = 0: the first
+        # gradient A^H (A u_in - u_in) = -u_in is nonzero, and A g vanishes
+        grid, _, _, u_in = small_setup
+        G = SimpleNamespace(grid=grid, apply=lambda v: v, apply_adjoint=np.zeros_like)
+        with pytest.raises(StepDegeneracyError, match=r"\|\|A g\|\| vanished"):
+            wt.forward_solve(np.ones(grid.shape), u_in, G, None, wt.ForwardConfig(K=5))
 
     def test_t_sequence(self, small_setup, rng):
         grid, G, H, u_in = small_setup

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import wavetomo as wt
-from reference import dual_objective, subgradient_prox_batch
-from wavetomo.errors import ConfigError
+from reference import dual_objective, subgradient_prox_batch, trailing_prox_tv
+from wavetomo.errors import ConfigError, DimensionError
 
 
 def composite_objective(f, z, tau):
@@ -16,14 +16,14 @@ class TestGradOperator:
 
     def test_ramp_neumann_closure(self):
         g = wt.grad_op(np.array([0.0, 1.0, 2.0, 3.0]).reshape(1, 4))
-        assert np.allclose(g[0, :, 1], [1, 1, 1, 0])
-        assert np.all(g[..., 0] == 0)
+        assert np.allclose(g[1, 0, :], [1, 1, 1, 0])
+        assert np.all(g[0] == 0)
 
     def test_adjoint_identity(self, rng):
         for shape in [(7, 5), (4, 4, 3)]:
             for _ in range(5):
                 a = rng.standard_normal(shape)
-                b = rng.standard_normal(shape + (len(shape),))
+                b = rng.standard_normal((len(shape),) + shape)
                 lhs = np.sum(wt.grad_op(a) * b)
                 rhs = np.sum(a * wt.grad_adjoint(b))
                 assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
@@ -60,9 +60,9 @@ class TestProjections:
             wt.BoxConstraint(*bounds)
 
     def test_dual_iso(self):
-        g = np.zeros((1, 1, 2))
-        g[0, 0] = [3.0, 4.0]
-        assert np.allclose(wt.proj_dual(g)[0, 0], [0.6, 0.8])
+        g = np.zeros((2, 1, 1))
+        g[:, 0, 0] = [3.0, 4.0]
+        assert np.allclose(wt.proj_dual(g)[:, 0, 0], [0.6, 0.8])
         small = np.full((2, 2, 2), 0.3)
         assert np.allclose(wt.proj_dual(small), small)
 
@@ -73,7 +73,7 @@ class TestProx:
         box = wt.BoxConstraint(0.0, np.inf)
         f, g = wt.prox_tv(z, 0.0, box)
         assert np.allclose(f, np.clip(z, 0.0, np.inf))
-        assert g.shape == (5, 5, 2) and not np.any(g)
+        assert g.shape == (2, 5, 5) and not np.any(g)
 
     def test_constant_inside_box_unchanged(self):
         z = np.full((5, 5), 1.3)
@@ -116,7 +116,7 @@ class TestProx:
         z = rng.standard_normal((7, 7))
         tau = 0.5
         box = wt.BoxConstraint(-1.0, 1.0)
-        q0 = dual_objective(np.zeros((7, 7, 2)), z, tau, box)
+        q0 = dual_objective(np.zeros((2, 7, 7)), z, tau, box)
         _, g = wt.prox_tv(z, tau, box, iters=200)
         assert dual_objective(g, z, tau, box) <= q0 + 1e-12 * abs(q0)
 
@@ -150,3 +150,40 @@ class TestProx:
         monkeypatch.setattr(wt.tv, "grad_op", lambda f: calls.append(1) or real(f))
         wt.prox_tv(z, 0.3, iters=50, dual_init=g)
         assert len(calls) == 50
+
+
+class TestComponentFirstLayout:
+    """The component-first prox against the component-last oracle: the same
+    steps in the same arithmetic order, so f and the dual agree bit for bit."""
+
+    BOXES = {"finite": wt.BoxConstraint(-0.5, 0.8), "infinite": wt.BoxConstraint()}
+
+    @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (10, 9, 8)])
+    @pytest.mark.parametrize("box", ["finite", "infinite"])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    def test_matches_trailing_oracle(self, rng, shape, box, warm, tau):
+        box = self.BOXES[box]
+        z = rng.standard_normal(shape)
+        g_ref = None
+        if warm:
+            _, g_ref = trailing_prox_tv(z + 0.1 * rng.standard_normal(shape), 0.3, box)
+        g_init = None if g_ref is None else np.moveaxis(g_ref, -1, 0)
+        f, g = wt.prox_tv(z, tau, box, dual_init=g_init)
+        f_ref, g_ref = trailing_prox_tv(z, tau, box, dual_init=g_ref)
+        assert np.array_equal(f, f_ref)
+        assert np.array_equal(g, np.moveaxis(g_ref, -1, 0))
+        assert np.any(g) == (tau > 0)
+
+    def test_component_last_warm_start_rejected(self, rng):
+        # on a non-square grid the two layouts have different shapes
+        z = rng.standard_normal((6, 5))
+        _, g = trailing_prox_tv(z, 0.3)
+        assert g.shape == (6, 5, 2)
+        with pytest.raises(DimensionError, match="dual warm start"):
+            wt.prox_tv(z, 0.3, dual_init=g)
+
+    @pytest.mark.parametrize("shape", [(3, 6, 5), (1, 6, 5), (6, 5, 2)])
+    def test_adjoint_rejects_wrong_component_count(self, shape):
+        with pytest.raises(DimensionError, match="components for 2 axes"):
+            wt.grad_adjoint(np.zeros(shape))
