@@ -26,8 +26,8 @@ iteration is
   r      += gamma_k (conj(GHr_k) * q^k + conj(s^k) * GHAq),
 
 where GHr_k = G^H(A s^k - u_in) was formed by the forward step at s^k and is
-read from the trace.  That is 2 G-applies per iteration (one in A, one in
-G^H), so a transmitter gradient costs 2K + 1 forward + 2K backward applies
+read from the trace.  That is 2 G-applies per iteration (one in A, on the
+column block of f's support, and one in G^H, on the whole grid), so a transmitter gradient costs 2K + 1 forward + 2K backward applies
 with the adaptive step (2K forward with a fixed one).
 The unfused S^k and T^k operators (6 applies between them) are test
 oracles in ``tests/reference.py``; the fused update performs their
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .forward import forward_solve
-from .greens import apply_A
+from .greens import SystemOperator
 
 
 def data_fidelity(z, y):
@@ -75,6 +75,7 @@ def gradient_from_trace(f, y, G, H, trace):
     back = H.apply_adjoint(resid)
     q = f * back                      # diag(f)^H H^H (z - y), f real
     r = np.conj(trace.u_hat) * back   # diag(u_hat)^H H^H (z - y)
+    A = SystemOperator(f, G)
 
     Sq_next = np.zeros(grid.shape, dtype=complex)  # S^{k+1} q^{k+1}, zero at k = K
     mu_next = 0.0
@@ -83,7 +84,7 @@ def gradient_from_trace(f, y, G, H, trace):
         GHr_k = trace.GHr_history[k - 1]
         gamma_k = trace.gamma_history[k - 1]
         mu_k = trace.mu_history[k - 1]
-        Aq = apply_A(f, q, G)
+        Aq = A.apply(q)
         GHAq = G.apply_adjoint(Aq)
         Sq = q - gamma_k * (Aq - f * GHAq)                           # S^k q
         r += gamma_k * (np.conj(GHr_k) * q + np.conj(s_k) * GHAq)  # T^k q

@@ -103,7 +103,16 @@ def _coeff_tables(harm, scene, nmax):
     top = harm.table_order(nmax)
     j_in = harm.jn(top, np.array([n * rho_sph]))[:, 0]
     j_b = harm.jn(top, np.array([rho_sph]))[:, 0]
-    y_b = harm.yn(top, np.array([rho_sph]))[:, 0]
+    # the second-kind functions grow like (2 m / rho)^m past the size
+    # parameter, so a truncation far above it overflows them
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_b = harm.yn(top, np.array([rho_sph]))[:, 0]
+    overflow = ~np.isfinite(y_b)
+    if np.any(overflow):
+        raise ResonanceError(
+            f"radial functions of the second kind overflow at order "
+            f"{int(np.argmax(overflow))} (truncation {nmax}, size parameter "
+            f"k_b r_sph = {rho_sph:.3g}); lower the truncation")
 
     def minor(tab):  # j_in(m) tab(m') - n j_in(m') tab(m), m' the neighbour of m
         return (j_in[:nmax + 1] * harm.neighbour(tab)[:nmax + 1]
@@ -164,6 +173,11 @@ def _radial(harm, scene, nmax, r, coeffs):
     return out
 
 
+# points per block of the series: the radial and angular tables hold
+# (order cutoff + 1) values per point, so blocks bound their memory
+_BLOCK = 2048
+
+
 def _series(harm, r, theta, scene):
     """Sum the harmonic series at broadcast (r, theta); warn on a slow tail."""
     r = np.asarray(r, dtype=float)
@@ -176,17 +190,23 @@ def _series(harm, r, theta, scene):
         raise ConfigError("observation point coincides with the source")
     r = np.maximum(r, 1e-9 * scene.r_sph)  # nudge exact-center evaluations
     nmax = scene.order_cutoff
-    radial = _radial(harm, scene, nmax, r, _coeff_tables(harm, scene, nmax))
-    basis, weights = harm.angular(nmax, theta)
-    total = (weights[:, None] * radial * basis).sum(axis=0) / harm.norm
+    coeffs = _coeff_tables(harm, scene, nmax)
+    total = np.empty(r.size, dtype=complex)
+    n_bad = 0
+    for lo in range(0, r.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        radial = _radial(harm, scene, nmax, r[part], coeffs)
+        basis, weights = harm.angular(nmax, theta[part])
+        total[part] = (weights[:, None] * radial * basis).sum(axis=0) / harm.norm
 
-    tail_w = weights if harm.weighted_tail else np.ones_like(weights)
-    tail = (np.abs(radial[-1] * tail_w[-1]) + np.abs(radial[-2] * tail_w[-2])) / harm.norm
-    mag = np.abs(total)
-    bad = tail > 1e-8 * np.maximum(mag, 1e-300)
-    if np.any(bad):
+        tail_w = weights if harm.weighted_tail else np.ones_like(weights)
+        tail = (np.abs(radial[-1] * tail_w[-1])
+                + np.abs(radial[-2] * tail_w[-2])) / harm.norm
+        mag = np.abs(total[part])
+        n_bad += int(np.count_nonzero(tail > 1e-8 * np.maximum(mag, 1e-300)))
+    if n_bad:
         warnings.warn(
-            f"harmonic series tail above 1e-8 of the field at {int(bad.sum())} "
+            f"harmonic series tail above 1e-8 of the field at {n_bad} "
             f"point(s); raise truncation (currently {nmax})", ConvergenceWarning,
             stacklevel=3)
     return total.reshape(shape) if shape else complex(total[0])

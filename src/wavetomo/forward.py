@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceWarning, NumericalError,
                      StepDegeneracyError)
-from .greens import apply_A, apply_AH
+from .greens import SystemOperator
 
 # the adaptive solve's carried residual bottoms out near 1e-13 ||u_in||: an
 # objective tolerance below 0.5 (1e-13)^2 would be reported as met although
@@ -125,11 +125,15 @@ def forward_solve(f, u_in, G, H, cfg):
     u^0, and a solve costs 2K + 1 G-applies.  The carried residual drifts
     from A s^k - u_in by round-off; the true final residual of a long solve
     bottoms out near 1e-13 ||u_in||.  A fixed step never forms A g, so it
-    applies A to every s^k and costs 2K.
+    applies A to every s^k and costs 2K.  A applies G's column block on the
+    bounding box of f's support (``greens.SystemOperator``), and so does the
+    H-free step's f G^H resid; the H-given step applies G^H on the whole
+    grid, since its backward pass reads the residual there.
     """
     grid = G.grid
     f = grid.check_field(f, "potential")
     u_in = grid.check_field(u_in, "u_in").astype(complex)
+    A = SystemOperator(f, G)
     u_prev2 = u_in.copy()
     u_prev1 = u_in.copy()
 
@@ -139,7 +143,7 @@ def forward_solve(f, u_in, G, H, cfg):
     t_prev = 0.0
     carry = cfg.nu is None
     # A u^{k-1} and A u^{k-2}, carried by the adaptive step
-    Au_prev1 = Au_prev2 = apply_A(f, u_prev1, G) if carry else None
+    Au_prev1 = Au_prev2 = A.apply(u_prev1) if carry else None
     for k in range(1, cfg.K + 1):
         t_k = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
         mu_k = (1.0 - t_prev) / t_k
@@ -147,10 +151,14 @@ def forward_solve(f, u_in, G, H, cfg):
         if carry:
             As = (1.0 - mu_k) * Au_prev1 + mu_k * Au_prev2
         else:
-            As = apply_A(f, s_k, G)
+            As = A.apply(s_k)
         resid = As - u_in
-        GHr = G.apply_adjoint(resid)
-        g = resid - f * GHr           # A^H resid, as apply_AH forms it
+        if H is None:
+            g = A.apply_adjoint(resid)
+        else:
+            # the backward pass reads G^H resid on every pixel
+            GHr = G.apply_adjoint(resid)
+            g = resid - f * GHr       # A^H resid
         g_norm_sq = float(np.vdot(g, g).real)
 
         stop = tol > 0 and 0.5 * float(np.vdot(resid, resid).real) < tol
@@ -163,7 +171,7 @@ def forward_solve(f, u_in, G, H, cfg):
             gamma_k = 1.0
             Au_k = As
         else:
-            Ag = apply_A(f, g, G)
+            Ag = A.apply(g)
             Ag_norm_sq = float(np.vdot(Ag, Ag).real)
             if Ag_norm_sq == 0.0:
                 raise StepDegeneracyError(
@@ -258,9 +266,10 @@ def estimate_fixed_step(f, G, iters=20, tol=1e-3, seed=0):
     grid = G.grid
     b = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     b /= np.linalg.norm(b)
+    A = SystemOperator(f, G)
     lam = 0.0
     for _ in range(iters):
-        w = apply_AH(f, apply_A(f, b, G), G)
+        w = A.apply_adjoint(A.apply(b))
         lam_new = float(np.linalg.norm(w))
         b = w / lam_new
         if lam > 0 and abs(lam_new - lam) < tol * lam:

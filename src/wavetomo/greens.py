@@ -9,7 +9,16 @@ a time, skip the lines that are all zero and crop each axis as soon as it is
 inverse-transformed, so no padded buffer is zero-filled.  The forward passes
 run first axis first, so the largest one runs on the contiguous last axis;
 the result matches the padded fftn over the reversed axes bit for bit, and
-the default-order fftn to round-off.  The domain-to-sensor operator H is a
+the default-order fftn to round-off.
+
+In A = I - G diag(f), G reads only the support of f, and in A^H = I - f G^H
+only that support is written.  ``SystemOperator`` therefore applies the
+column block G[:, B] on the bounding box B of f's support and its adjoint:
+a b-wide box convolved onto an n-wide axis, or back, needs a period of only
+n + b - 1, not 2n.  For a 12^3 sphere in a 32^3 grid that is 45^3 FFT points
+instead of 64^3.  With f = 0, A is the identity and applies no FFT.
+
+The domain-to-sensor operator H is a
 small dense M x N matrix, built by ``green_matrix``: in 2D, the rows of
 points well outside the grid come from Graf's addition theorem as one real
 GEMM, and the rest from direct Hankel evaluations.
@@ -162,15 +171,54 @@ def _graf_rows(grid, centers, points, weights, out):
     return far
 
 
-class DomainGreensOperator:
-    """Domain-to-domain operator: v -> integral of g(x - x') v(x') over the grid.
+# a column block is built only when its period holds at most this fraction
+# of G's FFT points: its spectrum costs an unpruned fftn, about one apply of
+# the block, and lengths with factors 3 and 5 transform slower per point
+# than powers of two (at 64^2, a 125 x 128 block applied no faster than G)
+BLOCK_POINTS = 0.75
 
-    Applies as an FFT convolution on the zero-padded doubled grid; cost
-    O(N log N) per apply.  The transforms run axis by axis, skipping lines
-    that are all zero and cropping as they go: a 2D apply runs 6 and a 3D
-    apply 14 of the 8 and 24 half-grid line transforms the full padded
-    fftn/ifftn pair would.  The output is bit-identical to
-    ifftn(fftn(pad(v), axes=reversed(range(ndim))) * K_hat), cropped.
+
+def support_box(f):
+    """The bounding box of f's nonzero entries as a tuple of slices, or None
+    when f is 0 everywhere."""
+    nonzero = np.asarray(f) != 0
+    box = []
+    for ax in range(nonzero.ndim):
+        others = tuple(a for a in range(nonzero.ndim) if a != ax)
+        hit = np.flatnonzero(np.any(nonzero, axis=others))
+        if hit.size == 0:
+            return None
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
+def fast_length(m):
+    """The smallest 2^a 3^b 5^c >= m, a length numpy's FFT transforms fast."""
+    while True:
+        rest = m
+        for q in (2, 3, 5):
+            while rest % q == 0:
+                rest //= q
+        if rest == 1:
+            return m
+        m += 1
+
+
+class DomainGreensOperator:
+    """Domain-to-domain operator: v -> integral of g(x - x') v(x') over the grid,
+    or its column block G[:, B], which reads v on a box B of pixels only.
+
+    Either is an FFT convolution from an input box onto an output box: the
+    forward passes pad each axis of the input to the period P_d, one product
+    with the kernel's spectrum follows, and the inverse passes crop each axis
+    to the output.  G itself has the whole grid on both sides and P_d = 2 n_d,
+    the zero-padded doubled grid; cost O(N log N) per apply.  The transforms
+    run axis by axis, skipping lines that are all zero and cropping as they
+    go: a 2D apply of G runs 6 and a 3D apply 14 of the 8 and 24 half-grid
+    line transforms the full padded fftn/ifftn pair would.  G's output is
+    bit-identical to ifftn(fftn(pad(v), axes=reversed(range(ndim))) * K_hat),
+    cropped.  ``column_block`` builds G[:, B], whose apply maps the box
+    onto the grid and whose adjoint maps the grid back onto the box.
     Immutable after construction and safe to share across threads.
     """
 
@@ -190,30 +238,88 @@ class DomainGreensOperator:
         kernel[nonzero] = _point_green(grid)(mesh[nonzero], grid.k_b)
         kernel *= grid.pixel_volume
         kernel[(0,) * grid.ndim] = self_interaction(grid)
+        # the samples at offsets 0..n_d - 1: g depends on |x - x'| only, so
+        # they hold every entry of G, and column blocks gather their windows
+        # from them
+        self._samples = kernel[tuple(slice(0, n) for n in grid.shape)].copy()
+        self.in_shape = self.out_shape = grid.shape
         self._kernel_hat = np.fft.fftn(kernel)
+        # the kernel is even in the offset, so G is complex symmetric
+        self._transpose_hat = self._kernel_hat
+
+    def _convolution(self, in_shape, out_shape, kernel_hat, transpose_hat):
+        op = object.__new__(DomainGreensOperator)
+        op.grid = self.grid
+        op.in_shape, op.out_shape = in_shape, out_shape
+        op._kernel_hat, op._transpose_hat = kernel_hat, transpose_hat
+        return op
+
+    def column_block(self, f):
+        """(B, G[:, B]) on the bounding box B of f's nonzero entries.
+
+        B is a tuple of slices.  G[:, B] maps a field on B onto the grid,
+        as A u = u - G_B (f u)[B] needs, and its adjoint maps the grid back
+        onto B, as f * G^H r does.  A linear convolution of a b-wide box
+        onto an n-wide axis, or back, wraps around in no period shorter
+        than n + b - 1, so axis d takes P_d, the smallest 2^a 3^b 5^c at
+        least that.  When B is the whole grid, or prod P_d exceeds
+        BLOCK_POINTS prod 2 n_d so that the block would not pay for its
+        build, B is the whole grid and the operator G itself.  f = 0 gives
+        (None, None): A is the identity.
+
+        The window of the box-to-grid map holds k[e - j0] at e mod P for
+        e in [-(b - 1), n - 1], j0 the box's first index; the grid-to-box
+        map's holds k[e + j0] for e in [-(n - 1), b - 1], the same window
+        reversed, so its spectrum is the first one's at -q mod P.  Both
+        windows are gathered from G's kernel samples, so a block costs one
+        fftn of the period and no Green's evaluation.
+        """
+        box = support_box(self.grid.check_field(f, "potential"))
+        if box is None:
+            return None, None
+        shape = self.grid.shape
+        widths = tuple(s.stop - s.start for s in box)
+        period = tuple(fast_length(n + b - 1) for n, b in zip(shape, widths))
+        share = np.prod(period) / np.prod(self._kernel_hat.shape)
+        if widths == shape or share > BLOCK_POINTS:
+            return tuple(slice(0, n) for n in shape), self
+        where, offset = [], []
+        for n, s, b, p in zip(shape, box, widths, period):
+            e = np.arange(-(b - 1), n)   # output index minus input index
+            where.append(e % p)
+            offset.append(np.abs(e - s.start))
+        window = np.zeros(period, dtype=complex)
+        window[np.ix_(*where)] = self._samples[np.ix_(*offset)]
+        kernel_hat = np.fft.fftn(window)
+        reverse = np.ix_(*[-np.arange(p) % p for p in period])
+        return box, self._convolution(widths, shape, kernel_hat, kernel_hat[reverse])
 
     def apply(self, v):
-        # forward passes first axis first: each pass doubles the lines the
+        # forward passes first axis first: each pass multiplies the lines the
         # next one transforms, so the largest pass runs on the last axis,
         # whose lines are contiguous (pocketfft gathers strided lines one at
-        # a time).  fft(n=2n) pads only the lines earlier passes made
+        # a time).  fft(n=P) pads only the lines earlier passes made
         # nonzero.  The inverse passes run last axis first, each cropping its
-        # axis so the next one runs on fewer lines.  The bits match fftn over
-        # the reversed axes, followed by the padded ifftn.
-        shape = self.grid.shape
-        spec = self.grid.check_field(v)
-        for ax in range(len(shape)):
-            spec = np.fft.fft(spec, n=2 * shape[ax], axis=ax)
+        # axis to the output so the next one runs on fewer lines.  For G the
+        # bits match fftn over the reversed axes, followed by the padded
+        # ifftn.
+        spec = np.asarray(v)
+        if spec.shape != self.in_shape:
+            raise DimensionError(f"field has shape {spec.shape}, expected {self.in_shape}")
+        for ax, period in enumerate(self._kernel_hat.shape):
+            spec = np.fft.fft(spec, n=period, axis=ax)
         spec *= self._kernel_hat
-        for ax in reversed(range(len(shape))):
+        for ax in reversed(range(spec.ndim)):
             spec = np.fft.ifft(spec, axis=ax)
-            spec = spec[(slice(None),) * ax + (slice(0, shape[ax]),)]
+            spec = spec[(slice(None),) * ax + (slice(0, self.out_shape[ax]),)]
         return spec
 
     def apply_adjoint(self, v):
-        # the kernel is even in the offset, so the matrix is complex symmetric
-        # and the adjoint is conj o apply o conj
-        return np.conj(self.apply(np.conj(v)))
+        # the adjoint is conj o transpose o conj, and the transpose maps the
+        # output box back onto the input box
+        transpose = self._convolution(self.out_shape, self.in_shape,
+                                      self._transpose_hat, self._kernel_hat)
+        return np.conj(transpose.apply(np.conj(v)))
 
 
 def sensor_rows(grid, sensors, sources=None, amplitudes=()):
@@ -305,17 +411,38 @@ def build_sensor_operator(grid, sensors):
     return SensorGreensOperator(grid, sensors)
 
 
+class SystemOperator:
+    """A = I - G diag(f) for one potential f, with G restricted to the
+    bounding box B of f's support (``DomainGreensOperator.column_block``).
+
+    A u = u - G_B (f u)[B] and A^H u = u - f G^H u, where f G^H u is zero
+    off B.  Build one per potential and apply it many times: the block's
+    spectrum is one fftn.  For f = 0, A is the identity and applies no FFT.
+    """
+
+    def __init__(self, f, G):
+        self.box, self.G_box = G.column_block(f)
+        self.grid = G.grid
+        self.f_box = None if self.box is None else np.asarray(f)[self.box]
+
+    def apply(self, u):
+        u = self.grid.check_field(u, "field")
+        if self.box is None:
+            return u.astype(complex)
+        return u - self.G_box.apply(self.f_box * u[self.box])
+
+    def apply_adjoint(self, u):
+        out = self.grid.check_field(u, "field").astype(complex)
+        if self.box is not None:
+            out[self.box] -= self.f_box * self.G_box.apply_adjoint(u)
+        return out
+
+
 def apply_A(f, u, G):
     """A u = u - G (f * u), with A = I - G diag(f)."""
-    grid = G.grid
-    f = grid.check_field(f, "potential")
-    u = grid.check_field(u, "field")
-    return u - G.apply(f * u)
+    return SystemOperator(f, G).apply(u)
 
 
 def apply_AH(f, u, G):
     """A^H u = u - f * (G^H u); f is real so diag(f)^H = diag(f)."""
-    grid = G.grid
-    f = grid.check_field(f, "potential")
-    u = grid.check_field(u, "field")
-    return u - f * G.apply_adjoint(u)
+    return SystemOperator(f, G).apply_adjoint(u)

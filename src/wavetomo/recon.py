@@ -25,7 +25,7 @@ from .errors import ConfigError, DimensionError, NumericalError, TransformError
 from .forward import ForwardConfig, bicgstab, predict_scattered
 # not called: benchmarks/layers.py wraps it
 from .forward import forward_solve  # noqa: F401
-from .greens import (MaskedSensorOperator, SensorGreensOperator, apply_A,
+from .greens import (MaskedSensorOperator, SensorGreensOperator, SystemOperator,
                      build_domain_operator, green_2d, green_3d, sensor_rows)
 # not called: benchmarks/layers.py wraps it
 from .greens import build_sensor_operator  # noqa: F401
@@ -255,7 +255,7 @@ def _solve_rows(f, B, problem, cfg):
     """
     if cfg is None:
         return B
-    op = lambda v: apply_A(f, v, problem.G)
+    op = SystemOperator(f, problem.G).apply
     tol = np.sqrt(2.0 * cfg.forward.delta_tol_rel)
     X = np.empty_like(B)
     for x, b in zip(X, B):

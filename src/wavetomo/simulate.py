@@ -19,7 +19,7 @@ from .fileio import (SPEED_OF_LIGHT, generation_from_config, grid_from_config,
                      recon_config_from_config, rng_from_config,
                      transmitters_from_config)
 from .forward import ForwardConfig, bicgstab, forward_solve, predict_scattered
-from .greens import apply_A, build_domain_operator
+from .greens import SystemOperator, build_domain_operator
 # not called: benchmarks/layers.py wraps it
 from .greens import build_sensor_operator  # noqa: F401
 from .grid import refined_grid
@@ -69,7 +69,7 @@ def simulate_measurements(cfg):
     G = build_domain_operator(fine)
     H, U_in = sensors_and_incident(fine, receivers, transmitters)
     maxiter = gen.k_multiplier * recon_cfg.forward.K
-    op = lambda v: apply_A(f_fine, v, G)
+    op = SystemOperator(f_fine, G).apply
 
     all_slots = np.arange(len(receivers))
     y = []

@@ -33,3 +33,12 @@ def random_field(rng, shape):
 def random_potential(rng, grid, contrast=0.2):
     raw = rng.uniform(-1.0, 1.0, grid.shape)
     return contrast * grid.k_b ** 2 * raw / np.max(np.abs(raw))
+
+
+@pytest.fixture
+def whole_grid_G(monkeypatch):
+    """Call it to make every A apply G on the whole grid, as A did before G
+    was restricted to column blocks on f's support."""
+    def whole(self, f):
+        return tuple(slice(0, n) for n in self.grid.shape), self
+    return lambda: monkeypatch.setattr(wt.DomainGreensOperator, "column_block", whole)

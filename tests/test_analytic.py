@@ -70,12 +70,14 @@ class TestCoefficients2D:
     @pytest.mark.parametrize("coeffs", [wt.radial_coeffs_2d, wt.radial_coeffs_3d])
     def test_overflowing_determinant_raises(self, coeffs):
         # a size parameter k_b r_sph of 1e-3 far below the truncation: Y_m and
-        # y_l overflow at orders near 65, so the determinant is not finite
+        # y_l overflow at order 66, and the error says so with no numpy
+        # RuntimeWarning first (tier-1 turns warnings into errors)
         scene = wt.AnalyticScene(r_sph=1e-3, refractive_index=1.5, r_s=1.0, k_b=1.0,
                                  truncation=200)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ResonanceError, match="degenerate radial determinant"):
-                coeffs(200, scene)
+        with pytest.raises(ResonanceError, match=r"second kind overflow at order 66 "
+                                                 r"\(truncation 200, size parameter "
+                                                 r"k_b r_sph = 0\.001\)"):
+            coeffs(200, scene)
 
     def test_truncation_out_of_range(self):
         scene = scene_2d(truncation=5)

@@ -66,6 +66,8 @@ class TestForwardSolve:
         # gradient A^H (A u_in - u_in) = -u_in is nonzero, and A g vanishes
         grid, _, _, u_in = small_setup
         G = SimpleNamespace(grid=grid, apply=lambda v: v, apply_adjoint=np.zeros_like)
+        # the solve restricts G to f's support, here the whole grid
+        G.column_block = lambda f: (tuple(slice(0, n) for n in grid.shape), G)
         with pytest.raises(StepDegeneracyError, match=r"\|\|A g\|\| vanished"):
             wt.forward_solve(np.ones(grid.shape), u_in, G, None, wt.ForwardConfig(K=5))
 
@@ -241,6 +243,48 @@ class TestForwardSolve:
         assert wt.ForwardConfig(K=5, delta_tol_rel=1e-26).delta_tol_rel == 1e-26
         with pytest.raises(ConfigError, match="^delta_tol_rel must be 0 or >= 1e-26 "):
             wt.ForwardConfig(K=5, delta_tol_rel=1e-27)
+
+
+class TestColumnBlocks:
+    """Solves on A built from G's column block on f's support, against the
+    same solves with G applied on the whole grid."""
+
+    def test_sphere_sweep_keeps_K_eff(self, whole_grid_G):
+        # the benchmark's 3D contrast sweep on a 16^3 grid: the sphere's 8^3
+        # box convolves with period 24 instead of 32, and the fields change
+        # by round-off only, so every solve stops at the same iteration
+        wl = 0.5
+        grid = wt.centered_grid((16, 16, 16), spacing=wl / 8, wavelength=wl)
+        unit = wt.cylinders(grid, [((0.0, 0.0, 0.0), 0.5 * wl, 1.0)], supersample=4)
+        G = wt.build_domain_operator(grid)
+        _, block = G.column_block(unit)
+        assert block._kernel_hat.shape == (24, 24, 24)
+        u_in = wt.Transmitter("point", position=(0.0, 0.0, 8 * wl)).field_on_grid(grid)
+        cfg = wt.ForwardConfig(K=240, delta_tol_rel=5e-7)
+        contrasts = [0.05 * i for i in range(1, 9)]
+        blocked = [wt.forward_solve(c * unit, u_in, G, None, cfg) for c in contrasts]
+        whole_grid_G()
+        whole = [wt.forward_solve(c * unit, u_in, G, None, cfg) for c in contrasts]
+        assert len({t.K_effective for t in whole}) > 4
+        for a, b in zip(blocked, whole):
+            assert a.K_effective == b.K_effective
+            assert np.linalg.norm(a.u_hat - b.u_hat) <= 1e-12 * np.linalg.norm(b.u_hat)
+
+    def test_H_free_solve_matches_H_given(self, rng):
+        # the H-free step forms f G^H r on the box only, the H-given step on
+        # the whole grid, where its backward pass reads it
+        grid = wt.centered_grid((12, 12), spacing=0.5 / 16, wavelength=0.5)
+        G = wt.build_domain_operator(grid)
+        f = np.zeros(grid.shape)
+        f[3:7, 4:9] = random_potential(rng, grid)[3:7, 4:9]
+        assert G.column_block(f)[1] is not G
+        H = wt.build_sensor_operator(grid, wt.ring_sensors(10, radius=0.45))
+        u_in = wt.Transmitter("point", position=(0.5, 0.1)).field_on_grid(grid)
+        for nu in (None, wt.estimate_fixed_step(f, G)):
+            cfg = wt.ForwardConfig(K=30, nu=nu)
+            free = wt.forward_solve(f, u_in, G, None, cfg).u_hat
+            given = wt.forward_solve(f, u_in, G, H, cfg).u_hat
+            assert np.linalg.norm(free - given) <= 1e-13 * np.linalg.norm(given)
 
 
 class TestBicgstab:

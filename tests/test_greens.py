@@ -8,7 +8,7 @@ from reference import (dense_A_matrix, dense_domain_matrix, direct_green_matrix,
 from wavetomo import greens
 from wavetomo.analytic import helmholtz_residual
 from wavetomo.errors import ConfigError, DimensionError, SingularityError
-from wavetomo.greens import GRAF_TAIL, green_matrix
+from wavetomo.greens import GRAF_TAIL, SystemOperator, green_matrix
 from wavetomo.grid import refined_grid
 
 
@@ -159,6 +159,130 @@ class TestDomainOperator:
         grid = wt.centered_grid((1, 8), spacing=0.05, wavelength=0.5)
         with pytest.raises(ConfigError):
             wt.build_domain_operator(grid)
+
+
+def boxed_potential(shape, box, rng):
+    f = np.zeros(shape)
+    f[box] = rng.uniform(0.5, 1.5, f[box].shape)
+    return f
+
+
+class TestColumnBlock:
+    """G[:, B] on the bounding box B of f's support, and A built on it."""
+
+    # odd shapes; boxes that touch the low and the high edges, 1-pixel boxes,
+    # a box spanning one axis, and interior boxes
+    BOXES = {
+        (9, 7): [(slice(0, 3), slice(0, 2)), (slice(6, 9), slice(4, 7)),
+                 (slice(4, 5), slice(3, 4)), (slice(0, 1), slice(6, 7)),
+                 (slice(0, 9), slice(5, 7)), (slice(2, 6), slice(1, 4))],
+        (7, 5, 9): [(slice(0, 2), slice(0, 2), slice(0, 3)),
+                    (slice(5, 7), slice(3, 5), slice(6, 9)),
+                    (slice(3, 4), slice(2, 3), slice(4, 5)),
+                    (slice(1, 4), slice(0, 5), slice(2, 5))],
+    }
+
+    @pytest.mark.parametrize("shape,box", [(s, b) for s, boxes in BOXES.items()
+                                           for b in boxes])
+    def test_dense_oracle(self, rng, shape, box):
+        G = TestDomainOperator.fft_grid_operator(shape)
+        got_box, block = G.column_block(boxed_potential(shape, box, rng))
+        assert got_box == box and block is not G
+        widths = tuple(s.stop - s.start for s in box)
+        assert block.in_shape == widths and block.out_shape == shape
+        # each period is the shortest 5-smooth one a linear convolution allows
+        assert block._kernel_hat.shape == tuple(
+            greens.fast_length(n + b - 1) for n, b in zip(shape, widths))
+        mask = np.zeros(shape, dtype=bool)
+        mask[box] = True
+        cols = dense_domain_matrix(G.grid)[:, mask.ravel()]
+        x = random_field(rng, widths)
+        expect = (cols @ x.ravel()).reshape(shape)
+        assert np.max(np.abs(block.apply(x) - expect)) <= 1e-13 * np.max(np.abs(expect))
+        y = random_field(rng, shape)
+        expect = (cols.conj().T @ y.ravel()).reshape(widths)
+        assert (np.max(np.abs(block.apply_adjoint(y) - expect))
+                <= 1e-13 * np.max(np.abs(expect)))
+
+    @pytest.mark.parametrize("shape", [(9, 7), (7, 5, 9)])
+    def test_system_operator_dense_oracle(self, rng, shape):
+        G = TestDomainOperator.fft_grid_operator(shape)
+        f = boxed_potential(shape, self.BOXES[shape][-1], rng)
+        A = SystemOperator(f, G)
+        assert A.G_box is not G
+        dense = dense_A_matrix(G.grid, f)
+        u = random_field(rng, shape)
+        for got, matrix in ((A.apply(u), dense), (A.apply_adjoint(u), dense.conj().T)):
+            expect = (matrix @ u.ravel()).reshape(shape)
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("shape", [(9, 7), (5, 4, 4)])
+    def test_whole_box_is_G_bit_for_bit(self, rng, shape):
+        G = TestDomainOperator.fft_grid_operator(shape)
+        f = rng.uniform(0.5, 1.5, shape)
+        box, block = G.column_block(f)
+        assert block is G and box == tuple(slice(0, n) for n in shape)
+        A = SystemOperator(f, G)
+        u = random_field(rng, shape)
+        assert np.array_equal(A.apply(u), u - padded_fft_apply(G, f * u))
+        assert np.array_equal(A.apply_adjoint(u),
+                              u - f * np.conj(padded_fft_apply(G, np.conj(u))))
+
+    def test_block_must_save_a_quarter_of_the_points(self, rng):
+        # 60 x 64 of a 64^2 grid takes periods 125 x 128, 98% of G's points
+        G = TestDomainOperator.fft_grid_operator((64, 64))
+        box = (slice(2, 62), slice(0, 64))
+        assert G.column_block(boxed_potential((64, 64), box, rng)) == (
+            (slice(0, 64), slice(0, 64)), G)
+        # forward_3d's 12^3 sphere in 32^3: 45^3 points instead of 64^3
+        G = TestDomainOperator.fft_grid_operator((32, 32, 32))
+        box = (slice(10, 22),) * 3
+        got_box, block = G.column_block(boxed_potential((32, 32, 32), box, rng))
+        assert got_box == box and block._kernel_hat.shape == (45, 45, 45)
+
+    def test_empty_support_is_the_identity(self, small_setup, rng, monkeypatch):
+        grid, G, _, _ = small_setup
+        calls = []
+        apply = greens.DomainGreensOperator.apply
+        monkeypatch.setattr(greens.DomainGreensOperator, "apply",
+                            lambda self, v: calls.append(1) or apply(self, v))
+        f = np.zeros(grid.shape)
+        assert G.column_block(f) == (None, None)
+        A = SystemOperator(f, G)
+        u = random_field(rng, grid.shape)
+        assert np.array_equal(A.apply(u), u) and np.array_equal(A.apply_adjoint(u), u)
+        assert A.apply(u.real).dtype == complex
+        assert calls == []
+
+    def test_G_caches_nothing(self, rng):
+        G = TestDomainOperator.fft_grid_operator((9, 7))
+        names = set(vars(G))
+        arrays = {k: v.copy() for k, v in vars(G).items() if isinstance(v, np.ndarray)}
+        G.column_block(boxed_potential((9, 7), (slice(2, 4), slice(1, 3)), rng))
+        assert set(vars(G)) == names
+        for k, v in arrays.items():
+            assert np.array_equal(getattr(G, k), v)
+
+    def test_fast_length(self):
+        smooth = [p for p in range(1, 801)
+                  if p == 2 ** _valuation(p, 2) * 3 ** _valuation(p, 3) * 5 ** _valuation(p, 5)]
+        for m in range(1, 600):
+            assert greens.fast_length(m) == min(p for p in smooth if p >= m)
+
+    def test_support_box(self):
+        f = np.zeros((6, 5, 4))
+        assert greens.support_box(f) is None
+        f[1, 4, 2] = -1.0
+        f[3, 2, 2] = 0.5
+        assert greens.support_box(f) == (slice(1, 4), slice(2, 5), slice(2, 3))
+
+
+def _valuation(p, q):
+    k = 0
+    while p % q == 0:
+        p //= q
+        k += 1
+    return k
 
 
 class TestSensorOperator:

@@ -254,6 +254,19 @@ class TestMeasurementFile:
             z = H.apply(f * u.reshape(fine.shape))
             assert np.linalg.norm(y - z) <= 1e-9 * np.linalg.norm(z)
 
+    def test_column_block_leaves_the_data(self, whole_grid_G):
+        # the generation solves on G's column block on the phantom's box;
+        # the data agree with those of G on the whole grid to round-off
+        cfg = base_config()
+        fine = refined_grid(fileio.grid_from_config(cfg), cfg["generation"]["grid_refine"])
+        G = wt.build_domain_operator(fine)
+        assert G.column_block(simulate.render_phantom(cfg, fine))[1] is not G
+        blocked, _ = simulate_measurements(cfg)
+        whole_grid_G()
+        whole, _ = simulate_measurements(cfg)
+        for a, b in zip(blocked.y, whole.y):
+            assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
+
     def test_malformed_rows(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("not json\n")

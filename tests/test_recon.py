@@ -126,8 +126,8 @@ class TestTotalGradient:
     def test_G_apply_budget(self, rng, monkeypatch):
         # per transmitter, a gradient costs exactly the applies its u and x
         # BiCGStab solves report and applies no G^H, and a prediction repeats
-        # the u solve and costs nothing more; at f = 0, A = I and each solve
-        # stops after its initial residual, so a gradient costs two applies.
+        # the u solve and costs nothing more; at f = 0, A = I applies no G,
+        # and each solve stops after the one A apply of its initial residual.
         # An extra apply per solve fails here
         grid, mset = tiny_problem(rng, n=16)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=60, delta_tol_rel=5e-7),
@@ -150,8 +150,7 @@ class TestTotalGradient:
         def recorded_krylov(op, b, x0, tol, maxiter):
             before = len(calls)
             x, applies = krylov(op, b, x0, tol, maxiter)
-            assert len(calls) - before == applies
-            solves.append(applies)
+            solves.append((applies, len(calls) - before))
             return x, applies
 
         monkeypatch.setattr(DomainGreensOperator, "apply", counted)
@@ -159,17 +158,18 @@ class TestTotalGradient:
         monkeypatch.setattr(recon, "bicgstab", recorded_krylov)
         wt.total_gradient(f, problem, cfg, mset.y)
         gradient_calls = len(calls)
-        # the two transmitters' u, then their x
-        assert len(solves) == 4 and min(solves) > 1
-        assert gradient_calls == sum(solves)
+        # the two transmitters' u, then their x; each A apply is one G apply
+        assert len(solves) == 4 and min(a for a, _ in solves) > 1
+        assert all(a == g for a, g in solves)
+        assert gradient_calls == sum(a for a, _ in solves)
         wt.predict_all(f, problem, cfg)
         # the two u solves again
         assert solves[4:] == solves[0:2]
-        assert len(calls) - gradient_calls == sum(solves[4:])
+        assert len(calls) - gradient_calls == sum(a for a, _ in solves[4:])
         assert adjoint_calls == []
         del calls[:], solves[:]
         wt.total_gradient(np.zeros(grid.shape), problem, cfg, mset.y)
-        assert solves == [1, 1, 1, 1] and len(calls) == 4
+        assert solves == [(1, 0)] * 4 and calls == []
         assert adjoint_calls == []
 
     def test_predict_all_equals_direct_solve(self, rng):
