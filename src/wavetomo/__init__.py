@@ -17,7 +17,7 @@ from .errors import (ConfigError, ConvergenceWarning, DimensionError,
                      MeasurementParseError, NumericalError, ResonanceError,
                      SingularityError, StepDegeneracyError, TransformError)
 from .forward import (ForwardConfig, ForwardTrace, bicgstab, estimate_fixed_step,
-                      forward_solve, predict_scattered)
+                      forward_solve)
 from .greens import (DomainGreensOperator, MaskedSensorOperator,
                      SensorGreensOperator, apply_A, apply_AH,
                      build_domain_operator, build_sensor_operator, green_2d,

@@ -271,6 +271,9 @@ def cmd_sweep(args):
         p = fileio.phantom_from_config(cfg)
         if p.kind != "cylinders" or len(p.cylinders) != 1:
             raise ConfigError("contrast sweep needs a single-cylinder phantom")
+        if any(p.cylinders[0].center_m):
+            raise ConfigError("phantom.cylinders[0].center_m: contrast sweep needs "
+                              "the cylinder at the coordinate origin")
         radius = p.cylinders[0].radius_m
         tx = fileio.transmitters_from_config(cfg)[0]
         if tx.kind != "point":

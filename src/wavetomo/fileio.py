@@ -486,6 +486,10 @@ def _read_header(line, grid):
             raise ConfigError("header.transmitters: need at least one transmitter")
         if grid is not None:
             _check_header_phases(transmitters, receivers, grid)
+            grid_hz = SPEED_OF_LIGHT / grid.wavelength
+            if h.frequency_hz is not None and not abs(h.frequency_hz / grid_hz - 1) <= 1e-9:
+                raise ConfigError(f"header.frequency_hz: {h.frequency_hz:.9g} Hz, but "
+                                  f"grid.wavelength_m implies {grid_hz:.9g} Hz")
     except ConfigError as exc:
         raise MeasurementParseError(str(exc), line=1) from None
     return transmitters, receivers, h.frequency_hz
@@ -512,7 +516,8 @@ def load_measurements(path, grid=None):
 
     Given the ``grid`` the data will be reconstructed on, the header's
     receivers and point transmitters are also bounded: k_b times each one's
-    distance from the grid center may not exceed MAX_PHASE_RAD.
+    distance from the grid center may not exceed MAX_PHASE_RAD, and a header
+    ``frequency_hz`` must be SPEED_OF_LIGHT / grid.wavelength to 1e-9.
     """
     lines = list(_numbered_lines(path))
     if not lines:

@@ -97,16 +97,6 @@ class ForwardTrace:
             raise ConfigError("trace contains a nonpositive step size")
 
 
-def predict_scattered(u_hat, f, H):
-    """Scattered field at the sensors, H (u_hat * f).
-
-    No incident term is added: the measured data is the scattered field and
-    an f-independent offset would not affect gradients.
-    """
-    grid = H.grid
-    return H.apply(grid.check_field(u_hat, "u_hat") * grid.check_field(f, "potential"))
-
-
 def forward_solve(f, u_in, G, H, cfg):
     """Accelerated-gradient field solve; returns a ForwardTrace.
 
@@ -199,7 +189,7 @@ def forward_solve(f, u_in, G, H, cfg):
                       ConvergenceWarning, stacklevel=2)
     trace.u_hat = u_prev1
     if H is not None:
-        trace.z = predict_scattered(trace.u_hat, f, H)
+        trace.z = H.apply(trace.u_hat * f)
     trace.validate()
     return trace
 

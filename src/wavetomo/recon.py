@@ -22,7 +22,7 @@ from .adjoint import data_fidelity
 # not called: benchmarks/layers.py wraps it; ROADMAP item 1 drops the site
 from .adjoint import gradient_from_trace  # noqa: F401
 from .errors import ConfigError, DimensionError, NumericalError, TransformError
-from .forward import ForwardConfig, bicgstab, predict_scattered
+from .forward import ForwardConfig, bicgstab
 # not called: benchmarks/layers.py wraps it
 from .forward import forward_solve  # noqa: F401
 from .greens import (MaskedSensorOperator, SensorGreensOperator, SystemOperator,
@@ -196,30 +196,13 @@ class ReconReport:
     tau: float
 
 
-def sensors_and_incident(grid, receivers, transmitters):
-    """The sensor operator on ``receivers``, and the (T, N) array whose row t
-    is transmitter t's incident field on the grid, raveled.
-
-    The receivers' rows and the point sources' fields come from one
-    ``sensor_rows`` call, which builds its Graf grid table once; plane waves
-    are evaluated on their own.
-    """
-    point = [t for t, tx in enumerate(transmitters) if tx.kind == "point"]
-    m = len(receivers)
-    rows = sensor_rows(
-        grid, receivers,
-        np.array([transmitters[t].position for t in point]).reshape(len(point), grid.ndim),
-        [transmitters[t].amplitude for t in point])
-    U_in = np.empty((len(transmitters), grid.size), dtype=complex)
-    U_in[point] = rows[m:]
-    for t, tx in enumerate(transmitters):
-        if tx.kind == "plane":
-            U_in[t] = tx.field_on_grid(grid).ravel()
-    return SensorGreensOperator(grid, receivers, rows[:m]), U_in
-
-
 class ScatteringProblem:
-    """Precomputed operators binding a measurement set to a grid."""
+    """Precomputed operators binding a measurement set to a grid.
+
+    The recorded slots' sensor rows and the point sources' incident fields
+    come from one ``sensor_rows`` call, which builds its Graf grid table
+    once; plane waves are evaluated on their own.
+    """
 
     def __init__(self, measurements, grid):
         ndim = measurements.receivers.positions.shape[1]
@@ -231,18 +214,24 @@ class ScatteringProblem:
         self.G = build_domain_operator(grid)
         # H holds only the receiver slots some transmitter recorded; each
         # transmitter's mask indexes into that union
-        active = measurements.active_indices
+        active, txs = measurements.active_indices, measurements.transmitters
         recorded = np.unique(np.concatenate(active))
-        self._H_ring, self.U_in = sensors_and_incident(
-            grid, SensorSet(measurements.receivers.positions[recorded]),
-            measurements.transmitters)
+        sensors = SensorSet(measurements.receivers.positions[recorded])
+        point = [t for t, tx in enumerate(txs) if tx.kind == "point"]
+        sources = np.array([txs[t].position for t in point]).reshape(len(point), ndim)
+        rows = sensor_rows(grid, sensors, sources, [txs[t].amplitude for t in point])
+        self._H_ring = SensorGreensOperator(grid, sensors, rows[:recorded.size])
         self.H = [MaskedSensorOperator(self._H_ring, np.searchsorted(recorded, ix))
                   for ix in active]
         # row t of U_in is u_in[t] raveled, and u_in[t] is a view of it
+        self.U_in = np.empty((len(txs), grid.size), dtype=complex)
+        self.U_in[point] = rows[recorded.size:]
+        for t, tx in enumerate(txs):
+            if tx.kind == "plane":
+                self.U_in[t] = tx.field_on_grid(grid).ravel()
         self.u_in = [u.reshape(grid.shape) for u in self.U_in]
-        self.u_in_sensors = [
-            tx.field_at(measurements.receivers.positions[ix], grid.k_b)
-            for tx, ix in zip(measurements.transmitters, measurements.active_indices)]
+        self.u_in_sensors = [tx.field_at(measurements.receivers.positions[ix], grid.k_b)
+                             for tx, ix in zip(txs, active)]
 
 
 def _solve_rows(f, B, problem, cfg):
@@ -306,7 +295,7 @@ def predict_all(f, problem, cfg):
 
 def born_predict(f, u_in, H):
     """First-Born scattered field H (u_in * f)."""
-    return predict_scattered(u_in, f, H)
+    return H.apply(H.grid.check_field(u_in, "u_in") * H.grid.check_field(f, "potential"))
 
 
 def born_gradient(f, y, u_in, H):

@@ -1,13 +1,15 @@
 """Synthetic experiment assembly: layouts, phantom rendering, measurement
 generation, and parameter sweeps.
 
-Measurement generation deliberately avoids the inverse crime: the data is
-computed on a refined grid (default 2x per axis) with each field solved by
-BiCGStab to the relative residual GENERATION_RESIDUAL, far below the
-reconstruction's tolerance, so the data carry no truncation error of the
-reconstruction's own solves.  The reconstruction then runs on the
-configured grid.
+Measurement generation is the FISTA loop's own prediction, ``predict_all``,
+run with a tighter solve: the data are computed on a refined grid (default
+2x per axis) with each field solved by BiCGStab to the relative residual
+GENERATION_RESIDUAL, far below the reconstruction's tolerance, so the data
+carry neither the reconstruction grid's discretization nor the truncation
+error of its solves.  The reconstruction then runs on the configured grid.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -18,19 +20,21 @@ from .fileio import (SPEED_OF_LIGHT, generation_from_config, grid_from_config,
                      load_grid_csv, phantom_from_config, receivers_from_config,
                      recon_config_from_config, rng_from_config,
                      transmitters_from_config)
-from .forward import ForwardConfig, bicgstab, forward_solve, predict_scattered
-from .greens import SystemOperator, build_domain_operator
+from .forward import ForwardConfig, forward_solve
+from .greens import build_domain_operator
 # not called: benchmarks/layers.py wraps it
 from .greens import build_sensor_operator  # noqa: F401
 from .grid import refined_grid
 from .metrics import normalized_error
-from .recon import MeasurementSet, Transmitter, sensors_and_incident
+from .recon import MeasurementSet, ScatteringProblem, Transmitter, predict_all
 
 # relative residual ||A u - u_in|| / ||u_in|| each generation field solve meets
 GENERATION_RESIDUAL = 1e-10
 
 
 def render_phantom(cfg, grid):
+    """The phantom on ``grid``, the config's grid or a refinement of it; a
+    ``from_file`` value fills its refine^ndim sub-pixels."""
     p = phantom_from_config(cfg)
     if p.kind == "cylinders":
         specs = [(tuple(c.center_m), c.radius_m, c.contrast) for c in p.cylinders]
@@ -39,9 +43,12 @@ def render_phantom(cfg, grid):
         return phantoms.shepp_logan(grid, p.contrast, extent=p.extent_m)
     if p.kind == "from_file":
         values, _ = load_grid_csv(p.path)
-        if values.shape != grid.shape:
+        shape = grid_from_config(cfg).shape
+        if values.shape != shape:
             raise ConfigError(f"phantom file shape {values.shape} does not match "
-                              f"grid {grid.shape}")
+                              f"grid {shape}")
+        for ax, n in enumerate(shape):
+            values = np.repeat(values, grid.shape[ax] // n, axis=ax)
         return values
     return np.zeros(grid.shape)
 
@@ -49,9 +56,10 @@ def render_phantom(cfg, grid):
 def simulate_measurements(cfg):
     """Generate synthetic measurements per the experiment config.
 
-    Each transmitter's field solves A u = u_in on the refined grid by
-    BiCGStab, to GENERATION_RESIDUAL in at most ``generation.k_multiplier``
-    times ``recon.forward.K`` iterations; a solve that reaches that cap warns
+    The data are ``predict_all`` on the refined grid, every ring slot
+    recorded: each transmitter's field solves A u = u_in by BiCGStab, to
+    GENERATION_RESIDUAL in at most ``generation.k_multiplier`` times
+    ``recon.forward.K`` iterations; a solve that reaches that cap warns
     with ConvergenceWarning.  Returns (measurements, f_true) with f_true
     rendered on the reconstruction grid.  Deterministic for a fixed config
     (the noise draw is seeded).
@@ -66,17 +74,20 @@ def simulate_measurements(cfg):
 
     transmitters = transmitters_from_config(cfg)
     receivers, subsample = receivers_from_config(cfg)
-    G = build_domain_operator(fine)
-    H, U_in = sensors_and_incident(fine, receivers, transmitters)
-    maxiter = gen.k_multiplier * recon_cfg.forward.K
-    op = SystemOperator(f_fine, G).apply
-
     all_slots = np.arange(len(receivers))
-    y = []
-    for u_in in U_in:
-        u_in = u_in.reshape(fine.shape)
-        u, _ = bicgstab(op, u_in, u_in, GENERATION_RESIDUAL, maxiter)
-        y.append(predict_scattered(u, f_fine, H))
+    # the prediction reads the slots, not the zero y
+    mset = MeasurementSet(
+        transmitters=transmitters,
+        receivers=receivers,
+        active_indices=[all_slots.copy() for _ in transmitters],
+        y=[np.zeros(len(receivers)) for _ in transmitters],
+        frequency_hz=SPEED_OF_LIGHT / grid.wavelength)
+    # _solve_rows stops at sqrt(2 delta_tol_rel), which is exactly
+    # GENERATION_RESIDUAL
+    gen_cfg = dataclasses.replace(recon_cfg, forward=ForwardConfig(
+        K=gen.k_multiplier * recon_cfg.forward.K,
+        delta_tol_rel=0.5 * GENERATION_RESIDUAL ** 2))
+    y = predict_all(f_fine, ScatteringProblem(mset, fine), gen_cfg)
 
     if gen.noise_snr_db is not None:
         rng = rng_from_config(cfg)
@@ -85,23 +96,17 @@ def simulate_measurements(cfg):
         y = [v + sigma * (rng.standard_normal(v.shape)
                           + 1j * rng.standard_normal(v.shape)) for v in y]
 
-    mset = MeasurementSet(
-        transmitters=transmitters,
-        receivers=receivers,
-        active_indices=[all_slots.copy() for _ in transmitters],
-        y=y,
-        frequency_hz=SPEED_OF_LIGHT / grid.wavelength)
-    return mset.subsample(subsample), f_true
+    return dataclasses.replace(mset, y=y).subsample(subsample), f_true
 
 
 def forward_error_vs_analytic(grid, scene, K_values, source_position, G=None):
     """Normalized field error of the expansion against the closed-form
     cylinder solution, per expansion order K, and of the first Born field.
 
-    The cylinder sits at the grid center with radius scene.r_sph and contrast
-    n^2 - 1 (so the potential is k_b^2 (n^2 - 1) inside); the source is a unit
-    line source at ``source_position``, which must match scene.r_s on the
-    positive x-axis convention of the analytic solution.
+    The cylinder sits at the coordinate origin with radius scene.r_sph and
+    contrast n^2 - 1 (so the potential is k_b^2 (n^2 - 1) inside); the
+    source is a unit line source at ``source_position``, which must match
+    scene.r_s on the positive x-axis convention of the analytic solution.
     """
     source_position = np.asarray(source_position, dtype=float)
     if abs(np.linalg.norm(source_position) - scene.r_s) > 1e-9 * scene.r_s:

@@ -10,6 +10,7 @@ import pytest
 import wavetomo as wt
 from wavetomo import cli, fileio, recon, simulate
 from wavetomo.cli import build_parser, main
+from wavetomo.grid import refined_grid
 
 
 def write_config(path, overrides=None):
@@ -194,6 +195,39 @@ class TestSimulateReconstruct:
         assert fileio.load_grid_csv(outdir / "f_hat.csv")[0].shape == (6, 6, 6)
         assert not list(outdir.glob("*.pgm*"))
 
+    def test_from_file_phantom_at_grid_refine_2(self, tmp_path, rng):
+        # the file has the reconstruction grid's shape; it used to be checked
+        # against the refined grid too, so a refined simulate always exited 1.
+        # Each value fills its 2 x 2 sub-pixels of the generation grid
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        grid = fileio.grid_from_config(cfg)
+        values = rng.standard_normal(grid.shape)
+        phantom = tmp_path / "phantom.csv"
+        fileio.emit_grid_csv(values, grid, phantom)
+        cfg = write_config(cfg_path, overrides={
+            "phantom": {"kind": "from_file", "path": str(phantom)}})
+        truth = tmp_path / "truth.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "m.dat"), "--truth", str(truth)]) == 0
+        assert np.array_equal(fileio.load_grid_csv(truth)[0], values)
+        fine = refined_grid(grid, cfg["generation"]["grid_refine"])
+        assert np.array_equal(simulate.render_phantom(cfg, fine),
+                              values.repeat(2, axis=0).repeat(2, axis=1))
+
+    def test_from_file_phantom_shape_names_the_grid(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        phantom = tmp_path / "phantom.csv"
+        small = wt.centered_grid((6, 6), spacing=0.5 / 8, wavelength=0.5)
+        fileio.emit_grid_csv(np.ones(small.shape), small, phantom)
+        write_config(cfg_path, overrides={
+            "phantom": {"kind": "from_file", "path": str(phantom)}})
+        assert main(["simulate", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "m.dat")]) == 1
+        assert capsys.readouterr().err == ("error: phantom file shape (6, 6) does not "
+                                           "match grid (12, 12)\n")
+
     def test_capped_generation_warns_and_writes(self, tmp_path):
         # a generation solve that stops at k_multiplier * K iterations warns,
         # and the command still writes its data and exits 0
@@ -288,6 +322,25 @@ class TestSweepCommand:
         # expansion beats the linearization, which degrades with contrast
         assert all(err < born for _, err, born in rows)
         assert rows[1][2] > rows[0][2]
+
+    def test_contrast_sweep_needs_the_cylinder_at_the_origin(self, tmp_path, capsys):
+        # the analytic comparison puts the cylinder at the origin; an offset
+        # center_m used to be ignored, and wrote the same table
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, overrides={
+            "transmitters": [{"position_m": [0.8, 0.0]}],
+            "phantom": {"kind": "cylinders",
+                        "cylinders": [{"center_m": [0.05, 0.0],
+                                       "radius_m": 0.07, "contrast": 0.1}]},
+        })
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--config", str(cfg_path), "--contrast",
+                   "0.1:0.1:0.2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: phantom.cylinders[0].center_m: contrast sweep needs the "
+            "cylinder at the coordinate origin\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--subsample", "2"], "--subsample needs --measurements"),
@@ -474,7 +527,7 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("case", list(MALFORMED_CONFIGS))
     def test_malformed_config(self, tmp_path, capsys, monkeypatch, case):
         # rejected while the config is read, before any field solve
-        monkeypatch.setattr(simulate, "bicgstab", _no_solve)
+        monkeypatch.setattr(recon, "bicgstab", _no_solve)
         edit, expected = MALFORMED_CONFIGS[case]
         cfg = write_config(tmp_path / "base.json")
         edit(cfg)
@@ -626,6 +679,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"i/o error: line 1: {path}: k_b times the distance from the grid "
             f"center is {phase} rad, above the 1e+08 rad double precision resolves\n")
+
+    def test_frequency_differs_from_the_grid(self, tmp_path, capsys):
+        # data simulated at one wavelength used to reconstruct silently on a
+        # grid of another
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        meas = tmp_path / "m.dat"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
+        write_config(cfg_path, overrides={"grid": {**cfg["grid"], "wavelength_m": 0.4}})
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", str(cfg_path),
+                   "--measurements", str(meas), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "i/o error: line 1: header.frequency_hz: 599584916 Hz, but "
+            "grid.wavelength_m implies 749481145 Hz\n")
 
     def test_rytov_on_vanishing_incident_field(self, tmp_path, capsys):
         # a transmitter of zero amplitude has no incident field at the

@@ -85,11 +85,11 @@ class TestForwardSolve:
     def test_prediction_examples(self, small_setup, rng):
         grid, _, H, _ = small_setup
         u = random_field(rng, grid.shape)
-        assert np.all(wt.predict_scattered(u, np.zeros(grid.shape), H) == 0)
-        assert np.all(wt.predict_scattered(np.zeros(grid.shape), u.real, H) == 0)
+        assert np.all(wt.born_predict(np.zeros(grid.shape), u, H) == 0)
+        assert np.all(wt.born_predict(u.real, np.zeros(grid.shape), H) == 0)
         f = np.zeros(grid.shape)
         f[4, 5] = 2.5
-        got = wt.predict_scattered(u, f, H)
+        got = wt.born_predict(f, u, H)
         expect = 2.5 * u[4, 5] * H.matrix[:, 4 * grid.shape[1] + 5]
         assert np.allclose(got, expect)
 
