@@ -204,6 +204,27 @@ def fast_length(m):
         m += 1
 
 
+def _padded_kernel(grid):
+    """G's kernel on the doubled grid, and its samples at offsets 0..n_d - 1.
+
+    g depends on |x - x'| only, so it is evaluated once per offset 0..n_d
+    per axis, prod (n_d + 1) - 1 evaluations besides the self term.  Padded
+    index a holds offset a for a < n_d and a - 2 n_d otherwise, and gathers
+    the value at its magnitude.  The samples hold every entry of G, and
+    column blocks gather their windows from them.
+    """
+    offsets = [np.arange(n + 1) * grid.spacing for n in grid.shape]
+    mesh = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
+    distinct = np.zeros(mesh.shape[:-1], dtype=complex)
+    nonzero = np.sum(mesh * mesh, axis=-1) > 0
+    distinct[nonzero] = _point_green(grid)(mesh[nonzero], grid.k_b)
+    distinct *= grid.pixel_volume
+    distinct[(0,) * grid.ndim] = self_interaction(grid)
+    fold = [np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n)) for n in grid.shape]
+    samples = distinct[tuple(slice(0, n) for n in grid.shape)].copy()
+    return distinct[np.ix_(*fold)], samples
+
+
 class DomainGreensOperator:
     """Domain-to-domain operator: v -> integral of g(x - x') v(x') over the grid,
     or its column block G[:, B], which reads v on a box B of pixels only.
@@ -219,29 +240,17 @@ class DomainGreensOperator:
     bit-identical to ifftn(fftn(pad(v), axes=reversed(range(ndim))) * K_hat),
     cropped.  ``column_block`` builds G[:, B], whose apply maps the box
     onto the grid and whose adjoint maps the grid back onto the box.
-    Immutable after construction and safe to share across threads.
+    The build evaluates g once per distinct offset magnitude, prod (n_d + 1)
+    points (``_padded_kernel``), not at all prod 2 n_d padded offsets, and
+    gathers the doubled kernel from them.  Immutable after construction and
+    safe to share across threads.
     """
 
     def __init__(self, grid):
         if any(n < 2 for n in grid.shape):
             raise ConfigError("domain operator needs every grid dim >= 2")
         self.grid = grid
-        padded = tuple(2 * n for n in grid.shape)
-        offsets = [np.where(np.arange(2 * n) < n,
-                            np.arange(2 * n),
-                            np.arange(2 * n) - 2 * n) * grid.spacing
-                   for n in grid.shape]
-        mesh = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
-        dist_sq = np.sum(mesh * mesh, axis=-1)
-        kernel = np.zeros(padded, dtype=complex)
-        nonzero = dist_sq > 0
-        kernel[nonzero] = _point_green(grid)(mesh[nonzero], grid.k_b)
-        kernel *= grid.pixel_volume
-        kernel[(0,) * grid.ndim] = self_interaction(grid)
-        # the samples at offsets 0..n_d - 1: g depends on |x - x'| only, so
-        # they hold every entry of G, and column blocks gather their windows
-        # from them
-        self._samples = kernel[tuple(slice(0, n) for n in grid.shape)].copy()
+        kernel, self._samples = _padded_kernel(grid)
         self.in_shape = self.out_shape = grid.shape
         self._kernel_hat = np.fft.fftn(kernel)
         # the kernel is even in the offset, so G is complex symmetric

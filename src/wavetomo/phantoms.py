@@ -23,11 +23,30 @@ def _subpixel_offsets(grid, supersample):
     return np.meshgrid(*([offs] * grid.ndim), indexing="ij")
 
 
+def _shape_box(grid, center, radius):
+    """Slices of the pixels whose centers lie within radius + h/2 of
+    ``center`` on every axis, one pixel wider each side and clipped to the
+    grid, or None when no pixel does."""
+    box = []
+    for ax, c in enumerate(center):
+        near = np.abs(grid.axis_coords(ax) - c) <= radius + 0.5 * grid.spacing
+        hit = np.flatnonzero(near)
+        if hit.size == 0:
+            return None
+        box.append(slice(max(int(hit[0]) - 1, 0), min(int(hit[-1]) + 2, grid.shape[ax])))
+    return tuple(box)
+
+
 def cylinders(grid, specs, supersample=4):
     """Sum of homogeneous disks (2D) or balls (3D).
 
     specs: iterable of (center, radius, contrast) with center in meters.
     Overlapping regions add.  ``supersample`` > 1 area-weights edge pixels.
+    A sub-pixel point lies within h/2 of its pixel center on every axis, so
+    each shape is supersampled only on the pixels within radius + h/2 of its
+    center per axis, plus a one-pixel margin (``_shape_box``); a shape that
+    misses the grid adds nothing.  Raises ConfigError for a center with the
+    wrong number of axes, or a center, radius or contrast that is not finite.
     """
     if supersample < 1:
         raise ConfigError("supersample must be >= 1")
@@ -36,14 +55,24 @@ def cylinders(grid, specs, supersample=4):
     subs = _subpixel_offsets(grid, supersample)
     for center, radius, c in specs:
         center = np.asarray(center, dtype=float)
+        if center.shape != (grid.ndim,):
+            raise ConfigError(f"cylinder center needs {grid.ndim} coordinates, "
+                              f"got shape {center.shape}")
+        if not np.all(np.isfinite(center)):
+            raise ConfigError("cylinder center must be finite")
         if not 0 < radius < np.inf:
             raise ConfigError("cylinder radius must be positive and finite")
-        coverage = np.zeros(grid.shape)
+        if not np.isfinite(c):
+            raise ConfigError("cylinder contrast must be finite")
+        box = _shape_box(grid, center, radius)
+        if box is None:
+            continue
+        coverage = np.zeros(f[box].shape)
         for off in zip(*(s.ravel() for s in subs)):
-            pts = centers + np.asarray(off)
+            pts = centers[box] + np.asarray(off)
             dist_sq = np.sum((pts - center) ** 2, axis=-1)
             coverage += dist_sq <= radius * radius
-        f += c * coverage / supersample ** grid.ndim
+        f[box] += c * coverage / supersample ** grid.ndim
     return f * grid.k_b ** 2
 
 

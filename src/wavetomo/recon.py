@@ -11,6 +11,7 @@ share the H products: a prediction is one matrix product with H and a
 gradient one more with its adjoint.
 """
 
+import functools
 import numbers
 import time
 import warnings
@@ -201,7 +202,11 @@ class ScatteringProblem:
 
     The recorded slots' sensor rows and the point sources' incident fields
     come from one ``sensor_rows`` call, which builds its Graf grid table
-    once; plane waves are evaluated on their own.
+    once; plane waves are evaluated on their own.  ``G`` and
+    ``u_in_sensors`` are built on first read and kept: only the full model
+    solves on G, and only the Rytov transform reads the incident fields at
+    the receivers, so Born and Rytov runs build no G and a data generation
+    evaluates no sensor field.
     """
 
     def __init__(self, measurements, grid):
@@ -211,7 +216,6 @@ class ScatteringProblem:
                               f"but the grid has {grid.ndim}")
         self.measurements = measurements
         self.grid = grid
-        self.G = build_domain_operator(grid)
         # H holds only the receiver slots some transmitter recorded; each
         # transmitter's mask indexes into that union
         active, txs = measurements.active_indices, measurements.transmitters
@@ -230,8 +234,17 @@ class ScatteringProblem:
             if tx.kind == "plane":
                 self.U_in[t] = tx.field_on_grid(grid).ravel()
         self.u_in = [u.reshape(grid.shape) for u in self.U_in]
-        self.u_in_sensors = [tx.field_at(measurements.receivers.positions[ix], grid.k_b)
-                             for tx, ix in zip(txs, active)]
+
+    @functools.cached_property
+    def G(self):
+        return build_domain_operator(self.grid)
+
+    @functools.cached_property
+    def u_in_sensors(self):
+        """The incident field on each transmitter's recorded slots."""
+        m = self.measurements
+        return [tx.field_at(m.receivers.positions[ix], self.grid.k_b)
+                for tx, ix in zip(m.transmitters, m.active_indices)]
 
 
 def _solve_rows(f, B, problem, cfg):

@@ -7,8 +7,10 @@ zero-filled padded fftn instead of the pruned per-axis transforms, naive
 recursions instead of the fused backward pass, the A^H solve instead of its
 reciprocal forward solve in the adjoint-state gradient, subgradient descent
 instead of the dual prox solver, the dual prox with its gradient fields
-stored component last instead of component first, and mpmath
-arbitrary-precision special functions.  The objectives and unfused
+stored component last instead of component first, G's kernel evaluated
+at every padded offset instead of once per distinct offset magnitude, every
+pixel supersampled for every phantom shape instead of each shape's box, and
+mpmath arbitrary-precision special functions.  The objectives and unfused
 operators that only tests evaluate live here too.
 """
 
@@ -78,6 +80,24 @@ def direct_green_matrix(grid, points, weights):
     return weights[:, None] * g(disp, grid.k_b)
 
 
+def padded_kernel(grid):
+    """G's kernel on the doubled grid, its fftn and its samples at offsets
+    0..n_d - 1, from one Green's evaluation at every padded offset."""
+    offsets = [np.where(np.arange(2 * n) < n, np.arange(2 * n),
+                        np.arange(2 * n) - 2 * n) * grid.spacing
+               for n in grid.shape]
+    mesh = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
+    dist_sq = np.sum(mesh * mesh, axis=-1)
+    kernel = np.zeros(tuple(2 * n for n in grid.shape), dtype=complex)
+    nonzero = dist_sq > 0
+    g = green_2d if grid.ndim == 2 else green_3d
+    kernel[nonzero] = g(mesh[nonzero], grid.k_b)
+    kernel *= grid.pixel_volume
+    kernel[(0,) * grid.ndim] = self_interaction(grid)
+    samples = kernel[tuple(slice(0, n) for n in grid.shape)].copy()
+    return kernel, np.fft.fftn(kernel), samples
+
+
 def dense_A_matrix(grid, f):
     return np.eye(grid.size, dtype=complex) - dense_domain_matrix(grid) @ np.diag(f.ravel())
 
@@ -96,6 +116,24 @@ def padded_fft_apply(G, v, axes_order=None):
     buf[tuple(slice(0, n) for n in shape)] = v
     out = np.fft.ifftn(np.fft.fftn(buf, axes=axes_order) * G._kernel_hat)
     return out[tuple(slice(0, n) for n in shape)]
+
+
+def full_grid_cylinders(grid, specs, supersample=4):
+    """``phantoms.cylinders`` supersampling every pixel of the grid for every
+    shape."""
+    step = grid.spacing / supersample
+    offs = -0.5 * grid.spacing + step * (np.arange(supersample) + 0.5)
+    subs = np.meshgrid(*([offs] * grid.ndim), indexing="ij")
+    centers = grid.pixel_centers()
+    f = np.zeros(grid.shape)
+    for center, radius, c in specs:
+        center = np.asarray(center, dtype=float)
+        coverage = np.zeros(grid.shape)
+        for off in zip(*(s.ravel() for s in subs)):
+            dist_sq = np.sum((centers + np.asarray(off) - center) ** 2, axis=-1)
+            coverage += dist_sq <= radius * radius
+        f += c * coverage / supersample ** grid.ndim
+    return f * grid.k_b ** 2
 
 
 # ---------------------------------------------------------------------------

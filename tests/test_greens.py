@@ -4,7 +4,7 @@ import pytest
 import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import (dense_A_matrix, dense_domain_matrix, direct_green_matrix,
-                       mp_green_2d, mp_j, mp_y, padded_fft_apply)
+                       mp_green_2d, mp_j, mp_y, padded_fft_apply, padded_kernel)
 from wavetomo import greens
 from wavetomo.analytic import helmholtz_residual
 from wavetomo.errors import ConfigError, DimensionError, SingularityError
@@ -159,6 +159,47 @@ class TestDomainOperator:
         grid = wt.centered_grid((1, 8), spacing=0.05, wavelength=0.5)
         with pytest.raises(ConfigError):
             wt.build_domain_operator(grid)
+
+
+# (shape, spacing in wavelengths): the loop and generation grids of the 2D
+# benchmark scenes, two odd small ones and the 3D sweep's grid
+KERNEL_GRIDS = [pytest.param(shape, h, id="x".join(map(str, shape)))
+                for shape, h in [((64, 64), 1 / 16), ((128, 128), 1 / 16),
+                                 ((9, 7), 0.04 / 0.45), ((5, 4, 4), 0.04 / 0.45),
+                                 ((32, 32, 32), 1 / 8)]]
+
+
+def kernel_grid(shape, spacing_wl, wavelength=0.5):
+    h = spacing_wl * wavelength
+    return wt.DomainGrid(shape, h, tuple(-0.5 * h * (n - 1) for n in shape), wavelength)
+
+
+class TestKernelBuild:
+    @pytest.mark.parametrize("shape, spacing_wl", KERNEL_GRIDS)
+    def test_bit_identical_to_every_offset_evaluated(self, shape, spacing_wl):
+        # the kernel gathered from the distinct offsets equals the one that
+        # evaluates g at each of the (2n)^d padded offsets, bit for bit
+        grid = kernel_grid(shape, spacing_wl)
+        kernel, kernel_hat, samples = padded_kernel(grid)
+        got_kernel, got_samples = greens._padded_kernel(grid)
+        G = wt.build_domain_operator(grid)
+        for got, expect in ((got_kernel, kernel), (G._kernel_hat, kernel_hat),
+                            (G._samples, samples), (got_samples, samples)):
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("shape, spacing_wl", KERNEL_GRIDS)
+    def test_one_green_evaluation_per_distinct_offset(self, monkeypatch, shape, spacing_wl):
+        # offsets 0..n_d per axis, less the zero offset, which the self
+        # term fills
+        evaluated = []
+        for name in ("green_2d", "green_3d"):
+            def count(r, k_b, _fn=getattr(greens, name)):
+                evaluated.append(np.asarray(r).shape[0])
+                return _fn(r, k_b)
+            monkeypatch.setattr(greens, name, count)
+        wt.build_domain_operator(kernel_grid(shape, spacing_wl))
+        assert evaluated == [np.prod([n + 1 for n in shape]) - 1]
 
 
 def boxed_potential(shape, box, rng):

@@ -280,6 +280,44 @@ class TestRecordedRows:
         assert np.array_equal(problem._H_ring.matrix, ring_H.matrix)
 
 
+class TestLazyBuilds:
+    """G and the receivers' incident fields are built only for the models
+    that read them."""
+
+    @pytest.mark.parametrize("model, builds", [("born", 0), ("rytov", 0), ("full", 1)])
+    def test_only_the_full_model_builds_G(self, rng, monkeypatch, model, builds):
+        grid, mset = masked_problem(rng)
+        built = []
+        init = DomainGreensOperator.__init__
+
+        def counted(self, grid):
+            built.append(grid.shape)
+            init(self, grid)
+        monkeypatch.setattr(DomainGreensOperator, "__init__", counted)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=20), fista_iters=3)
+        wt.fista_reconstruct(mset, grid, cfg, model=model)
+        assert built == [grid.shape] * builds
+
+    def test_sensor_incident_fields_on_first_read(self, rng, monkeypatch):
+        grid, mset = masked_problem(rng)
+        calls = []
+        field_at = wt.Transmitter.field_at
+
+        def counted(self, points, k_b):
+            calls.append(len(points))
+            return field_at(self, points, k_b)
+        monkeypatch.setattr(wt.Transmitter, "field_at", counted)
+        problem = ScatteringProblem(mset, grid)
+        assert calls == []
+        got = problem.u_in_sensors
+        assert calls == [ix.size for ix in mset.active_indices]
+        assert problem.u_in_sensors is got
+        assert len(calls) == mset.n_tx
+        for u, tx, ix in zip(got, mset.transmitters, mset.active_indices):
+            expect = field_at(tx, mset.receivers.positions[ix], grid.k_b)
+            assert u.tobytes() == expect.tobytes()
+
+
 class TestFista:
     def test_null_measurements_give_zero_image(self, rng):
         grid, mset = tiny_problem(rng)
