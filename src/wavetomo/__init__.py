@@ -10,14 +10,13 @@ through the expansion stays as the checked reference), with first-Born and
 Rytov linearizations available as baselines.
 """
 
-from .adjoint import data_fidelity, gradient_data_fidelity, gradient_from_trace
 from .analytic import (AnalyticScene, analytic_field_2d, analytic_field_3d,
                        helmholtz_residual, radial_coeffs_2d, radial_coeffs_3d)
 from .errors import (ConfigError, ConvergenceWarning, DimensionError,
                      MeasurementParseError, NumericalError, ResonanceError,
                      SingularityError, StepDegeneracyError, TransformError)
-from .forward import (ForwardConfig, ForwardTrace, bicgstab, estimate_fixed_step,
-                      forward_solve)
+from .forward import (ForwardConfig, bicgstab, data_fidelity, estimate_fixed_step,
+                      forward_solve, gradient_data_fidelity, gradient_from_trace)
 from .greens import (DomainGreensOperator, MaskedSensorOperator,
                      SensorGreensOperator, apply_A, apply_AH,
                      build_domain_operator, build_sensor_operator, green_2d,

@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, simulate
-from .adjoint import data_fidelity, gradient_data_fidelity
 from .analytic import AnalyticScene, analytic_field_2d, analytic_field_3d
 from .errors import (ConfigError, DimensionError, MeasurementParseError,
                      NumericalError, SingularityError, TransformError)
-from .forward import ForwardConfig, estimate_fixed_step, forward_solve
+from .forward import (ForwardConfig, data_fidelity, estimate_fixed_step,
+                      forward_solve, gradient_data_fidelity)
 from .greens import build_domain_operator
 from .grid import centered_grid, ring_sensors
 from .metrics import normalized_error, normalized_recon_error, snr_db
@@ -267,6 +267,9 @@ def cmd_sweep(args):
     out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.contrast:
+        # the closed-form comparison is a 2D cylinder
+        if grid.ndim != 2:
+            raise ConfigError(f"contrast sweep needs a 2D grid, got grid.shape {grid.shape}")
         contrasts = _parse_range(args.contrast)
         p = fileio.phantom_from_config(cfg)
         if p.kind != "cylinders" or len(p.cylinders) != 1:
@@ -301,7 +304,8 @@ def cmd_sweep(args):
         rows = {"factor": [], "receivers_per_tx": [], "snr_db": [], "data_fit": []}
         for s in factors:
             sub = mset.subsample(s)
-            rep = fista_reconstruct(sub, grid, rcfg, model=args.model)
+            # factor 1 returns the full set, whose reconstruction is done
+            rep = full if sub is mset else fista_reconstruct(sub, grid, rcfg, model=args.model)
             rows["factor"].append(s)
             rows["receivers_per_tx"].append(sub.active_indices[0].size)
             rows["snr_db"].append(snr_db(rep.f_hat, full.f_hat))

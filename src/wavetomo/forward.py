@@ -1,14 +1,15 @@
-"""Multiple-scattering forward model.
+"""Multiple-scattering forward model and the paper's gradient through it.
 
 The total field for a potential f is computed by minimizing
 S(u) = 0.5 ||A u - u_in||^2 with A = I - G diag(f), using accelerated
 gradient descent.  The iterates form a series expansion of the field; a
-solve given the sensor operator H records them, because the reverse-mode
-gradient of the data fit differentiates through every iteration.  The
-series is the paper's forward model, and stays where that model is checked:
-the reference gradient, the contrast sweep and the closed-form comparisons.
+solve given the sensor operator H records them in a ForwardTrace, and
+``gradient_from_trace`` differentiates the data fit through every iteration.
+The series is the paper's forward model, and stays where that model is
+checked: the reference gradient (the acceptance gate and ``wavetomo
+gradcheck``), the contrast sweep and the closed-form comparisons.
 ``bicgstab`` solves every other system on A: the data generation's fields,
-and the gradient and predictions of the FISTA loop.
+and the adjoint-state gradient and predictions of the FISTA loop.
 """
 
 import numbers
@@ -17,8 +18,8 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, ConvergenceWarning, NumericalError,
-                     StepDegeneracyError)
+from .errors import (ConfigError, ConvergenceWarning, DimensionError,
+                     NumericalError, StepDegeneracyError)
 from .greens import SystemOperator
 
 # the adaptive solve's carried residual bottoms out near 1e-13 ||u_in||: an
@@ -70,30 +71,30 @@ class ForwardConfig:
 class ForwardTrace:
     """Result of a forward solve, and what its reverse-mode gradient needs.
 
-    ``GHr_history[k - 1]`` holds G^H (A s^k - u_in), the Green's-adjoint
-    residual the step at s^k already formed; the backward pass reuses it.
-    The four histories and ``z`` are recorded only when the solve is given a
-    sensor operator H, since only such a trace can be differentiated;
-    otherwise they are None and the trace holds ``u_hat`` and
-    ``K_effective`` alone.
+    ``steps[k - 1]`` is iteration k's record (s^k, gamma_k, mu_k, GHr_k):
+    the extrapolated point, the step size, the momentum weight and
+    GHr_k = G^H (A s^k - u_in), the Green's-adjoint residual the step at s^k
+    already formed, which the backward pass reuses.  ``steps`` and ``z`` are
+    recorded only when the solve is given a sensor operator H, since only
+    such a trace can be differentiated; otherwise they are None and the trace
+    holds ``u_hat`` and ``K_effective`` alone.  A trace given H keeps two
+    fields per iteration, O(2 K N) complex values; an H-free one keeps only
+    its final field.
     """
 
-    s_history: list | None = None
-    gamma_history: list | None = None
-    mu_history: list | None = None
-    GHr_history: list | None = None
+    steps: list | None = None
     u_hat: np.ndarray | None = None
     z: np.ndarray | None = None
     K_effective: int = 0
 
     def validate(self):
-        histories = (self.s_history, self.gamma_history, self.mu_history,
-                     self.GHr_history)
-        if all(h is None for h in histories):
+        """ConfigError unless there is one step record per iteration, each
+        with a positive step size; an H-free trace has none to check."""
+        if self.steps is None and self.z is None:
             return
-        if any(h is None or len(h) != self.K_effective for h in histories):
-            raise ConfigError("trace histories disagree with K_effective")
-        if any(not g > 0 for g in self.gamma_history):
+        if self.steps is None or len(self.steps) != self.K_effective:
+            raise ConfigError("trace step records disagree with K_effective")
+        if any(not gamma > 0 for _, gamma, _, _ in self.steps):
             raise ConfigError("trace contains a nonpositive step size")
 
 
@@ -105,9 +106,8 @@ def forward_solve(f, u_in, G, H, cfg):
     the two previous iterates, takes a gradient step, and may stop early on
     ``cfg.delta_tol_rel``; a solve with a tolerance that runs all K
     iterations without meeting it warns with ConvergenceWarning.
-    When H is given, z = H(u_hat * f) and the trace keeps each iteration's
-    s^k, gamma_k, mu_k and G^H residual for the backward pass, the stopping
-    iteration included, so the histories always have K_effective entries.
+    When H is given, z = H(u_hat * f) and the trace keeps one step record
+    per iteration for the backward pass, the stopping iteration included.
 
     The adaptive step (``cfg.nu`` None) forms A g, so it carries A u^k =
     A s^k - gamma_k A g alongside u^k and extrapolates A s^k from A u^{k-1}
@@ -129,7 +129,7 @@ def forward_solve(f, u_in, G, H, cfg):
 
     tol = cfg.delta_tol_rel * float(np.vdot(u_in, u_in).real)
 
-    trace = ForwardTrace() if H is None else ForwardTrace([], [], [], [])
+    trace = ForwardTrace(steps=None if H is None else [])
     t_prev = 0.0
     carry = cfg.nu is None
     # A u^{k-1} and A u^{k-2}, carried by the adaptive step
@@ -171,10 +171,7 @@ def forward_solve(f, u_in, G, H, cfg):
 
         u_k = s_k - gamma_k * g
         if H is not None:
-            trace.s_history.append(s_k)
-            trace.gamma_history.append(gamma_k)
-            trace.mu_history.append(mu_k)
-            trace.GHr_history.append(GHr)
+            trace.steps.append((s_k, gamma_k, mu_k, GHr))
         trace.K_effective = k
         u_prev2, u_prev1 = u_prev1, u_k
         if carry:
@@ -190,8 +187,82 @@ def forward_solve(f, u_in, G, H, cfg):
     trace.u_hat = u_prev1
     if H is not None:
         trace.z = H.apply(trace.u_hat * f)
-    trace.validate()
     return trace
+
+
+def data_fidelity(z, y):
+    """D = 0.5 ||y - z||_2^2 between predicted and measured sensor fields."""
+    z = np.asarray(z)
+    y = np.asarray(y)
+    if z.shape != y.shape:
+        raise DimensionError(f"sensor counts differ: {z.shape} vs {y.shape}")
+    resid = y - z
+    return 0.5 * float(np.vdot(resid, resid).real)
+
+
+def gradient_from_trace(f, y, G, H, trace):
+    """The paper's gradient of D(f) = 0.5 ||H(f u) - y||^2 through the series.
+
+    Backpropagates the sensor residual through the K_effective recorded
+    iterations of a ``forward_solve`` given H, and returns Re(r^0); the trace
+    holds the residuals G^H(A s^k - u_in), so u_in is not needed.  Raises
+    ConfigError for a trace that fails ``ForwardTrace.validate``.  Two
+    multiplier fields are carried backwards: q^k multiplies the
+    (never-materialized) Jacobian of u^k, and r^k accumulates the
+    f-dependence already peeled off.  Per iteration the updates use
+    S^k = I - gamma_k A^H A (self-adjoint) and
+    T^k v = conj(G^H(A s^k - u_in)) * v + conj(s^k) * G^H(A v); the momentum
+    couples q^{k-1} to both S^k q^k and the previous S^{k+1} q^{k+1}.  The
+    f-dependence of adaptive step sizes is ignored (they become stationary;
+    a fixed step makes the gradient exact).  Both operators share their
+    products, so one backward iteration is
+
+      Aq   = A q^k,  GHAq = G^H Aq,
+      S^k q^k = q^k - gamma_k (Aq - f * GHAq),
+      r      += gamma_k (conj(GHr_k) * q^k + conj(s^k) * GHAq),
+
+    2 G-applies (one in A, on the column block of f's support, and one in
+    G^H, on the whole grid): a transmitter gradient costs 2K + 1 forward and
+    2K backward applies with the adaptive step (2K forward with a fixed one).
+    The unfused S^k and T^k (6 applies between them) are test oracles in
+    ``tests/reference.py``; the fused update matches them bit for bit when
+    the residuals were formed from a direct A s^k (a fixed step, or K = 1),
+    and to round-off when an adaptive solve extrapolated A s^k.
+    """
+    trace.validate()
+    grid = G.grid
+    f = grid.check_field(f, "potential")
+    y = np.asarray(y)
+    if trace.z is None:
+        raise DimensionError("trace was solved without a sensor operator H; "
+                             "pass H to forward_solve to differentiate it")
+    if trace.z.shape != y.shape:
+        raise DimensionError(f"sensor counts differ: {trace.z.shape} vs {y.shape}")
+    resid = trace.z - y
+    back = H.apply_adjoint(resid)
+    q = f * back                      # diag(f)^H H^H (z - y), f real
+    r = np.conj(trace.u_hat) * back   # diag(u_hat)^H H^H (z - y)
+    A = SystemOperator(f, G)
+
+    Sq_next = np.zeros(grid.shape, dtype=complex)  # S^{k+1} q^{k+1}, zero at k = K
+    mu_next = 0.0
+    for s_k, gamma_k, mu_k, GHr_k in reversed(trace.steps):
+        Aq = A.apply(q)
+        GHAq = G.apply_adjoint(Aq)
+        Sq = q - gamma_k * (Aq - f * GHAq)                           # S^k q
+        r += gamma_k * (np.conj(GHr_k) * q + np.conj(s_k) * GHAq)  # T^k q
+        # q^0 multiplies the f-independent u^0, so its exact closure at k = 1
+        # is irrelevant to the returned gradient
+        q = (1.0 - mu_k) * Sq + mu_next * Sq_next
+        Sq_next = Sq
+        mu_next = mu_k
+    return np.real(r)
+
+
+def gradient_data_fidelity(f, y, u_in, G, H, cfg):
+    """Gradient of 0.5||y - z(f)||^2; runs the forward solve internally."""
+    trace = forward_solve(f, u_in, G, H, cfg)
+    return gradient_from_trace(f, y, G, H, trace)
 
 
 def bicgstab(op, b, x0, tol, maxiter):

@@ -95,12 +95,17 @@ def shepp_logan(grid, peak_contrast, extent=None):
     """Ten-ellipse head phantom (2D), scaled so max|f|/k_b^2 = peak_contrast.
 
     ``extent`` is the physical half-width the unit phantom square maps to;
-    defaults to half the domain width.
+    defaults to half the domain width.  Raises ConfigError for a peak
+    contrast that is not finite, or an extent that is not positive and finite.
     """
     if grid.ndim != 2:
         raise ConfigError("head phantom is 2D only")
+    if not np.isfinite(peak_contrast):
+        raise ConfigError("head phantom contrast must be finite")
     if extent is None:
         extent = 0.5 * grid.spacing * grid.shape[0]
+    elif not 0 < extent < np.inf:
+        raise ConfigError("head phantom extent must be positive and finite")
     centers = grid.pixel_centers() / extent  # phantom defined on [-1, 1]^2
     x = centers[..., 0]
     y = centers[..., 1]

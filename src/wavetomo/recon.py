@@ -19,13 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import data_fidelity
-# not called: benchmarks/layers.py wraps it; ROADMAP item 1 drops the site
-from .adjoint import gradient_from_trace  # noqa: F401
 from .errors import ConfigError, DimensionError, NumericalError, TransformError
-from .forward import ForwardConfig, bicgstab
-# not called: benchmarks/layers.py wraps it
-from .forward import forward_solve  # noqa: F401
+from .forward import ForwardConfig, bicgstab, data_fidelity
+# not called: benchmarks/layers.py wraps them; ROADMAP item 1 drops the sites
+from .forward import forward_solve, gradient_from_trace  # noqa: F401
 from .greens import (MaskedSensorOperator, SensorGreensOperator, SystemOperator,
                      build_domain_operator, green_2d, green_3d, sensor_rows)
 # not called: benchmarks/layers.py wraps it
@@ -114,6 +111,14 @@ class MeasurementSet:
                                      f"{v.size} measurements")
             if ix.size == 0:
                 raise ConfigError(f"transmitter {t}: no receivers")
+            outside = ix[(ix < 0) | (ix >= len(self.receivers))]
+            if outside.size:
+                raise ConfigError(f"transmitter {t}: receiver index {outside[0]} "
+                                  f"outside 0..{len(self.receivers) - 1}")
+            slots, counts = np.unique(ix, return_counts=True)
+            if np.any(counts > 1):
+                raise ConfigError(f"transmitter {t}: receiver slot "
+                                  f"{slots[counts > 1][0]} listed twice")
             if not np.all(np.isfinite(v.view(float))):
                 raise ConfigError(f"transmitter {t}: non-finite measurement")
 

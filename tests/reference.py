@@ -192,10 +192,7 @@ def backprop_two_term_naive(f, y, u_in, G, H, trace):
     r = np.conj(trace.u_hat) * back
     Sq_next = np.zeros_like(q)
     mu_next = 0.0
-    for k in range(trace.K_effective, 0, -1):
-        s_k = trace.s_history[k - 1]
-        gamma_k = trace.gamma_history[k - 1]
-        mu_k = trace.mu_history[k - 1]
+    for s_k, gamma_k, mu_k, _ in reversed(trace.steps):
         Sq = apply_Sk(f, gamma_k, q, G)
         r = r + gamma_k * apply_Tk(f, s_k, q, u_in, G)
         q = (1.0 - mu_k) * Sq + mu_next * Sq_next
@@ -212,11 +209,8 @@ def backprop_three_vector(f, y, u_in, G, H, trace):
     q = f * back
     r = np.conj(trace.u_hat) * back
     p = np.zeros_like(q)
-    K = trace.K_effective
-    for k in range(K, 0, -1):
-        s_k = trace.s_history[k - 1]
-        gamma_k = trace.gamma_history[k - 1]
-        mu_k = trace.mu_history[k - 1]
+    for k in range(trace.K_effective, 0, -1):
+        s_k, gamma_k, mu_k, _ = trace.steps[k - 1]
         Sq = apply_Sk(f, gamma_k, q, G)
         r = r + gamma_k * apply_Tk(f, s_k, q, u_in, G)
         if k > 1:

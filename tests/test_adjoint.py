@@ -288,17 +288,29 @@ class TestFusedBackward:
         trace = wt.forward_solve(f, u_in, G, None, wt.ForwardConfig(K=3))
         # an H-free trace keeps the final field and nothing to differentiate
         assert trace.K_effective == 3 and trace.u_hat.shape == grid.shape
-        assert all(h is None for h in (trace.s_history, trace.gamma_history,
-                                       trace.mu_history, trace.GHr_history, trace.z))
+        assert trace.steps is None and trace.z is None
         trace.validate()
         with pytest.raises(DimensionError, match="without a sensor operator"):
             wt.gradient_from_trace(f, np.zeros(len(H.sensors)), G, H, trace)
 
     def test_residual_history_length_checked(self, small_setup, rng):
+        # a trace missing a step record used to end in an IndexError inside
+        # the backward loop; the gradient checks the trace it reads
         grid, G, H, u_in = small_setup
         f = random_potential(rng, grid)
         trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=3))
-        assert len(trace.GHr_history) == trace.K_effective == 3
-        trace.GHr_history.pop()
-        with pytest.raises(ConfigError):
-            trace.validate()
+        assert len(trace.steps) == trace.K_effective == 3
+        trace.steps.pop()
+        with pytest.raises(ConfigError, match="^trace step records disagree with K_effective$"):
+            wt.gradient_from_trace(f, np.zeros(len(H.sensors)), G, H, trace)
+
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, np.nan])
+    def test_nonpositive_step_rejected(self, small_setup, rng, gamma):
+        # a negative step used to be differentiated silently
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=3))
+        s_k, _, mu_k, GHr_k = trace.steps[1]
+        trace.steps[1] = (s_k, gamma, mu_k, GHr_k)
+        with pytest.raises(ConfigError, match="^trace contains a nonpositive step size$"):
+            wt.gradient_from_trace(f, np.zeros(len(H.sensors)), G, H, trace)

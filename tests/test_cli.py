@@ -342,30 +342,73 @@ class TestSweepCommand:
             "cylinder at the coordinate origin\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--subsample", "2"], "--subsample needs --measurements"),
+    @pytest.mark.parametrize("flags, message, config", [
+        (["--subsample", "2"], "--subsample needs --measurements", None),
         (["--subsample", "2,x", "--measurements", "m.dat"],
-         "--subsample: expected comma-separated powers of 2 up to 128, got '2,x'"),
+         "--subsample: expected comma-separated powers of 2 up to 128, got '2,x'", None),
         (["--contrast", "0.1:x:0.2"],
-         "--contrast: expected start:step:stop numbers, got '0.1:x:0.2'"),
+         "--contrast: expected start:step:stop numbers, got '0.1:x:0.2'", None),
         (["--contrast", "0.1:0.1"],
-         "--contrast: expected start:step:stop numbers, got '0.1:0.1'"),
+         "--contrast: expected start:step:stop numbers, got '0.1:0.1'", None),
         (["--contrast", "0:1e-300:1"],
-         "--contrast: range must have at most 10000 points"),
+         "--contrast: range must have at most 10000 points", None),
         (["--contrast=-1e308:1:1e308"],
-         "--contrast: range must have at most 10000 points"),
+         "--contrast: range must have at most 10000 points", None),
         (["--contrast=-0.1:0.1:-0.2"],
-         "--contrast: range must be finite with step > 0 and stop >= start"),
+         "--contrast: range must be finite with step > 0 and stop >= start", None),
+        # it used to fail on the 2D cylinder the sweep builds for itself
+        (["--contrast", "0.1:0.1:0.2"],
+         "contrast sweep needs a 2D grid, got grid.shape (6, 6, 6)", {
+             "grid": {"shape": [6, 6, 6], "spacing_m": 0.5 / 16, "wavelength_m": 0.5},
+             "transmitters": [{"position_m": [0.8, 0.0, 0.0]}],
+             "phantom": {"kind": "cylinders",
+                         "cylinders": [{"center_m": [0.0, 0.0, 0.0],
+                                        "radius_m": 0.05, "contrast": 0.1}]}}),
     ], ids=["subsample without measurements", "non-integer factor",
             "non-numeric bound", "two bounds", "too many points",
-            "overflowing span", "negative start after ="])
-    def test_bad_sweep_flags(self, tmp_path, capsys, flags, message):
+            "overflowing span", "negative start after =", "3D grid"])
+    def test_bad_sweep_flags(self, tmp_path, capsys, flags, message, config):
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path)
+        if config is None:
+            write_config(cfg_path)
+        else:
+            cfg_path.write_text(fileio.serialize_config(config))
         rc = main(["sweep", "--config", str(cfg_path), *flags,
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_subsample_sweep_table(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, overrides={
+            "grid": {"shape": [16, 16], "spacing_m": 0.5 / 16, "wavelength_m": 0.5},
+            "transmitters": {"kind": "point-ring", "radius_m": 0.8, "count": 4},
+            "receivers": {"ring_radius_m": 0.9, "count": 32, "subsample": 1},
+            "phantom": {"kind": "cylinders",
+                        "cylinders": [{"center_m": [0.0, 0.0], "radius_m": 0.1,
+                                       "contrast": 0.1}]},
+        })
+        meas = tmp_path / "meas.dat"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
+        # factor 1 reuses the full-set reconstruction instead of running it twice
+        calls = []
+        reconstruct = cli.fista_reconstruct
+
+        def counted(mset, *args, **kwargs):
+            calls.append(mset)
+            return reconstruct(mset, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "fista_reconstruct", counted)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--subsample", "1,2,4",
+                     "--measurements", str(meas), "--model", "born", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "factor,receivers_per_tx,snr_db,data_fit"
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        assert [row[:2] for row in rows] == [[1, 32], [2, 16], [4, 8]]
+        assert rows[0][2] == np.inf and all(np.isfinite(row[2]) for row in rows[1:])
+        assert all(0 <= row[3] < np.inf for row in rows)
+        assert [m.active_indices[0].size for m in calls] == [32, 16, 8]
 
     def test_negative_start_needs_equals(self, tmp_path, capsys):
         # argparse reads a range that starts with '-' as the next flag

@@ -57,7 +57,7 @@ class TestForwardSolve:
         cfg = wt.ForwardConfig(K=50, delta_tol_rel=1e-26)
         trace = wt.forward_solve(np.zeros(grid.shape), u_in, G, H, cfg)
         assert trace.K_effective == 1
-        assert len(trace.s_history) == 1
+        assert len(trace.steps) == 1
         assert np.allclose(trace.u_hat, u_in)
         assert np.allclose(trace.z, 0.0)
 
@@ -75,12 +75,13 @@ class TestForwardSolve:
         grid, G, H, u_in = small_setup
         f = random_potential(rng, grid)
         trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=3))
+        mu = [mu_k for _, _, mu_k, _ in trace.steps]
         # t0 = 0 -> t1 = 1, t2 = (1+sqrt(5))/2; mu1 = 1, mu2 = 0
-        assert trace.mu_history[0] == pytest.approx(1.0)
-        assert trace.mu_history[1] == pytest.approx(0.0)
+        assert mu[0] == pytest.approx(1.0)
+        assert mu[1] == pytest.approx(0.0)
         t2 = 0.5 * (1 + np.sqrt(5.0))
         mu3 = (1 - t2) / (0.5 * (1 + np.sqrt(1 + 4 * t2 ** 2)))
-        assert trace.mu_history[2] == pytest.approx(mu3)
+        assert mu[2] == pytest.approx(mu3)
 
     def test_prediction_examples(self, small_setup, rng):
         grid, _, H, _ = small_setup
@@ -128,7 +129,7 @@ class TestForwardSolve:
         trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=200))
         assert trace.K_effective == 200
         bound = 1e-12 * np.linalg.norm(u_in)
-        for s_k, GHr_k in zip(trace.s_history, trace.GHr_history):
+        for s_k, _, _, GHr_k in trace.steps:
             direct = G.apply_adjoint(wt.apply_A(f, s_k, G) - u_in)
             assert np.linalg.norm(GHr_k - direct) <= bound
 
@@ -180,9 +181,8 @@ class TestForwardSolve:
         long = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=9))
         short = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=4))
         for k in range(4):
-            assert np.array_equal(short.s_history[k], long.s_history[k])
-            assert short.gamma_history[k] == long.gamma_history[k]
-            assert short.mu_history[k] == long.mu_history[k]
+            assert np.array_equal(short.steps[k][0], long.steps[k][0])
+            assert short.steps[k][1:3] == long.steps[k][1:3]
 
     def test_fixed_step_matches_adaptive_limit(self, small_setup, rng):
         grid, G, _, u_in = small_setup
@@ -226,7 +226,7 @@ class TestForwardSolve:
         grid, G, H, u_in = small_setup
         f = random_potential(rng, grid)
         trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=3, nu=0.5))
-        assert trace.gamma_history == [0.5, 0.5, 0.5]
+        assert [gamma for _, gamma, _, _ in trace.steps] == [0.5, 0.5, 0.5]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -93,3 +93,17 @@ def test_shepp_logan_requires_2d():
     grid3 = wt.DomainGrid((4, 4, 4), 0.01, (0, 0, 0), 0.1)
     with pytest.raises(ConfigError):
         wt.shepp_logan(grid3, 0.2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shepp_logan_non_finite_contrast(grid, bad):
+    # a NaN contrast used to return a NaN potential, an infinite one warned first
+    with pytest.raises(ConfigError, match="^head phantom contrast must be finite$"):
+        wt.shepp_logan(grid, bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+def test_shepp_logan_bad_extent(grid, bad):
+    # 0 used to divide by zero, and a negative extent mirrored the phantom
+    with pytest.raises(ConfigError, match="^head phantom extent must be positive and finite$"):
+        wt.shepp_logan(grid, 0.2, extent=bad)

@@ -75,6 +75,19 @@ class TestMeasurementSet:
             wt.MeasurementSet(transmitters=mset.transmitters, receivers=mset.receivers,
                               active_indices=[np.arange(10), []], y=[mset.y[0], []])
 
+    @pytest.mark.parametrize("active, message", [
+        ([-1, 0], "receiver index -1 outside 0..5"),
+        ([0, 7], "receiver index 7 outside 0..5"),
+        ([0, 0], "receiver slot 0 listed twice"),
+    ], ids=["negative index", "index past the ring", "slot listed twice"])
+    def test_bad_active_index_rejected(self, active, message):
+        # -1 used to read the last slot, [0, 0] was accepted, and 7 ended in
+        # an IndexError building the ScatteringProblem
+        tx = [wt.Transmitter("point", position=(0.45, 0.0))]
+        with pytest.raises(ConfigError, match=f"^transmitter 0: {message}$"):
+            wt.MeasurementSet(transmitters=tx, receivers=wt.ring_sensors(6, radius=0.4),
+                              active_indices=[active], y=[np.ones(2, complex)])
+
     def test_subsample_that_empties_a_transmitter_rejected(self, rng):
         # subsampling keeps positions 1, 1 + factor, ...: none of one receiver
         _, mset = tiny_problem(rng)
