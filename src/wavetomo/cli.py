@@ -95,6 +95,7 @@ def cmd_reconstruct(args):
         "iterations": len(report.data_fit_history),
         "tau": report.tau,
         "step_gamma": report.step_gamma,
+        "step_history": report.step_history,
         "data_fit_history": report.data_fit_history,
         "recon_error_history": report.recon_error_history,
         "iter_seconds": report.iter_seconds,

@@ -8,7 +8,9 @@ by BiCGStab; the first-Born linearization is the same kernel with A = I, so
 its fields are the incident fields and its adjoint fields the back-projected
 residuals.  Rytov is Born on complex-log transformed data.  All transmitters
 share the H products: a prediction is one matrix product with H and a
-gradient one more with its adjoint.
+gradient one more with its adjoint.  The FISTA step starts from a
+backtracking at f = 0, then grows while the objective falls and halves,
+restarting the momentum, when it rises (Scheinberg, Goldfarb and Bai, 2014).
 """
 
 import functools
@@ -19,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericalError, TransformError
+from .errors import (ConfigError, ConvergenceWarning, DimensionError, NumericalError,
+                     TransformError)
 from .forward import ForwardConfig, bicgstab, data_fidelity
 # not called: benchmarks/layers.py wraps them; ROADMAP item 1 drops the sites
 from .forward import forward_solve, gradient_from_trace  # noqa: F401
@@ -29,12 +32,15 @@ from .greens import (MaskedSensorOperator, SensorGreensOperator, SystemOperator,
 from .greens import build_sensor_operator  # noqa: F401
 from .grid import SensorSet
 from .metrics import normalized_recon_error
-from .tv import BoxConstraint, prox_tv
+from .tv import BoxConstraint, prox_tv, tv_value
 
 # receiver decimation factors MeasurementSet.subsample accepts
 SUBSAMPLE_FACTORS = (1, 2, 4, 8, 16, 32, 64, 128)
 # FISTA stops once ||f_new - f_prev|| falls below this fraction of ||f_prev||
 STOP_REL_CHANGE = 1e-6
+# the FISTA step's factors after a strict fall and after a rise of D + tau TV
+STEP_GROW = 1.05
+STEP_SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -189,9 +195,12 @@ class ReconReport:
     per iteration.  Entries 1..n-1 are at the extrapolated point f~_k where
     that iteration took its gradient, and come free with it: z is formed
     from the gradient's fields.  The last entry is at ``f_hat``, from one
-    ``predict_all``, which forms the same fields.  ``step_gamma``
-    is the FISTA step the backtracking at f = 0 found and every iteration
-    used.
+    ``predict_all``, which forms the same fields.  ``step_gamma`` is the
+    start step gamma_0 the backtracking at f = 0 found, and
+    ``step_history`` holds the step each iteration used: its first entry is
+    gamma_0, and each later entry is the one before it times STEP_GROW
+    after a strict fall of D + tau TV at the gradient's point, times
+    STEP_SHRINK after a rise, or unchanged.
     """
 
     f_hat: np.ndarray
@@ -199,6 +208,7 @@ class ReconReport:
     recon_error_history: list | None
     iter_seconds: list
     step_gamma: float
+    step_history: list
     tau: float
 
 
@@ -369,6 +379,14 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
     to complex-log transformed data.  A ``ground_truth`` must have the
     grid's shape and a nonzero norm; it is checked before the first field
     solve.  Deterministic for fixed inputs.
+
+    The step starts at the backtracking's gamma_0 at f = 0 and follows
+    F_k = D(f~_k) + tau TV(f~_k), where D comes with iteration k's gradient:
+    gamma grows by STEP_GROW when F_k < F_{k-1}, and when F_k > F_{k-1} it
+    is halved and the momentum restarts.  A rise right after a halving is
+    one the halving did not handle and warns with ``ConvergenceWarning``;
+    a gamma tau that is not finite raises ``NumericalError``.  The step
+    costs no field solve.
     """
     if model not in ("full", "born", "rytov"):
         raise ConfigError("model must be 'full', 'born' or 'rytov'")
@@ -400,21 +418,40 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
     grad, D = grad_fn(f_tilde)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient at the initial iterate")
-    gamma = _backtrack_step(f_tilde, grad, eval_D, D)
-    if not np.isfinite(gamma * tau):
-        raise NumericalError("tau * gamma overflow")
+    gamma = gamma0 = _backtrack_step(f_tilde, grad, eval_D, D)
 
     data_fit_hist = []
     err_hist = [] if ground_truth is not None else None
     secs = []
+    steps = []
     dual = None
     q_prev = 1.0
+    F_prev = None
+    halved = False
     for it in range(1, cfg.fista_iters + 1):
         tic = time.perf_counter()
         if it > 1:
             grad, D = grad_fn(f_tilde)
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {it}")
+        # the step follows the objective at the gradient's point: grow on a
+        # strict fall, halve and restart the momentum on a rise
+        F = D + tau * tv_value(f_tilde)
+        rose = it > 1 and F > F_prev
+        if rose:
+            if halved:
+                warnings.warn(f"FISTA objective rose at iteration {it} after the "
+                              f"step was halved at iteration {it - 1}",
+                              ConvergenceWarning, stacklevel=2)
+            gamma *= STEP_SHRINK
+            q_prev = 1.0
+        elif it > 1 and F < F_prev:
+            gamma *= STEP_GROW
+        halved = rose
+        F_prev = F
+        if not np.isfinite(gamma * tau):
+            raise NumericalError(f"tau * gamma overflow at iteration {it}")
+        steps.append(gamma)
         f_new, dual = prox_tv(f_tilde - gamma * grad, gamma * tau, box=cfg.box,
                               iters=cfg.tv_iters, dual_init=dual)
         q_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * q_prev * q_prev))
@@ -441,4 +478,4 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
 
     return ReconReport(f_hat=f_prev, data_fit_history=data_fit_hist,
                        recon_error_history=err_hist, iter_seconds=secs,
-                       step_gamma=gamma, tau=tau)
+                       step_gamma=gamma0, step_history=steps, tau=tau)

@@ -3,6 +3,7 @@
 budget.  Tolerances are pinned here, not configurable."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -184,19 +185,30 @@ def test_criterion_5_end_to_end_reconstruction(end_to_end_setup):
     cfg, mset, f_true = end_to_end_setup
     grid = fileio.grid_from_config(cfg)
     rcfg = fileio.recon_config_from_config(cfg)
-    full = wt.fista_reconstruct(mset, grid, rcfg, ground_truth=f_true,
-                                model="full")
-    born = wt.fista_reconstruct(mset, grid, rcfg, ground_truth=f_true,
-                                model="born")
+    # any ConvergenceWarning fails the gate: a BiCGStab solve that reaches K,
+    # or a rise of the objective that the step's halving did not handle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", wt.ConvergenceWarning)
+        full = wt.fista_reconstruct(mset, grid, rcfg, ground_truth=f_true,
+                                    model="full")
+        born = wt.fista_reconstruct(mset, grid, rcfg, ground_truth=f_true,
+                                    model="born")
     fit = full.data_fit_history[-1]
     err_full = full.recon_error_history[-1]
     err_born = born.recon_error_history[-1]
     ok = (fit <= 1e-2 and err_full < err_born
           and len(full.data_fit_history) <= 50)
+
+    def steps(rep):
+        h = rep.step_history
+        halvings = sum(b < a for a, b in zip(h, h[1:]))
+        return f"{rep.step_gamma:.3e} -> {h[-1]:.3e}, halvings: {halvings}"
+
     _report(5, "end-to-end reconstruction", ok,
             f"data fit {fit:.2e} <= 1e-2; recon error {err_full:.2e} < "
             f"first-Born {err_born:.2e}; iterations "
-            f"{len(full.data_fit_history)} <= 50",
+            f"{len(full.data_fit_history)} <= 50; step full {steps(full)}, "
+            f"Born {steps(born)}",
             time.perf_counter() - tic, 600.0)
 
 

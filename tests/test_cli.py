@@ -191,7 +191,9 @@ class TestSimulateReconstruct:
         outdir = tmp_path / "out"
         assert main(["reconstruct", "--config", str(cfg_path),
                      "--measurements", str(meas), "--out", str(outdir)]) == 0
-        assert (outdir / "report.json").exists()
+        report = json.loads((outdir / "report.json").read_text())
+        assert len(report["step_history"]) == report["iterations"] == 2
+        assert report["step_history"][0] == report["step_gamma"]
         assert fileio.load_grid_csv(outdir / "f_hat.csv")[0].shape == (6, 6, 6)
         assert not list(outdir.glob("*.pgm*"))
 

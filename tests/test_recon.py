@@ -5,7 +5,7 @@ import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import adjoint_state_gradient_AH, dense_A_matrix, fd_gradient
 from wavetomo import recon
-from wavetomo.errors import ConfigError, TransformError
+from wavetomo.errors import ConfigError, NumericalError, TransformError
 from wavetomo.greens import (DomainGreensOperator, MaskedSensorOperator,
                              build_sensor_operator)
 from wavetomo.recon import ScatteringProblem
@@ -38,6 +38,17 @@ def masked_problem(rng, n=12, slots=12):
          for t, ix in zip(tx, active)]
     return grid, wt.MeasurementSet(transmitters=tx, receivers=ring,
                                    active_indices=active, y=y)
+
+
+def synthetic_problem(rng, n=8):
+    """tiny_problem's geometry with data the loop's model predicts for a
+    15%-contrast cylinder, and the config of an 8-iteration reconstruction."""
+    grid, mset = tiny_problem(rng, n=n)
+    f_true = wt.cylinders(grid, [((0.0, 0.0), 0.08, 0.15)])
+    cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=30), tau_rel=1e-10,
+                         fista_iters=8)
+    mset.y[:] = wt.predict_all(f_true, ScatteringProblem(mset, grid), cfg)
+    return grid, mset, f_true, cfg
 
 
 def model_data(model, mset, problem):
@@ -359,12 +370,7 @@ class TestFista:
         assert np.all(rep.f_hat >= box.a) and np.all(rep.f_hat <= box.b)
 
     def test_data_fit_decreases_on_synthetic(self, rng):
-        grid, mset = tiny_problem(rng)
-        f_true = wt.cylinders(grid, [((0.0, 0.0), 0.08, 0.15)])
-        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=30), tau_rel=1e-10,
-                             fista_iters=8)
-        problem = ScatteringProblem(mset, grid)
-        mset.y[:] = wt.predict_all(f_true, problem, cfg)
+        grid, mset, f_true, cfg = synthetic_problem(rng)
         rep = wt.fista_reconstruct(mset, grid, cfg, ground_truth=f_true)
         assert rep.data_fit_history[-1] < 1.0
         assert rep.recon_error_history[-1] < 1.0
@@ -381,6 +387,91 @@ class TestFista:
         # rejected at construction, not at the first prox or range() call
         with pytest.raises(ConfigError, match=field):
             wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1.0, **{field: value})
+
+
+class TestAdaptiveStep:
+    """The step starts at the backtracking's gamma_0, grows while D + tau TV
+    falls, and halves, restarting the momentum, when it rises.  The suite
+    turns every warning into an error, so a run that warns fails."""
+
+    @staticmethod
+    def scale_start(monkeypatch, factor):
+        backtrack = recon._backtrack_step
+        monkeypatch.setattr(recon, "_backtrack_step",
+                            lambda *args: factor * backtrack(*args))
+
+    def test_step_grows_while_the_objective_falls(self, rng):
+        grid, mset, f_true, cfg = synthetic_problem(rng, n=16)
+        rep = wt.fista_reconstruct(mset, grid, cfg, ground_truth=f_true)
+        steps = np.array(rep.step_history)
+        assert steps[0] == rep.step_gamma and steps.size == cfg.fista_iters
+        assert np.allclose(steps[1:] / steps[:-1], recon.STEP_GROW, rtol=1e-15)
+
+    @pytest.mark.parametrize("factor", [4, 8])
+    def test_too_large_start_recovers(self, rng, monkeypatch, factor):
+        # 4 and 8 times gamma_0 make D + tau TV rise; each rise halves the
+        # step, and no rise follows a halving
+        grid, mset, f_true, cfg = synthetic_problem(rng, n=16)
+        self.scale_start(monkeypatch, factor)
+        rep = wt.fista_reconstruct(mset, grid, cfg, ground_truth=f_true)
+        steps = np.array(rep.step_history)
+        ratio = steps[1:] / steps[:-1]
+        halved = ratio == recon.STEP_SHRINK
+        assert np.all(halved | np.isclose(ratio, recon.STEP_GROW, rtol=1e-15))
+        assert np.sum(halved) >= np.log2(factor) - 1 and not np.any(halved[1:] & halved[:-1])
+        assert np.max(steps[1:]) < steps[0]
+        assert rep.data_fit_history[-1] < 1.0
+
+    def test_rise_restarts_the_momentum(self, rng, monkeypatch):
+        # after a rise at iteration k, iteration k + 1 takes its gradient at
+        # iteration k's prox output itself, with no momentum term
+        grid, mset, _, cfg = synthetic_problem(rng, n=16)
+        self.scale_start(monkeypatch, 4)
+        points, outputs = [], []
+        gradient, prox = recon.total_gradient, recon.prox_tv
+
+        def recorded_gradient(f, *args):
+            points.append(f.copy())
+            return gradient(f, *args)
+
+        def recorded_prox(*args, **kwargs):
+            out = prox(*args, **kwargs)
+            outputs.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(recon, "total_gradient", recorded_gradient)
+        monkeypatch.setattr(recon, "prox_tv", recorded_prox)
+        steps = wt.fista_reconstruct(mset, grid, cfg).step_history
+        # points[k] and outputs[k] belong to iteration k + 1
+        rises = [k for k in range(1, len(steps) - 1) if steps[k] < steps[k - 1]]
+        assert rises
+        for k in rises:
+            assert np.array_equal(points[k + 1], outputs[k])
+
+    def test_rise_after_a_halving_warns(self, rng, monkeypatch):
+        grid, mset, f_true, cfg = synthetic_problem(rng, n=16)
+        self.scale_start(monkeypatch, 1e6)
+        with pytest.warns(wt.ConvergenceWarning, match="^FISTA objective rose") as caught:
+            wt.fista_reconstruct(mset, grid, cfg)
+        assert str(caught[0].message) == ("FISTA objective rose at iteration 3 after "
+                                          "the step was halved at iteration 2")
+
+    def test_null_measurements_keep_the_step(self, rng):
+        # D + tau TV stays 0, so it never falls strictly and the step never grows
+        grid, mset = tiny_problem(rng)
+        mset.y[:] = [np.zeros(10, dtype=complex) for _ in mset.y]
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=4), fista_iters=200)
+        rep = wt.fista_reconstruct(mset, grid, cfg)
+        assert np.all(rep.f_hat == 0.0)
+        assert np.isfinite(rep.step_gamma)
+        assert rep.step_history == [rep.step_gamma] * 200
+
+    def test_step_overflow_raises(self, rng, monkeypatch):
+        # gamma tau is checked at every iteration, not only at gamma_0
+        grid, mset, _, cfg = synthetic_problem(rng)
+        monkeypatch.setattr(recon, "STEP_GROW", np.inf)
+        with pytest.raises(NumericalError, match="^tau \\* gamma overflow at iteration 2$"):
+            wt.fista_reconstruct(mset, grid, cfg)
 
 
 class TestMonitoring:
@@ -420,7 +511,8 @@ class TestMonitoring:
 
     @pytest.mark.parametrize("iters", [1, 4])
     def test_one_prediction_with_fixed_step(self, rng, monkeypatch, iters):
-        # the step the search at f = 0 finds stays fixed for every iteration
+        # the step changes with D + tau TV, from the gradient's D and one TV
+        # value, so it costs no prediction of its own
         grid, mset = tiny_problem(rng)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=1e-10,
                              fista_iters=iters)
