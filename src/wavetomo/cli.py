@@ -27,9 +27,8 @@ from .forward import (ForwardConfig, data_fidelity, estimate_fixed_step,
 from .greens import build_domain_operator
 from .grid import centered_grid, ring_sensors
 from .metrics import normalized_error, normalized_recon_error, snr_db
-from .recon import (SUBSAMPLE_FACTORS, MeasurementSet, ReconConfig,
-                    ScatteringProblem, Transmitter, fista_reconstruct,
-                    total_gradient)
+from .recon import (MeasurementSet, ReconConfig, ScatteringProblem, Transmitter,
+                    check_subsample, fista_reconstruct, total_gradient)
 
 # a contrast sweep runs one forward solve per point
 MAX_SWEEP_POINTS = 10_000
@@ -252,13 +251,10 @@ def _parse_range(spec):
 
 def _parse_factors(spec):
     try:
-        factors = [int(v) for v in spec.split(",")]
-        if all(s in SUBSAMPLE_FACTORS for s in factors):
-            return factors
+        return [check_subsample(int(v)) for v in spec.split(",")]
     except ValueError:
-        pass
-    raise ConfigError(f"--subsample: expected comma-separated powers of 2 up to 128, "
-                      f"got {spec!r}")
+        raise ConfigError(f"--subsample: expected comma-separated powers of 2 up to 128, "
+                          f"got {spec!r}") from None
 
 
 def cmd_sweep(args):
@@ -301,10 +297,11 @@ def cmd_sweep(args):
         factors = _parse_factors(args.subsample)
         mset = fileio.load_measurements(args.measurements, grid)
         rcfg = fileio.recon_config_from_config(cfg)
+        # every factor's set is built, and checked, before the first reconstruction
+        subs = [mset.subsample(s) for s in factors]
         full = fista_reconstruct(mset, grid, rcfg, model=args.model)
         rows = {"factor": [], "receivers_per_tx": [], "snr_db": [], "data_fit": []}
-        for s in factors:
-            sub = mset.subsample(s)
+        for s, sub in zip(factors, subs):
             # factor 1 returns the full set, whose reconstruction is done
             rep = full if sub is mset else fista_reconstruct(sub, grid, rcfg, model=args.model)
             rows["factor"].append(s)

@@ -34,7 +34,8 @@ import numpy as np
 from .errors import ConfigError, MeasurementParseError
 from .forward import ForwardConfig
 from .grid import DomainGrid, SensorSet, centered_grid, refined_grid, ring_sensors
-from .recon import SUBSAMPLE_FACTORS, MeasurementSet, ReconConfig, Transmitter
+from .phantoms import check_cylinder, check_shepp_logan, check_supersample
+from .recon import MeasurementSet, ReconConfig, Transmitter, check_subsample
 from .tv import BoxConstraint
 
 SPEED_OF_LIGHT = 299792458.0
@@ -67,11 +68,13 @@ def _numbered_lines(path):
 # experiment configuration
 #
 # Each schema maps a key to (type, default); a default is REQUIRED or a value.
-# Range and combination checks belong to the objects the readers build
-# (DomainGrid, ForwardConfig, ReconConfig, BoxConstraint, Transmitter,
-# ring_sensors, refined_grid); _build reports them under the key path.  The
-# readers check what only two objects together define: phases against
-# MAX_PHASE_RAD.
+# The schemas check types and keys only.  Each range, sign, finiteness and
+# axis-count rule lives once, in the code that consumes the value (DomainGrid,
+# ForwardConfig, ReconConfig, BoxConstraint, Transmitter, ring_sensors,
+# refined_grid, phantoms.check_*, recon.check_subsample), and _build reports
+# it under the key path.  The readers check what the grid and another value
+# define together (phases against MAX_PHASE_RAD, a ring's 2D grid, a
+# transmitter vector's length) and the generation settings.
 
 REQUIRED = object()
 # Largest phase a config or a measurement header may imply: k_b times a distance
@@ -231,9 +234,10 @@ def _build(path, make, *args, **kwargs):
 def parse_config(text):
     """Parse the JSON experiment configuration and check all of it.
 
-    Runs every reader below once (the phantom is checked, not rendered), so
-    any malformed key raises ConfigError naming its path.  The document may
-    omit ``transmitters`` and ``receivers``, which only simulation needs.
+    Runs every reader below once, so any malformed key raises ConfigError
+    naming its path; the comment above REQUIRED says which code checks what.
+    The phantom is checked, not rendered.  The document may omit
+    ``transmitters`` and ``receivers``, which only simulation needs.
     Returns the document as parsed.
     """
     try:
@@ -356,34 +360,19 @@ def transmitters_from_config(cfg):
 def receivers_from_config(cfg):
     """(receiver ring, subsampling factor of the generated data)."""
     r = _read(_section(cfg, "receivers"), "receivers", RECEIVERS_SCHEMA)
-    if r.subsample not in SUBSAMPLE_FACTORS:
-        raise ConfigError("receivers.subsample: must be a power of 2 up to 128")
     grid = grid_from_config(cfg)
     if grid.ndim != 2:
         raise ConfigError("receivers: a receiver ring needs a 2D grid")
     ring = _build("receivers", ring_sensors, r.count, r.ring_radius_m,
                   phase=r.phase_rad)
-    # MeasurementSet.subsample keeps slots 1, 1 + factor, ...: none of one
-    if r.subsample > 1 and r.count < 2:
-        raise ConfigError(f"receivers.subsample: factor {r.subsample} keeps no "
-                          f"receiver of {r.count}")
+    # every transmitter records every slot of the ring
+    _build("receivers.subsample", check_subsample, r.subsample, r.count)
     _check_phase("receivers.ring_radius_m", _k_b(grid) * abs(r.ring_radius_m),
                  "k_b times the ring radius")
     return ring, r.subsample
 
 
-def _check_finite(path, *values):
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{path}: must be finite")
-
-
-def _check_positive(path, value):
-    if not 0 < value < math.inf:
-        raise ConfigError(f"{path}: must be positive and finite")
-
-
 def _check_contrast(path, contrast, grid):
-    _check_finite(path, contrast)
     # sqrt(|f|) for the potential f = contrast * k_b^2 is a wavenumber
     _check_phase(path, _k_b(grid) * math.sqrt(abs(contrast)) * _extent(grid),
                  "k_b sqrt(|contrast|) times the grid extent")
@@ -395,19 +384,16 @@ def phantom_from_config(cfg):
     if p.kind in ("cylinders", "shepp_logan"):
         grid = grid_from_config(cfg)
     if p.kind == "cylinders":
-        _check_positive("phantom.supersample", p.supersample)
+        _build("phantom.supersample", check_supersample, p.supersample)
         p.cylinders = [_read(c, f"phantom.cylinders[{i}]", CYLINDER_SCHEMA)
                        for i, c in enumerate(p.cylinders)]
         for i, c in enumerate(p.cylinders):
             path = f"phantom.cylinders[{i}]"
-            _check_length(f"{path}.center_m", c.center_m, grid.ndim)
-            _check_finite(f"{path}.center_m", *c.center_m)
-            _check_positive(f"{path}.radius_m", c.radius_m)
+            _build(path, check_cylinder, grid, c.center_m, c.radius_m, c.contrast)
             _check_contrast(f"{path}.contrast", c.contrast, grid)
     if p.kind == "shepp_logan":
+        _build("phantom", check_shepp_logan, grid, p.contrast, p.extent_m)
         _check_contrast("phantom.contrast", p.contrast, grid)
-        if p.extent_m is not None:
-            _check_positive("phantom.extent_m", p.extent_m)
     if p.kind == "from_file" and not os.path.exists(p.path):
         raise ConfigError(f"phantom.path: file not found: {p.path}")
     return p
@@ -415,9 +401,10 @@ def phantom_from_config(cfg):
 
 def generation_from_config(cfg):
     gen = _read(_section(cfg, "generation"), "generation", GENERATION_SCHEMA)
-    _check_positive("generation.k_multiplier", gen.k_multiplier)
-    if gen.noise_snr_db is not None:
-        _check_finite("generation.noise_snr_db", gen.noise_snr_db)
+    if not 0 < gen.k_multiplier:
+        raise ConfigError("generation.k_multiplier: must be positive and finite")
+    if gen.noise_snr_db is not None and not math.isfinite(gen.noise_snr_db):
+        raise ConfigError("generation.noise_snr_db: must be finite")
     return gen
 
 

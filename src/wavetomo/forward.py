@@ -26,6 +26,8 @@ from .greens import SystemOperator
 # objective tolerance below 0.5 (1e-13)^2 would be reported as met although
 # the true objective never reached it
 MIN_OBJECTIVE_TOL_REL = 1e-26
+# BiCGStab's stop floor on ||r|| / ||b||, double precision's unit round-off
+BICGSTAB_FLOOR = np.finfo(float).eps
 
 
 @dataclass
@@ -268,20 +270,20 @@ def gradient_data_fidelity(f, y, u_in, G, H, cfg):
 def bicgstab(op, b, x0, tol, maxiter):
     """Unpreconditioned BiCGStab (van der Vorst, 1992) for op(x) = b.
 
-    Stops once ||b - op(x)|| <= tol ||b|| or after ``maxiter`` iterations of
-    two applies each; a nonzero x0 costs one more apply for the initial
-    residual.  ``tol`` 0 runs all ``maxiter`` iterations silently, as
-    ``forward_solve`` does with ``delta_tol_rel`` 0; an exactly zero
-    residual returns at once whatever the tolerance.  A solve with ``tol``
-    > 0 that reaches ``maxiter`` warns with ConvergenceWarning.  A
-    breakdown, <r0, r>, <r0, A p> or the stabilizing step omega vanishing
-    while r is nonzero, or omega undefined because A r vanished, raises
-    NumericalError.  Returns (x, the number of op applies).
+    Stops once ||b - op(x)|| <= max(tol, BICGSTAB_FLOOR) ||b|| or after
+    ``maxiter`` iterations of two applies each; a nonzero x0 costs one more
+    apply for the initial residual.  ``tol`` 0 stops only at that round-off
+    floor, and reaches ``maxiter`` silently, as ``forward_solve`` does with
+    ``delta_tol_rel`` 0.  A solve with ``tol`` > 0 that reaches ``maxiter``
+    warns with ConvergenceWarning.  A breakdown, <r0, r>, <r0, A p> or the
+    stabilizing step omega vanishing while r is nonzero, or omega undefined
+    because A r vanished, raises NumericalError, and so does a step alpha
+    or omega that is not finite.  Returns (x, the number of op applies).
     """
     x = x0.copy()
     applies = int(np.any(x0))
     r = b - op(x0) if applies else b.copy()
-    bound = tol * np.linalg.norm(b)
+    bound = max(tol, BICGSTAB_FLOOR) * np.linalg.norm(b)
     if np.linalg.norm(r) <= bound:
         return x, applies
     r0 = r.copy()
@@ -298,6 +300,8 @@ def bicgstab(op, b, x0, tol, maxiter):
         if r0v == 0:
             raise NumericalError("BiCGStab breakdown: <r0, A p> vanished")
         alpha = rho / r0v
+        if not np.isfinite(alpha):
+            raise NumericalError("BiCGStab step alpha is not finite")
         x += alpha * p
         r = r - alpha * v
         if np.linalg.norm(r) <= bound:
@@ -310,6 +314,8 @@ def bicgstab(op, b, x0, tol, maxiter):
         omega = np.vdot(t, r) / tt
         if omega == 0:
             raise NumericalError("BiCGStab breakdown: the stabilizing step vanished")
+        if not np.isfinite(omega):
+            raise NumericalError("BiCGStab step omega is not finite")
         x += omega * r
         r = r - omega * t
         if np.linalg.norm(r) <= bound:

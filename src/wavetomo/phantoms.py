@@ -37,6 +37,27 @@ def _shape_box(grid, center, radius):
     return tuple(box)
 
 
+def check_supersample(supersample):
+    """Raise ConfigError unless ``cylinders`` takes ``supersample``."""
+    if supersample < 1:
+        raise ConfigError("supersample must be >= 1")
+
+
+def check_cylinder(grid, center, radius, contrast):
+    """One ``cylinders`` spec's center as a float array, or ConfigError."""
+    center = np.asarray(center, dtype=float)
+    if center.shape != (grid.ndim,):
+        raise ConfigError(f"cylinder center needs {grid.ndim} coordinates, "
+                          f"got shape {center.shape}")
+    if not np.all(np.isfinite(center)):
+        raise ConfigError("cylinder center must be finite")
+    if not 0 < radius < np.inf:
+        raise ConfigError("cylinder radius must be positive and finite")
+    if not np.isfinite(contrast):
+        raise ConfigError("cylinder contrast must be finite")
+    return center
+
+
 def cylinders(grid, specs, supersample=4):
     """Sum of homogeneous disks (2D) or balls (3D).
 
@@ -45,25 +66,14 @@ def cylinders(grid, specs, supersample=4):
     A sub-pixel point lies within h/2 of its pixel center on every axis, so
     each shape is supersampled only on the pixels within radius + h/2 of its
     center per axis, plus a one-pixel margin (``_shape_box``); a shape that
-    misses the grid adds nothing.  Raises ConfigError for a center with the
-    wrong number of axes, or a center, radius or contrast that is not finite.
+    misses the grid adds nothing.  The check_* functions above vet the input.
     """
-    if supersample < 1:
-        raise ConfigError("supersample must be >= 1")
+    check_supersample(supersample)
     centers = grid.pixel_centers()
     f = np.zeros(grid.shape)
     subs = _subpixel_offsets(grid, supersample)
     for center, radius, c in specs:
-        center = np.asarray(center, dtype=float)
-        if center.shape != (grid.ndim,):
-            raise ConfigError(f"cylinder center needs {grid.ndim} coordinates, "
-                              f"got shape {center.shape}")
-        if not np.all(np.isfinite(center)):
-            raise ConfigError("cylinder center must be finite")
-        if not 0 < radius < np.inf:
-            raise ConfigError("cylinder radius must be positive and finite")
-        if not np.isfinite(c):
-            raise ConfigError("cylinder contrast must be finite")
+        center = check_cylinder(grid, center, radius, c)
         box = _shape_box(grid, center, radius)
         if box is None:
             continue
@@ -91,21 +101,25 @@ _SHEPP_LOGAN = [
 ]
 
 
+def check_shepp_logan(grid, peak_contrast, extent=None):
+    """Raise ConfigError unless ``shepp_logan`` takes these values."""
+    if grid.ndim != 2:
+        raise ConfigError(f"head phantom needs a 2D grid, got {grid.ndim} axes")
+    if not np.isfinite(peak_contrast):
+        raise ConfigError("head phantom contrast must be finite")
+    if extent is not None and not 0 < extent < np.inf:
+        raise ConfigError("head phantom extent must be positive and finite")
+
+
 def shepp_logan(grid, peak_contrast, extent=None):
     """Ten-ellipse head phantom (2D), scaled so max|f|/k_b^2 = peak_contrast.
 
     ``extent`` is the physical half-width the unit phantom square maps to;
-    defaults to half the domain width.  Raises ConfigError for a peak
-    contrast that is not finite, or an extent that is not positive and finite.
+    defaults to half the domain width.  ``check_shepp_logan`` vets the input.
     """
-    if grid.ndim != 2:
-        raise ConfigError("head phantom is 2D only")
-    if not np.isfinite(peak_contrast):
-        raise ConfigError("head phantom contrast must be finite")
+    check_shepp_logan(grid, peak_contrast, extent)
     if extent is None:
         extent = 0.5 * grid.spacing * grid.shape[0]
-    elif not 0 < extent < np.inf:
-        raise ConfigError("head phantom extent must be positive and finite")
     centers = grid.pixel_centers() / extent  # phantom defined on [-1, 1]^2
     x = centers[..., 0]
     y = centers[..., 1]

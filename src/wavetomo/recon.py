@@ -88,6 +88,17 @@ class Transmitter:
         return self.field_at(grid.pixel_centers(), grid.k_b)
 
 
+def check_subsample(factor, n_receivers=None):
+    """``factor`` if ``MeasurementSet.subsample`` takes it and, given the
+    fewest receivers a transmitter records, keeps one of them; else ConfigError."""
+    if factor not in SUBSAMPLE_FACTORS:
+        raise ConfigError("subsampling factor must be a power of 2 up to 128")
+    # subsample keeps positions 1, 1 + factor, ...: none of one receiver
+    if factor > 1 and n_receivers is not None and n_receivers < 2:
+        raise ConfigError(f"subsampling by {factor} keeps no receiver of {n_receivers}")
+    return factor
+
+
 @dataclass
 class MeasurementSet:
     """Scattered-field measurements for a set of illuminations.
@@ -142,15 +153,10 @@ class MeasurementSet:
         active list, so the kept sets nest across factors (the factor-2 set
         contains the factor-4 set, and so on).
         """
-        if factor not in SUBSAMPLE_FACTORS:
-            raise ConfigError("subsampling factor must be a power of 2 up to 128")
+        check_subsample(factor, min(ix.size for ix in self.active_indices))
         if factor == 1:
             return self
         keep = [np.arange(1, ix.size, factor) for ix in self.active_indices]
-        for t, kp in enumerate(keep):
-            if kp.size == 0:
-                raise ConfigError(f"subsampling by {factor} leaves transmitter {t} "
-                                  "no receivers")
         return MeasurementSet(
             transmitters=self.transmitters,
             receivers=self.receivers,
@@ -384,9 +390,10 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
     F_k = D(f~_k) + tau TV(f~_k), where D comes with iteration k's gradient:
     gamma grows by STEP_GROW when F_k < F_{k-1}, and when F_k > F_{k-1} it
     is halved and the momentum restarts.  A rise right after a halving is
-    one the halving did not handle and warns with ``ConvergenceWarning``;
-    a gamma tau that is not finite raises ``NumericalError``.  The step
-    costs no field solve.
+    one the halving did not handle and warns with ``ConvergenceWarning``,
+    and so does a run that ends with a nonzero data fit no lower than
+    iteration 1's, the fit at f = 0; a gamma tau that is not finite raises
+    ``NumericalError``.  The step costs no field solve.
     """
     if model not in ("full", "born", "rytov"):
         raise ConfigError("model must be 'full', 'born' or 'rytov'")
@@ -419,6 +426,7 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient at the initial iterate")
     gamma = gamma0 = _backtrack_step(f_tilde, grad, eval_D, D)
+    D_zero = D
 
     data_fit_hist = []
     err_hist = [] if ground_truth is not None else None
@@ -476,6 +484,11 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
         if last:
             break
 
+    # D is at f_hat now; D_zero > 0 implies y_norm_sq > 0
+    if 0 < D_zero <= D:
+        warnings.warn(f"FISTA made no progress: data fit {data_fit_hist[-1]:.6g} after "
+                      f"{it} iterations, {2.0 * D_zero / y_norm_sq:.6g} at f = 0",
+                      ConvergenceWarning, stacklevel=2)
     return ReconReport(f_hat=f_prev, data_fit_history=data_fit_hist,
                        recon_error_history=err_hist, iter_seconds=secs,
                        step_gamma=gamma0, step_history=steps, tau=tau)

@@ -2,6 +2,7 @@
 (run with ``pytest tests/test_acceptance.py -s``) and enforcing its runtime
 budget.  Tolerances are pinned here, not configurable."""
 
+import dataclasses
 import time
 import warnings
 
@@ -210,6 +211,17 @@ def test_criterion_5_end_to_end_reconstruction(end_to_end_setup):
             f"{len(full.data_fit_history)} <= 50; step full {steps(full)}, "
             f"Born {steps(born)}",
             time.perf_counter() - tic, 600.0)
+
+
+def test_zero_solve_tolerance_on_the_criterion_5_scene(end_to_end_setup):
+    # delta_tol_rel 0 used to run BiCGStab on into underflow: NaN fields, and
+    # a NumericalError at iteration 2
+    cfg, mset, _ = end_to_end_setup
+    rcfg = dataclasses.replace(fileio.recon_config_from_config(cfg), fista_iters=3,
+                               forward=wt.ForwardConfig(K=60, delta_tol_rel=0.0))
+    rep = wt.fista_reconstruct(mset, fileio.grid_from_config(cfg), rcfg)
+    assert np.all(np.isfinite(rep.f_hat))
+    assert rep.data_fit_history[-1] < rep.data_fit_history[0]
 
 
 def test_criterion_6_analytic_self_consistency():

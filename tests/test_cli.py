@@ -189,8 +189,10 @@ class TestSimulateReconstruct:
             [wt.Transmitter("point", position=(0.8, 0.0, 0.0))], receivers,
             [np.arange(12)], [1e-3 * y]))
         outdir = tmp_path / "out"
-        assert main(["reconstruct", "--config", str(cfg_path),
-                     "--measurements", str(meas), "--out", str(outdir)]) == 0
+        # the box keeps f at 0 on these random data, so the fit stays at 1
+        with pytest.warns(wt.ConvergenceWarning, match="^FISTA made no progress"):
+            assert main(["reconstruct", "--config", str(cfg_path),
+                         "--measurements", str(meas), "--out", str(outdir)]) == 0
         report = json.loads((outdir / "report.json").read_text())
         assert len(report["step_history"]) == report["iterations"] == 2
         assert report["step_history"][0] == report["step_gamma"]
@@ -412,6 +414,21 @@ class TestSweepCommand:
         assert all(0 <= row[3] < np.inf for row in rows)
         assert [m.active_indices[0].size for m in calls] == [32, 16, 8]
 
+    def test_factor_that_empties_a_transmitter_exits_before_reconstructing(
+            self, tmp_path, capsys, monkeypatch):
+        # it used to reconstruct from the full set first and fail after
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        meas = tmp_path / "m.dat"
+        ring = wt.ring_sensors(10, radius=0.9)
+        fileio.save_measurements(meas, wt.MeasurementSet(
+            [wt.Transmitter("point", position=(0.8, 0.0))], ring, [np.array([3])],
+            [np.ones(1, complex)]))
+        monkeypatch.setattr(cli, "fista_reconstruct", _no_solve)
+        assert main(["sweep", "--config", str(cfg_path), "--subsample", "1,2",
+                     "--measurements", str(meas), "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == "error: subsampling by 2 keeps no receiver of 1\n"
+
     def test_negative_start_needs_equals(self, tmp_path, capsys):
         # argparse reads a range that starts with '-' as the next flag
         cfg_path = tmp_path / "cfg.json"
@@ -475,7 +492,7 @@ MALFORMED_CONFIGS = {
     # it used to exit 0 and write a file with no data rows
     "subsample that keeps no receiver": (
         _set("receivers", count=1, subsample=2),
-        "receivers.subsample: factor 2 keeps no receiver of 1"),
+        "receivers.subsample: subsampling by 2 keeps no receiver of 1"),
     # it used to run the generation at K = 1 and exit 0
     "negative k_multiplier": (
         _set("generation", k_multiplier=-3), "generation.k_multiplier: must be positive"),
@@ -500,11 +517,11 @@ MALFORMED_CONFIGS = {
     "NaN cylinder radius": (
         _set("phantom", kind="cylinders", cylinders=[
             {"center_m": [0.0, 0.0], "radius_m": float("nan"), "contrast": 0.1}]),
-        "phantom.cylinders[0].radius_m: must be positive and finite"),
+        "phantom.cylinders[0]: cylinder radius must be positive and finite"),
     "NaN cylinder contrast": (
         _set("phantom", kind="cylinders", cylinders=[
             {"center_m": [0.0, 0.0], "radius_m": 0.05, "contrast": float("nan")}]),
-        "phantom.cylinders[0].contrast: must be finite"),
+        "phantom.cylinders[0]: cylinder contrast must be finite"),
     "overflowing pixel volume": (
         _set("grid", spacing_m=1e200),
         "grid: pixel volume spacing**2 must be positive and finite"),
@@ -607,9 +624,9 @@ def _grid_3d_point_source(cfg):
 WRONG_LENGTH_CONFIGS = {
     "3-entry cylinder center": (
         _cylinder([0.0, 0.0, 0.0]),
-        "phantom.cylinders[0].center_m: expected 2 coordinates, one per axis, got 3"),
+        "phantom.cylinders[0]: cylinder center needs 2 coordinates, got shape (3,)"),
     "1-entry cylinder center": (
-        _cylinder([0.0]), "phantom.cylinders[0].center_m: expected 2 coordinates"),
+        _cylinder([0.0]), "phantom.cylinders[0]: cylinder center needs 2 coordinates"),
     "3-entry transmitter position": (
         lambda cfg: cfg.update(transmitters=[
             {"kind": "point", "position_m": [0.8, 0.0]},

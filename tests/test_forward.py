@@ -362,6 +362,32 @@ class TestBicgstab:
             _, applies = wt.bicgstab(op, b, np.zeros_like(b), 0.0, 3)
         assert applies == len(calls) == 6
 
+    def test_zero_tolerance_stops_at_the_round_off_floor(self):
+        # it used to iterate on until the residual underflowed: omega
+        # overflowed and x came back NaN after all 61 applies
+        grid = wt.centered_grid((8, 8), spacing=0.5 / 16, wavelength=0.5)
+        f = wt.cylinders(grid, [((0.0, 0.0), 0.08, 0.05)])
+        u_in = wt.Transmitter("point", position=(0.45, 0.0)).field_on_grid(grid)
+        op = wt.greens.SystemOperator(f, wt.build_domain_operator(grid)).apply
+        x, applies = wt.bicgstab(op, u_in, u_in, 0.0, 30)
+        assert applies < 61
+        assert np.linalg.norm(op(x) - u_in) <= 1e-15 * np.linalg.norm(u_in)
+
+    @pytest.mark.parametrize("nan_apply, step", [(1, "alpha"), (2, "omega")])
+    def test_non_finite_step_raises(self, rng, nan_apply, step):
+        # a NaN apply, as from an overflow, passed every breakdown check and
+        # returned a NaN x
+        M, b = self.system(rng)
+        calls = []
+
+        def op(x):
+            calls.append(1)
+            return np.full_like(x, np.nan) if len(calls) == nan_apply else M @ x
+        # numpy warns of the NaN division first; the guard is what follows it
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericalError, match=f"^BiCGStab step {step} is not finite$"):
+            wt.bicgstab(op, b, np.zeros_like(b), 1e-8, 10)
+
     @pytest.mark.parametrize("tol", [0.0, 1e-3])
     def test_zero_residual_returns(self, tol):
         op, calls = self.counted(np.array([[0.0, 1.0], [-1.0, 0.0]]))

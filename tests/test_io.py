@@ -49,6 +49,81 @@ REMOVED_KEYS = [
 ]
 
 
+def _edit(section, **keys):
+    return lambda cfg: cfg[section].update(keys)
+
+
+def _cylinder(**keys):
+    return lambda cfg: cfg["phantom"]["cylinders"][0].update(keys)
+
+
+def _head(**keys):
+    return lambda cfg: cfg.update(phantom={"kind": "shepp_logan", "contrast": 0.1, **keys})
+
+
+def _head_on_3d_grid(cfg):
+    # the rings need a 2D grid, and a config may leave them out
+    _head()(cfg)
+    cfg["grid"]["shape"] = [6, 6, 6]
+    del cfg["transmitters"], cfg["receivers"]
+
+
+def _render(cfg):
+    """cfg's phantom from phantoms.py, past the parser."""
+    grid, p = fileio.grid_from_config(cfg), cfg["phantom"]
+    if p["kind"] == "shepp_logan":
+        return wt.shepp_logan(grid, p["contrast"], extent=p.get("extent_m"))
+    specs = [(c["center_m"], c["radius_m"], c["contrast"]) for c in p["cylinders"]]
+    return wt.cylinders(grid, specs, supersample=p.get("supersample", 4))
+
+
+def _subsample(cfg):
+    """MeasurementSet.subsample on cfg's receiver ring, past the parser."""
+    r = cfg["receivers"]
+    ring = wt.ring_sensors(r["count"], r["ring_radius_m"])
+    return wt.MeasurementSet([wt.Transmitter("point", position=(0.8, 0.0))], ring,
+                             [np.arange(r["count"])], [np.zeros(r["count"])]
+                             ).subsample(r["subsample"])
+
+
+NAN, INF = float("nan"), float("inf")
+# (edit of base_config, key path the parser names, the value's consumer):
+# values the parser and the code that uses them must both reject
+CONSUMED_VALUES = {
+    "NaN cylinder radius": (_cylinder(radius_m=NAN), "phantom.cylinders[0]", _render),
+    "infinite cylinder radius": (_cylinder(radius_m=INF), "phantom.cylinders[0]", _render),
+    "zero cylinder radius": (_cylinder(radius_m=0.0), "phantom.cylinders[0]", _render),
+    "negative cylinder radius": (_cylinder(radius_m=-0.1), "phantom.cylinders[0]", _render),
+    "NaN cylinder center": (_cylinder(center_m=[NAN, 0.0]), "phantom.cylinders[0]", _render),
+    "infinite cylinder center": (
+        _cylinder(center_m=[0.0, -INF]), "phantom.cylinders[0]", _render),
+    "NaN cylinder contrast": (_cylinder(contrast=NAN), "phantom.cylinders[0]", _render),
+    "infinite cylinder contrast": (_cylinder(contrast=INF), "phantom.cylinders[0]", _render),
+    "-infinite cylinder contrast": (
+        _cylinder(contrast=-INF), "phantom.cylinders[0]", _render),
+    "3-entry cylinder center": (
+        _cylinder(center_m=[0.0, 0.0, 0.0]), "phantom.cylinders[0]", _render),
+    "1-entry cylinder center": (_cylinder(center_m=[0.0]), "phantom.cylinders[0]", _render),
+    "zero supersample": (_edit("phantom", supersample=0), "phantom.supersample", _render),
+    "negative supersample": (_edit("phantom", supersample=-2), "phantom.supersample", _render),
+    "NaN head contrast": (_head(contrast=NAN), "phantom", _render),
+    "infinite head contrast": (_head(contrast=INF), "phantom", _render),
+    "-infinite head contrast": (_head(contrast=-INF), "phantom", _render),
+    "zero head extent": (_head(extent_m=0.0), "phantom", _render),
+    "negative head extent": (_head(extent_m=-0.5), "phantom", _render),
+    "NaN head extent": (_head(extent_m=NAN), "phantom", _render),
+    "infinite head extent": (_head(extent_m=INF), "phantom", _render),
+    "head phantom on a 3D grid": (_head_on_3d_grid, "phantom", _render),
+    "zero subsample": (_edit("receivers", subsample=0), "receivers.subsample", _subsample),
+    "negative subsample": (
+        _edit("receivers", subsample=-2), "receivers.subsample", _subsample),
+    "subsample 3": (_edit("receivers", subsample=3), "receivers.subsample", _subsample),
+    "subsample 256": (_edit("receivers", subsample=256), "receivers.subsample", _subsample),
+    "subsample that keeps no receiver": (
+        _edit("receivers", count=1, subsample=2), "receivers.subsample", _subsample),
+}
+
+
 def _recon_with(path, value):
     recon = {"forward": {"K": 4}}
     section, _, key = path.rpartition(".")
@@ -113,17 +188,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             fileio.parse_config(json.dumps(cfg))
 
-    @pytest.mark.parametrize("section, key, value", [
-        ("generation", "k_multiplier", 0), ("generation", "k_multiplier", -3),
-        ("phantom", "supersample", 0), ("phantom", "supersample", -2),
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("generation", "k_multiplier", 0, "must be positive and finite"),
+        ("generation", "k_multiplier", -3, "must be positive and finite"),
+        ("phantom", "supersample", 0, "supersample must be >= 1"),
+        ("phantom", "supersample", -2, "supersample must be >= 1"),
     ], ids=["k_multiplier=0", "k_multiplier=-3", "supersample=0", "supersample=-2"])
-    def test_count_below_one_names_its_key(self, section, key, value):
+    def test_count_below_one_names_its_key(self, section, key, value, message):
         # k_multiplier used to run the generation at K = 1, and supersample
         # failed only when the phantom was rendered, naming no key
         cfg = base_config()
         cfg[section][key] = value
-        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be positive and finite$"):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: {message}$"):
             fileio.parse_config(json.dumps(cfg))
+
+    @pytest.mark.parametrize("case", list(CONSUMED_VALUES))
+    def test_parser_and_consumer_reject(self, case):
+        # one check serves both: the parser reports the consumer's message
+        # under the key path
+        edit, path, consume = CONSUMED_VALUES[case]
+        cfg = base_config()
+        edit(cfg)
+        with pytest.raises(ConfigError) as consumer:
+            consume(cfg)
+        with pytest.raises(ConfigError) as parser:
+            fileio.parse_config(json.dumps(cfg))
+        assert str(parser.value) == f"{path}: {consumer.value}"
 
     def test_bad_subsample_rejected(self):
         cfg = base_config()

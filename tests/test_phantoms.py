@@ -32,11 +32,6 @@ def test_overlapping_regions_add(grid):
     assert wt.contrast(f, grid) == pytest.approx(0.2)
 
 
-def test_invalid_radius(grid):
-    with pytest.raises(ConfigError):
-        wt.cylinders(grid, [((0.0, 0.0), -0.1, 0.2)])
-
-
 # (grid shape, spacing, specs, supersample) on grids centered at the origin:
 # the 48^2 grid spans about +-0.73 m per axis, the 37 x 29 grid +-0.23 by
 # +-0.18 m
@@ -87,12 +82,6 @@ def test_shepp_logan_peak_contrast(grid):
     # the head outline occupies a minority of the grid and has structure
     assert 0.05 < np.mean(f != 0.0) < 0.9
     assert len(np.unique(np.round(f / np.max(np.abs(f)), 6))) > 3
-
-
-def test_shepp_logan_requires_2d():
-    grid3 = wt.DomainGrid((4, 4, 4), 0.01, (0, 0, 0), 0.1)
-    with pytest.raises(ConfigError):
-        wt.shepp_logan(grid3, 0.2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
