@@ -11,7 +11,7 @@ Rytov linearizations available as baselines.
 """
 
 from .analytic import (AnalyticScene, analytic_field_2d, analytic_field_3d,
-                       helmholtz_residual, radial_coeffs_2d, radial_coeffs_3d)
+                       radial_coeffs_2d, radial_coeffs_3d)
 from .errors import (ConfigError, ConvergenceWarning, DimensionError,
                      MeasurementParseError, NumericalError, ResonanceError,
                      SingularityError, StepDegeneracyError, TransformError)
@@ -20,7 +20,7 @@ from .forward import (ForwardConfig, bicgstab, data_fidelity, estimate_fixed_ste
 from .greens import (DomainGreensOperator, MaskedSensorOperator,
                      SensorGreensOperator, apply_A, apply_AH,
                      build_domain_operator, build_sensor_operator, green_2d,
-                     green_3d, self_interaction)
+                     green_3d)
 from .grid import DomainGrid, SensorSet, centered_grid, ring_sensors
 from .metrics import (normalized_data_fit, normalized_error,
                       normalized_recon_error, snr_db)

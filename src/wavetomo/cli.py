@@ -9,6 +9,7 @@ directory.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -89,20 +90,12 @@ def cmd_reconstruct(args):
     fileio.emit_grid_csv(report.f_hat, grid, outdir / "f_hat.csv")
     if grid.ndim == 2:
         fileio.emit_image(report.f_hat, outdir / "f_hat.pgm")
-    summary = {
-        "model": args.model,
-        "iterations": len(report.data_fit_history),
-        "tau": report.tau,
-        "step_gamma": report.step_gamma,
-        "step_history": report.step_history,
-        "data_fit_history": report.data_fit_history,
-        "recon_error_history": report.recon_error_history,
-        "iter_seconds": report.iter_seconds,
-    }
+    summary = {"model": args.model, "iterations": len(report.data_fit_history)}
+    summary.update((f.name, getattr(report, f.name))
+                   for f in dataclasses.fields(report) if f.name != "f_hat")
     with open(outdir / "report.json", "w") as fh:
         json.dump(summary, fh, indent=2)
-    final = report.data_fit_history[-1] if report.data_fit_history else float("nan")
-    print(f"final normalized data fit {final:.6g} after "
+    print(f"final normalized data fit {report.data_fit_history[-1]:.6g} after "
           f"{len(report.data_fit_history)} iterations -> {outdir}")
     return 0
 

@@ -122,7 +122,14 @@ class MeasurementSet:
             raise ConfigError("need at least one transmitter")
         self.active_indices = [np.asarray(ix, dtype=int) for ix in self.active_indices]
         self.y = [np.asarray(v, dtype=complex) for v in self.y]
-        for t, (ix, v) in enumerate(zip(self.active_indices, self.y)):
+        ndim = self.receivers.positions.shape[1]
+        for t, (tx, ix, v) in enumerate(zip(self.transmitters, self.active_indices,
+                                            self.y)):
+            name = "position" if tx.kind == "point" else "direction"
+            coords = len(getattr(tx, name))
+            if coords != ndim:
+                raise ConfigError(f"transmitter {t}: {tx.kind} {name} has {coords} "
+                                  f"coordinates but the receiver positions have {ndim}")
             if ix.shape != v.shape:
                 raise DimensionError(f"transmitter {t}: {ix.size} receivers but "
                                      f"{v.size} measurements")
@@ -136,7 +143,7 @@ class MeasurementSet:
             if np.any(counts > 1):
                 raise ConfigError(f"transmitter {t}: receiver slot "
                                   f"{slots[counts > 1][0]} listed twice")
-            if not np.all(np.isfinite(v.view(float))):
+            if not np.all(np.isfinite(v)):
                 raise ConfigError(f"transmitter {t}: non-finite measurement")
 
     @property
@@ -201,21 +208,20 @@ class ReconReport:
     per iteration.  Entries 1..n-1 are at the extrapolated point f~_k where
     that iteration took its gradient, and come free with it: z is formed
     from the gradient's fields.  The last entry is at ``f_hat``, from one
-    ``predict_all``, which forms the same fields.  ``step_gamma`` is the
-    start step gamma_0 the backtracking at f = 0 found, and
-    ``step_history`` holds the step each iteration used: its first entry is
-    gamma_0, and each later entry is the one before it times STEP_GROW
-    after a strict fall of D + tau TV at the gradient's point, times
-    STEP_SHRINK after a rise, or unchanged.
+    ``predict_all``, which forms the same fields.  ``step_history`` holds
+    the step each iteration used: its first entry is the start step gamma_0
+    the backtracking at f = 0 found, and each later entry is the one before
+    it times STEP_GROW after a strict fall of D + tau TV at the gradient's
+    point, times STEP_SHRINK after a rise, or unchanged.  ``wavetomo
+    reconstruct`` writes every field but ``f_hat`` to report.json.
     """
 
     f_hat: np.ndarray
+    tau: float
+    step_history: list
     data_fit_history: list
     recon_error_history: list | None
     iter_seconds: list
-    step_gamma: float
-    step_history: list
-    tau: float
 
 
 class ScatteringProblem:
@@ -425,7 +431,7 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
     grad, D = grad_fn(f_tilde)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient at the initial iterate")
-    gamma = gamma0 = _backtrack_step(f_tilde, grad, eval_D, D)
+    gamma = _backtrack_step(f_tilde, grad, eval_D, D)
     D_zero = D
 
     data_fit_hist = []
@@ -491,4 +497,4 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
                       ConvergenceWarning, stacklevel=2)
     return ReconReport(f_hat=f_prev, data_fit_history=data_fit_hist,
                        recon_error_history=err_hist, iter_seconds=secs,
-                       step_gamma=gamma0, step_history=steps, tau=tau)
+                       step_history=steps, tau=tau)

@@ -13,7 +13,8 @@ Higher integer orders come from the standard recurrences: downward (Miller)
 recurrence with sum normalization for J_n, upward recurrence for Y_n and for
 H_n^(1) = J_n + j Y_n.  Spherical Bessel functions use the same pattern with
 their own closed-form seeds, and Legendre polynomials the three-term
-recurrence; the four upward tables share one loop.
+recurrence.  Every order table comes from one of two loops: ``_upward`` for
+the four upward tables, ``_downward`` for J_n and j_l.
 
 All functions accept scalars or numpy arrays of positive arguments.
 """
@@ -176,40 +177,50 @@ def _upward(nmax, x, seed0, seed1, step):
     return out
 
 
-_RESCALE = 1e250
+def _downward(nmax, x, coeff, weight, degree, rescale):
+    """Unnormalized orders 0..nmax by out[l-1] = (coeff(l)/x) out[l] - out[l+1],
+    the sum of weight(l) out[l]**degree over every order, and order 1.
+
+    It starts at the first order of nonzero weight from max(nmax, x) +
+    2 sqrt(max(nmax, x)) + 24 up.  A point's running values are divided by
+    ``rescale``, and its sum by rescale**degree, when they pass it.
+    """
+    top = int(max(nmax, np.ceil(np.max(x)))) if x.size else nmax
+    start = top + int(np.ceil(2.0 * np.sqrt(max(top, 1)))) + 24
+    while not weight(start):
+        start += 1
+
+    out = np.zeros((nmax + 1,) + x.shape)
+    norm = np.zeros_like(x)
+    jp1 = np.zeros_like(x)       # order l+1
+    jl = np.full_like(x, 1e-30)  # order l
+    for l in range(start, -1, -1):
+        if l <= nmax:
+            out[l] = jl
+        w = weight(l)
+        if w:
+            norm = norm + (w * jl if degree == 1 else w * jl * jl)
+        if l > 0:
+            jm1 = (coeff(l) / x) * jl - jp1
+            jp1, jl = jl, jm1
+            big = np.abs(jl) > rescale
+            if np.any(big):
+                jl[big] /= rescale
+                jp1[big] /= rescale
+                norm[big] /= rescale ** degree
+                out[:, big] /= rescale
+    return out, norm, jp1
 
 
 @_table("nmax")
 def bessel_jn_all(nmax, x):
     """J_n(x) for n = 0..nmax, shape (nmax+1,) + x.shape.
 
-    Miller's downward recurrence from a start order above both nmax and x,
-    normalized with J0 + 2*sum_k J_{2k} = 1.  Intermediate values are rescaled
-    per point when they approach overflow.
+    Miller's downward recurrence normalized with J0 + 2*sum_k J_{2k} = 1;
+    the odd orders carry no weight, so the recurrence starts at an even one.
     """
-    top = int(max(nmax, np.ceil(np.max(x)))) if x.size else nmax
-    start = top + int(np.ceil(2.0 * np.sqrt(max(top, 1)))) + 24
-    if start % 2 == 1:
-        start += 1
-
-    out = np.zeros((nmax + 1,) + x.shape)
-    norm = np.zeros_like(x)
-    jp1 = np.zeros_like(x)       # J_{l+1} (unnormalized)
-    jl = np.full_like(x, 1e-30)  # J_l at l = start
-    for l in range(start, -1, -1):
-        if l <= nmax:
-            out[l] = jl
-        if l % 2 == 0:
-            norm = norm + (1.0 if l == 0 else 2.0) * jl
-        if l > 0:
-            jm1 = (2.0 * l / x) * jl - jp1
-            jp1, jl = jl, jm1
-            big = np.abs(jl) > _RESCALE
-            if np.any(big):
-                jl[big] /= _RESCALE
-                jp1[big] /= _RESCALE
-                norm[big] /= _RESCALE
-                out[:, big] /= _RESCALE
+    weight = lambda n: 0.0 if n % 2 else (1.0 if n == 0 else 2.0)
+    out, norm, _ = _downward(nmax, x, lambda n: 2.0 * n, weight, 1, 1e250)
     out /= norm
     return out
 
@@ -240,35 +251,17 @@ def spherical_jn_all(lmax, x):
     """Spherical j_l(x) for l = 0..lmax.
 
     Downward recurrence normalized with sum_l (2l+1) j_l^2 = 1, which avoids
-    the zeros of any single seed order.
+    the zeros of any single seed order.  The sum holds squares, so it is
+    rescaled well before overflow.
     """
-    top = int(max(lmax, np.ceil(np.max(x)))) if x.size else lmax
-    start = top + int(np.ceil(2.0 * np.sqrt(max(top, 1)))) + 24
-
-    out = np.zeros((lmax + 1,) + x.shape)
-    norm_sq = np.zeros_like(x)
-    jp1 = np.zeros_like(x)
-    jl = np.full_like(x, 1e-30)
-    rescale = 1e120  # norm_sq holds squares, so rescale well before overflow
-    for l in range(start, -1, -1):
-        if l <= lmax:
-            out[l] = jl
-        norm_sq = norm_sq + (2.0 * l + 1.0) * jl * jl
-        if l > 0:
-            jm1 = ((2.0 * l + 1.0) / x) * jl - jp1
-            jp1, jl = jl, jm1
-            big = np.abs(jl) > rescale
-            if np.any(big):
-                jl[big] /= rescale
-                jp1[big] /= rescale
-                norm_sq[big] /= rescale ** 2
-                out[:, big] /= rescale
+    out, norm_sq, j1 = _downward(lmax, x, lambda l: 2.0 * l + 1.0,
+                                 lambda l: 2.0 * l + 1.0, 2, 1e120)
     scale = 1.0 / np.sqrt(norm_sq)
     # the sum normalization loses the overall sign; recover it from whichever
     # closed-form seed (j0 or j1) is farther from a zero crossing
     ref0 = np.sin(x) / x
     ref1 = np.sin(x) / (x * x) - np.cos(x) / x
-    raw = np.where(np.abs(ref0) >= np.abs(ref1), out[0], out[1] if lmax >= 1 else jp1)
+    raw = np.where(np.abs(ref0) >= np.abs(ref1), out[0], j1)
     ref = np.where(np.abs(ref0) >= np.abs(ref1), ref0, ref1)
     sign = np.where(raw * scale * ref < 0, -1.0, 1.0)
     out *= scale * sign

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -171,6 +172,22 @@ class TestSimulateReconstruct:
         assert (outdir / "f_hat.pgm").exists()
         assert (outdir / "report.json").exists()
 
+    def test_readme_lists_report_keys(self, tmp_path):
+        # the README's key table names exactly what reconstruct writes: model,
+        # iterations and every ReconReport field but f_hat
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        meas = tmp_path / "m.dat"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
+        assert main(["reconstruct", "--config", str(cfg_path), "--measurements",
+                     str(meas), "--out", str(tmp_path)]) == 0
+        written = json.loads((tmp_path / "report.json").read_text())
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("`report.json` holds these keys:\n\n")[1].split("\n\n")[0]
+        rows = re.findall(r"^\| `(\w+)` \|", table, re.M)
+        fields = [f.name for f in dataclasses.fields(wt.ReconReport) if f.name != "f_hat"]
+        assert sorted(rows) == sorted(written) == sorted(["model", "iterations", *fields])
+
     def test_3d_reconstruct_writes_report(self, tmp_path, rng):
         # it used to finish the solve, write f_hat.csv, then exit 1 on the
         # 2D-only graymap before writing report.json
@@ -195,7 +212,7 @@ class TestSimulateReconstruct:
                          "--measurements", str(meas), "--out", str(outdir)]) == 0
         report = json.loads((outdir / "report.json").read_text())
         assert len(report["step_history"]) == report["iterations"] == 2
-        assert report["step_history"][0] == report["step_gamma"]
+        assert report["step_history"][0] > 0 and "step_gamma" not in report
         assert fileio.load_grid_csv(outdir / "f_hat.csv")[0].shape == (6, 6, 6)
         assert not list(outdir.glob("*.pgm*"))
 

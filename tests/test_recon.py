@@ -109,6 +109,33 @@ class TestMeasurementSet:
                            match="^subsampling by 2 keeps no receiver of 1$"):
             one.subsample(2)
 
+    @pytest.mark.parametrize("take", [lambda y: y[::2], lambda y: np.stack([y, y], axis=1)[:2, 1]],
+                             ids=["every other entry", "column of a 2-D array"])
+    def test_strided_data_accepted(self, take):
+        # the finiteness check viewed y as floats, which numpy refuses for a
+        # strided complex array: a ValueError on valid data
+        y = take(np.array([1 + 2j, 3 - 1j, -2 + 0.5j, 4j]))
+        assert not y.flags.c_contiguous
+        tx = [wt.Transmitter("point", position=(1.0, 0.0))]
+        mset = wt.MeasurementSet(tx, wt.ring_sensors(2, 1.0), [[0, 1]], [y])
+        assert np.array_equal(mset.y[0], y)
+        bad = np.array([1 + 2j, 3 - 1j, complex(-2.0, np.inf), 4j])[::2]
+        with pytest.raises(ConfigError, match="^transmitter 0: non-finite measurement$"):
+            wt.MeasurementSet(tx, wt.ring_sensors(2, 1.0), [[0, 1]], [bad])
+
+    @pytest.mark.parametrize("tx, message", [
+        (wt.Transmitter("point", position=(1.0, 0.0, 0.0)), "point position has 3"),
+        (wt.Transmitter("plane", direction=(1.0, 0.0, 0.0)), "plane direction has 3"),
+    ], ids=["point", "plane"])
+    def test_transmitter_axes_must_match_receivers(self, rng, tx, message):
+        # these used to be accepted and end in a numpy reshape or matmul
+        # error building the ScatteringProblem
+        with pytest.raises(ConfigError, match=f"^transmitter 1: {message} coordinates "
+                           "but the receiver positions have 2$"):
+            wt.MeasurementSet([wt.Transmitter("point", position=(1.0, 0.0)), tx],
+                              wt.ring_sensors(6, 1.0), [np.arange(6)] * 2,
+                              [random_field(rng, (6,))] * 2)
+
 
 class TestTransmitter:
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1.0])
@@ -400,11 +427,16 @@ class TestAdaptiveStep:
         monkeypatch.setattr(recon, "_backtrack_step",
                             lambda *args: factor * backtrack(*args))
 
-    def test_step_grows_while_the_objective_falls(self, rng):
+    def test_step_grows_while_the_objective_falls(self, rng, monkeypatch):
+        # the first step is the backtracking's gamma_0
+        starts = []
+        backtrack = recon._backtrack_step
+        monkeypatch.setattr(recon, "_backtrack_step",
+                            lambda *args: starts.append(backtrack(*args)) or starts[-1])
         grid, mset, f_true, cfg = synthetic_problem(rng, n=16)
         rep = wt.fista_reconstruct(mset, grid, cfg, ground_truth=f_true)
         steps = np.array(rep.step_history)
-        assert steps[0] == rep.step_gamma and steps.size == cfg.fista_iters
+        assert [steps[0]] == starts and steps.size == cfg.fista_iters
         assert np.allclose(steps[1:] / steps[:-1], recon.STEP_GROW, rtol=1e-15)
 
     @pytest.mark.parametrize("factor", [4, 8])
@@ -475,8 +507,8 @@ class TestAdaptiveStep:
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=4), fista_iters=200)
         rep = wt.fista_reconstruct(mset, grid, cfg)
         assert np.all(rep.f_hat == 0.0)
-        assert np.isfinite(rep.step_gamma)
-        assert rep.step_history == [rep.step_gamma] * 200
+        assert np.isfinite(rep.step_history[0])
+        assert rep.step_history == [rep.step_history[0]] * 200
 
     def test_step_overflow_raises(self, rng, monkeypatch):
         # gamma tau is checked at every iteration, not only at gamma_0

@@ -11,7 +11,8 @@ from wavetomo.special import (bessel_jn_all, bessel_yn_all, hankel1_0, hankel1_1
                               spherical_yn_all)
 
 # Exact values recorded before order 0 and order 1 were split into separate
-# routines.  The mpmath checks hold only to 1e-10, so these pin the last bits.
+# routines, and the J_n and j_l tables before their two downward loops became
+# one.  The mpmath checks hold only to 1e-10, so these pin the last bits.
 FROZEN = json.loads((Path(__file__).parent / "special_frozen.json").read_text())
 
 
@@ -70,6 +71,17 @@ def test_table_frozen_bits(name):
     table = FROZEN[name]
     got = getattr(special, name)(table["order"], np.array(table["x"]))
     assert got.tolist() == table["values"]
+
+
+@pytest.mark.parametrize("name", ["bessel_jn_all", "spherical_jn_all"])
+def test_downward_table_frozen_bits(name):
+    # the first case starts the recurrence from the order (every x below it),
+    # the second from max(x) = 700 above it; J_n's start is even in the first
+    # and raised from odd to even in the second, and both hold points whose
+    # running values are rescaled on the way down
+    for case in FROZEN[name]:
+        got = getattr(special, name)(case["order"], np.array(case["x"]))
+        assert got.tolist() == case["values"]
 
 
 @pytest.mark.parametrize("x", [0.3, 2.0, 6.28, 22.4, 83.9, 104.9])
