@@ -22,8 +22,7 @@ from .greens import (DomainGreensOperator, MaskedSensorOperator,
                      build_domain_operator, build_sensor_operator, green_2d,
                      green_3d)
 from .grid import DomainGrid, SensorSet, centered_grid, ring_sensors
-from .metrics import (normalized_data_fit, normalized_error,
-                      normalized_recon_error, snr_db)
+from .metrics import normalized_error, snr_db
 from .phantoms import contrast, cylinders, shepp_logan
 from .recon import (MeasurementSet, ReconConfig, ReconReport,
                     ScatteringProblem, Transmitter, born_gradient,

@@ -27,7 +27,7 @@ from .forward import (ForwardConfig, data_fidelity, estimate_fixed_step,
                       forward_solve, gradient_data_fidelity)
 from .greens import build_domain_operator
 from .grid import centered_grid, ring_sensors
-from .metrics import normalized_error, normalized_recon_error, snr_db
+from .metrics import normalized_error, snr_db
 from .recon import (MeasurementSet, ReconConfig, ScatteringProblem, Transmitter,
                     check_subsample, fista_reconstruct, total_gradient)
 
@@ -212,7 +212,6 @@ def cmd_metrics(args):
                           f"reference shape {ref.shape}")
     out = {
         "normalized_error": normalized_error(est, ref),
-        "normalized_recon_error": normalized_recon_error(est, ref),
         "snr_db": snr_db(est, ref),
     }
     text = json.dumps(out, indent=2, default=str)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, MeasurementParseError
 from .forward import ForwardConfig
 from .grid import DomainGrid, SensorSet, centered_grid, refined_grid, ring_sensors
-from .phantoms import check_cylinder, check_shepp_logan, check_supersample
+from .phantoms import check_cylinder, check_shepp_logan
 from .recon import MeasurementSet, ReconConfig, Transmitter, check_subsample
 from .tv import BoxConstraint
 
@@ -143,8 +143,8 @@ RECEIVERS_SCHEMA = {
 }
 PHANTOM_KINDS = {
     "none": {},
-    "cylinders": {"cylinders": (LIST, REQUIRED), "supersample": (INT, 4)},
-    "shepp_logan": {"contrast": (NUMBER, REQUIRED), "extent_m": (NUMBER_OR_NULL, None)},
+    "cylinders": {"cylinders": (LIST, REQUIRED)},
+    "shepp_logan": {"contrast": (NUMBER, REQUIRED)},
     "from_file": {"path": (STRING, REQUIRED)},
 }
 CYLINDER_SCHEMA = {
@@ -384,7 +384,6 @@ def phantom_from_config(cfg):
     if p.kind in ("cylinders", "shepp_logan"):
         grid = grid_from_config(cfg)
     if p.kind == "cylinders":
-        _build("phantom.supersample", check_supersample, p.supersample)
         p.cylinders = [_read(c, f"phantom.cylinders[{i}]", CYLINDER_SCHEMA)
                        for i, c in enumerate(p.cylinders)]
         for i, c in enumerate(p.cylinders):
@@ -392,7 +391,7 @@ def phantom_from_config(cfg):
             _build(path, check_cylinder, grid, c.center_m, c.radius_m, c.contrast)
             _check_contrast(f"{path}.contrast", c.contrast, grid)
     if p.kind == "shepp_logan":
-        _build("phantom", check_shepp_logan, grid, p.contrast, p.extent_m)
+        _build("phantom", check_shepp_logan, grid, p.contrast)
         _check_contrast("phantom.contrast", p.contrast, grid)
     if p.kind == "from_file" and not os.path.exists(p.path):
         raise ConfigError(f"phantom.path: file not found: {p.path}")

@@ -12,7 +12,6 @@ gradcheck``), the contrast sweep and the closed-form comparisons.
 and the adjoint-state gradient and predictions of the FISTA loop.
 """
 
-import numbers
 import warnings
 from dataclasses import InitVar, dataclass
 
@@ -21,6 +20,7 @@ import numpy as np
 from .errors import (ConfigError, ConvergenceWarning, DimensionError,
                      NumericalError, StepDegeneracyError)
 from .greens import SystemOperator
+from .grid import check_integer
 
 # the adaptive solve's carried residual bottoms out near 1e-13 ||u_in||: an
 # objective tolerance below 0.5 (1e-13)^2 would be reported as met although
@@ -55,10 +55,7 @@ class ForwardConfig:
     def __post_init__(self, stop_on):
         if stop_on != "objective":
             raise ConfigError("stop_on must be 'objective'")
-        # bool is an Integral, and the config file rejects it
-        if isinstance(self.K, bool) or not isinstance(self.K, numbers.Integral):
-            raise ConfigError("K must be an integer")
-        if self.K < 1:
+        if check_integer("K", self.K) < 1:
             raise ConfigError("K must be >= 1")
         if isinstance(self.delta_tol_rel, bool) or not 0 <= self.delta_tol_rel < np.inf:
             raise ConfigError("delta_tol_rel must be a finite number >= 0")

@@ -6,12 +6,22 @@ scattering potentials are plain numpy arrays shaped like ``grid.shape``;
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+
+
+def check_integer(name, value):
+    """``value`` as an int, or ConfigError for a bool or a non-integral value;
+    numpy integers pass."""
+    # bool is an Integral, and the config file rejects it
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -39,7 +49,7 @@ class DomainGrid:
     background_permittivity: float = 1.0
 
     def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
+        shape = tuple(check_integer("each grid dim", n) for n in self.shape)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", float(self.spacing))
         object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
@@ -116,7 +126,7 @@ class DomainGrid:
 
 def centered_grid(shape, spacing, wavelength, background_permittivity=1.0):
     """Grid whose pixel block is centered on the coordinate origin."""
-    shape = tuple(int(n) for n in shape)
+    shape = tuple(check_integer("each grid dim", n) for n in shape)
     origin = tuple(-0.5 * spacing * (n - 1) for n in shape)
     return DomainGrid(shape, spacing, origin, wavelength, background_permittivity)
 
@@ -134,13 +144,17 @@ def refined_grid(grid, refine):
 
 @dataclass(frozen=True)
 class SensorSet:
-    """Sensor (receiver) positions in physical coordinates, shape (M, ndim)."""
+    """Sensor (receiver) positions in physical coordinates, shape (M, ndim):
+    M >= 1 points of 2 or 3 coordinates, the axis counts a grid may have."""
 
     positions: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if pos.ndim != 2 or pos.shape[0] < 1:
+        pos = np.asarray(self.positions, dtype=float)
+        if pos.ndim != 2 or pos.shape[1] not in (2, 3):
+            raise ConfigError(f"sensor positions must have shape (M, 2) or (M, 3), "
+                              f"got {pos.shape}")
+        if pos.shape[0] < 1:
             raise ConfigError("sensor set needs at least one position")
         if not np.all(np.isfinite(pos)):
             raise ConfigError("sensor positions must be finite")
@@ -161,7 +175,7 @@ class SensorSet:
 
 def ring_sensors(count, radius, phase=0.0):
     """2D ring of equally spaced sensors about the origin, from angle ``phase``."""
-    if count < 1:
+    if check_integer("ring sensor count", count) < 1:
         raise ConfigError("ring needs at least one sensor")
     if not (math.isfinite(radius) and math.isfinite(phase)):
         raise ConfigError("ring radius and phase must be finite")

@@ -1,4 +1,5 @@
-"""Quantitative evaluation metrics (all squared-l2 ratios, plus SNR in dB)."""
+"""Quantitative evaluation metrics: the normalized squared-l2 error, which
+serves as data fit and reconstruction error alike, and the SNR in dB."""
 
 import numpy as np
 
@@ -21,16 +22,6 @@ def normalized_error(u_hat, u_true):
         raise ConfigError("reference field has zero norm")
     diff = u_hat - u_true
     return float(np.vdot(diff, diff).real) / denom
-
-
-def normalized_data_fit(z_hat, y):
-    """||z(f_hat) - y||^2 / ||y||^2, i.e. D(f_hat)/D(0)."""
-    return normalized_error(z_hat, y)
-
-
-def normalized_recon_error(f_hat, f_true):
-    """||f_hat - f_true||^2 / ||f_true||^2."""
-    return normalized_error(f_hat, f_true)
 
 
 def snr_db(f_hat, f_ref):

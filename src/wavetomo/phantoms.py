@@ -2,8 +2,9 @@
 
 Potentials are returned in physical units (1/m^2): a region at relative
 contrast c carries the value c * k_b^2, so that max|f| / k_b^2 equals the
-peak contrast.  Region edges can be rendered with supersampled area weighting
-so the discrete image converges to the continuous shape.
+peak contrast.  Cylinder edges are area-weighted by supersampling (4 sub-samples
+per pixel axis by default), so the discrete image converges to the continuous
+shape; the head phantom's unit square spans the domain.
 """
 
 import numpy as np
@@ -37,12 +38,6 @@ def _shape_box(grid, center, radius):
     return tuple(box)
 
 
-def check_supersample(supersample):
-    """Raise ConfigError unless ``cylinders`` takes ``supersample``."""
-    if supersample < 1:
-        raise ConfigError("supersample must be >= 1")
-
-
 def check_cylinder(grid, center, radius, contrast):
     """One ``cylinders`` spec's center as a float array, or ConfigError."""
     center = np.asarray(center, dtype=float)
@@ -66,9 +61,10 @@ def cylinders(grid, specs, supersample=4):
     A sub-pixel point lies within h/2 of its pixel center on every axis, so
     each shape is supersampled only on the pixels within radius + h/2 of its
     center per axis, plus a one-pixel margin (``_shape_box``); a shape that
-    misses the grid adds nothing.  The check_* functions above vet the input.
+    misses the grid adds nothing.  ``check_cylinder`` vets each spec.
     """
-    check_supersample(supersample)
+    if supersample < 1:
+        raise ConfigError("supersample must be >= 1")
     centers = grid.pixel_centers()
     f = np.zeros(grid.shape)
     subs = _subpixel_offsets(grid, supersample)
@@ -101,26 +97,23 @@ _SHEPP_LOGAN = [
 ]
 
 
-def check_shepp_logan(grid, peak_contrast, extent=None):
+def check_shepp_logan(grid, peak_contrast):
     """Raise ConfigError unless ``shepp_logan`` takes these values."""
     if grid.ndim != 2:
         raise ConfigError(f"head phantom needs a 2D grid, got {grid.ndim} axes")
     if not np.isfinite(peak_contrast):
         raise ConfigError("head phantom contrast must be finite")
-    if extent is not None and not 0 < extent < np.inf:
-        raise ConfigError("head phantom extent must be positive and finite")
 
 
-def shepp_logan(grid, peak_contrast, extent=None):
+def shepp_logan(grid, peak_contrast):
     """Ten-ellipse head phantom (2D), scaled so max|f|/k_b^2 = peak_contrast.
 
-    ``extent`` is the physical half-width the unit phantom square maps to;
-    defaults to half the domain width.  ``check_shepp_logan`` vets the input.
+    The unit phantom square spans the domain: its half-width maps to half the
+    width of the first axis.  ``check_shepp_logan`` vets the input.
     """
-    check_shepp_logan(grid, peak_contrast, extent)
-    if extent is None:
-        extent = 0.5 * grid.spacing * grid.shape[0]
-    centers = grid.pixel_centers() / extent  # phantom defined on [-1, 1]^2
+    check_shepp_logan(grid, peak_contrast)
+    # phantom defined on [-1, 1]^2
+    centers = grid.pixel_centers() / (0.5 * grid.spacing * grid.shape[0])
     x = centers[..., 0]
     y = centers[..., 1]
     img = np.zeros(grid.shape)

@@ -14,7 +14,6 @@ restarting the momentum, when it rises (Scheinberg, Goldfarb and Bai, 2014).
 """
 
 import functools
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -30,8 +29,8 @@ from .greens import (MaskedSensorOperator, SensorGreensOperator, SystemOperator,
                      build_domain_operator, green_2d, green_3d, sensor_rows)
 # not called: benchmarks/layers.py wraps it
 from .greens import build_sensor_operator  # noqa: F401
-from .grid import SensorSet
-from .metrics import normalized_recon_error
+from .grid import SensorSet, check_integer
+from .metrics import normalized_error
 from .tv import BoxConstraint, prox_tv, tv_value
 
 # receiver decimation factors MeasurementSet.subsample accepts
@@ -120,7 +119,7 @@ class MeasurementSet:
             raise ConfigError("per-transmitter list lengths disagree")
         if len(self.transmitters) < 1:
             raise ConfigError("need at least one transmitter")
-        self.active_indices = [np.asarray(ix, dtype=int) for ix in self.active_indices]
+        self.active_indices = [np.asarray(ix) for ix in self.active_indices]
         self.y = [np.asarray(v, dtype=complex) for v in self.y]
         ndim = self.receivers.positions.shape[1]
         for t, (tx, ix, v) in enumerate(zip(self.transmitters, self.active_indices,
@@ -135,6 +134,11 @@ class MeasurementSet:
                                      f"{v.size} measurements")
             if ix.size == 0:
                 raise ConfigError(f"transmitter {t}: no receivers")
+            # a cast would take a float or bool index to a slot, 0.7 to slot 0
+            if ix.dtype.kind not in "iu":
+                raise ConfigError(f"transmitter {t}: receiver indices must be "
+                                  f"integers, got {ix.dtype}")
+            ix = self.active_indices[t] = ix.astype(int, copy=False)
             outside = ix[(ix < 0) | (ix >= len(self.receivers))]
             if outside.size:
                 raise ConfigError(f"transmitter {t}: receiver index {outside[0]} "
@@ -185,13 +189,9 @@ class ReconConfig:
     workers = 1
 
     def __post_init__(self):
-        for name, value in (("fista_iters", self.fista_iters), ("tv_iters", self.tv_iters)):
-            # bool is an Integral, and the config file rejects it
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer")
-        if self.fista_iters < 1:
+        if check_integer("fista_iters", self.fista_iters) < 1:
             raise ConfigError("fista_iters must be >= 1")
-        if self.tv_iters < 0:
+        if check_integer("tv_iters", self.tv_iters) < 0:
             raise ConfigError("tv_iters must be >= 0")
         if isinstance(self.tau_rel, bool) or not 0 <= self.tau_rel < np.inf:
             raise ConfigError("tau_rel must be a finite number >= 0")
@@ -485,7 +485,7 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
         data_fit_hist.append(2.0 * D / y_norm_sq if y_norm_sq > 0
                              else (0.0 if D == 0.0 else np.inf))
         if err_hist is not None:
-            err_hist.append(normalized_recon_error(f_new, ground_truth))
+            err_hist.append(normalized_error(f_new, ground_truth))
         secs.append(time.perf_counter() - tic)
         if last:
             break

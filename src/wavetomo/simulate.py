@@ -38,9 +38,9 @@ def render_phantom(cfg, grid):
     p = phantom_from_config(cfg)
     if p.kind == "cylinders":
         specs = [(tuple(c.center_m), c.radius_m, c.contrast) for c in p.cylinders]
-        return phantoms.cylinders(grid, specs, supersample=p.supersample)
+        return phantoms.cylinders(grid, specs)
     if p.kind == "shepp_logan":
-        return phantoms.shepp_logan(grid, p.contrast, extent=p.extent_m)
+        return phantoms.shepp_logan(grid, p.contrast)
     if p.kind == "from_file":
         values, _ = load_grid_csv(p.path)
         shape = grid_from_config(cfg).shape

@@ -288,6 +288,23 @@ class TestMetricsCommand:
         assert got["normalized_error"] == pytest.approx(1.0)
         assert got["snr_db"] == pytest.approx(0.0)
 
+    def test_readme_lists_printed_keys(self, tmp_path, capsys):
+        # the README's key table names exactly what metrics prints and writes
+        grid = wt.centered_grid((4, 4), spacing=0.01, wavelength=0.1)
+        for name, scale in (("ref.csv", 1.0), ("est.csv", 0.9)):
+            fileio.emit_grid_csv(scale * np.arange(1.0, 17.0).reshape(4, 4), grid,
+                                 tmp_path / name)
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(["metrics", "--estimate", str(tmp_path / "est.csv"), "--reference",
+                     str(tmp_path / "ref.csv"), "--out", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads(out.read_text()) == printed
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("`metrics` prints these keys:\n\n")[1].split("\n\n")[0]
+        rows = re.findall(r"^\| `(\w+)` \|", table, re.M)
+        assert sorted(rows) == sorted(printed) == ["normalized_error", "snr_db"]
+
 
 class TestGradcheckCommand:
     def test_fixed_step_passes(self):
@@ -714,6 +731,33 @@ class TestExitCodes:
         assert rc == 1
         assert err == ("error: measurement receiver positions have 2 axes "
                        "but the grid has 3\n")
+
+    @pytest.mark.parametrize("positions, tx_position, shape", [
+        ([], [], "(0,)"), ([[]], [], "(1, 0)"),
+        ([[0.9], [-0.9]], [0.8], "(2, 1)"),
+        ([[0.9, 0.0, 0.0, 0.0], [-0.9, 0.0, 0.0, 0.0]], [0.8, 0.0, 0.0, 0.0], "(2, 4)"),
+    ], ids=["empty list", "empty point", "1 coordinate", "4 coordinates"])
+    def test_header_positions_no_grid_reads(self, tmp_path, capsys, positions,
+                                            tx_position, shape):
+        # these used to load, with transmitter positions of the same length,
+        # and exit 1 in reconstruct ("receiver positions have 0 axes")
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        meas = tmp_path / "m.dat"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
+        lines = meas.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["receiver_positions_m"] = positions
+        for tx in header["transmitters"]:
+            tx["position_m"] = tx_position
+        meas.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", str(cfg_path), "--measurements", str(meas),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "i/o error: line 1: header.receiver_positions_m: sensor positions must have "
+            f"shape (M, 2) or (M, 3), got {shape}\n")
 
     def test_transmitter_without_rows(self, tmp_path, capsys):
         # it used to load and fail in reconstruct on an empty receiver mask

@@ -26,7 +26,7 @@ def _configs():
     listed["grid"]["origin_m"] = [-0.2, -0.2]
     listed["transmitters"] = [{"position_m": [0.8, 0.0]},
                               {"kind": "plane", "direction": [0.0, 1.0]}]
-    listed["phantom"] = {"kind": "shepp_logan", "contrast": 0.05, "extent_m": None}
+    listed["phantom"] = {"kind": "shepp_logan", "contrast": 0.05}
     listed["recon"] = {"forward": {"K": 4, "delta_tol_rel": 1e-6},
                        "tau_rel": 0.0,
                        "box": {"lower": -1.0, "upper": 1.0}}

@@ -37,15 +37,16 @@ BAD_LOOP_SETTINGS = [
     ("forward.delta_tol_rel", 1e-30), ("tv_iters", -3),
 ]
 
-# (key path under recon, a value it used to accept): each removed key; the
-# README's "Removed keys" table says why each went and what to do instead.
-# tv_delta carries the two values its range check rejected: the key is
-# refused before any value is looked at.
+# (key path, a value it used to accept): each removed key, as listed in the
+# first column of the README's "Removed keys" table, which says why each went
+# and what to do instead.  recon.tv_delta carries the two values its range
+# check rejected: the key is refused before any value is looked at.
 REMOVED_KEYS = [
-    ("tau", 1e-6), ("forward.delta_tol", 1e-6), ("forward.step_mode", "fixed"),
-    ("step_gamma", 1.0), ("tv_variant", "iso"), ("workers", 2),
-    ("forward.stop_on", "gradient"), ("tv_delta", -1e-4), ("tv_delta", float("nan")),
-    ("forward.nu", 0.5),
+    ("recon.tau", 1e-6), ("recon.forward.delta_tol", 1e-6),
+    ("recon.forward.step_mode", "fixed"), ("recon.step_gamma", 1.0),
+    ("recon.tv_variant", "iso"), ("recon.workers", 2), ("recon.forward.stop_on", "gradient"),
+    ("recon.tv_delta", -1e-4), ("recon.tv_delta", float("nan")), ("recon.forward.nu", 0.5),
+    ("phantom.supersample", 8), ("phantom.extent_m", 0.5),
 ]
 
 
@@ -72,9 +73,9 @@ def _render(cfg):
     """cfg's phantom from phantoms.py, past the parser."""
     grid, p = fileio.grid_from_config(cfg), cfg["phantom"]
     if p["kind"] == "shepp_logan":
-        return wt.shepp_logan(grid, p["contrast"], extent=p.get("extent_m"))
+        return wt.shepp_logan(grid, p["contrast"])
     specs = [(c["center_m"], c["radius_m"], c["contrast"]) for c in p["cylinders"]]
-    return wt.cylinders(grid, specs, supersample=p.get("supersample", 4))
+    return wt.cylinders(grid, specs)
 
 
 def _subsample(cfg):
@@ -104,15 +105,9 @@ CONSUMED_VALUES = {
     "3-entry cylinder center": (
         _cylinder(center_m=[0.0, 0.0, 0.0]), "phantom.cylinders[0]", _render),
     "1-entry cylinder center": (_cylinder(center_m=[0.0]), "phantom.cylinders[0]", _render),
-    "zero supersample": (_edit("phantom", supersample=0), "phantom.supersample", _render),
-    "negative supersample": (_edit("phantom", supersample=-2), "phantom.supersample", _render),
     "NaN head contrast": (_head(contrast=NAN), "phantom", _render),
     "infinite head contrast": (_head(contrast=INF), "phantom", _render),
     "-infinite head contrast": (_head(contrast=-INF), "phantom", _render),
-    "zero head extent": (_head(extent_m=0.0), "phantom", _render),
-    "negative head extent": (_head(extent_m=-0.5), "phantom", _render),
-    "NaN head extent": (_head(extent_m=NAN), "phantom", _render),
-    "infinite head extent": (_head(extent_m=INF), "phantom", _render),
     "head phantom on a 3D grid": (_head_on_3d_grid, "phantom", _render),
     "zero subsample": (_edit("receivers", subsample=0), "receivers.subsample", _subsample),
     "negative subsample": (
@@ -124,11 +119,43 @@ CONSUMED_VALUES = {
 }
 
 
+def _render_supersampled(cfg):
+    """cfg's cylinders at its phantom.supersample, as a library caller may
+    still pass it to cylinders."""
+    grid, p = fileio.grid_from_config(cfg), cfg["phantom"]
+    specs = [(c["center_m"], c["radius_m"], c["contrast"]) for c in p["cylinders"]]
+    return wt.cylinders(grid, specs, supersample=p["supersample"])
+
+
+# values of a removed key that its library consumer still rejects: the parser
+# refuses the key itself, before its value is looked at
+DROPPED_VALUES = {
+    "zero supersample": (
+        _edit("phantom", supersample=0), "phantom.supersample", _render_supersampled),
+    "negative supersample": (
+        _edit("phantom", supersample=-2), "phantom.supersample", _render_supersampled),
+}
+
+
 def _recon_with(path, value):
     recon = {"forward": {"K": 4}}
     section, _, key = path.rpartition(".")
     (recon.setdefault(section, {}) if section else recon)[key] = value
     return {"recon": recon}
+
+
+def _config_with(path, value):
+    """base_config() with ``value`` at the dotted key ``path``; extent_m goes
+    into the head phantom, the kind that read it."""
+    cfg = base_config()
+    if path == "phantom.extent_m":
+        _head()(cfg)
+    *sections, key = path.split(".")
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    return cfg
 
 
 class TestConfig:
@@ -168,12 +195,13 @@ class TestConfig:
         cfg = fileio.recon_config_from_config(_recon_with("box.upper", float("inf")))
         assert cfg.box.b == np.inf
 
+    # a recon key's id leaves out "recon."
     @pytest.mark.parametrize("path, value", REMOVED_KEYS,
-                             ids=[f"{p}={v}" if p == "tv_delta" else p
-                                  for p, v in REMOVED_KEYS])
+                             ids=[f"{p.removeprefix('recon.')}={v}" if p == "recon.tv_delta"
+                                  else p.removeprefix("recon.") for p, v in REMOVED_KEYS])
     def test_removed_keys_are_unknown(self, path, value):
-        with pytest.raises(ConfigError, match=rf"^recon\.{re.escape(path)}: unknown key$"):
-            fileio.recon_config_from_config(_recon_with(path, value))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: unknown key$"):
+            fileio.parse_config(json.dumps(_config_with(path, value)))
 
     def test_round_trip(self):
         text = fileio.serialize_config(base_config())
@@ -191,29 +219,30 @@ class TestConfig:
     @pytest.mark.parametrize("section, key, value, message", [
         ("generation", "k_multiplier", 0, "must be positive and finite"),
         ("generation", "k_multiplier", -3, "must be positive and finite"),
-        ("phantom", "supersample", 0, "supersample must be >= 1"),
-        ("phantom", "supersample", -2, "supersample must be >= 1"),
+        ("phantom", "supersample", 0, "unknown key"),
+        ("phantom", "supersample", -2, "unknown key"),
     ], ids=["k_multiplier=0", "k_multiplier=-3", "supersample=0", "supersample=-2"])
     def test_count_below_one_names_its_key(self, section, key, value, message):
-        # k_multiplier used to run the generation at K = 1, and supersample
-        # failed only when the phantom was rendered, naming no key
+        # k_multiplier used to run the generation at K = 1; supersample is no
+        # longer a key, and the parser refuses it by name
         cfg = base_config()
         cfg[section][key] = value
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}: {message}$"):
             fileio.parse_config(json.dumps(cfg))
 
-    @pytest.mark.parametrize("case", list(CONSUMED_VALUES))
+    @pytest.mark.parametrize("case", list(CONSUMED_VALUES) + list(DROPPED_VALUES))
     def test_parser_and_consumer_reject(self, case):
         # one check serves both: the parser reports the consumer's message
-        # under the key path
-        edit, path, consume = CONSUMED_VALUES[case]
+        # under the key path, or, for a removed key, refuses the key
+        edit, path, consume = {**CONSUMED_VALUES, **DROPPED_VALUES}[case]
         cfg = base_config()
         edit(cfg)
         with pytest.raises(ConfigError) as consumer:
             consume(cfg)
         with pytest.raises(ConfigError) as parser:
             fileio.parse_config(json.dumps(cfg))
-        assert str(parser.value) == f"{path}: {consumer.value}"
+        expect = "unknown key" if case in DROPPED_VALUES else consumer.value
+        assert str(parser.value) == f"{path}: {expect}"
 
     def test_bad_subsample_rejected(self):
         cfg = base_config()
@@ -390,6 +419,22 @@ class TestMeasurementFile:
         edit(lines)
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(MeasurementParseError, match=f"^line {line}: "):
+            fileio.load_measurements(path)
+
+    @pytest.mark.parametrize("positions, shape", [
+        ([], "(0,)"), ([[]], "(1, 0)"), ([[0.9], [0.0], [-0.9]], "(3, 1)"),
+        ([[0.9, 0.0, 0.0, 0.0]] * 3, "(3, 4)"),
+    ], ids=["empty list", "empty point", "1 coordinate", "4 coordinates"])
+    def test_receiver_positions_no_grid_reads(self, tmp_path, positions, shape):
+        # these used to load whenever the transmitter vectors had their length
+        path = tmp_path / "m.dat"
+        fileio.save_measurements(path, small_measurements())
+        lines = path.read_bytes().splitlines()
+        _header(lambda h: h.update(receiver_positions_m=positions))(lines)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(MeasurementParseError,
+                           match=r"^line 1: header.receiver_positions_m: sensor positions "
+                                 rf"must have shape \(M, 2\) or \(M, 3\), got {re.escape(shape)}$"):
             fileio.load_measurements(path)
 
     def test_transmitter_vector_must_match_receivers(self, tmp_path):
@@ -683,6 +728,12 @@ class TestConfigDocs:
                      and "# noqa: F401" in lines[node.end_lineno - 1]
                      for alias in node.names]
         assert kept and [k for k in kept if k not in sites] == []
+
+    def test_readme_lists_removed_keys(self):
+        # the "Removed keys" table's first column is REMOVED_KEYS' paths
+        table = _readme().split("## Removed keys")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `([\w.]+)` \|", table, re.M)
+        assert sorted(rows) == sorted({path for path, _ in REMOVED_KEYS})
 
     def test_readme_table_lists_schema_keys(self):
         sections = {"grid": fileio.GRID_SCHEMA, "receivers": fileio.RECEIVERS_SCHEMA,

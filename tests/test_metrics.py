@@ -20,14 +20,6 @@ def test_normalized_error_scale_invariant(rng):
     assert wt.normalized_error(-3.7 * u, -3.7 * v) == pytest.approx(base)
 
 
-def test_data_fit_and_recon_error(rng):
-    y = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    assert wt.normalized_data_fit(y, y) == 0.0
-    assert wt.normalized_data_fit(np.zeros(10), y) == 1.0
-    f = rng.standard_normal((4, 4))
-    assert wt.normalized_recon_error(f, f) == 0.0
-
-
 def test_snr_examples(rng):
     f = rng.standard_normal(30)
     assert wt.snr_db(np.zeros(30), f) == pytest.approx(0.0)

@@ -76,6 +76,12 @@ def test_non_finite_contrast(grid, bad):
         wt.cylinders(grid, [((0.0, 0.0), 0.1, bad)])
 
 
+@pytest.mark.parametrize("bad", [0, -2])
+def test_cylinders_reject_supersample_below_one(grid, bad):
+    with pytest.raises(ConfigError, match="^supersample must be >= 1$"):
+        wt.cylinders(grid, [((0.0, 0.0), 0.1, 0.2)], supersample=bad)
+
+
 def test_shepp_logan_peak_contrast(grid):
     f = wt.shepp_logan(grid, 0.2)
     assert wt.contrast(f, grid) == pytest.approx(0.2)
@@ -90,9 +96,3 @@ def test_shepp_logan_non_finite_contrast(grid, bad):
     with pytest.raises(ConfigError, match="^head phantom contrast must be finite$"):
         wt.shepp_logan(grid, bad)
 
-
-@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
-def test_shepp_logan_bad_extent(grid, bad):
-    # 0 used to divide by zero, and a negative extent mirrored the phantom
-    with pytest.raises(ConfigError, match="^head phantom extent must be positive and finite$"):
-        wt.shepp_logan(grid, 0.2, extent=bad)

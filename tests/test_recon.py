@@ -99,6 +99,25 @@ class TestMeasurementSet:
             wt.MeasurementSet(transmitters=tx, receivers=wt.ring_sensors(6, radius=0.4),
                               active_indices=[active], y=[np.ones(2, complex)])
 
+    @pytest.mark.parametrize("active, dtype", [
+        ([0.7, 2.9], "float64"), ([0.0, 2.0], "float64"), ([True, False], "bool"),
+    ], ids=["fractional", "integral floats", "bools"])
+    def test_non_integer_active_index_rejected(self, active, dtype):
+        # [0.7, 2.9] used to be stored as slots [0, 2], and [True, False] as [1, 0]
+        tx = [wt.Transmitter("point", position=(0.45, 0.0))]
+        with pytest.raises(ConfigError, match="^transmitter 0: receiver indices must be "
+                           f"integers, got {dtype}$"):
+            wt.MeasurementSet(transmitters=tx, receivers=wt.ring_sensors(6, radius=0.4),
+                              active_indices=[active], y=[np.ones(2, complex)])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_numpy_integer_active_index_accepted(self, dtype):
+        tx = [wt.Transmitter("point", position=(0.45, 0.0))]
+        mset = wt.MeasurementSet(tx, wt.ring_sensors(6, radius=0.4),
+                                 [np.array([4, 1], dtype=dtype)], [np.ones(2, complex)])
+        assert mset.active_indices[0].dtype == int
+        assert mset.active_indices[0].tolist() == [4, 1]
+
     def test_subsample_that_empties_a_transmitter_rejected(self, rng):
         # subsampling keeps positions 1, 1 + factor, ...: none of one receiver
         _, mset = tiny_problem(rng)
