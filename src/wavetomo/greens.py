@@ -6,10 +6,12 @@ on a grid of doubled extent per axis, so one apply costs a forward and an
 inverse FFT of the padded grid instead of a dense N x N product (which would
 not fit in memory for production grid sizes).  The transforms run one axis at
 a time, skip the lines that are all zero and crop each axis as soon as it is
-inverse-transformed, so no padded buffer is zero-filled.  The forward passes
-run first axis first, so the largest one runs on the contiguous last axis;
-the result matches the padded fftn over the reversed axes bit for bit, and
-the default-order fftn to round-off.
+inverse-transformed.  Each forward pass copies its input into a buffer of the
+period along its axis and zeroes only the pad, so numpy's FFT runs the lines
+as one batch; given a length n= instead, it pads and transforms them one at a
+time.  The forward passes run first axis first, so the largest one runs on
+the contiguous last axis; the result matches the padded fftn over the
+reversed axes bit for bit, and the default-order fftn to round-off.
 
 In A = I - G diag(f), G reads only the support of f, and in A^H = I - f G^H
 only that support is written.  ``SystemOperator`` therefore applies the
@@ -33,6 +35,7 @@ accuracy.
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SingularityError
+from .grid import check_integer
 from .special import bessel_jn_all, hankel1_0, hankel1_1, hankel1_all
 
 
@@ -194,6 +197,8 @@ def support_box(f):
 
 def fast_length(m):
     """The smallest 2^a 3^b 5^c >= m, a length numpy's FFT transforms fast."""
+    if check_integer("FFT length", m) < 1:
+        raise ConfigError("FFT length must be >= 1")
     while True:
         rest = m
         for q in (2, 3, 5):
@@ -225,6 +230,17 @@ def _padded_kernel(grid):
     return distinct[np.ix_(*fold)], samples
 
 
+def _pad_axis(a, ax, period):
+    """``a`` zero-padded to ``period`` along ``ax``, in a new complex array
+    of ``a``'s precision; only the pad is zeroed."""
+    lead, n = (slice(None),) * ax, a.shape[ax]
+    buf = np.empty(a.shape[:ax] + (period,) + a.shape[ax + 1:],
+                   dtype=np.result_type(a.dtype, 1j))
+    buf[lead + (slice(n, None),)] = 0
+    buf[lead + (slice(0, n),)] = a
+    return buf
+
+
 class DomainGreensOperator:
     """Domain-to-domain operator: v -> integral of g(x - x') v(x') over the grid,
     or its column block G[:, B], which reads v on a box B of pixels only.
@@ -236,7 +252,9 @@ class DomainGreensOperator:
     the zero-padded doubled grid; cost O(N log N) per apply.  The transforms
     run axis by axis, skipping lines that are all zero and cropping as they
     go: a 2D apply of G runs 6 and a 3D apply 14 of the 8 and 24 half-grid
-    line transforms the full padded fftn/ifftn pair would.  G's output is
+    line transforms the full padded fftn/ifftn pair would.  Each forward pass
+    allocates its own buffer, so the operator keeps no workspace between
+    applies.  G's output is
     bit-identical to ifftn(fftn(pad(v), axes=reversed(range(ndim))) * K_hat),
     cropped.  ``column_block`` builds G[:, B], whose apply maps the box
     onto the grid and whose adjoint maps the grid back onto the box.
@@ -305,18 +323,22 @@ class DomainGreensOperator:
 
     def apply(self, v):
         # forward passes first axis first: each pass multiplies the lines the
-        # next one transforms, so the largest pass runs on the last axis,
-        # whose lines are contiguous (pocketfft gathers strided lines one at
-        # a time).  fft(n=P) pads only the lines earlier passes made
-        # nonzero.  The inverse passes run last axis first, each cropping its
-        # axis to the output so the next one runs on fewer lines.  For G the
-        # bits match fftn over the reversed axes, followed by the padded
-        # ifftn.
+        # next one transforms, so the largest pass runs on the last axis.
+        # Each pass transforms its padded buffer in place (see the module
+        # docstring); out= needs numpy 2.  Returning a new array instead made
+        # a 64^2 apply 0.18 ms against 0.12 ms, faulting in its output pages
+        # on every call.  spec is rebound before the transform, so the last
+        # pass's buffer is freed first and none outlives its pass: holding
+        # them grew the heap of a run that keeps many fields by 8 MB.  The
+        # inverse passes run last axis first, each cropping its axis to the
+        # output so the next one runs on fewer lines.  For G the bits match
+        # fftn over the reversed axes, followed by the padded ifftn.
         spec = np.asarray(v)
         if spec.shape != self.in_shape:
             raise DimensionError(f"field has shape {spec.shape}, expected {self.in_shape}")
         for ax, period in enumerate(self._kernel_hat.shape):
-            spec = np.fft.fft(spec, n=period, axis=ax)
+            spec = _pad_axis(spec, ax, period)
+            np.fft.fft(spec, axis=ax, out=spec)
         spec *= self._kernel_hat
         for ax in reversed(range(spec.ndim)):
             spec = np.fft.ifft(spec, axis=ax)

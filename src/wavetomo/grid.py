@@ -133,6 +133,7 @@ def centered_grid(shape, spacing, wavelength, background_permittivity=1.0):
 
 def refined_grid(grid, refine):
     """Grid with ``refine`` x pixels per axis over the same physical extent."""
+    refine = check_integer("grid refinement", refine)
     if refine < 1:
         raise ConfigError("grid refinement must be >= 1")
     spacing = grid.spacing / refine

@@ -90,6 +90,7 @@ class Transmitter:
 def check_subsample(factor, n_receivers=None):
     """``factor`` if ``MeasurementSet.subsample`` takes it and, given the
     fewest receivers a transmitter records, keeps one of them; else ConfigError."""
+    factor = check_integer("subsampling factor", factor)
     if factor not in SUBSAMPLE_FACTORS:
         raise ConfigError("subsampling factor must be a power of 2 up to 128")
     # subsample keeps positions 1, 1 + factor, ...: none of one receiver

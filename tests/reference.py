@@ -3,16 +3,19 @@
 Everything here is deliberately written against the package's production
 paths: dense matrices instead of FFT convolutions, one Hankel evaluation
 per point and pixel instead of the Graf-factored sensor matrix, the
-zero-filled padded fftn instead of the pruned per-axis transforms, naive
-recursions instead of the fused backward pass, the A^H solve instead of its
-reciprocal forward solve in the adjoint-state gradient, subgradient descent
-instead of the dual prox solver, the dual prox with its gradient fields
-stored component last instead of component first, G's kernel evaluated
-at every padded offset instead of once per distinct offset magnitude, every
-pixel supersampled for every phantom shape instead of each shape's box, and
-mpmath arbitrary-precision special functions.  The objectives and unfused
-operators that only tests evaluate live here too.
+zero-filled padded fftn instead of the pruned per-axis transforms, forward
+passes that pad each line by ``fft(n=P)`` instead of into a buffer of the
+period, naive recursions instead of the fused backward pass, the A^H solve
+instead of its reciprocal forward solve in the adjoint-state gradient,
+subgradient descent instead of the dual prox solver, the dual prox with its
+gradient fields stored component last instead of component first, G's
+kernel evaluated at every padded offset instead of once per distinct offset
+magnitude, every pixel supersampled for every phantom shape instead of each
+shape's box, and mpmath arbitrary-precision special functions.  The
+objectives and unfused operators that only tests evaluate live here too.
 """
+
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -116,6 +119,26 @@ def padded_fft_apply(G, v, axes_order=None):
     buf[tuple(slice(0, n) for n in shape)] = v
     out = np.fft.ifftn(np.fft.fftn(buf, axes=axes_order) * G._kernel_hat)
     return out[tuple(slice(0, n) for n in shape)]
+
+
+def n_padded_apply(op, v):
+    """``op.apply`` for G or a column block, with each forward pass padding
+    its lines to the period by ``np.fft.fft(spec, n=period, axis=ax)``."""
+    spec = np.asarray(v)
+    for ax, period in enumerate(op._kernel_hat.shape):
+        spec = np.fft.fft(spec, n=period, axis=ax)
+    spec *= op._kernel_hat
+    for ax in reversed(range(spec.ndim)):
+        spec = np.fft.ifft(spec, axis=ax)
+        spec = spec[(slice(None),) * ax + (slice(0, op.out_shape[ax]),)]
+    return spec
+
+
+def n_padded_adjoint(op, v):
+    """``op.apply_adjoint`` as conj o transpose o conj over ``n_padded_apply``;
+    the transpose maps the output box back onto the input box."""
+    transpose = SimpleNamespace(_kernel_hat=op._transpose_hat, out_shape=op.in_shape)
+    return np.conj(n_padded_apply(transpose, np.conj(v)))
 
 
 def full_grid_cylinders(grid, specs, supersample=4):

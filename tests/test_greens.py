@@ -1,10 +1,15 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import (dense_A_matrix, dense_domain_matrix, direct_green_matrix,
-                       mp_green_2d, mp_j, mp_y, padded_fft_apply, padded_kernel)
+                       mp_green_2d, mp_j, mp_y, n_padded_adjoint, n_padded_apply,
+                       padded_fft_apply, padded_kernel)
 from wavetomo import greens
 from wavetomo.analytic import helmholtz_residual
 from wavetomo.errors import ConfigError, DimensionError, SingularityError
@@ -133,32 +138,108 @@ class TestDomainOperator:
         expect = padded_fft_apply(G, v, axes_order=range(len(shape)))
         assert np.max(np.abs(G.apply(v) - expect)) <= 1e-14 * np.max(np.abs(expect))
 
-    def test_forward_passes_run_first_axis_first(self, rng, monkeypatch):
-        # pocketfft gathers strided lines one at a time, so the largest
-        # forward pass has to run on the contiguous last axis
-        shape = (5, 4, 3)
-        n0, n1, n2 = shape
+    @pytest.mark.parametrize("shape,box", [
+        ((9, 7), (slice(3, 6), slice(1, 5))),
+        ((7, 9, 6), (slice(1, 4), slice(2, 6), slice(4, 6))),
+    ], ids=["9x7", "7x9x6"])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.complex64])
+    def test_bit_identical_to_n_padded_passes(self, rng, shape, box, dtype):
+        # padding into a buffer of the period feeds every line the inputs
+        # fft(n=P) gave it, for G and for a block whose periods are shorter
+        # than 2n
         G = self.fft_grid_operator(shape)
+        _, block = G.column_block(boxed_potential(shape, box, rng))
+        assert block is not G
+        assert all(p < 2 * n for p, n in zip(block._kernel_hat.shape, shape))
+        for op in (G, block):
+            for fn, oracle, in_shape in ((op.apply, n_padded_apply, op.in_shape),
+                                         (op.apply_adjoint, n_padded_adjoint, op.out_shape)):
+                v = rng.standard_normal(in_shape)
+                if dtype != np.float64:
+                    v = v + 1j * rng.standard_normal(in_shape)
+                v = v.astype(dtype)
+                before = v.copy()
+                got = fn(v)
+                assert got.dtype == np.result_type(dtype, 1j)
+                assert np.array_equal(got, oracle(op, v))
+                assert np.array_equal(v, before)
+
+    @staticmethod
+    def assert_forward_passes_first_axis_first(op, rng, monkeypatch):
+        # each pass multiplies the lines the next one transforms, so the
+        # largest runs on the contiguous last axis; each transforms a buffer
+        # already at the period on its axis, since numpy's FFT pads the
+        # lines of an n= call one at a time
         passes = []
         for name in ("fft", "ifft"):
             def record(a, *args, _name=name, _fn=getattr(np.fft, name), **kw):
-                passes.append((_name, kw["axis"], a.shape))
+                passes.append((_name, kw["axis"], a.shape, args or kw.get("n")))
                 return _fn(a, *args, **kw)
             monkeypatch.setattr(np.fft, name, record)
-        G.apply(random_field(rng, shape))
+        op.apply(random_field(rng, op.in_shape))
+        (p0, p1, p2), (b0, b1, b2), (n0, n1, n2) = (op._kernel_hat.shape, op.in_shape,
+                                                      op.out_shape)
         assert passes == [
-            ("fft", 0, (n0, n1, n2)),
-            ("fft", 1, (2 * n0, n1, n2)),
-            ("fft", 2, (2 * n0, 2 * n1, n2)),
-            ("ifft", 2, (2 * n0, 2 * n1, 2 * n2)),
-            ("ifft", 1, (2 * n0, 2 * n1, n2)),
-            ("ifft", 0, (2 * n0, n1, n2)),
+            ("fft", 0, (p0, b1, b2), None),
+            ("fft", 1, (p0, p1, b2), None),
+            ("fft", 2, (p0, p1, p2), None),
+            ("ifft", 2, (p0, p1, p2), None),
+            ("ifft", 1, (p0, p1, n2), None),
+            ("ifft", 0, (p0, n1, n2), None),
         ]
+
+    def test_forward_passes_run_first_axis_first(self, rng, monkeypatch):
+        G = self.fft_grid_operator((5, 4, 3))
+        assert G._kernel_hat.shape == (10, 8, 6)
+        self.assert_forward_passes_first_axis_first(G, rng, monkeypatch)
+
+    def test_block_forward_passes_run_first_axis_first(self, rng, monkeypatch):
+        shape = (5, 4, 3)
+        box = (slice(1, 3), slice(0, 2), slice(1, 2))
+        _, block = self.fft_grid_operator(shape).column_block(boxed_potential(shape, box, rng))
+        assert block._kernel_hat.shape == (6, 5, 3) and block.in_shape == (2, 2, 1)
+        self.assert_forward_passes_first_axis_first(block, rng, monkeypatch)
 
     def test_too_small_grid_rejected(self):
         grid = wt.centered_grid((1, 8), spacing=0.05, wavelength=0.5)
         with pytest.raises(ConfigError):
             wt.build_domain_operator(grid)
+
+
+def fft_calls_with_length(source):
+    """The line numbers of the ``np.fft`` calls in ``source`` that pass a
+    length: ``n=``, ``s=`` or a second positional argument."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).startswith(("np.fft.", "numpy.fft."))
+            and (len(node.args) > 1 or any(k.arg in ("n", "s") for k in node.keywords))]
+
+
+def test_no_fft_call_pads_by_length():
+    # numpy's FFT pads the lines of a call given a length one at a time, and
+    # runs them as one batch when the input already has the output's length
+    assert fft_calls_with_length("np.fft.fft(spec, n=period, axis=ax)") == [1]
+    assert fft_calls_with_length("np.fft.fftn(x, (4, 4))") == [1]
+    assert fft_calls_with_length("numpy.fft.ifftn(x, s=(4, 4))") == [1]
+    assert fft_calls_with_length("np.fft.fft(buf, axis=ax, out=buf)") == []
+    package = Path(__file__).resolve().parent.parent / "src" / "wavetomo"
+    found = {path.name: fft_calls_with_length(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py")}
+    assert "greens.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_declared_numpy_has_fft_out():
+    # the apply's in-place np.fft.fft(..., out=...) needs numpy 2; a lower
+    # declared floor would install a package whose every apply raises
+    root = Path(__file__).resolve().parent.parent
+    uses_out = any(ast.unparse(node.func).startswith(("np.fft.", "numpy.fft."))
+                   and any(k.arg == "out" for k in node.keywords)
+                   for path in (root / "src" / "wavetomo").glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Call))
+    floor = re.search(r'"numpy>=(\d+)', (root / "pyproject.toml").read_text(encoding="utf-8"))
+    assert uses_out and floor is not None and int(floor.group(1)) >= 2
 
 
 # (shape, spacing in wavelengths): the loop and generation grids of the 2D
@@ -309,6 +390,15 @@ class TestColumnBlock:
                   if p == 2 ** _valuation(p, 2) * 3 ** _valuation(p, 3) * 5 ** _valuation(p, 5)]
         for m in range(1, 600):
             assert greens.fast_length(m) == min(p for p in smooth if p >= m)
+
+    @pytest.mark.parametrize("m, rule", [(0, ">= 1"), (-3, ">= 1"), (2.0, "an integer"),
+                                         (True, "an integer")],
+                             ids=["zero", "negative", "integral float", "bool"])
+    def test_fast_length_rejects(self, m, rule):
+        # 0 and -3 used to loop forever (0 % 2 == 0), 2.0 returned 2.0 and
+        # True returned True
+        with pytest.raises(ConfigError, match=f"^FFT length must be {rule}$"):
+            greens.fast_length(m)
 
     def test_support_box(self):
         f = np.zeros((6, 5, 4))

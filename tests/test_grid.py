@@ -5,6 +5,7 @@ import pytest
 
 import wavetomo as wt
 from wavetomo.errors import ConfigError
+from wavetomo.grid import refined_grid
 
 
 class TestSensorSet:
@@ -49,3 +50,11 @@ class TestIntegerArguments:
     def test_numpy_integer_ring_count_accepted(self):
         assert np.array_equal(wt.ring_sensors(np.int32(4), 1.0).positions,
                               wt.ring_sensors(4, 1.0).positions)
+
+    @pytest.mark.parametrize("refine", [2.0, True], ids=["integral float", "bool"])
+    def test_refinement_must_be_an_integer(self, refine):
+        # True used to return the same grid, and 2.0 failed inside DomainGrid
+        # with "each grid dim must be an integer", naming no refinement
+        grid = wt.centered_grid((8, 8), 0.1, 0.5)
+        with pytest.raises(ConfigError, match="^grid refinement must be an integer$"):
+            refined_grid(grid, refine)

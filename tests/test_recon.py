@@ -79,6 +79,14 @@ class TestMeasurementSet:
         with pytest.raises(ConfigError):
             mset.subsample(3)
 
+    @pytest.mark.parametrize("factor", [2.0, True], ids=["integral float", "bool"])
+    def test_subsample_factor_must_be_an_integer(self, rng, factor):
+        # 2.0 used to end in numpy's IndexError, and True returned the set
+        # as factor 1
+        _, mset = tiny_problem(rng, n_tx=1)
+        with pytest.raises(ConfigError, match="^subsampling factor must be an integer$"):
+            mset.subsample(factor)
+
     def test_transmitter_without_receivers_rejected(self, rng):
         # it used to be accepted and fail later, building the sensor operator
         _, mset = tiny_problem(rng)
