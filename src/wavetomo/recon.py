@@ -13,9 +13,12 @@ backtracking at f = 0, then grows while the objective falls and halves,
 restarting the momentum, when it rises (Scheinberg, Goldfarb and Bai, 2014).
 """
 
+import contextvars
 import functools
+import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import (ConfigError, ConvergenceWarning, DimensionError, NumericalError,
                      TransformError)
 from .forward import ForwardConfig, bicgstab, data_fidelity
-# not called: benchmarks/layers.py wraps them; ROADMAP item 1 drops the sites
+# not called: benchmarks/layers.py wraps them; ROADMAP item 2 drops the sites
 from .forward import forward_solve, gradient_from_trace  # noqa: F401
 from .greens import (MaskedSensorOperator, SensorGreensOperator, SystemOperator,
                      build_domain_operator, green_2d, green_3d, sensor_rows)
@@ -40,6 +43,13 @@ STOP_REL_CHANGE = 1e-6
 # the FISTA step's factors after a strict fall and after a rise of D + tau TV
 STEP_GROW = 1.05
 STEP_SHRINK = 0.5
+# the most threads one call's field solves run on: two were measured faster
+# than one, while each thread's glibc arena adds to the peak RSS (4 and 8
+# threads, forced on a 2-CPU host, raised recon_full_2d's by 11% and 26%)
+MAX_SOLVE_THREADS = 2
+# the variables OpenBLAS, numpy's bundled BLAS, reads its thread count from:
+# the first positive one counts, and with none it runs a thread per CPU
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -186,7 +196,8 @@ class ReconConfig:
     fista_iters: int = 50
     tv_iters: int = 10
     box: BoxConstraint = field(default_factory=lambda: BoxConstraint(0.0, np.inf))
-    # not a field: benchmarks/workloads.py reads it; ROADMAP item 1 deletes it
+    # not a field, and the library never reads it: benchmarks/workloads.py
+    # does; ROADMAP item 2 deletes it
     workers = 1
 
     def __post_init__(self):
@@ -275,22 +286,72 @@ class ScatteringProblem:
                 for tx, ix in zip(m.transmitters, m.active_indices)]
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_on_one_thread():
+    """Whether the environment starts OpenBLAS on one thread.  A threaded
+    OpenBLAS keeps its helper threads spinning for a while after each
+    threaded GEMM, and those would take the CPUs the field solves run on."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            count = int(os.environ.get(var, ""))
+        except ValueError:  # unset or not a number: OpenBLAS skips it too
+            continue
+        if count > 0:
+            return count == 1
+    return False
+
+
+def _solve_threads(rows):
+    """The number of threads that solve ``rows`` independent systems."""
+    if not _blas_on_one_thread():
+        return 1
+    return min(rows, _usable_cpus(), MAX_SOLVE_THREADS)
+
+
 def _solve_rows(f, B, problem, cfg):
     """Row t of B solved on A = I - G diag(f), or B itself when cfg is None
     (the first-Born linearization, A = I).
 
     Each solve is BiCGStab started at its right-hand side and stopped at
     sqrt(2 cfg.forward.delta_tol_rel) of its norm or after cfg.forward.K
-    iterations.
+    iterations.  The rows are independent systems on one shared, immutable
+    A, so they run on n = min(T, usable CPUs, MAX_SOLVE_THREADS) threads
+    when BLAS runs on one thread, and on the calling thread alone otherwise:
+    the calling thread solves rows 0, n, 2n, ... and n - 1 workers the rest,
+    numpy's FFTs releasing the GIL.  Each row is written by one thread only,
+    so X is bit-identical to a serial loop.  Workers run in a copy of the
+    caller's context, so their warnings meet the caller's filters even where
+    those are context-local (Python 3.14's context-aware warnings); an
+    exception reaches the caller once every thread has finished.
     """
     if cfg is None:
         return B
     op = SystemOperator(f, problem.G).apply
     tol = np.sqrt(2.0 * cfg.forward.delta_tol_rel)
     X = np.empty_like(B)
-    for x, b in zip(X, B):
-        b = b.reshape(problem.grid.shape)
-        x[:] = bicgstab(op, b, b, tol, cfg.forward.K)[0].ravel()
+
+    def solve(rows):
+        for t in rows:
+            b = B[t].reshape(problem.grid.shape)
+            X[t] = bicgstab(op, b, b, tol, cfg.forward.K)[0].ravel()
+
+    n = _solve_threads(len(B))
+    if n <= 1:
+        solve(range(len(B)))
+        return X
+    with ThreadPoolExecutor(n - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, solve, range(i, len(B), n))
+                   for i in range(1, n)]
+        solve(range(0, len(B), n))
+    for fut in futures:
+        fut.result()
     return X
 
 

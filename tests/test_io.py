@@ -359,6 +359,19 @@ class TestMeasurementFile:
         fileio.save_measurements(p2, m2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_simulate_bit_identical_on_any_thread_count(self, monkeypatch):
+        # the generation's three solves run on one to three threads; the
+        # data do not depend on how many
+        cfg = base_config()
+        runs = []
+        monkeypatch.setattr(wt.recon, "MAX_SOLVE_THREADS", 3)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        for n in (1, 2, 3):
+            monkeypatch.setattr(wt.recon, "_usable_cpus", lambda: n)
+            runs.append(simulate_measurements(cfg)[0].y)
+        for y in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(y, runs[0]))
+
     def test_simulated_data_are_converged(self):
         # the data are H(f u) with u the exact solution of A u = u_in on the
         # refined grid, not a truncated solve (the series stopped near a 1e-3

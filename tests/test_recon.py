@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import adjoint_state_gradient_AH, dense_A_matrix, fd_gradient
 from wavetomo import recon
-from wavetomo.errors import ConfigError, NumericalError, TransformError
+from wavetomo.errors import ConfigError, ConvergenceWarning, NumericalError, TransformError
 from wavetomo.greens import (DomainGreensOperator, MaskedSensorOperator,
                              build_sensor_operator)
 from wavetomo.recon import ScatteringProblem
@@ -206,19 +209,23 @@ class TestTotalGradient:
         # BiCGStab solves report and applies no G^H, and a prediction repeats
         # the u solve and costs nothing more; at f = 0, A = I applies no G,
         # and each solve stops after the one A apply of its initial residual.
-        # An extra apply per solve fails here
+        # An extra apply per solve fails here.  The solves of one call run on
+        # several threads, so each thread counts its own G applies and a
+        # solve is known by its right-hand side, not by its place in the order
         grid, mset = tiny_problem(rng, n=16)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=60, delta_tol_rel=5e-7),
                              tau_rel=0.0)
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
         calls, adjoint_calls, solves = [], [], []
+        thread = threading.local()
         apply, apply_adjoint, krylov = (
             DomainGreensOperator.apply, DomainGreensOperator.apply_adjoint,
             recon.bicgstab)
 
         def counted(self, v):
             calls.append(1)
+            thread.applies = getattr(thread, "applies", 0) + 1
             return apply(self, v)
 
         def counted_adjoint(self, v):
@@ -226,9 +233,9 @@ class TestTotalGradient:
             return apply_adjoint(self, v)
 
         def recorded_krylov(op, b, x0, tol, maxiter):
-            before = len(calls)
+            before = getattr(thread, "applies", 0)
             x, applies = krylov(op, b, x0, tol, maxiter)
-            solves.append((applies, len(calls) - before))
+            solves.append((b.tobytes(), (applies, getattr(thread, "applies", 0) - before)))
             return x, applies
 
         monkeypatch.setattr(DomainGreensOperator, "apply", counted)
@@ -236,18 +243,22 @@ class TestTotalGradient:
         monkeypatch.setattr(recon, "bicgstab", recorded_krylov)
         wt.total_gradient(f, problem, cfg, mset.y)
         gradient_calls = len(calls)
-        # the two transmitters' u, then their x; each A apply is one G apply
-        assert len(solves) == 4 and min(a for a, _ in solves) > 1
-        assert all(a == g for a, g in solves)
-        assert gradient_calls == sum(a for a, _ in solves)
+        gradient = dict(solves)
+        u_rhs = [u.tobytes() for u in problem.U_in]
+        # each transmitter's u and x solve; each A apply is one G apply
+        assert len(solves) == len(gradient) == 4 and set(u_rhs) < gradient.keys()
+        assert min(a for a, _ in gradient.values()) > 1
+        assert all(a == g for a, g in gradient.values())
+        assert gradient_calls == sum(a for a, _ in gradient.values())
         wt.predict_all(f, problem, cfg)
-        # the two u solves again
-        assert solves[4:] == solves[0:2]
-        assert len(calls) - gradient_calls == sum(a for a, _ in solves[4:])
+        # each transmitter's u solve again
+        predicted = dict(solves[4:])
+        assert len(solves) == 6 and predicted == {b: gradient[b] for b in u_rhs}
+        assert len(calls) - gradient_calls == sum(a for a, _ in predicted.values())
         assert adjoint_calls == []
         del calls[:], solves[:]
         wt.total_gradient(np.zeros(grid.shape), problem, cfg, mset.y)
-        assert solves == [(1, 0)] * 4 and calls == []
+        assert [cost for _, cost in solves] == [(1, 0)] * 4 and calls == []
         assert adjoint_calls == []
 
     def test_predict_all_equals_direct_solve(self, rng):
@@ -290,6 +301,187 @@ class TestTotalGradient:
 
     def test_returned_D_converges_to_prediction(self, rng):
         assert self.D_gap(rng, *tiny_problem(rng, n_tx=3), 1e-20) <= 1e-9
+
+
+def on_cpus(monkeypatch, n):
+    """Make ``_solve_rows`` see n usable CPUs and one BLAS thread, and allow
+    it n threads."""
+    monkeypatch.setattr(recon, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(recon, "MAX_SOLVE_THREADS", max(n, recon.MAX_SOLVE_THREADS))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def solving_threads(monkeypatch, meet=1):
+    """The thread of every BiCGStab solve, in the order they start.  Each
+    thread's first solve waits until ``meet`` threads have started one, so
+    that many run at once or the wait times out."""
+    seen, first = [], threading.local()
+    barrier = threading.Barrier(meet, timeout=10)
+    krylov = recon.bicgstab
+
+    def recorded(op, b, x0, tol, maxiter):
+        seen.append(threading.get_ident())
+        if not getattr(first, "met", False):
+            first.met = True
+            barrier.wait()
+        return krylov(op, b, x0, tol, maxiter)
+
+    monkeypatch.setattr(recon, "bicgstab", recorded)
+    return seen
+
+
+class TestThreadedSolves:
+    """One call's T field systems run on min(T, usable CPUs,
+    MAX_SOLVE_THREADS) threads when BLAS runs on one thread."""
+
+    def test_rows_bit_identical_on_any_thread_count(self, rng, monkeypatch):
+        grid, mset = tiny_problem(rng, n_tx=5)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=40, delta_tol_rel=5e-7))
+        problem = ScatteringProblem(mset, grid)
+        f = random_potential(rng, grid)
+        rows = []
+        for n in (1, 2, 3):
+            on_cpus(monkeypatch, n)
+            seen = solving_threads(monkeypatch, meet=n)
+            rows.append(recon._solve_rows(f, problem.U_in, problem, cfg))
+            monkeypatch.undo()
+            assert len(seen) == 5 and len(set(seen)) == n
+        assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[0], rows[2])
+
+    def test_more_threads_than_cores_switching_fast(self, rng, monkeypatch):
+        # six threads on twelve rows, switching every microsecond: a row
+        # written by two threads, or a solve that read another's state,
+        # would change X
+        grid, mset = tiny_problem(rng, n_tx=12)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=40, delta_tol_rel=5e-7))
+        problem = ScatteringProblem(mset, grid)
+        f = random_potential(rng, grid)
+        on_cpus(monkeypatch, 1)
+        serial = recon._solve_rows(f, problem.U_in, problem, cfg)
+        on_cpus(monkeypatch, 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = recon._solve_rows(f, problem.U_in, problem, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(threaded, serial)
+
+    def test_loop_bit_identical_on_any_thread_count(self, rng, monkeypatch):
+        grid, mset, f_true, cfg = synthetic_problem(rng)
+        reports = []
+        for n in (1, 2, 3):
+            on_cpus(monkeypatch, n)
+            reports.append(wt.fista_reconstruct(mset, grid, cfg, ground_truth=f_true))
+        for rep in reports[1:]:
+            assert np.array_equal(rep.f_hat, reports[0].f_hat)
+            assert rep.data_fit_history == reports[0].data_fit_history
+            assert rep.step_history == reports[0].step_history
+            assert rep.recon_error_history == reports[0].recon_error_history
+
+    def test_worker_warnings_reach_the_caller(self, rng, monkeypatch):
+        # one BiCGStab iteration misses a 1.4e-10 residual on every row, and
+        # each of the three rows is solved on its own thread
+        grid, mset = tiny_problem(rng, n_tx=3)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=1, delta_tol_rel=1e-20))
+        problem = ScatteringProblem(mset, grid)
+        f = random_potential(rng, grid)
+        on_cpus(monkeypatch, 3)
+        seen = solving_threads(monkeypatch, meet=3)
+        before = threading.active_count()
+        with pytest.warns(ConvergenceWarning) as record:
+            recon._solve_rows(f, problem.U_in, problem, cfg)
+        assert len(set(seen)) == 3
+        assert [w.category for w in record] == [ConvergenceWarning] * 3
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("in_caller", [False, True], ids=["worker row", "caller row"])
+    def test_error_reaches_the_caller_after_every_thread(self, rng, monkeypatch, in_caller):
+        grid, mset = tiny_problem(rng, n_tx=3)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=40, delta_tol_rel=5e-7))
+        problem = ScatteringProblem(mset, grid)
+        f = random_potential(rng, grid)
+        on_cpus(monkeypatch, 3)
+        caller, krylov, solved = threading.get_ident(), recon.bicgstab, []
+
+        def failing(op, b, x0, tol, maxiter):
+            if (threading.get_ident() == caller) == in_caller:
+                raise NumericalError("breakdown in this row")
+            out = krylov(op, b, x0, tol, maxiter)
+            solved.append(1)
+            return out
+
+        monkeypatch.setattr(recon, "bicgstab", failing)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="breakdown in this row"):
+            recon._solve_rows(f, problem.U_in, problem, cfg)
+        assert threading.active_count() == before
+        # the rows that did not fail were all solved before the error arrived
+        assert len(solved) == (2 if in_caller else 1)
+
+    @pytest.mark.parametrize("n_tx, cpus", [(1, 4), (3, 1)],
+                             ids=["one transmitter", "one CPU"])
+    def test_one_row_or_cpu_starts_no_thread(self, rng, monkeypatch, n_tx, cpus):
+        grid, mset = tiny_problem(rng, n_tx=n_tx)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=40, delta_tol_rel=5e-7),
+                             tau_rel=0.0)
+        problem = ScatteringProblem(mset, grid)
+        on_cpus(monkeypatch, cpus)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was opened")
+
+        monkeypatch.setattr(recon, "ThreadPoolExecutor", no_pool)
+        seen = solving_threads(monkeypatch)
+        wt.total_gradient(random_potential(rng, grid), problem, cfg, mset.y)
+        assert seen and set(seen) == {threading.get_ident()}
+
+    def test_threads_capped_on_many_cpus(self, rng, monkeypatch):
+        grid, mset = tiny_problem(rng, n_tx=8)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=40, delta_tol_rel=5e-7))
+        problem = ScatteringProblem(mset, grid)
+        monkeypatch.setattr(recon, "_usable_cpus", lambda: 8)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        seen = solving_threads(monkeypatch, meet=recon.MAX_SOLVE_THREADS)
+        recon._solve_rows(random_potential(rng, grid), problem.U_in, problem, cfg)
+        assert len(seen) == 8 and len(set(seen)) == recon.MAX_SOLVE_THREADS == 2
+
+    def test_threaded_blas_solves_on_the_caller(self, rng, monkeypatch):
+        grid, mset = tiny_problem(rng, n_tx=4)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=40, delta_tol_rel=5e-7))
+        problem = ScatteringProblem(mset, grid)
+        on_cpus(monkeypatch, 4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        seen = solving_threads(monkeypatch)
+        recon._solve_rows(random_potential(rng, grid), problem.U_in, problem, cfg)
+        assert len(seen) == 4 and set(seen) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("env, one", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "2"}, False),
+    ], ids=["unset", "openblas 1", "omp 1", "openblas first", "zero skipped",
+            "junk skipped"])
+    def test_blas_thread_count_follows_openblas(self, monkeypatch, env, one):
+        for var in recon.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert recon._blas_on_one_thread() is one
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        assert recon._usable_cpus() >= 1
+        monkeypatch.setattr(recon.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert recon._usable_cpus() == 1
+        monkeypatch.delattr(recon.os, "sched_getaffinity")
+        monkeypatch.setattr(recon.os, "cpu_count", lambda: 3)
+        assert recon._usable_cpus() == 3
+        # os.cpu_count() returns None when the count is unknown
+        monkeypatch.setattr(recon.os, "cpu_count", lambda: None)
+        assert recon._usable_cpus() == 1
 
 
 class TestOneKernel:
