@@ -16,7 +16,7 @@ from .errors import (ConfigError, ConvergenceWarning, DimensionError,
                      MeasurementParseError, NumericalError, ResonanceError,
                      SingularityError, StepDegeneracyError, TransformError)
 from .forward import (ForwardConfig, bicgstab, data_fidelity, estimate_fixed_step,
-                      forward_solve, gradient_data_fidelity, gradient_from_trace)
+                      forward_solve, gradient_from_trace)
 from .greens import (DomainGreensOperator, MaskedSensorOperator,
                      SensorGreensOperator, apply_A, apply_AH,
                      build_domain_operator, build_sensor_operator, green_2d,

@@ -23,8 +23,8 @@ from . import fileio, simulate
 from .analytic import AnalyticScene, analytic_field_2d, analytic_field_3d
 from .errors import (ConfigError, DimensionError, MeasurementParseError,
                      NumericalError, SingularityError, TransformError)
-from .forward import (ForwardConfig, data_fidelity, estimate_fixed_step,
-                      forward_solve, gradient_data_fidelity)
+from .forward import (MIN_OBJECTIVE_TOL_REL, ForwardConfig, data_fidelity,
+                      estimate_fixed_step, forward_solve, gradient_from_trace)
 from .greens import build_domain_operator
 from .grid import centered_grid, ring_sensors
 from .metrics import normalized_error, snr_db
@@ -175,7 +175,8 @@ def cmd_gradcheck(args):
 
     # the loop's gradient is checked on BiCGStab fields at the tightest
     # tolerance a config accepts, with at most one iteration per pixel
-    loop_cfg = ReconConfig(forward=ForwardConfig(K=grid.size, delta_tol_rel=1e-26))
+    loop_cfg = ReconConfig(forward=ForwardConfig(K=grid.size,
+                                                 delta_tol_rel=MIN_OBJECTIVE_TOL_REL))
     worst = 0.0
     for K in args.K:
         raw = rng.uniform(-1.0, 1.0, size=grid.shape)
@@ -185,7 +186,7 @@ def cmd_gradcheck(args):
         cfg = ForwardConfig(K=K, nu=None if args.adaptive else estimate_fixed_step(f, G))
         checks = [
             ("adaptive" if args.adaptive else "fixed",
-             gradient_data_fidelity(f, y, u_in, G, H, cfg),
+             gradient_from_trace(f, y, G, H, forward_solve(f, u_in, G, H, cfg)),
              lambda fv: data_fidelity(forward_solve(fv, u_in, G, H, cfg).z, y)),
             ("loop", total_gradient(f, problem, loop_cfg, [y])[0],
              lambda fv: total_gradient(fv, problem, loop_cfg, [y])[1])]

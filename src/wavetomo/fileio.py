@@ -277,10 +277,6 @@ def _extent(grid):
     return grid.spacing * max(grid.shape)
 
 
-def _center(grid):
-    return [c + 0.5 * grid.spacing * (n - 1) for c, n in zip(grid.origin, grid.shape)]
-
-
 def grid_from_config(cfg):
     g = _read(_section(cfg, "grid"), "grid", GRID_SCHEMA)
     if g.origin_m is None:
@@ -292,7 +288,7 @@ def grid_from_config(cfg):
     _check_phase("grid", _k_b(grid) * _extent(grid),
                  "k_b times the grid extent, from grid.wavelength_m, "
                  "grid.background_permittivity, grid.spacing_m and grid.shape,")
-    _check_phase("grid.origin_m", _k_b(grid) * math.hypot(*_center(grid)),
+    _check_phase("grid.origin_m", _k_b(grid) * math.hypot(*grid.center),
                  "k_b times the distance of the grid center from the origin")
     return grid
 
@@ -442,7 +438,7 @@ def _check_header_phases(transmitters, receivers, grid):
     # an axis-count mismatch is reported where the problem is built
     if receivers.positions.shape[1] != grid.ndim:
         return
-    k_b, center = _k_b(grid), _center(grid)
+    k_b, center = _k_b(grid), grid.center
     points = [(f"header.receiver_positions_m[{i}]", p)
               for i, p in enumerate(receivers.positions.tolist())]
     points += [(f"header.transmitters[{i}].position_m", tx.position)
@@ -509,44 +505,56 @@ def load_measurements(path, grid=None):
     if not lines:
         raise MeasurementParseError("empty file", line=1)
     transmitters, receivers, frequency_hz = _read_header(lines[0][1], grid)
-    per_tx_ix = [[] for _ in transmitters]
-    per_tx_y = [[] for _ in transmitters]
+
+    def rows():
+        for lineno, raw in lines[1:]:
+            if not raw.strip():
+                continue
+            parts = raw.split(",")
+            if len(parts) != 4:
+                raise MeasurementParseError("expected tx,rx,re,im", line=lineno)
+            try:
+                t, r = int(parts[0]), int(parts[1])
+                v = complex(float(parts[2]), float(parts[3]))
+            except ValueError as exc:
+                raise MeasurementParseError(str(exc), line=lineno) from None
+            yield lineno, t, r, (v,)
+
+    active, values = _by_transmitter(rows(), len(transmitters), len(receivers), 0)
+    for t, ix in enumerate(active):
+        if not ix.size:
+            raise MeasurementParseError(f"transmitter {t} has no data rows", line=1)
+    return MeasurementSet(transmitters=transmitters, receivers=receivers,
+                          active_indices=active, y=[v.ravel() for v in values],
+                          frequency_hz=frequency_hz)
+
+
+def _by_transmitter(rows, n_tx, n_rx, base):
+    """Per transmitter, its receiver indices and a (rows, values) complex array
+    from ``rows`` of (line number, 0-based tx, 0-based rx, complex values), in
+    file order.  An index out of range, a repeated (tx, rx) pair and a
+    non-finite value raise MeasurementParseError at their line; the messages
+    count indices from ``base``."""
+    per_tx_ix = [[] for _ in range(n_tx)]
+    per_tx_values = [[] for _ in range(n_tx)]
     seen = set()
-    for lineno, raw in lines[1:]:
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 4:
-            raise MeasurementParseError("expected tx,rx,re,im", line=lineno)
-        try:
-            t = int(parts[0])
-            r = int(parts[1])
-            v = complex(float(parts[2]), float(parts[3]))
-        except ValueError as exc:
-            raise MeasurementParseError(str(exc), line=lineno) from None
-        if not 0 <= t < len(transmitters):
-            raise MeasurementParseError(f"transmitter index {t} out of range",
+    for lineno, t, r, values in rows:
+        if not 0 <= t < n_tx:
+            raise MeasurementParseError(f"transmitter index {t + base} out of range",
                                         line=lineno)
-        if not 0 <= r < len(receivers):
-            raise MeasurementParseError(f"receiver index {r} out of range",
+        if not 0 <= r < n_rx:
+            raise MeasurementParseError(f"receiver index {r + base} out of range",
                                         line=lineno)
         if (t, r) in seen:
-            raise MeasurementParseError(f"repeated (tx, rx) pair ({t}, {r})",
-                                        line=lineno)
-        if not cmath.isfinite(v):
+            raise MeasurementParseError(
+                f"repeated (tx, rx) pair ({t + base}, {r + base})", line=lineno)
+        if not all(map(cmath.isfinite, values)):
             raise MeasurementParseError("non-finite value", line=lineno)
         seen.add((t, r))
         per_tx_ix[t].append(r)
-        per_tx_y[t].append(v)
-    for t, ix in enumerate(per_tx_ix):
-        if not ix:
-            raise MeasurementParseError(f"transmitter {t} has no data rows", line=1)
-    return MeasurementSet(
-        transmitters=transmitters,
-        receivers=receivers,
-        active_indices=[np.array(ix, dtype=int) for ix in per_tx_ix],
-        y=[np.array(v, dtype=complex) for v in per_tx_y],
-        frequency_hz=frequency_hz)
+        per_tx_values[t].append(values)
+    return ([np.array(ix, dtype=int) for ix in per_tx_ix],
+            [np.array(v, dtype=complex) for v in per_tx_values])
 
 
 # ---------------------------------------------------------------------------
@@ -600,28 +608,14 @@ def load_fresnel_ascii(path, frequency_ghz=3.0):
     freq_hz = frequency_ghz * 1e9
     k_b = 2.0 * np.pi * freq_hz / SPEED_OF_LIGHT
 
-    per_ix = [[] for _ in range(n_tx)]
-    per_sc = [[] for _ in range(n_tx)]
-    per_inc = [[] for _ in range(n_tx)]
-    seen = set()
-    for ln, v in sel:
-        t = int(v[0]) - 1
-        r = int(v[1]) - 1
-        if (t, r) in seen:
-            raise MeasurementParseError(
-                f"repeated (tx, rx) pair ({t + 1}, {r + 1})", line=ln)
-        if not all(math.isfinite(x) for x in v[3:]):
-            raise MeasurementParseError("non-finite value", line=ln)
-        seen.add((t, r))
-        tot = complex(v[3], v[4])
-        inc = complex(v[5], v[6])
-        per_ix[t].append(r)
-        per_sc[t].append(tot - inc)
-        per_inc[t].append(inc)
+    # fields[t] holds the total and the incident field in its two columns
+    active, fields = _by_transmitter(
+        ((ln, int(v[0]) - 1, int(v[1]) - 1, (complex(v[3], v[4]), complex(v[5], v[6])))
+         for ln, v in sel), n_tx, FRESNEL_RECEIVER_SLOTS, 1)
 
     transmitters = []
     for t in range(n_tx):
-        if not per_ix[t]:
+        if not active[t].size:
             # named at the first row whose transmitter index implies this one
             raise MeasurementParseError(
                 f"transmitter {t + 1} has no rows at {frequency_ghz} GHz",
@@ -630,8 +624,8 @@ def load_fresnel_ascii(path, frequency_ghz=3.0):
         pos = (FRESNEL_RING_RADIUS_M * np.cos(ang),
                FRESNEL_RING_RADIUS_M * np.sin(ang))
         model = Transmitter("point", position=pos).field_at(
-            receivers.positions[per_ix[t]], k_b)
-        rec = np.array(per_inc[t], dtype=complex)
+            receivers.positions[active[t]], k_b)
+        rec = fields[t][:, 1]
         denom = np.vdot(model, model)
         amp = np.vdot(model, rec) / denom if abs(denom) > 0 else 1.0
         transmitters.append(Transmitter("point", position=pos, amplitude=complex(amp)))
@@ -639,8 +633,8 @@ def load_fresnel_ascii(path, frequency_ghz=3.0):
     return MeasurementSet(
         transmitters=transmitters,
         receivers=receivers,
-        active_indices=[np.array(ix, dtype=int) for ix in per_ix],
-        y=[np.array(v, dtype=complex) for v in per_sc],
+        active_indices=active,
+        y=[v[:, 0] - v[:, 1] for v in fields],
         frequency_hz=freq_hz)
 
 

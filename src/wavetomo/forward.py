@@ -39,7 +39,7 @@ class ForwardConfig:
     delta_tol_rel : early-stop threshold on the objective, scaled per solve
         by ||u_in||^2 and compared against S(s^k).  0 disables early
         stopping; it must otherwise be at least MIN_OBJECTIVE_TOL_REL.
-        BiCGStab stops at the residual it implies, sqrt(2 delta_tol_rel).
+        BiCGStab stops at the residual it implies, ``residual_tol``.
     nu : None for the exact line-search step ||g||^2/||Ag||^2, or a constant
         step (required for exact reverse-mode gradients through the series;
         see estimate_fixed_step).  BiCGStab does not read it, and no config
@@ -64,6 +64,11 @@ class ForwardConfig:
                               "on the objective, above the solve's round-off floor")
         if self.nu is not None and (isinstance(self.nu, bool) or not np.inf > self.nu > 0):
             raise ConfigError("nu must be a finite number > 0")
+
+    @property
+    def residual_tol(self):
+        """||A u - u_in|| / ||u_in|| where 0.5 ||A u - u_in||^2 = delta_tol_rel ||u_in||^2."""
+        return np.sqrt(2.0 * self.delta_tol_rel)
 
 
 @dataclass
@@ -256,12 +261,6 @@ def gradient_from_trace(f, y, G, H, trace):
         Sq_next = Sq
         mu_next = mu_k
     return np.real(r)
-
-
-def gradient_data_fidelity(f, y, u_in, G, H, cfg):
-    """Gradient of 0.5||y - z(f)||^2; runs the forward solve internally."""
-    trace = forward_solve(f, u_in, G, H, cfg)
-    return gradient_from_trace(f, y, G, H, trace)
 
 
 def bicgstab(op, b, x0, tol, maxiter):

@@ -80,8 +80,9 @@ def self_interaction(grid):
     return (np.exp(1j * k * a) * (1.0 - 1j * k * a) - 1.0) / k ** 2
 
 
-def _point_green(grid):
-    return green_2d if grid.ndim == 2 else green_3d
+def point_green(ndim):
+    """The point Green's function of ``ndim`` axes, green_2d or green_3d."""
+    return green_2d if ndim == 2 else green_3d
 
 
 # a 2D point takes the Graf rows when (rho_max / r)^L < GRAF_TAIL and
@@ -126,7 +127,7 @@ def green_matrix(grid, points, weights):
         far = _graf_rows(grid, centers, points, weights, out)
     if not np.all(far):
         disp = points[~far, None, :] - centers[None, :, :]
-        out[~far] = weights[~far, None] * _point_green(grid)(disp, grid.k_b)
+        out[~far] = weights[~far, None] * point_green(grid.ndim)(disp, grid.k_b)
     return out
 
 
@@ -134,7 +135,7 @@ def _graf_rows(grid, centers, points, weights, out):
     """Fill the rows of ``out`` whose point is far enough for the Graf
     expansion (see ``green_matrix``); returns their mask."""
     k = grid.k_b
-    center = np.asarray(grid.origin) + 0.5 * grid.spacing * (np.asarray(grid.shape) - 1)
+    center = grid.center
     pix = (centers[:, 0] - center[0]) + 1j * (centers[:, 1] - center[1])
     src = (points[:, 0] - center[0]) + 1j * (points[:, 1] - center[1])
     rho, r = np.abs(pix), np.abs(src)
@@ -222,7 +223,7 @@ def _padded_kernel(grid):
     mesh = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
     distinct = np.zeros(mesh.shape[:-1], dtype=complex)
     nonzero = np.sum(mesh * mesh, axis=-1) > 0
-    distinct[nonzero] = _point_green(grid)(mesh[nonzero], grid.k_b)
+    distinct[nonzero] = point_green(grid.ndim)(mesh[nonzero], grid.k_b)
     distinct *= grid.pixel_volume
     distinct[(0,) * grid.ndim] = self_interaction(grid)
     fold = [np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n)) for n in grid.shape]
@@ -387,15 +388,11 @@ class SensorGreensOperator:
     def __init__(self, grid, sensors, matrix=None):
         self.grid = grid
         self.sensors = sensors
-        self._matrix = sensor_rows(grid, sensors) if matrix is None else matrix
-
-    @property
-    def matrix(self):
-        return self._matrix
+        self.matrix = sensor_rows(grid, sensors) if matrix is None else matrix
 
     def apply(self, v):
         v = self.grid.check_field(v)
-        return self._matrix @ v.ravel()
+        return self.matrix @ v.ravel()
 
     def apply_adjoint(self, y):
         y = np.asarray(y)
@@ -403,7 +400,7 @@ class SensorGreensOperator:
             raise DimensionError(
                 f"sensor vector has shape {y.shape}, expected ({len(self.sensors)},)")
         # (y^H M)^H: the product reads M in place instead of building M^H
-        return (y.conj() @ self._matrix).conj().reshape(self.grid.shape)
+        return (y.conj() @ self.matrix).conj().reshape(self.grid.shape)
 
 
 class MaskedSensorOperator:

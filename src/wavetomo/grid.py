@@ -100,6 +100,11 @@ class DomainGrid:
         """Pixel area (2D) or volume (3D)."""
         return self.spacing ** self.ndim
 
+    @property
+    def center(self):
+        """Physical coordinates of the pixel block's center."""
+        return tuple(c + 0.5 * self.spacing * (n - 1) for c, n in zip(self.origin, self.shape))
+
     def axis_coords(self, axis):
         n = self.shape[axis]
         return self.origin[axis] + self.spacing * np.arange(n)

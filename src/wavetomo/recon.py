@@ -29,7 +29,7 @@ from .forward import ForwardConfig, bicgstab, data_fidelity
 # not called: benchmarks/layers.py wraps them; ROADMAP item 2 drops the sites
 from .forward import forward_solve, gradient_from_trace  # noqa: F401
 from .greens import (MaskedSensorOperator, SensorGreensOperator, SystemOperator,
-                     build_domain_operator, green_2d, green_3d, sensor_rows)
+                     build_domain_operator, point_green, sensor_rows)
 # not called: benchmarks/layers.py wraps it
 from .greens import build_sensor_operator  # noqa: F401
 from .grid import SensorSet, check_integer
@@ -88,8 +88,7 @@ class Transmitter:
         points = np.asarray(points, dtype=float)
         if self.kind == "point":
             disp = points - np.asarray(self.position)
-            g = green_2d if points.shape[-1] == 2 else green_3d
-            return self.amplitude * g(disp, k_b)
+            return self.amplitude * point_green(points.shape[-1])(disp, k_b)
         d = np.asarray(self.direction)
         return self.amplitude * np.exp(1j * k_b * (points @ d))
 
@@ -165,9 +164,6 @@ class MeasurementSet:
     def n_tx(self):
         return len(self.transmitters)
 
-    def y_norm_sq(self):
-        return float(sum(np.vdot(v, v).real for v in self.y))
-
     def subsample(self, factor):
         """Regular decimation of each transmitter's active receivers.
 
@@ -207,9 +203,6 @@ class ReconConfig:
             raise ConfigError("tv_iters must be >= 0")
         if isinstance(self.tau_rel, bool) or not 0 <= self.tau_rel < np.inf:
             raise ConfigError("tau_rel must be a finite number >= 0")
-
-    def resolve_tau(self, measurements):
-        return self.tau_rel * measurements.y_norm_sq()
 
 
 @dataclass
@@ -315,12 +308,12 @@ def _solve_threads(rows):
     return min(rows, _usable_cpus(), MAX_SOLVE_THREADS)
 
 
-def _solve_rows(f, B, problem, cfg):
-    """Row t of B solved on A = I - G diag(f), or B itself when cfg is None
-    (the first-Born linearization, A = I).
+def _solve_rows(A, B, cfg):
+    """Row t of B solved on the ``SystemOperator`` A, or B itself when A is
+    None (the first-Born linearization, A = I).
 
     Each solve is BiCGStab started at its right-hand side and stopped at
-    sqrt(2 cfg.forward.delta_tol_rel) of its norm or after cfg.forward.K
+    cfg.forward.residual_tol of its norm or after cfg.forward.K
     iterations.  The rows are independent systems on one shared, immutable
     A, so they run on n = min(T, usable CPUs, MAX_SOLVE_THREADS) threads
     when BLAS runs on one thread, and on the calling thread alone otherwise:
@@ -331,16 +324,15 @@ def _solve_rows(f, B, problem, cfg):
     those are context-local (Python 3.14's context-aware warnings); an
     exception reaches the caller once every thread has finished.
     """
-    if cfg is None:
+    if A is None:
         return B
-    op = SystemOperator(f, problem.G).apply
-    tol = np.sqrt(2.0 * cfg.forward.delta_tol_rel)
     X = np.empty_like(B)
+    tol = cfg.forward.residual_tol
 
     def solve(rows):
         for t in rows:
-            b = B[t].reshape(problem.grid.shape)
-            X[t] = bicgstab(op, b, b, tol, cfg.forward.K)[0].ravel()
+            b = B[t].reshape(A.grid.shape)
+            X[t] = bicgstab(A.apply, b, b, tol, cfg.forward.K)[0].ravel()
 
     n = _solve_threads(len(B))
     if n <= 1:
@@ -356,10 +348,12 @@ def _solve_rows(f, B, problem, cfg):
 
 
 def _fields_and_rows(f, problem, cfg):
-    """The fields U, row t solving A u_t = u_in[t], and R = (U f) H^T: row t
-    is H (f u_t) on every recorded slot."""
-    U = _solve_rows(f, problem.U_in, problem, cfg)
-    return U, (U * f.ravel()) @ problem._H_ring.matrix.T
+    """A = I - G diag(f), None when cfg is None (A = I); the fields U, row t
+    solving A u_t = u_in[t]; and R = (U f) H^T: row t is H (f u_t) on every
+    recorded slot."""
+    A = None if cfg is None else SystemOperator(f, problem.G)
+    U = _solve_rows(A, problem.U_in, cfg)
+    return A, U, (U * f.ravel()) @ problem._H_ring.matrix.T
 
 
 def total_gradient(f, problem, cfg, data):
@@ -375,7 +369,7 @@ def total_gradient(f, problem, cfg, data):
     the same f the two give the same D bit for bit.
     """
     f = problem.grid.check_field(f, "potential")
-    U, R = _fields_and_rows(f, problem, cfg)
+    A, U, R = _fields_and_rows(f, problem, cfg)
     D = 0.0
     for r, h, y in zip(R, problem.H, data):
         resid = r[h.indices] - y
@@ -383,7 +377,7 @@ def total_gradient(f, problem, cfg, data):
         r[:] = 0.0
         r[h.indices] = resid
     # row t of conj(R) H is conj(H^H r_t)
-    X = _solve_rows(f, R.conj() @ problem._H_ring.matrix, problem, cfg)
+    X = _solve_rows(A, R.conj() @ problem._H_ring.matrix, cfg)
     return np.real(np.sum(U * X, axis=0)).reshape(problem.grid.shape), D
 
 
@@ -391,7 +385,7 @@ def predict_all(f, problem, cfg):
     """Predicted scattered field per transmitter at f, from the fields
     ``total_gradient`` solves; cfg None is the first-Born model."""
     f = problem.grid.check_field(f, "potential")
-    _, R = _fields_and_rows(f, problem, cfg)
+    _, _, R = _fields_and_rows(f, problem, cfg)
     return [r[h.indices] for r, h in zip(R, problem.H)]
 
 
@@ -475,7 +469,8 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
     if model == "rytov":
         data = [rytov_transform(y + ui, ui)
                 for y, ui in zip(measurements.y, problem.u_in_sensors)]
-    y_norm_sq = float(sum(np.vdot(v, v).real for v in data))
+    norm_sq = lambda vectors: float(sum(np.vdot(v, v).real for v in vectors))
+    y_norm_sq = norm_sq(data)
 
     # the linear models solve nothing: A = I
     solve_cfg = cfg if model == "full" else None
@@ -485,7 +480,8 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
         return float(sum(data_fidelity(z, yv) for z, yv
                          in zip(predict_all(f, problem, solve_cfg), data)))
 
-    tau = cfg.resolve_tau(measurements)
+    # tau_rel scales the raw data's ||y||^2, for Rytov too
+    tau = cfg.tau_rel * norm_sq(measurements.y)
     f_prev = np.zeros(grid.shape)
     f_tilde = f_prev.copy()
 
@@ -508,8 +504,8 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
         tic = time.perf_counter()
         if it > 1:
             grad, D = grad_fn(f_tilde)
-        if not np.all(np.isfinite(grad)):
-            raise NumericalError(f"non-finite gradient at iteration {it}")
+            if not np.all(np.isfinite(grad)):
+                raise NumericalError(f"non-finite gradient at iteration {it}")
         # the step follows the objective at the gradient's point: grow on a
         # strict fall, halve and restart the momentum on a rise
         F = D + tau * tv_value(f_tilde)

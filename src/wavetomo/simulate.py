@@ -82,7 +82,7 @@ def simulate_measurements(cfg):
         active_indices=[all_slots.copy() for _ in transmitters],
         y=[np.zeros(len(receivers)) for _ in transmitters],
         frequency_hz=SPEED_OF_LIGHT / grid.wavelength)
-    # _solve_rows stops at sqrt(2 delta_tol_rel), which is exactly
+    # the solves stop at ForwardConfig.residual_tol, which is exactly
     # GENERATION_RESIDUAL
     gen_cfg = dataclasses.replace(recon_cfg, forward=ForwardConfig(
         K=gen.k_multiplier * recon_cfg.forward.K,

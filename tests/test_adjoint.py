@@ -81,14 +81,15 @@ class TestGradient:
         f = random_potential(rng, grid)
         cfg = wt.ForwardConfig(K=6)
         z = wt.forward_solve(f, u_in, G, H, cfg).z
-        grad = wt.gradient_data_fidelity(f, z, u_in, G, H, cfg)
+        grad = wt.gradient_from_trace(f, z, G, H, wt.forward_solve(f, u_in, G, H, cfg))
         assert np.all(grad == 0)
 
     def test_f_zero_closed_form(self, small_setup, rng):
         grid, G, H, u_in = small_setup
         y = random_field(rng, (len(H.sensors),))
         cfg = wt.ForwardConfig(K=4)
-        grad = wt.gradient_data_fidelity(np.zeros(grid.shape), y, u_in, G, H, cfg)
+        f = np.zeros(grid.shape)
+        grad = wt.gradient_from_trace(f, y, G, H, wt.forward_solve(f, u_in, G, H, cfg))
         expect = -np.real(np.conj(u_in) * H.apply_adjoint(y))
         assert np.allclose(grad, expect, rtol=1e-12, atol=1e-14)
         assert grad.dtype.kind == "f"
@@ -101,7 +102,7 @@ class TestGradient:
         y *= np.mean(np.abs(wt.forward_solve(f, u_in, G, H,
                                              wt.ForwardConfig(K=K)).z))
         cfg = wt.ForwardConfig(K=K, nu=wt.estimate_fixed_step(f, G))
-        grad = wt.gradient_data_fidelity(f, y, u_in, G, H, cfg)
+        grad = wt.gradient_from_trace(f, y, G, H, wt.forward_solve(f, u_in, G, H, cfg))
 
         def D_of(fv):
             return wt.data_fidelity(wt.forward_solve(fv, u_in, G, H, cfg).z, y)
@@ -137,7 +138,7 @@ class TestGradient:
         f = random_potential(rng, grid)
         y = random_field(rng, (len(H.sensors),))
         cfg = wt.ForwardConfig(K=1, nu=wt.estimate_fixed_step(f, G))
-        grad = wt.gradient_data_fidelity(f, y, u_in, G, H, cfg)
+        grad = wt.gradient_from_trace(f, y, G, H, wt.forward_solve(f, u_in, G, H, cfg))
 
         def D_of(fv):
             return wt.data_fidelity(wt.forward_solve(fv, u_in, G, H, cfg).z, y)
@@ -186,8 +187,9 @@ class TestAdjointStateGradient:
         for tol in (1e-6, 1e-14, 1e-26):
             cfg = loop_config(K=2000, delta_tol_rel=tol)
             adjoint_state, _ = wt.total_gradient(f, one_tx, cfg, [y])
-            unrolled = wt.gradient_data_fidelity(f, y, one_tx.u_in[0], one_tx.G,
-                                                 one_tx.H[0], cfg.forward)
+            G, H = one_tx.G, one_tx.H[0]
+            unrolled = wt.gradient_from_trace(
+                f, y, G, H, wt.forward_solve(f, one_tx.u_in[0], G, H, cfg.forward))
             gaps.append(np.linalg.norm(adjoint_state - unrolled) / np.linalg.norm(unrolled))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-11

@@ -136,6 +136,16 @@ class TestAnalyticCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "f.csv").exists()
 
+    def test_points_without_a_sample(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("# r, theta\n\n# none yet\n")
+        rc = main(["analytic", "--radius", "0.0749", "--index", "1.1",
+                   "--source-distance", "1.0", "--wavelength", "0.0749",
+                   "--points", str(pts), "--out", str(tmp_path / "f.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == "i/o error: line 1: no sample points\n"
+        assert not (tmp_path / "f.csv").exists()
+
     def test_negative_point_radius(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
         pts.write_text("0.1,0.2\n0.0,0.3\n-0.1,0.4\n")
@@ -402,9 +412,26 @@ class TestSweepCommand:
              "phantom": {"kind": "cylinders",
                          "cylinders": [{"center_m": [0.0, 0.0, 0.0],
                                         "radius_m": 0.05, "contrast": 0.1}]}}),
+        ([], "sweep needs --contrast or --subsample", None),
+        (["--contrast", "0.1:0.1:0.2"], "contrast sweep needs a single-cylinder phantom", {
+            "grid": {"shape": [12, 12], "spacing_m": 0.5 / 16, "wavelength_m": 0.5},
+            "transmitters": [{"position_m": [0.8, 0.0]}],
+            "phantom": {"kind": "cylinders",
+                        "cylinders": [{"center_m": [0.0, 0.0], "radius_m": 0.05,
+                                       "contrast": 0.1},
+                                      {"center_m": [0.1, 0.0], "radius_m": 0.02,
+                                       "contrast": 0.1}]}}),
+        (["--contrast", "0.1:0.1:0.2"], "contrast sweep needs a point source", {
+            "grid": {"shape": [12, 12], "spacing_m": 0.5 / 16, "wavelength_m": 0.5},
+            "transmitters": [{"kind": "plane", "direction": [1.0, 0.0]},
+                             {"position_m": [0.8, 0.0]}],
+            "phantom": {"kind": "cylinders",
+                        "cylinders": [{"center_m": [0.0, 0.0], "radius_m": 0.05,
+                                       "contrast": 0.1}]}}),
     ], ids=["subsample without measurements", "non-integer factor",
             "non-numeric bound", "two bounds", "too many points",
-            "overflowing span", "negative start after =", "3D grid"])
+            "overflowing span", "negative start after =", "3D grid",
+            "neither sweep", "two cylinders", "plane wave first"])
     def test_bad_sweep_flags(self, tmp_path, capsys, flags, message, config):
         cfg_path = tmp_path / "cfg.json"
         if config is None:
@@ -758,6 +785,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "i/o error: line 1: header.receiver_positions_m: sensor positions must have "
             f"shape (M, 2) or (M, 3), got {shape}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [], "line 1: empty file"),
+        (lambda lines: [*lines[:2], b"0,1,1,inf", *lines[3:]], "line 3: non-finite value"),
+    ], ids=["empty file", "non-finite value"])
+    def test_malformed_measurements(self, tmp_path, capsys, edit, message):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        meas = tmp_path / "m.dat"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
+        meas.write_bytes(b"".join(ln + b"\n" for ln in edit(meas.read_bytes().splitlines())))
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", str(cfg_path),
+                   "--measurements", str(meas), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"i/o error: {message}\n"
 
     def test_transmitter_without_rows(self, tmp_path, capsys):
         # it used to load and fail in reconstruct on an empty receiver mask

@@ -337,7 +337,11 @@ class TestBicgstab:
          "<r0, r> vanished"),
         # one half step leaves r = (-1, 1) with A r = 0, so omega is 0/0
         ([[1.0, 1.0], [0.0, 0.0]], [1, 1], "the stabilizing step is undefined"),
-    ], ids=["r0 orthogonal to A p", "r0 orthogonal to r", "A r vanished"])
+        # one exact step leaves r = (0, -1), and A r = (-1, 0) is orthogonal
+        # to it, so omega is 0 while r is not
+        ([[1.0, 1.0], [1.0, 0.0]], [1, 0], "the stabilizing step vanished"),
+    ], ids=["r0 orthogonal to A p", "r0 orthogonal to r", "A r vanished",
+            "A r orthogonal to r"])
     def test_breakdown_raises(self, M, b, cause):
         op, _ = self.counted(np.array(M))
         b = np.array(b, dtype=complex)
@@ -422,6 +426,6 @@ def test_objective_fd_consistency(small_setup, rng):
         return wt.data_fidelity(wt.forward_solve(fv, u_in, G, H, cfg).z, y)
 
     delta = 1e-5 * np.max(np.abs(f))
-    grad = wt.gradient_data_fidelity(f, y, u_in, G, H, cfg)
+    grad = wt.gradient_from_trace(f, y, G, H, wt.forward_solve(f, u_in, G, H, cfg))
     fd = fd_gradient(D_of, f, delta)
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-6

@@ -417,6 +417,27 @@ class TestMeasurementFile:
         for a, b in zip(blocked.y, whole.y):
             assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
 
+    def test_head_phantom_renders_at_the_config_contrast(self):
+        # the generation renders a shepp_logan phantom on the solve grid and
+        # on its refinement, each at the config's peak contrast
+        cfg = base_config()
+        _head(contrast=0.2)(cfg)
+        grid = fileio.grid_from_config(cfg)
+        for g in (grid, refined_grid(grid, cfg["generation"]["grid_refine"])):
+            f = simulate.render_phantom(cfg, g)
+            assert f.shape == g.shape
+            assert wt.contrast(f, g) == pytest.approx(0.2, rel=1e-12)
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "m.dat"
+        fileio.save_measurements(path, small_measurements())
+        expect = fileio.load_measurements(path)
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(b"\n".join([*lines[:3], b"", b"  \t", *lines[3:]]) + b"\n")
+        got = fileio.load_measurements(path)
+        for a, b in zip(got.active_indices + got.y, expect.active_indices + expect.y):
+            assert np.array_equal(a, b)
+
     def test_malformed_rows(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("not json\n")
@@ -564,13 +585,20 @@ class TestFresnelLoader:
         ("1 10 3.0 2 0 1 0", "repeated (tx, rx) pair (1, 10)"),
         ("1 20 3.0 nan 0 1 0", "non-finite value"),
         ("1 20 3.0 1 0 inf 0", "non-finite value"),
-    ], ids=["repeated pair", "nan total", "inf incident"])
+        ("1 20 3.0 1 0 1", "expected 7 columns, got 6"),
+    ], ids=["repeated pair", "nan total", "inf incident", "six columns"])
     def test_bad_row_in_channel_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "bad.txt"
         path.write_text(f"1 10 3.0 1 0 1 0\n1 10 2.0 1 0 1 0\n{row}\n")
         with pytest.raises(MeasurementParseError, match="line 3") as exc:
             fileio.load_fresnel_ascii(path, frequency_ghz=3.0)
         assert message in str(exc.value)
+
+    def test_no_data_rows(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# tx rx freq re_tot im_tot re_inc im_inc\n\n# nothing\n")
+        with pytest.raises(MeasurementParseError, match="^line 1: no data rows$"):
+            fileio.load_fresnel_ascii(path)
 
     def test_transmitter_gap_names_it(self, tmp_path):
         # the 2 GHz row does not fill the gap in the 3 GHz channel
@@ -702,7 +730,8 @@ class TestConfigDocs:
         for cfg in (workloads.FullRecon2D().config(0),
                     workloads.LinearRecon2D().config(0), example):
             rcfg = fileio.recon_config_from_config(cfg)
-            got = (rcfg.resolve_tau(mset), rcfg.forward.delta_tol_rel, rcfg.forward.K)
+            tau = rcfg.tau_rel * float(sum(np.vdot(v, v).real for v in mset.y))
+            got = (tau, rcfg.forward.delta_tol_rel, rcfg.forward.K)
             assert got == (4.5e-08, 5e-07, 60)
 
     def test_benchmark_stubs_hold(self, monkeypatch):

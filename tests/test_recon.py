@@ -9,7 +9,7 @@ from conftest import random_field, random_potential
 from reference import adjoint_state_gradient_AH, dense_A_matrix, fd_gradient
 from wavetomo import recon
 from wavetomo.errors import ConfigError, ConvergenceWarning, NumericalError, TransformError
-from wavetomo.greens import (DomainGreensOperator, MaskedSensorOperator,
+from wavetomo.greens import (DomainGreensOperator, MaskedSensorOperator, SystemOperator,
                              build_sensor_operator)
 from wavetomo.recon import ScatteringProblem
 
@@ -261,6 +261,25 @@ class TestTotalGradient:
         assert [cost for _, cost in solves] == [(1, 0)] * 4 and calls == []
         assert adjoint_calls == []
 
+    @pytest.mark.parametrize("model, builds", [("full", 1), ("born", 0)])
+    def test_one_system_operator_per_gradient(self, rng, monkeypatch, model, builds):
+        # the u and the x solves share one A = I - G diag(f), whose column
+        # block costs an fftn to build; the linear models build none
+        grid, mset = tiny_problem(rng)
+        cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=20, delta_tol_rel=5e-7))
+        problem = ScatteringProblem(mset, grid)
+        built = []
+
+        class Counted(SystemOperator):
+            def __init__(self, f, G):
+                built.append(1)
+                super().__init__(f, G)
+
+        monkeypatch.setattr(recon, "SystemOperator", Counted)
+        wt.total_gradient(random_potential(rng, grid), problem,
+                          cfg if model == "full" else None, mset.y)
+        assert len(built) == builds
+
     def test_predict_all_equals_direct_solve(self, rng):
         # predict_all's fields solve A u = u_in to the loop's residual
         # sqrt(2 delta_tol_rel) = 1e-3, so z = H(f u) is within about that
@@ -343,7 +362,7 @@ class TestThreadedSolves:
         for n in (1, 2, 3):
             on_cpus(monkeypatch, n)
             seen = solving_threads(monkeypatch, meet=n)
-            rows.append(recon._solve_rows(f, problem.U_in, problem, cfg))
+            rows.append(recon._solve_rows(SystemOperator(f, problem.G), problem.U_in, cfg))
             monkeypatch.undo()
             assert len(seen) == 5 and len(set(seen)) == n
         assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[0], rows[2])
@@ -357,12 +376,12 @@ class TestThreadedSolves:
         problem = ScatteringProblem(mset, grid)
         f = random_potential(rng, grid)
         on_cpus(monkeypatch, 1)
-        serial = recon._solve_rows(f, problem.U_in, problem, cfg)
+        serial = recon._solve_rows(SystemOperator(f, problem.G), problem.U_in, cfg)
         on_cpus(monkeypatch, 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = recon._solve_rows(f, problem.U_in, problem, cfg)
+            threaded = recon._solve_rows(SystemOperator(f, problem.G), problem.U_in, cfg)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(threaded, serial)
@@ -390,7 +409,7 @@ class TestThreadedSolves:
         seen = solving_threads(monkeypatch, meet=3)
         before = threading.active_count()
         with pytest.warns(ConvergenceWarning) as record:
-            recon._solve_rows(f, problem.U_in, problem, cfg)
+            recon._solve_rows(SystemOperator(f, problem.G), problem.U_in, cfg)
         assert len(set(seen)) == 3
         assert [w.category for w in record] == [ConvergenceWarning] * 3
         assert threading.active_count() == before
@@ -414,7 +433,7 @@ class TestThreadedSolves:
         monkeypatch.setattr(recon, "bicgstab", failing)
         before = threading.active_count()
         with pytest.raises(NumericalError, match="breakdown in this row"):
-            recon._solve_rows(f, problem.U_in, problem, cfg)
+            recon._solve_rows(SystemOperator(f, problem.G), problem.U_in, cfg)
         assert threading.active_count() == before
         # the rows that did not fail were all solved before the error arrived
         assert len(solved) == (2 if in_caller else 1)
@@ -443,7 +462,8 @@ class TestThreadedSolves:
         monkeypatch.setattr(recon, "_usable_cpus", lambda: 8)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         seen = solving_threads(monkeypatch, meet=recon.MAX_SOLVE_THREADS)
-        recon._solve_rows(random_potential(rng, grid), problem.U_in, problem, cfg)
+        A = SystemOperator(random_potential(rng, grid), problem.G)
+        recon._solve_rows(A, problem.U_in, cfg)
         assert len(seen) == 8 and len(set(seen)) == recon.MAX_SOLVE_THREADS == 2
 
     def test_threaded_blas_solves_on_the_caller(self, rng, monkeypatch):
@@ -453,7 +473,8 @@ class TestThreadedSolves:
         on_cpus(monkeypatch, 4)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         seen = solving_threads(monkeypatch)
-        recon._solve_rows(random_potential(rng, grid), problem.U_in, problem, cfg)
+        A = SystemOperator(random_potential(rng, grid), problem.G)
+        recon._solve_rows(A, problem.U_in, cfg)
         assert len(seen) == 4 and set(seen) == {threading.get_ident()}
 
     @pytest.mark.parametrize("env, one", [
@@ -737,6 +758,45 @@ class TestAdaptiveStep:
             wt.fista_reconstruct(mset, grid, cfg)
 
 
+class TestNumericalTrouble:
+    """Trouble in the loop raises NumericalError instead of passing on."""
+
+    @pytest.mark.parametrize("bad_call, message", [
+        (1, "non-finite gradient at the initial iterate"),
+        (2, "non-finite gradient at iteration 2"),
+    ], ids=["initial iterate", "later iterate"])
+    def test_non_finite_gradient_raises(self, rng, monkeypatch, bad_call, message):
+        grid, mset, _, cfg = synthetic_problem(rng)
+        gradient, calls = recon.total_gradient, []
+
+        def poisoned(*args):
+            grad, D = gradient(*args)
+            calls.append(1)
+            if len(calls) == bad_call:
+                grad[0, 0] = np.nan
+            return grad, D
+
+        monkeypatch.setattr(recon, "total_gradient", poisoned)
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            wt.fista_reconstruct(mset, grid, cfg)
+        assert len(calls) == bad_call
+
+    def test_backtracking_failure_raises(self, rng, monkeypatch):
+        # a NaN prediction meets the quadratic bound at no step, however small
+        grid, mset, _, cfg = synthetic_problem(rng)
+        calls = []
+
+        def nan_prediction(f, problem, cfg):
+            calls.append(1)
+            return [np.full_like(y, np.nan) for y in mset.y]
+
+        monkeypatch.setattr(recon, "predict_all", nan_prediction)
+        with pytest.raises(NumericalError,
+                           match="^step-size backtracking failed to satisfy the bound$"):
+            wt.fista_reconstruct(mset, grid, cfg)
+        assert len(calls) == 80
+
+
 class TestMonitoring:
     """The loop's data fit costs one H-free prediction per reconstruction;
     the step search at f = 0 makes predictions of its own."""
@@ -770,7 +830,7 @@ class TestMonitoring:
         problem = ScatteringProblem(mset, grid)
         z = wt.predict_all(rep.f_hat, problem, cfg)
         D = sum(wt.data_fidelity(zt, yt) for zt, yt in zip(z, mset.y))
-        return 2.0 * D / mset.y_norm_sq()
+        return 2.0 * D / float(sum(np.vdot(v, v).real for v in mset.y))
 
     @pytest.mark.parametrize("iters", [1, 4])
     def test_one_prediction_with_fixed_step(self, rng, monkeypatch, iters):
@@ -864,6 +924,28 @@ class TestLinearBaselines:
         u_in[2] = 0.0
         with pytest.raises(TransformError):
             wt.rytov_transform(u_in + 1.0, u_in)
+
+    def test_rytov_shapes_must_agree(self, rng):
+        with pytest.raises(wt.DimensionError,
+                           match="^total and incident sensor fields differ in shape$"):
+            wt.rytov_transform(random_field(rng, (5,)), random_field(rng, (4,)))
+
+    def test_rytov_zero_total_rejected(self, rng):
+        u_in = random_field(rng, (5,))
+        u_total = u_in.copy()
+        u_total[3] = 0.0
+        with pytest.raises(TransformError, match="^total field vanishes at a sensor$"):
+            wt.rytov_transform(u_total, u_in)
+
+    def test_rytov_phase_jump_warns(self):
+        # successive phases 0, 3 and -3 rad: the jump of 6 rad is unwrapped
+        # to 2 pi - 6, and the ambiguity reported
+        u_in = np.ones(3, dtype=complex)
+        u_total = np.exp(1j * np.array([0.0, 3.0, -3.0]))
+        with pytest.warns(UserWarning, match="^phase unwrap ambiguity: successive "
+                                             "receiver phase jumps exceed pi$"):
+            got = wt.rytov_transform(u_total, u_in)
+        assert np.allclose(got, 1j * np.array([0.0, 3.0, 2.0 * np.pi - 3.0]))
 
     def test_rytov_matches_born_weak_scattering(self):
         # 1% contrast cylinder: complex-log data ~ Born prediction of true f
