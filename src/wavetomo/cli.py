@@ -93,8 +93,7 @@ def cmd_reconstruct(args):
     summary = {"model": args.model, "iterations": len(report.data_fit_history)}
     summary.update((f.name, getattr(report, f.name))
                    for f in dataclasses.fields(report) if f.name != "f_hat")
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    fileio.write_file(outdir / "report.json", json.dumps(summary, indent=2))
     print(f"final normalized data fit {report.data_fit_history[-1]:.6g} after "
           f"{len(report.data_fit_history)} iterations -> {outdir}")
     return 0
@@ -218,8 +217,7 @@ def cmd_metrics(args):
     text = json.dumps(out, indent=2, default=str)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        fileio.write_file(args.out, text + "\n")
     print(text)
     return 0
 

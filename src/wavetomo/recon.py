@@ -8,7 +8,8 @@ by BiCGStab; the first-Born linearization is the same kernel with A = I, so
 its fields are the incident fields and its adjoint fields the back-projected
 residuals.  Rytov is Born on complex-log transformed data.  All transmitters
 share the H products: a prediction is one matrix product with H and a
-gradient one more with its adjoint.  The FISTA step starts from a
+gradient one more with its adjoint, each split into pixel blocks that run on
+the field solves' threads.  The FISTA step starts from a
 backtracking at f = 0, then grows while the objective falls and halves,
 restarting the momentum, when it rises (Scheinberg, Goldfarb and Bai, 2014).
 """
@@ -43,7 +44,8 @@ STOP_REL_CHANGE = 1e-6
 # the FISTA step's factors after a strict fall and after a rise of D + tau TV
 STEP_GROW = 1.05
 STEP_SHRINK = 0.5
-# the most threads one call's field solves run on: two were measured faster
+# the most threads one call's field solves or H products run on, and the
+# number of pixel blocks each H product splits into: two were measured faster
 # than one, while each thread's glibc arena adds to the peak RSS (4 and 8
 # threads, forced on a 2-CPU host, raised recon_full_2d's by 11% and 26%)
 MAX_SOLVE_THREADS = 2
@@ -301,11 +303,44 @@ def _blas_on_one_thread():
     return False
 
 
-def _solve_threads(rows):
-    """The number of threads that solve ``rows`` independent systems."""
-    if not _blas_on_one_thread():
-        return 1
-    return min(rows, _usable_cpus(), MAX_SOLVE_THREADS)
+def _on_threads(count, work):
+    """[work(i) for i in range(count)], run on the solve threads.
+
+    They are n = min(count, usable CPUs, MAX_SOLVE_THREADS) threads when
+    BLAS runs on one thread, and the calling thread alone otherwise: the
+    calling thread takes i = 0, n, 2n, ... and n - 1 workers of one pool the
+    rest, numpy's FFTs and GEMMs releasing the GIL.  Workers run in a copy
+    of the caller's context, so their warnings meet the caller's filters
+    even where those are context-local (Python 3.14's context-aware
+    warnings); an exception reaches the caller once every thread has
+    finished.
+    """
+    n = min(count, _usable_cpus(), MAX_SOLVE_THREADS) if _blas_on_one_thread() else 1
+    results = [None] * count
+
+    def run(start):
+        for i in range(start, count, n):
+            results[i] = work(i)
+
+    if n <= 1:
+        run(0)
+        return results
+    with ThreadPoolExecutor(n - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, start)
+                   for start in range(1, n)]
+        run(0)
+    for fut in futures:
+        fut.result()
+    return results
+
+
+def _on_pixel_blocks(n_pixels, work):
+    """[work(s) for s in the MAX_SOLVE_THREADS contiguous slices that split
+    the pixels in order], run on the solve threads.  The split is the same
+    on any host, so with BLAS on one thread the results do not depend on
+    the thread count."""
+    k = MAX_SOLVE_THREADS
+    return _on_threads(k, lambda b: work(slice(n_pixels * b // k, n_pixels * (b + 1) // k)))
 
 
 def _solve_rows(A, B, cfg):
@@ -315,45 +350,35 @@ def _solve_rows(A, B, cfg):
     Each solve is BiCGStab started at its right-hand side and stopped at
     cfg.forward.residual_tol of its norm or after cfg.forward.K
     iterations.  The rows are independent systems on one shared, immutable
-    A, so they run on n = min(T, usable CPUs, MAX_SOLVE_THREADS) threads
-    when BLAS runs on one thread, and on the calling thread alone otherwise:
-    the calling thread solves rows 0, n, 2n, ... and n - 1 workers the rest,
-    numpy's FFTs releasing the GIL.  Each row is written by one thread only,
-    so X is bit-identical to a serial loop.  Workers run in a copy of the
-    caller's context, so their warnings meet the caller's filters even where
-    those are context-local (Python 3.14's context-aware warnings); an
-    exception reaches the caller once every thread has finished.
+    A, solved on the solve threads (``_on_threads``).  Each row is written
+    by one thread only, so X is bit-identical to a serial loop.
     """
     if A is None:
         return B
     X = np.empty_like(B)
     tol = cfg.forward.residual_tol
 
-    def solve(rows):
-        for t in rows:
-            b = B[t].reshape(A.grid.shape)
-            X[t] = bicgstab(A.apply, b, b, tol, cfg.forward.K)[0].ravel()
+    def solve(t):
+        b = B[t].reshape(A.grid.shape)
+        X[t] = bicgstab(A.apply, b, b, tol, cfg.forward.K)[0].ravel()
 
-    n = _solve_threads(len(B))
-    if n <= 1:
-        solve(range(len(B)))
-        return X
-    with ThreadPoolExecutor(n - 1) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, solve, range(i, len(B), n))
-                   for i in range(1, n)]
-        solve(range(0, len(B), n))
-    for fut in futures:
-        fut.result()
+    _on_threads(len(B), solve)
     return X
 
 
 def _fields_and_rows(f, problem, cfg):
     """A = I - G diag(f), None when cfg is None (A = I); the fields U, row t
     solving A u_t = u_in[t]; and R = (U f) H^T: row t is H (f u_t) on every
-    recorded slot."""
+    recorded slot.  R is the sum of the pixel blocks' partial products
+    (U[:, b] f[b]) H[:, b]^T, formed on the solve threads and summed in
+    block order."""
     A = None if cfg is None else SystemOperator(f, problem.G)
     U = _solve_rows(A, problem.U_in, cfg)
-    return A, U, (U * f.ravel()) @ problem._H_ring.matrix.T
+    f, H = f.ravel(), problem._H_ring.matrix
+    R, *rest = _on_pixel_blocks(f.size, lambda s: (U[:, s] * f[s]) @ H[:, s].T)
+    for part in rest:
+        R += part
+    return A, U, R
 
 
 def total_gradient(f, problem, cfg, data):
@@ -366,7 +391,10 @@ def total_gradient(f, problem, cfg, data):
     (see ``_solve_rows``), or None for the linear models, A = I, where
     u_t = u_in[t] and x_t = conj(H^H r_t).  ``data`` holds y_t per
     transmitter.  D is read from the rows ``predict_all`` returns, so at
-    the same f the two give the same D bit for bit.
+    the same f the two give the same D bit for bit.  The back-projection
+    is written pixel block by pixel block on the solve threads, and for the
+    linear models the row sum with it; after the x solves, one more pool
+    would cost more than the full model's row sum.
     """
     f = problem.grid.check_field(f, "potential")
     A, U, R = _fields_and_rows(f, problem, cfg)
@@ -376,9 +404,25 @@ def total_gradient(f, problem, cfg, data):
         D += 0.5 * float(np.vdot(resid, resid).real)
         r[:] = 0.0
         r[h.indices] = resid
-    # row t of conj(R) H is conj(H^H r_t)
-    X = _solve_rows(A, R.conj() @ problem._H_ring.matrix, cfg)
-    return np.real(np.sum(U * X, axis=0)).reshape(problem.grid.shape), D
+    R = R.conj()
+    H = problem._H_ring.matrix
+    X = np.empty_like(U)
+    grad = np.empty(f.size)
+
+    def back_project(s):
+        # row t of conj(R) H is conj(H^H r_t)
+        np.matmul(R, H[:, s], out=X[:, s])
+
+    def row_sum(s):
+        grad[s] = np.real(np.sum(U[:, s] * X[:, s], axis=0))
+
+    if A is None:
+        _on_pixel_blocks(f.size, lambda s: (back_project(s), row_sum(s)))
+    else:
+        _on_pixel_blocks(f.size, back_project)
+        X = _solve_rows(A, X, cfg)
+        row_sum(slice(None))
+    return grad.reshape(problem.grid.shape), D
 
 
 def predict_all(f, problem, cfg):
@@ -426,14 +470,20 @@ def rytov_transform(u_total, u_in):
 
 
 def _backtrack_step(f0, grad0, eval_D, D0):
-    """Halve gamma until the quadratic upper bound holds at the first step."""
+    """Halve gamma until the quadratic upper bound holds at the first step.
+    An objective that is not finite, D0 or a trial's, raises at once: no
+    halving brings back a NaN."""
+    if not np.isfinite(D0):
+        raise NumericalError("non-finite objective at the initial iterate")
     g_sq = float(np.vdot(grad0, grad0).real)
     if g_sq == 0.0:
         return 1.0
     gamma = 2.0 * D0 / g_sq if D0 > 0 else 1.0
     for _ in range(80):
-        f_try = f0 - gamma * grad0
-        if eval_D(f_try) <= D0 - 0.5 * gamma * g_sq + 1e-12 * abs(D0):
+        D = eval_D(f0 - gamma * grad0)
+        if not np.isfinite(D):
+            raise NumericalError("non-finite objective in the step-size backtracking")
+        if D <= D0 - 0.5 * gamma * g_sq + 1e-12 * abs(D0):
             return gamma
         gamma *= 0.5
     raise NumericalError("step-size backtracking failed to satisfy the bound")

@@ -12,6 +12,7 @@ import wavetomo as wt
 from wavetomo import cli, fileio, recon, simulate
 from wavetomo.cli import build_parser, main
 from wavetomo.grid import refined_grid
+from test_io import assert_written_as_new_files, linked_old_files
 
 
 def write_config(path, overrides=None):
@@ -181,6 +182,23 @@ class TestSimulateReconstruct:
         assert np.all(values == 0.0)
         assert (outdir / "f_hat.pgm").exists()
         assert (outdir / "report.json").exists()
+
+    def test_outputs_are_new_files(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        out, keep = tmp_path / "out", tmp_path / "keep"
+        out.mkdir(), keep.mkdir()
+        paths = [out / name for name in ("m.dat", "f_hat.csv", "f_hat.pgm",
+                                         "f_hat.pgm.window.txt", "report.json", "m.json")]
+        linked_old_files(paths, keep)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out / "m.dat")]) == 0
+        assert main(["reconstruct", "--config", str(cfg_path), "--measurements",
+                     str(out / "m.dat"), "--out", str(out)]) == 0
+        fileio.emit_grid_csv(np.ones((12, 12)), fileio.grid_from_config(
+            fileio.parse_config(cfg_path.read_text())), tmp_path / "ref.csv")
+        assert main(["metrics", "--estimate", str(tmp_path / "ref.csv"), "--reference",
+                     str(tmp_path / "ref.csv"), "--out", str(out / "m.json")]) == 0
+        assert_written_as_new_files(paths, keep)
 
     def test_readme_lists_report_keys(self, tmp_path):
         # the README's key table names exactly what reconstruct writes: model,

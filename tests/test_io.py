@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib.util
 import json
+import os
 import re
 from pathlib import Path
 
@@ -702,6 +703,63 @@ class TestImagesAndTables:
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[2] == "2,4.5"
+
+
+def linked_old_files(paths, keep):
+    """Write "old" to each path and hard-link it to ``keep``/<name>.old: an
+    in-place rewrite of a path changes its link too, a new file does not."""
+    for path in paths:
+        path.write_text("old")
+        os.link(path, keep / f"{path.name}.old")
+
+
+def assert_written_as_new_files(paths, keep):
+    (keep / "mode").touch()
+    new_file_mode = (keep / "mode").stat().st_mode
+    for path in paths:
+        assert (keep / f"{path.name}.old").read_text() == "old"
+        assert path.read_bytes() != b"old" and path.stat().st_mode == new_file_mode
+        assert sorted(p.name for p in path.parent.iterdir()
+                      if p.name.endswith(".tmp")) == []
+
+
+class TestWriteFile:
+    """Every output is written as a new file: rewriting a file in place, or
+    renaming over it, cost 69-91 ms per 0.5 MB write on ext4."""
+
+    @pytest.mark.parametrize("write, names", [
+        (lambda d: fileio.save_measurements(d / "m.dat", small_measurements()), ["m.dat"]),
+        (lambda d: fileio.emit_image(np.eye(3), d / "f.pgm"), ["f.pgm", "f.pgm.window.txt"]),
+        (lambda d: fileio.emit_grid_csv(np.eye(3), wt.centered_grid((3, 3), 0.01, 0.1),
+                                        d / "f.csv"), ["f.csv"]),
+        (lambda d: fileio.emit_table_csv({"a": [1.0]}, d / "t.csv"), ["t.csv"]),
+    ], ids=["measurements", "image", "grid csv", "table csv"])
+    def test_writers_make_new_files(self, tmp_path, write, names):
+        out, keep = tmp_path / "out", tmp_path / "keep"
+        out.mkdir(), keep.mkdir()
+        linked_old_files([out / name for name in names], keep)
+        write(out)
+        assert_written_as_new_files([out / name for name in names], keep)
+
+    def test_new_file_takes_the_umask_mode(self, tmp_path):
+        path = tmp_path / "a.txt"
+        fileio.write_file(path, "text")
+        fileio.write_file(tmp_path / "b.bin", b"\x00\xff")
+        (tmp_path / "c").touch()
+        assert path.read_text() == "text" and (tmp_path / "b.bin").read_bytes() == b"\x00\xff"
+        assert path.stat().st_mode == (tmp_path / "c").stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin", "c"]
+
+    @pytest.mark.parametrize("target, data, error", [
+        ("dir", "text", OSError), ("a.txt", None, TypeError)],
+        ids=["target is a directory", "data neither str nor bytes"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, target, data, error):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "a.txt").write_text("old")
+        with pytest.raises(error):
+            fileio.write_file(tmp_path / target, data)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "dir"]
+        assert (tmp_path / "a.txt").read_text() == "old"
 
 
 ROOT = Path(__file__).resolve().parent.parent

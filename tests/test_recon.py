@@ -1,5 +1,10 @@
+import ast
+import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,8 +328,9 @@ class TestTotalGradient:
 
 
 def on_cpus(monkeypatch, n):
-    """Make ``_solve_rows`` see n usable CPUs and one BLAS thread, and allow
-    it n threads."""
+    """Make the solve threads see n usable CPUs and one BLAS thread, and
+    allow n of them; n above MAX_SOLVE_THREADS also splits the pixels into
+    n blocks."""
     monkeypatch.setattr(recon, "_usable_cpus", lambda: n)
     monkeypatch.setattr(recon, "MAX_SOLVE_THREADS", max(n, recon.MAX_SOLVE_THREADS))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -349,9 +355,93 @@ def solving_threads(monkeypatch, meet=1):
     return seen
 
 
+# run with OpenBLAS started on one thread: fista_reconstruct's histories and
+# f_hat per model on one and on two solve threads, and the pools each opened.
+# On a 24x24 grid a sum of two pixel blocks' products differs from one GEMM
+# in the last bits (on 16x16 OpenBLAS's own blocking of the sum made them
+# agree), so a block split that followed the thread count would show here
+PINNED_LOOP = """
+import json, sys, warnings
+import numpy as np
+import wavetomo as wt
+from wavetomo import recon
+from test_recon import synthetic_problem
+
+pools = []
+
+class Counted(recon.ThreadPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        pools.append(1)
+        super().__init__(*args, **kwargs)
+
+recon.ThreadPoolExecutor = Counted
+warnings.simplefilter("ignore")
+# threads that switch every microsecond: a row or block written by two
+# threads, or work that read another's state, would change the results
+sys.setswitchinterval(1e-6)
+out = {}
+for model in ("full", "born", "rytov"):
+    runs = []
+    for cpus in (1, 2):
+        recon._usable_cpus = lambda: cpus
+        del pools[:]
+        grid, mset, f_true, cfg = synthetic_problem(np.random.default_rng(5), n=24)
+        rep = wt.fista_reconstruct(mset, grid, cfg, ground_truth=f_true, model=model)
+        runs.append((rep, len(pools)))
+    (one, _), (two, _) = runs
+    out[model] = {
+        "differ": [name for name in ("data_fit_history", "step_history",
+                                     "recon_error_history")
+                   if getattr(one, name) != getattr(two, name)]
+                  + ([] if np.array_equal(one.f_hat, two.f_hat) else ["f_hat"]),
+        "pools": [n for _, n in runs]}
+print(json.dumps(out))
+"""
+
+
+def thread_pool_references(source):
+    """(enclosing function, line) of each ``ThreadPoolExecutor`` name in
+    ``source``; "import" for a name an import binds, None at module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.extend(("import", child.lineno) for alias in child.names
+                             if "ThreadPoolExecutor" in (alias.name.rsplit(".")[-1],
+                                                         alias.asname))
+            elif (isinstance(child, ast.Name) and child.id == "ThreadPoolExecutor"
+                  or isinstance(child, ast.Attribute)
+                  and child.attr == "ThreadPoolExecutor"):
+                found.append((function, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef,
+                                                          ast.AsyncFunctionDef))
+                  else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_thread_pools_open_only_in_on_threads():
+    # the one helper runs threads only with BLAS on one thread and caps them
+    # at the usable CPUs and MAX_SOLVE_THREADS; a pool opened elsewhere would
+    # skip both rules
+    assert thread_pool_references(
+        "from concurrent.futures import ThreadPoolExecutor as Pool\n"
+        "import concurrent.futures\n"
+        "def f():\n    return concurrent.futures.ThreadPoolExecutor(2)\n"
+        "g = ThreadPoolExecutor\n") == [("import", 1), ("f", 4), (None, 5)]
+    package = Path(__file__).resolve().parent.parent / "src" / "wavetomo"
+    found = {(path.name, function)
+             for path in package.glob("*.py")
+             for function, _ in thread_pool_references(path.read_text(encoding="utf-8"))}
+    assert found == {("recon.py", "import"), ("recon.py", "_on_threads")}
+
+
 class TestThreadedSolves:
-    """One call's T field systems run on min(T, usable CPUs,
-    MAX_SOLVE_THREADS) threads when BLAS runs on one thread."""
+    """One call's T field systems, and the H products' pixel blocks, run on
+    min(items, usable CPUs, MAX_SOLVE_THREADS) threads when BLAS runs on one
+    thread."""
 
     def test_rows_bit_identical_on_any_thread_count(self, rng, monkeypatch):
         grid, mset = tiny_problem(rng, n_tx=5)
@@ -386,17 +476,46 @@ class TestThreadedSolves:
             sys.setswitchinterval(interval)
         assert np.array_equal(threaded, serial)
 
-    def test_loop_bit_identical_on_any_thread_count(self, rng, monkeypatch):
-        grid, mset, f_true, cfg = synthetic_problem(rng)
-        reports = []
-        for n in (1, 2, 3):
-            on_cpus(monkeypatch, n)
-            reports.append(wt.fista_reconstruct(mset, grid, cfg, ground_truth=f_true))
-        for rep in reports[1:]:
-            assert np.array_equal(rep.f_hat, reports[0].f_hat)
-            assert rep.data_fit_history == reports[0].data_fit_history
-            assert rep.step_history == reports[0].step_history
-            assert rep.recon_error_history == reports[0].recon_error_history
+    def test_loop_bit_identical_on_any_thread_count(self):
+        # a fresh interpreter, so that OpenBLAS really starts on one thread:
+        # in this process only the environment check can be faked, and
+        # concurrent threaded GEMMs need not agree in the last bits
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(here), str(Path(wt.__file__).resolve().parent.parent),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", PINNED_LOOP],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert sorted(result) == ["born", "full", "rytov"]
+        for model, got in result.items():
+            assert got["differ"] == [], model
+            # serial on one CPU, threaded on two
+            assert got["pools"][0] == 0 and got["pools"][1] > 0, model
+
+    @pytest.mark.parametrize("model", ["born", "full"])
+    def test_block_products_match_one_product(self, rng, monkeypatch, model):
+        # the gradient's loop as one GEMM per product, before the pixel
+        # blocks; only the prediction's sum of two blocks changes the order
+        grid, mset = masked_problem(rng)
+        problem = ScatteringProblem(mset, grid)
+        cfg = (wt.ReconConfig(forward=wt.ForwardConfig(K=40, delta_tol_rel=5e-7))
+               if model == "full" else None)
+        f = random_potential(rng, grid)
+        H = problem._H_ring.matrix
+        on_cpus(monkeypatch, 2)
+        A, U, blocks = recon._fields_and_rows(f, problem, cfg)
+        R = (U * f.ravel()) @ H.T
+        assert rel_err(blocks, R) <= 1e-13
+        for r, h, y in zip(R, problem.H, mset.y):
+            resid = r[h.indices] - y
+            r[:] = 0.0
+            r[h.indices] = resid
+        X = recon._solve_rows(A, R.conj() @ H, cfg)
+        expect = np.real(np.sum(U * X, axis=0)).reshape(grid.shape)
+        grad, _ = wt.total_gradient(f, problem, cfg, mset.y)
+        assert rel_err(grad, expect) <= 1e-13
 
     def test_worker_warnings_reach_the_caller(self, rng, monkeypatch):
         # one BiCGStab iteration misses a 1.4e-10 residual on every row, and
@@ -441,6 +560,8 @@ class TestThreadedSolves:
     @pytest.mark.parametrize("n_tx, cpus", [(1, 4), (3, 1)],
                              ids=["one transmitter", "one CPU"])
     def test_one_row_or_cpu_starts_no_thread(self, rng, monkeypatch, n_tx, cpus):
+        # one row is solved on the caller, while the H products' pixel
+        # blocks may still run on threads; one CPU opens no pool at all
         grid, mset = tiny_problem(rng, n_tx=n_tx)
         cfg = wt.ReconConfig(forward=wt.ForwardConfig(K=40, delta_tol_rel=5e-7),
                              tau_rel=0.0)
@@ -450,7 +571,8 @@ class TestThreadedSolves:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was opened")
 
-        monkeypatch.setattr(recon, "ThreadPoolExecutor", no_pool)
+        if cpus == 1:
+            monkeypatch.setattr(recon, "ThreadPoolExecutor", no_pool)
         seen = solving_threads(monkeypatch)
         wt.total_gradient(random_potential(rng, grid), problem, cfg, mset.y)
         assert seen and set(seen) == {threading.get_ident()}
@@ -727,7 +849,8 @@ class TestAdaptiveStep:
             wt.fista_reconstruct(mset, grid, cfg)
         assert [str(w.message) for w in caught] == [
             "FISTA objective rose at iteration 3 after the step was halved at iteration 2",
-            "FISTA made no progress: data fit 651.958 after 8 iterations, 1 at f = 0"]
+            "FISTA objective rose at iteration 6 after the step was halved at iteration 5",
+            "FISTA made no progress: data fit 654.482 after 8 iterations, 1 at f = 0"]
 
     def test_run_without_progress_warns(self, rng, monkeypatch):
         # under Born at 1e6 gamma_0 rises and falls alternate, so no rise
@@ -781,20 +904,41 @@ class TestNumericalTrouble:
             wt.fista_reconstruct(mset, grid, cfg)
         assert len(calls) == bad_call
 
-    def test_backtracking_failure_raises(self, rng, monkeypatch):
-        # a NaN prediction meets the quadratic bound at no step, however small
+    @staticmethod
+    def backtracking_predictions(rng, monkeypatch, offset, message):
+        """The predictions the step search makes before it raises ``message``,
+        when every prediction is the data plus ``offset``."""
         grid, mset, _, cfg = synthetic_problem(rng)
         calls = []
 
-        def nan_prediction(f, problem, cfg):
+        def far_prediction(f, problem, cfg):
             calls.append(1)
-            return [np.full_like(y, np.nan) for y in mset.y]
+            return [y + offset for y in mset.y]
 
-        monkeypatch.setattr(recon, "predict_all", nan_prediction)
-        with pytest.raises(NumericalError,
-                           match="^step-size backtracking failed to satisfy the bound$"):
+        monkeypatch.setattr(recon, "predict_all", far_prediction)
+        with pytest.raises(NumericalError, match=f"^{message}$"):
             wt.fista_reconstruct(mset, grid, cfg)
-        assert len(calls) == 80
+        return len(calls)
+
+    def test_backtracking_failure_raises(self, rng, monkeypatch):
+        # a NaN prediction raises at once, not after 80 halvings
+        assert self.backtracking_predictions(
+            rng, monkeypatch, np.nan, "non-finite objective in the step-size backtracking") == 1
+
+    def test_backtracking_bound_failure_raises(self, rng, monkeypatch):
+        # a finite prediction that misses the quadratic bound at every step
+        assert self.backtracking_predictions(
+            rng, monkeypatch, 1e3, "step-size backtracking failed to satisfy the bound") == 80
+
+    def test_non_finite_objective_at_zero_raises(self, rng, monkeypatch):
+        grid, mset, _, cfg = synthetic_problem(rng)
+        gradient = recon.total_gradient
+        monkeypatch.setattr(recon, "total_gradient",
+                            lambda *args: (gradient(*args)[0], np.inf))
+        monkeypatch.setattr(recon, "predict_all", lambda *args: pytest.fail("predicted"))
+        with pytest.raises(NumericalError,
+                           match="^non-finite objective at the initial iterate$"):
+            wt.fista_reconstruct(mset, grid, cfg)
 
 
 class TestMonitoring:
