@@ -49,7 +49,7 @@ class ForwardConfig:
     K: int
     delta_tol_rel: float = 0.0
     nu: float | None = None
-    # benchmarks/workloads.py passes "objective"; ROADMAP item 2 deletes it
+    # benchmarks/workloads.py passes "objective"; delete it once that call is gone
     stop_on: InitVar[str] = "objective"
 
     def __post_init__(self, stop_on):

@@ -21,9 +21,10 @@ n + b - 1, not 2n.  For a 12^3 sphere in a 32^3 grid that is 45^3 FFT points
 instead of 64^3.  With f = 0, A is the identity and applies no FFT.
 
 The domain-to-sensor operator H is a
-small dense M x N matrix, built by ``green_matrix``: in 2D, the rows of
-points well outside the grid come from Graf's addition theorem as one real
-GEMM, and the rest from direct Hankel evaluations.
+small dense M x N matrix, built by ``green_matrix`` one block of pixel
+columns at a time: in 2D, the rows of points well outside the grid come from
+Graf's addition theorem as a real GEMM, and the rest from direct Hankel
+evaluations.
 
 Discretization convention (used consistently package-wide): off-center kernel
 entries are midpoint samples of g times the pixel area/volume; the zero-offset
@@ -101,7 +102,7 @@ def green_matrix(grid, points, weights):
 
     eps_0 = 1 and eps_l = 2 otherwise.  Truncated at
     L = ceil(k rho_max + 12 (k rho_max)^(1/3) + 10), where rho_max is the
-    largest pixel-center distance from c, the matrix is one real GEMM: the
+    largest pixel-center distance from c, the matrix is a real GEMM: the
     (2P, 2L+2) real and imaginary parts of the point factor
     (j/4) w_p eps_l H_l(k r_p) [cos(l theta_p), sin(l theta_p)] times the
     (2L+2, N) grid table J_l(k rho_n) [cos(l phi_n); sin(l phi_n)].
@@ -114,6 +115,17 @@ def green_matrix(grid, points, weights):
     2.5e-11 relative at k rho_max = 280 and 8e-10 at 560.  The second bound
     keeps them at round-off.  Every other point, and every 3D point, evaluates g directly;
     that path is also the test oracle.
+
+    Both paths fill the output one block of BLOCK_PIXELS pixel columns at
+    a time, and the Graf path builds its table and runs its GEMM on
+    GEMM_PIXELS columns of a block at a time, so the scratch memory is set
+    by the blocks and P, not by N.  Every step is elementwise in the pixel
+    but two: the GEMM, split by output columns, and the 2D direct path's
+    power series, which stops once all of a block's terms fall below
+    1e-18.  On OpenBLAS 0.3.31 the blocks gave a one-block build's bits on
+    every grid tried (64^2, 65^2, 91^2, 128^2, 129^2, 61 x 69) when two or
+    more points took the Graf path; with one, the last column of an odd
+    grid differed in the last bit.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != grid.ndim:
@@ -125,10 +137,38 @@ def green_matrix(grid, points, weights):
     far = np.zeros(len(points), dtype=bool)
     if grid.ndim == 2:
         far = _graf_rows(grid, centers, points, weights, out)
-    if not np.all(far):
-        disp = points[~far, None, :] - centers[None, :, :]
-        out[~far] = weights[~far, None] * point_green(grid.ndim)(disp, grid.k_b)
+    near = np.flatnonzero(~far)
+    if near.size:
+        g = point_green(grid.ndim)
+        for cols in _column_blocks(grid.size, BLOCK_PIXELS):
+            disp = points[near, None, :] - centers[None, cols, :]
+            out[near, cols] = weights[near, None] * g(disp, grid.k_b)
     return out
+
+
+# green_matrix fills its output this many pixel columns at a time: the
+# Bessel values J_l(k rho) and the direct path per block.  bessel_jn_all
+# runs about 130 numpy steps per call whatever its width, so narrow blocks
+# cost time.  recon_linear_2d's 128^2 build with 136 points (L = 85), one
+# BLAS thread, medians of 30 interleaved: 24.1 ms as one block, 24.3 ms at
+# 8192, 25.2 ms at 4096 and 26.9 ms at 2048 columns.  At 4096 the Bessel
+# values take 2.8 MB, and the build's scratch besides its output is 11.8
+# MB, against 15.0 MB at 8192; a whole-grid build held 60.7 MB.
+BLOCK_PIXELS = 4096
+# the Graf table and its GEMM run on this many columns of a block: (2L + 2)
+# and 2P rows of 2048 real values, 2.8 and 4.5 MB for that build.  1024
+# columns made it 0.7 ms slower, 4096 no faster.
+GEMM_PIXELS = 2048
+
+
+def _column_blocks(n, width):
+    """Slices of [0, n), ``width`` columns each except the last, which takes
+    the remainder too, so that no block is narrower than ``width`` unless n
+    is.  OpenBLAS gave the whole product's last bits to a GEMM split into
+    such blocks, but not always to a narrow last block: a 65^2 build whose
+    last block had 129 columns differed in its last column."""
+    starts = list(range(0, n, width))[:max(1, n // width)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def _graf_rows(grid, centers, points, weights, out):
@@ -139,28 +179,13 @@ def _graf_rows(grid, centers, points, weights, out):
     pix = (centers[:, 0] - center[0]) + 1j * (centers[:, 1] - center[1])
     src = (points[:, 0] - center[0]) + 1j * (points[:, 1] - center[1])
     rho, r = np.abs(pix), np.abs(src)
-    k_rho = k * np.max(rho)
+    rho_max = np.max(rho)
+    k_rho = k * rho_max
     order = int(np.ceil(k_rho + 12.0 * np.cbrt(k_rho) + 10.0))
-    far = (r > np.max(rho) * max(2.0, GRAF_TAIL ** (-1.0 / order))) & (k_rho > 0)
+    far = (r > rho_max * max(2.0, GRAF_TAIL ** (-1.0 / order))) & (k_rho > 0)
     if not np.any(far):
         return far
     ls = np.arange(order + 1)
-
-    # grid table: one row per order and trig; e^{j l phi} by recurrence, the
-    # pixel at the center (rho = 0, if any) has J_0 = 1 and J_l = 0 beyond
-    at_center = rho == 0.0
-    rho_safe = np.where(at_center, 1.0, rho)
-    bessel = bessel_jn_all(order, k * rho_safe)
-    rot = np.where(at_center, 1.0, pix / rho_safe)
-    table = np.empty((2 * order + 2, grid.size))
-    phase = np.ones(grid.size, dtype=complex)
-    for l in ls:
-        np.multiply(bessel[l], phase.real, out=table[l])
-        np.multiply(bessel[l], phase.imag, out=table[order + 1 + l])
-        phase *= rot
-    del bessel
-    table[:, at_center] = 0.0
-    table[0, at_center] = 1.0
 
     # point factor: the weights, j/4 and eps_l fold in here, on 2L+2 columns
     src, r = src[far], r[far]
@@ -168,10 +193,45 @@ def _graf_rows(grid, centers, points, weights, out):
     coef = (0.25j * weights[far])[:, None] * eps * hankel1_all(order, k * r).T
     trig = np.exp(1j * np.angle(src)[:, None] * ls)
     factor = np.concatenate([coef * trig.real, coef * trig.imag], axis=1)
-    prod = np.concatenate([factor.real, factor.imag]) @ table
-    n_far = int(np.count_nonzero(far))
-    out.real[far] = prod[:n_far]
-    out.imag[far] = prod[n_far:]
+    factor = np.concatenate([factor.real, factor.imag])
+    rows = np.flatnonzero(far)
+
+    # grid table per block: one row per order and trig; e^{j l phi} by
+    # recurrence, the pixel at the center (rho = 0, if any) has J_0 = 1 and
+    # J_l = 0 beyond.  Its Bessel values are overwritten, so it takes
+    # rho_max's: an argument above L would raise the order Miller's
+    # recurrence starts from, and so the other pixels' bits, in its block
+    # only (rho = 1 m gives k_b rho = 84 > L = 71 on a 91^2 grid).  Table and
+    # product live in two buffers sized for the widest block, reshaped to
+    # each block's width.
+    blocks = [(block, _column_blocks(block.stop - block.start, GEMM_PIXELS))
+              for block in _column_blocks(grid.size, BLOCK_PIXELS)]
+    width = max(sub.stop - sub.start for _, subs in blocks for sub in subs)
+    table_buf = np.empty((2 * order + 2) * width)
+    prod_buf = np.empty(2 * rows.size * width)
+    phase_buf = np.empty(width, dtype=complex)
+    for block, subs in blocks:
+        at_center = rho[block] == 0.0
+        rho_safe = np.where(at_center, rho_max, rho[block])
+        bessel = bessel_jn_all(order, k * rho_safe)
+        rot = np.where(at_center, 1.0, pix[block] / rho_safe)
+        for sub in subs:
+            w = sub.stop - sub.start
+            table = table_buf[:(2 * order + 2) * w].reshape(2 * order + 2, w)
+            phase = phase_buf[:w]
+            phase[:] = 1.0
+            for l in ls:
+                np.multiply(bessel[l, sub], phase.real, out=table[l])
+                np.multiply(bessel[l, sub], phase.imag, out=table[order + 1 + l])
+                phase *= rot[sub]
+            table[:, at_center[sub]] = 0.0
+            table[0, at_center[sub]] = 1.0
+            prod = prod_buf[:2 * rows.size * w].reshape(2 * rows.size, w)
+            np.matmul(factor, table, out=prod)
+            cols = slice(block.start + sub.start, block.start + sub.stop)
+            out.real[rows, cols] = prod[:rows.size]
+            out.imag[rows, cols] = prod[rows.size:]
+        del bessel   # before the next block's values are made
     return far
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (ConfigError, ConvergenceWarning, DimensionError, NumericalError,
                      TransformError)
 from .forward import ForwardConfig, bicgstab, data_fidelity
-# not called: benchmarks/layers.py wraps them; ROADMAP item 2 drops the sites
+# not called: benchmarks/layers.py wraps them; drop them with those sites
 from .forward import forward_solve, gradient_from_trace  # noqa: F401
 from .greens import (MaskedSensorOperator, SensorGreensOperator, SystemOperator,
                      build_domain_operator, point_green, sensor_rows)
@@ -195,7 +195,7 @@ class ReconConfig:
     tv_iters: int = 10
     box: BoxConstraint = field(default_factory=lambda: BoxConstraint(0.0, np.inf))
     # not a field, and the library never reads it: benchmarks/workloads.py
-    # does; ROADMAP item 2 deletes it
+    # does; delete it once that read is gone
     workers = 1
 
     def __post_init__(self):

@@ -1,5 +1,6 @@
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,16 @@ class TestSensorOperator:
         y = random_field(rng, (3,))
         assert adjoint_gap(Hm.apply, Hm.apply_adjoint, x, y) <= 1e-12
 
+    def test_masked_operator_of_one_receiver(self, small_setup, rng):
+        _, _, H, _ = small_setup
+        Hm = wt.MaskedSensorOperator(H, [5])
+        x = random_field(rng, H.grid.shape)
+        assert np.array_equal(Hm.apply(x), H.apply(x)[[5]])
+        y = random_field(rng, (1,))
+        assert adjoint_gap(Hm.apply, Hm.apply_adjoint, x, y) <= 1e-12
+        with pytest.raises(ConfigError, match="at least one"):
+            wt.MaskedSensorOperator(H, [])
+
     def test_no_unread_attributes(self):
         # ``kind`` and the masked operator's ``len`` had no reader
         for cls in (wt.DomainGreensOperator, wt.SensorGreensOperator,
@@ -499,15 +510,24 @@ def graf_bound(grid):
 
 @pytest.fixture
 def direct_rows(monkeypatch):
-    """Counts the points green_matrix evaluates directly, call by call."""
+    """The displacements green_matrix evaluates directly, one (points,
+    pixels, 2) array per call; green_matrix calls once per pixel block."""
     calls = []
 
     def spy(r, k_b):
-        calls.append(np.asarray(r).shape[0])
+        calls.append(np.array(r))
         return wt.green_2d(r, k_b)
 
     monkeypatch.setattr(greens, "green_2d", spy)
     return calls
+
+
+def assert_direct(calls, grid, points, rows):
+    """The direct calls evaluated exactly ``rows`` of ``points``, and each
+    of them at every pixel once."""
+    centers = grid.pixel_centers().reshape(-1, grid.ndim)
+    expect = np.asarray(points)[rows, None, :] - centers[None, :, :]
+    assert np.array_equal(np.concatenate(calls, axis=1), expect)
 
 
 @pytest.mark.filterwarnings("error")
@@ -572,7 +592,7 @@ class TestGreenMatrix:
         assert hi[0] < near[0, 0] < rho_max
         points = np.concatenate([ring(3, 0.5), near])
         got = green_matrix(grid, points, grid.pixel_volume)
-        assert direct_rows == [1]
+        assert_direct(direct_rows, grid, points, [3])
         expect = direct_green_matrix(grid, points, np.full(4, grid.pixel_volume))
         assert np.array_equal(got[3], expect[3])
         assert rel_entries(got[:3], expect[:3]) <= 1e-12
@@ -585,7 +605,7 @@ class TestGreenMatrix:
         direction = np.array([np.cos(0.3), np.sin(0.3)])
         points = center + bound * np.outer([1.0 - 1e-9, 1.0 + 1e-9], direction)
         got = green_matrix(grid, points, 1.0)
-        assert direct_rows == [1]
+        assert_direct(direct_rows, grid, points, [0])
         centers = grid.pixel_centers().reshape(-1, 2)
         # the nearest pixel, where the series converges slowest
         n = np.argmin(np.linalg.norm(centers - points[1], axis=1))
@@ -598,7 +618,7 @@ class TestGreenMatrix:
         points = ring(4, 0.5)
         assert np.array_equal(green_matrix(grid, points, 2.0),
                               direct_green_matrix(grid, points, np.full(4, 2.0)))
-        assert direct_rows == [4]
+        assert_direct(direct_rows, grid, points, [0, 1, 2, 3])
         grid3 = wt.DomainGrid((4, 3, 2), WL / 16, (0.0, 0.0, 0.0), WL)
         points3 = np.array([[0.5, 0.0, 0.1], [0.0, -0.6, 0.0]])
         assert np.array_equal(green_matrix(grid3, points3, 1.0),
@@ -640,6 +660,68 @@ class TestGreenMatrix:
         for t, u in enumerate(problem.u_in):
             expect = tx[t].field_on_grid(grid)
             assert rel_entries(u, expect) <= (0.0 if t == 1 else 1e-12)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def blocked_scenes():
+    """(grid, points, weights): the benchmark's two solve grids, a grid
+    with a pixel at the expansion center and a 3D grid, each of at least
+    two GEMM blocks, with points on both paths in 2D."""
+    h = WL / 16
+    grid64 = wt.centered_grid((64, 64), spacing=h, wavelength=WL)
+    inside = [[0.011, -0.023], [1.3 * grid64.bounding_box()[1][0], 0.0]]
+    grid128 = wt.DomainGrid((128, 128), h, (-63.5 * h - 3 * h, -63.5 * h + 2 * h), WL)
+    # 91^2: two Bessel blocks, the center pixel in the second, and a last
+    # GEMM block of 2137 columns.  A stand-in rho = 1 m for the center
+    # pixel's 0 would give k_b = 84 > L = 71 and start Miller's recurrence
+    # of that block higher; a last block of 89 columns differed in its last
+    # column.
+    grid91 = wt.DomainGrid((91, 91), h, (0.02, -0.01), WL)
+    grid3 = wt.DomainGrid((24, 20, 18), h, (0.0, 0.0, 0.0), WL)
+    return {
+        "64^2": (grid64, np.concatenate([ring(60, 0.5), ring(8, 0.45), inside]),
+                 np.concatenate([np.full(60, grid64.pixel_volume), np.ones(10)])),
+        "128^2": (grid128, np.concatenate([ring(120, 1.0, 0.02), ring(16, 0.9, 0.3),
+                                           inside]),
+                  np.concatenate([np.full(120, grid128.pixel_volume),
+                                  np.full(18, 0.7 - 0.2j)])),
+        "center pixel": (grid91, grid91.center + np.concatenate([ring(60, 0.7, 0.1),
+                                                                 ring(8, 0.65)]),
+                         np.linspace(0.5, 1.5, 68) + 0.3j),
+        "3d": (grid3, np.array([[0.5, 0.0, 0.1], [0.0, -0.6, 0.0], [0.03, 0.02, 0.01],
+                                [0.2, 0.2, -0.3]]), np.array([1.0, 2.0, 0.5j, 1.0])),
+    }
+
+
+class TestBlockedBuild:
+    """green_matrix fills its output one pixel block at a time."""
+
+    @pytest.mark.parametrize("name", list(blocked_scenes()))
+    def test_bit_identical_to_one_block(self, monkeypatch, name):
+        grid, points, weights = blocked_scenes()[name]
+        assert grid.size >= 2 * greens.GEMM_PIXELS
+        got = green_matrix(grid, points, weights)
+        monkeypatch.setattr(greens, "BLOCK_PIXELS", grid.size)
+        monkeypatch.setattr(greens, "GEMM_PIXELS", grid.size)
+        assert np.array_equal(bits(got), bits(green_matrix(grid, points, weights)))
+
+    def test_scratch_is_a_block_not_the_grid(self):
+        # recon_linear_2d's 128^2 generation build, 120 receivers and 16
+        # sources (L = 85).  One whole-grid build held 60.7 MB besides its
+        # 35.7 MB output; the blocks hold 2.8 MB of Bessel values, a 2.8 MB
+        # table and a 4.5 MB product.  11.8 MB measured.
+        grid = wt.centered_grid((128, 128), spacing=WL / 16, wavelength=WL)
+        points = np.concatenate([ring(120, 1.0), ring(16, 0.9, 0.3)])
+        tracemalloc.start()
+        try:
+            out = green_matrix(grid, points, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 15e6
 
 
 class TestScatteringOperator:

@@ -1,4 +1,5 @@
 import ast
+import cmath
 import json
 import os
 import subprocess
@@ -78,6 +79,17 @@ class TestMeasurementSet:
                               receivers=mset.receivers,
                               active_indices=mset.active_indices[:1],
                               y=mset.y)
+
+    def test_subsample_of_two_receivers_keeps_one(self):
+        # subsample keeps positions 1, 1 + factor, ...: two receivers are
+        # the fewest that a factor above 1 leaves one of
+        assert recon.check_subsample(2, n_receivers=2) == 2
+        with pytest.raises(ConfigError, match="^subsampling by 2 keeps no receiver of 1$"):
+            recon.check_subsample(2, n_receivers=1)
+        tx = [wt.Transmitter("point", position=(1.0, 0.0))]
+        y = [np.array([1.0 + 2.0j, 3.0 - 1.0j])]
+        kept = wt.MeasurementSet(tx, wt.ring_sensors(2, 1.0), [[0, 1]], y).subsample(2)
+        assert kept.active_indices[0].tolist() == [1] and kept.y[0].tolist() == [3.0 - 1.0j]
 
     def test_subsample_nesting(self, rng):
         _, mset = tiny_problem(rng, n_tx=1)
@@ -184,6 +196,17 @@ class TestTransmitter:
     def test_plane_direction_rejected(self, direction):
         with pytest.raises(ConfigError, match="direction"):
             wt.Transmitter("plane", direction=direction)
+
+    @pytest.mark.parametrize("direction", [(0.6, -0.8), (-0.48, 0.6, 0.64)])
+    def test_plane_wave_travels_along_its_direction(self, direction):
+        # a exp(i k d.r), one point at a time: its phase grows along d
+        k = 2.0 * np.pi / 0.5
+        tx = wt.Transmitter("plane", direction=direction, amplitude=2.0 - 1.0j)
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-0.5, 0.5, (4, len(direction)))
+        expect = [(2.0 - 1.0j) * cmath.exp(1j * k * sum(p * d for p, d in zip(pt, direction)))
+                  for pt in points.tolist()]
+        assert np.allclose(tx.field_at(points, k), expect, rtol=1e-13, atol=0.0)
 
 
 class TestTotalGradient:
