@@ -35,9 +35,8 @@ _MAX_ORDER = 1000
 class AnalyticScene:
     """Geometry of the closed-form scattering problem.
 
-    truncation: highest retained harmonic order; defaults to
-    ceil(k_b * r_sph) + 30 (size parameter plus margin).  The cutoff, given
-    or derived, must not exceed 1000.
+    truncation: highest retained harmonic order; ``order_cutoff`` derives
+    the default.  The cutoff, given or derived, must not exceed 1000.
     """
 
     r_sph: float
@@ -56,17 +55,17 @@ class AnalyticScene:
             raise ConfigError("background wavenumber must be positive and finite")
         if self.truncation is not None and self.truncation < 1:
             raise ConfigError("truncation must be >= 1")
-        # checked as a float: int() in order_cutoff overflows on a huge size
-        cutoff = self.truncation or np.ceil(self.k_b * self.r_sph) + 30
-        if not cutoff <= _MAX_ORDER:
-            raise ConfigError(f"harmonic order cutoff {cutoff:.6g} exceeds the "
-                              f"maximum {_MAX_ORDER}")
+        self.order_cutoff  # raises when the cutoff exceeds the maximum
 
     @property
     def order_cutoff(self):
-        if self.truncation is not None:
-            return int(self.truncation)
-        return int(np.ceil(self.k_b * self.r_sph)) + 30
+        """The truncation, or ceil(k_b * r_sph) + 30: size parameter plus margin."""
+        cutoff = self.truncation or np.ceil(self.k_b * self.r_sph) + 30
+        # checked as a float: int() overflows on a huge size parameter
+        if not cutoff <= _MAX_ORDER:
+            raise ConfigError(f"harmonic order cutoff {cutoff:.6g} exceeds the "
+                              f"maximum {_MAX_ORDER}")
+        return int(cutoff)
 
 
 # What the cylinder's and the sphere's series do not share: the radial basis

@@ -100,13 +100,10 @@ def cmd_reconstruct(args):
 
 
 def _scene_from_args(args):
-    k_b = args.k_b
-    if args.wavelength is not None:
-        if not args.wavelength > 0:
-            raise ConfigError("--wavelength must be positive")
-        k_b = 2.0 * np.pi / args.wavelength
+    if not args.wavelength > 0:
+        raise ConfigError("--wavelength must be positive")
     return AnalyticScene(r_sph=args.radius, refractive_index=args.index,
-                         r_s=args.source_distance, k_b=k_b,
+                         r_s=args.source_distance, k_b=2.0 * np.pi / args.wavelength,
                          truncation=args.truncation)
 
 
@@ -331,9 +328,8 @@ def build_parser():
     s.add_argument("--radius", type=float, required=True, help="object radius (m)")
     s.add_argument("--index", type=float, required=True, help="refractive index")
     s.add_argument("--source-distance", type=float, required=True)
-    wave = s.add_mutually_exclusive_group(required=True)
-    wave.add_argument("--wavelength", type=float, help="background wavelength (m)")
-    wave.add_argument("--k-b", type=float, help="background wavenumber (1/m)")
+    s.add_argument("--wavelength", type=float, required=True,
+                   help="background wavelength (m)")
     s.add_argument("--dim", type=int, choices=[2, 3], default=2)
     s.add_argument("--truncation", type=int)
     s.add_argument("--points", help="CSV of r,theta sample points")

@@ -187,7 +187,6 @@ RECON_SCHEMA = {
     "forward": (OBJECT, {}),
     "tau_rel": (NUMBER, 1.5e-9),
     "fista_iters": (INT, 50),
-    "tv_iters": (INT, 10),
     "box": (OBJECT, {}),
 }
 FORWARD_SCHEMA = {

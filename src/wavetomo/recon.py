@@ -192,7 +192,6 @@ class ReconConfig:
     forward: ForwardConfig
     tau_rel: float = 1.5e-9           # TV weight tau = tau_rel * ||y||^2
     fista_iters: int = 50
-    tv_iters: int = 10
     box: BoxConstraint = field(default_factory=lambda: BoxConstraint(0.0, np.inf))
     # not a field, and the library never reads it: benchmarks/workloads.py
     # does; delete it once that read is gone
@@ -201,8 +200,6 @@ class ReconConfig:
     def __post_init__(self):
         if check_integer("fista_iters", self.fista_iters) < 1:
             raise ConfigError("fista_iters must be >= 1")
-        if check_integer("tv_iters", self.tv_iters) < 0:
-            raise ConfigError("tv_iters must be >= 0")
         if isinstance(self.tau_rel, bool) or not 0 <= self.tau_rel < np.inf:
             raise ConfigError("tau_rel must be a finite number >= 0")
 
@@ -575,7 +572,7 @@ def fista_reconstruct(measurements, grid, cfg, ground_truth=None, model="full"):
             raise NumericalError(f"tau * gamma overflow at iteration {it}")
         steps.append(gamma)
         f_new, dual = prox_tv(f_tilde - gamma * grad, gamma * tau, box=cfg.box,
-                              iters=cfg.tv_iters, dual_init=dual)
+                              dual_init=dual)
         q_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * q_prev * q_prev))
         f_tilde = f_new + ((q_prev - 1.0) / q_new) * (f_new - f_prev)
         step_norm = float(np.linalg.norm(f_new - f_prev))

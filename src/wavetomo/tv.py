@@ -94,7 +94,7 @@ def prox_tv(z, tau, box=BoxConstraint(), iters=10, dual_init=None):
     """Box-constrained TV proximal operator argmin 0.5||f - z||^2 + tau R(f).
 
     Runs exactly ``iters`` fast-gradient-projection steps on the dual (the
-    usual budget is 10 inside an outer loop) and returns ``(f, dual)``; the
+    FISTA loop runs the default 10) and returns ``(f, dual)``; the
     dual has grad_op's shape (ndim,) + z.shape and is zero when ``tau == 0``.
     ``dual_init`` warm-starts it (callers keep it between outer iterations;
     this function is stateless); a cold start uses the zero dual field.

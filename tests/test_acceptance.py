@@ -138,6 +138,47 @@ def test_criterion_3_forward_vs_analytic():
             time.perf_counter() - tic, 300.0)
 
 
+# Beside criterion 3, whose bounds sit far above the model's error: each
+# level's error against the closed form, bounded at DISCRETIZATION_MARGIN
+# times the value measured on this code.  A cylinder or sphere of radius
+# 0.4 wavelengths, the point source 4 wavelengths out, a grid 2 wavelengths
+# wide, K = 60.  Rows: (ndim, points per wavelength, contrast, measured).
+DISCRETIZATION_ERRORS = [
+    (2, 8, 0.1, 2.853e-6), (2, 16, 0.1, 3.835e-7),
+    (2, 8, 0.4, 7.099e-5), (2, 16, 0.4, 8.737e-6),
+    (3, 8, 0.1, 1.063e-6), (3, 12, 0.1, 5.417e-7),
+    (3, 8, 0.4, 3.604e-5), (3, 12, 0.4, 1.677e-5),
+]
+# below the 2.6x the 3D self-term with exponent 2/3 for 1/3 reads at 12
+# points per wavelength and 10% (2.6-4.6x over the 3D rows); the 2D one with
+# a = h / pi for h / sqrt(pi) reads 9-12x
+DISCRETIZATION_MARGIN = 1.5
+
+
+@pytest.mark.parametrize("ndim, per_wl, contrast, measured", DISCRETIZATION_ERRORS,
+                         ids=[f"{d}d-{p}ppw-{c:.0%}" for d, p, c, _ in DISCRETIZATION_ERRORS])
+def test_discretization_error_at_its_measured_level(ndim, per_wl, contrast, measured):
+    wl, n = 0.5, 2 * per_wl
+    grid = wt.centered_grid((n,) * ndim, spacing=wl / per_wl, wavelength=wl)
+    n_index = np.sqrt(1.0 + contrast)
+    if ndim == 2:
+        scene = wt.AnalyticScene(r_sph=0.4 * wl, refractive_index=n_index, r_s=4 * wl,
+                                 k_b=grid.k_b)
+        err = forward_error_vs_analytic(grid, scene, [60], (scene.r_s, 0.0))["error"][0]
+    else:
+        scene = wt.AnalyticScene(r_sph=0.4 * wl, refractive_index=n_index, r_s=4 * wl,
+                                 k_b=grid.k_b, truncation=40)
+        f = wt.cylinders(grid, [((0.0, 0.0, 0.0), scene.r_sph, contrast)], supersample=4)
+        u_in = wt.Transmitter("point", position=(0.0, 0.0, scene.r_s)).field_on_grid(grid)
+        u_hat = wt.forward_solve(f, u_in, wt.build_domain_operator(grid), None,
+                                 wt.ForwardConfig(K=60)).u_hat
+        pts = grid.pixel_centers()
+        r = np.linalg.norm(pts, axis=-1)
+        theta = np.arccos(np.clip(pts[..., 2] / np.maximum(r, 1e-300), -1, 1))
+        err = wt.normalized_error(u_hat, wt.analytic_field_3d(r, theta, scene))
+    assert err <= DISCRETIZATION_MARGIN * measured
+
+
 def test_criterion_4_tv_prox_oracle():
     tic = time.perf_counter()
     rng = np.random.default_rng(0)

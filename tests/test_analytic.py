@@ -23,6 +23,35 @@ def _one_sided_slope_jump(R, r_s, h):
     return d_out - d_in
 
 
+# name -> (call, error, message): each rejection of analytic.py; a refractive
+# index of 1e-6 underflows J_m(n k_b r_sph) to zero from order 44 on, and the
+# CLI reaches it as `analytic --index 1e-6 --truncation 50`
+ANALYTIC_REJECTIONS = {
+    "truncation below 1": (
+        lambda: scene_2d(truncation=0), ConfigError, "truncation must be >= 1"),
+    "degenerate determinant": (
+        lambda: wt.analytic_field_2d(3.0, 0.3, wt.AnalyticScene(
+            r_sph=1.0, refractive_index=1e-6, r_s=2.0, k_b=1.0, truncation=50)),
+        ResonanceError, "degenerate radial determinant at order 44"),
+    "sampler of the wrong shape": (
+        lambda: helmholtz_residual(lambda pts: np.ones(3), lambda pts: 1.0,
+                                   wt.centered_grid((6, 6), spacing=0.1, wavelength=1.0)),
+        ConfigError, "sampler did not return one value per pixel"),
+    "every pixel excluded": (
+        lambda: helmholtz_residual(lambda pts: np.ones(pts.shape[:-1]), lambda pts: 1.0,
+                                   wt.centered_grid((6, 6), spacing=0.1, wavelength=1.0),
+                                   exclude=np.ones((6, 6), dtype=bool)),
+        ConfigError, "no interior pixels left after exclusion"),
+}
+
+
+@pytest.mark.parametrize("case", list(ANALYTIC_REJECTIONS))
+def test_rejections(case):
+    call, error, message = ANALYTIC_REJECTIONS[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 class TestCoefficients2D:
     def test_free_space_reduction(self, rng):
         scene = scene_2d(n=1.0, r_sph=WL, truncation=90)
@@ -175,6 +204,13 @@ class TestField2D:
         res = forward_error_vs_analytic(grid, scene, [2, 8, 32, 64], (1.0, 0.0))
         err = res["error"]
         assert all(err[i + 1] < err[i] for i in range(len(err) - 1))
+
+    def test_forward_error_needs_the_scene_source(self):
+        from wavetomo.simulate import forward_error_vs_analytic
+
+        grid = wt.centered_grid((8, 8), spacing=WL / 8, wavelength=WL)
+        with pytest.raises(ConfigError, match="^source distance does not match scene.r_s$"):
+            forward_error_vs_analytic(grid, scene_2d(), [2], (0.9, 0.0))
 
 
 class TestField3D:

@@ -8,8 +8,8 @@ import pytest
 import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import fd_gradient, objective_gradient, scattering_objective
-from wavetomo.errors import (ConfigError, ConvergenceWarning, NumericalError,
-                             StepDegeneracyError)
+from wavetomo.errors import (ConfigError, ConvergenceWarning, DimensionError,
+                             NumericalError, StepDegeneracyError)
 
 
 class TestObjective:
@@ -227,6 +227,13 @@ class TestForwardSolve:
         f = random_potential(rng, grid)
         trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=3, nu=0.5))
         assert [gamma for _, gamma, _, _ in trace.steps] == [0.5, 0.5, 0.5]
+
+    def test_gradient_needs_one_datum_per_sensor(self, small_setup, rng):
+        grid, G, H, u_in = small_setup
+        f = random_potential(rng, grid)
+        trace = wt.forward_solve(f, u_in, G, H, wt.ForwardConfig(K=3))
+        with pytest.raises(DimensionError, match=r"^sensor counts differ: \(12,\) vs \(11,\)$"):
+            wt.gradient_from_trace(f, np.zeros(11), G, H, trace)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -18,6 +18,33 @@ from wavetomo.greens import GRAF_TAIL, SystemOperator, green_matrix
 from wavetomo.grid import refined_grid
 
 
+# name -> (call on small_setup's (grid, G, H, u_in), error, message start):
+# each argument check of greens.py no other test reaches
+GREENS_REJECTIONS = {
+    "zero 2D wavenumber": (lambda s: wt.green_2d(np.array([1.0, 0.0]), k_b=0.0),
+                           ConfigError, "k_b must be positive"),
+    "negative 3D wavenumber": (lambda s: wt.green_3d(np.array([1.0, 0.0, 0.0]), k_b=-1.0),
+                               ConfigError, "k_b must be nonnegative"),
+    "field of the wrong shape": (lambda s: s[1].apply(np.zeros((8, 7))),
+                                 DimensionError, "field has shape (8, 7), expected (8, 8)"),
+    "sensor vector of the wrong shape": (
+        lambda s: s[2].apply_adjoint(np.zeros(11)),
+        DimensionError, "sensor vector has shape (11,), expected (12,)"),
+    "mask index past the sensors": (lambda s: wt.MaskedSensorOperator(s[2], [0, 12]),
+                                    ConfigError, "receiver index out of range"),
+    "masked sensor vector of the wrong shape": (
+        lambda s: wt.MaskedSensorOperator(s[2], [0, 3]).apply_adjoint(np.zeros(12)),
+        DimensionError, "sensor vector has shape (12,), expected (2,)"),
+}
+
+
+@pytest.mark.parametrize("case", list(GREENS_REJECTIONS))
+def test_rejections(small_setup, case):
+    call, error, message = GREENS_REJECTIONS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        call(small_setup)
+
+
 def adjoint_gap(apply_fn, adjoint_fn, x, y):
     lhs = np.vdot(y, apply_fn(x))
     rhs = np.vdot(adjoint_fn(y), x)

@@ -1,9 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
 import wavetomo as wt
+from wavetomo import fileio
 from wavetomo.errors import ConfigError
 from wavetomo.grid import refined_grid
 
@@ -58,3 +60,17 @@ class TestIntegerArguments:
         grid = wt.centered_grid((8, 8), 0.1, 0.5)
         with pytest.raises(ConfigError, match="^grid refinement must be an integer$"):
             refined_grid(grid, refine)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("grid", "wavelength_m", 0.0, "grid: wavelength must be positive and finite"),
+    ("grid", "wavelength_m", 1e-320, "grid: derived wavenumbers must be finite"),
+    ("grid", "background_permittivity", 0, "grid: background permittivity must be positive"),
+    ("receivers", "count", 0, "receivers: ring needs at least one sensor"),
+], ids=["zero wavelength", "subnormal wavelength", "zero permittivity", "no receiver"])
+def test_config_values_grid_rejects(section, key, value, message):
+    cfg = {"grid": {"shape": [8, 8], "spacing_m": 0.05, "wavelength_m": 0.5},
+           "receivers": {"count": 12, "ring_radius_m": 0.5}}
+    cfg[section][key] = value
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        fileio.parse_config(json.dumps(cfg))

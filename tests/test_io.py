@@ -35,7 +35,7 @@ def base_config():
 BAD_LOOP_SETTINGS = [
     ("tau_rel", float("nan")), ("tau_rel", float("inf")), ("tau_rel", -1e-9),
     ("forward.delta_tol_rel", float("nan")), ("forward.delta_tol_rel", float("inf")),
-    ("forward.delta_tol_rel", 1e-30), ("tv_iters", -3),
+    ("forward.delta_tol_rel", 1e-30),
 ]
 
 # (key path, a value it used to accept): each removed key, as listed in the
@@ -47,7 +47,7 @@ REMOVED_KEYS = [
     ("recon.forward.step_mode", "fixed"), ("recon.step_gamma", 1.0),
     ("recon.tv_variant", "iso"), ("recon.workers", 2), ("recon.forward.stop_on", "gradient"),
     ("recon.tv_delta", -1e-4), ("recon.tv_delta", float("nan")), ("recon.forward.nu", 0.5),
-    ("phantom.supersample", 8), ("phantom.extent_m", 0.5),
+    ("recon.tv_iters", 10), ("phantom.supersample", 8), ("phantom.extent_m", 0.5),
 ]
 
 
@@ -159,6 +159,41 @@ def _config_with(path, value):
     return cfg
 
 
+def _without_transmitters():
+    cfg = base_config()
+    del cfg["transmitters"]
+    return cfg
+
+
+# name -> (call given a scratch directory, message): rejections of fileio.py
+# no other test reaches.  A config file reaches the first two, `wavetomo
+# simulate` the third; library callers pass the readers and writers a
+# config or an array themselves
+FILEIO_REJECTIONS = {
+    "config not an object": (lambda tmp: fileio.parse_config("[]"),
+                             "config: expected an object"),
+    "unknown phantom kind": (
+        lambda tmp: fileio.parse_config(json.dumps({**base_config(), "phantom": {"kind": "ball"}})),
+        'phantom.kind: expected one of none, cylinders, shepp_logan, from_file, got "ball"'),
+    "simulation without transmitters": (
+        lambda tmp: simulate_measurements(_without_transmitters()), "transmitters: required"),
+    "library config not an object": (lambda tmp: fileio.grid_from_config([]),
+                                     "config: expected an object"),
+    "3D image": (lambda tmp: fileio.emit_image(np.ones((2, 2, 2)), tmp / "i.pgm"),
+                 "image emission expects a 2D array"),
+    "ragged table": (
+        lambda tmp: fileio.emit_table_csv({"a": [1.0], "b": [1.0, 2.0]}, tmp / "t.csv"),
+        "table columns differ in length"),
+}
+
+
+@pytest.mark.parametrize("case", list(FILEIO_REJECTIONS))
+def test_rejections(tmp_path, case):
+    call, message = FILEIO_REJECTIONS[case]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+
+
 class TestConfig:
     @pytest.mark.parametrize("path, value", BAD_LOOP_SETTINGS,
                              ids=[f"{p}={v}" for p, v in BAD_LOOP_SETTINGS])
@@ -181,7 +216,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("K", True), ("delta_tol_rel", True), ("nu", True),
-        ("fista_iters", True), ("tv_iters", False), ("tau_rel", True)])
+        ("fista_iters", True), ("tau_rel", True)])
     def test_config_dataclasses_reject_bool(self, field, value):
         # the config file rejects a bool for every one of these keys but nu,
         # which has no key; the dataclasses used to take it as the integer 1
@@ -315,6 +350,7 @@ MALFORMED_FILES = {
     "infinite transmitter amplitude": (
         _header(lambda h: h["transmitters"][0].update(amplitude=[float("inf"), 0.0])), 1),
     "receiver index past the ring": (_row(3, b"0,99,1,0"), 4),
+    "transmitter index past the header": (_row(3, b"2,0,1,0"), 4),
     "negative receiver index": (_row(3, b"0,-1,1,0"), 4),
     "repeated pair": (lambda lines: lines.append(lines[2]), 7),
     "non-finite value": (_row(5, b"1,0,nan,0"), 6),
@@ -696,6 +732,16 @@ class TestImagesAndTables:
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(MeasurementParseError, match=f"^line {line}: "):
             fileio.load_grid_csv(path)
+
+    def test_blank_lines_in_grid_csv_are_skipped(self, tmp_path):
+        grid = wt.centered_grid((3, 4), spacing=0.01, wavelength=0.1)
+        path = tmp_path / "img.csv"
+        values = np.arange(12.0).reshape(grid.shape)
+        fileio.emit_grid_csv(values, grid, path)
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(b"\n".join([*lines[:2], b"", b"  \t", *lines[2:]]) + b"\n")
+        back, _ = fileio.load_grid_csv(path)
+        assert np.array_equal(back, values)
 
     def test_table_csv(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wavetomo as wt
+from wavetomo.errors import ConfigError, DimensionError
 
 
 def test_normalized_error_examples(rng):
@@ -34,3 +35,14 @@ def test_snr_decreases_with_noise(rng):
     levels = [0.01, 0.1, 0.5, 1.0]
     snrs = [wt.snr_db(f + a * noise, f) for a in levels]
     assert all(s1 > s2 for s1, s2 in zip(snrs, snrs[1:]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: wt.normalized_error(np.ones(3), np.ones(4)), DimensionError,
+     r"shapes differ: \(3,\) vs \(4,\)"),
+    # `wavetomo metrics` reaches it with a reference CSV of zeros
+    (lambda: wt.snr_db(np.ones(3), np.zeros(3)), ConfigError, "reference has zero norm"),
+], ids=["shapes differ", "zero reference"])
+def test_rejections(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

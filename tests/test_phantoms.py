@@ -96,3 +96,9 @@ def test_shepp_logan_non_finite_contrast(grid, bad):
     with pytest.raises(ConfigError, match="^head phantom contrast must be finite$"):
         wt.shepp_logan(grid, bad)
 
+
+def test_head_off_the_grid_rejected():
+    # the unit head square spans +-0.2 m about the origin; the grid sits 3 m out
+    grid = wt.DomainGrid((8, 8), 0.05, (3.0, 0.0), 0.5)
+    with pytest.raises(ConfigError, match="^phantom does not intersect the grid$"):
+        wt.shepp_logan(grid, 0.1)

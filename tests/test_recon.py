@@ -2,6 +2,7 @@ import ast
 import cmath
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,7 +15,8 @@ import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import adjoint_state_gradient_AH, dense_A_matrix, fd_gradient
 from wavetomo import recon
-from wavetomo.errors import ConfigError, ConvergenceWarning, NumericalError, TransformError
+from wavetomo.errors import (ConfigError, ConvergenceWarning, DimensionError, NumericalError,
+                             TransformError)
 from wavetomo.greens import (DomainGreensOperator, MaskedSensorOperator, SystemOperator,
                              build_sensor_operator)
 from wavetomo.recon import ScatteringProblem
@@ -58,6 +60,40 @@ def synthetic_problem(rng, n=8):
                          fista_iters=8)
     mset.y[:] = wt.predict_all(f_true, ScatteringProblem(mset, grid), cfg)
     return grid, mset, f_true, cfg
+
+
+def _reconstruct_with_model(rng, model):
+    grid, mset = tiny_problem(rng)
+    return wt.fista_reconstruct(mset, grid, wt.ReconConfig(forward=wt.ForwardConfig(K=3)),
+                                model=model)
+
+
+# name -> (call, error, message): argument checks of recon.py no other test
+# reaches; the config and file readers check the same before they build a
+# Transmitter or a MeasurementSet, and the CLI offers only the three models
+RECON_REJECTIONS = {
+    "point without a position": (lambda rng: wt.Transmitter("point"), ConfigError,
+                                 "point transmitter needs a position"),
+    "plane without a direction": (lambda rng: wt.Transmitter("plane"), ConfigError,
+                                  "plane transmitter needs a direction"),
+    "unknown transmitter kind": (lambda rng: wt.Transmitter("laser", position=(1.0, 0.0)),
+                                 ConfigError, "transmitter kind must be 'point' or 'plane'"),
+    "no transmitter": (lambda rng: wt.MeasurementSet([], wt.ring_sensors(3, 1.0), [], []),
+                       ConfigError, "need at least one transmitter"),
+    "fewer measurements than receivers": (
+        lambda rng: wt.MeasurementSet([wt.Transmitter("point", position=(2.0, 0.0))],
+                                      wt.ring_sensors(3, 1.0), [[0, 1]], [[1.0]]),
+        DimensionError, "transmitter 0: 2 receivers but 1 measurements"),
+    "unknown model": (lambda rng: _reconstruct_with_model(rng, "exact"), ConfigError,
+                      "model must be 'full', 'born' or 'rytov'"),
+}
+
+
+@pytest.mark.parametrize("case", list(RECON_REJECTIONS))
+def test_rejections(rng, case):
+    call, error, message = RECON_REJECTIONS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(rng)
 
 
 def model_data(model, mset, problem):
@@ -793,8 +829,7 @@ class TestFista:
         with pytest.raises(ConfigError):
             wt.ReconConfig(forward=wt.ForwardConfig(K=3), tau_rel=float("nan"))
 
-    @pytest.mark.parametrize("field, value", [
-        ("fista_iters", 1.5), ("tv_iters", 2.0)])
+    @pytest.mark.parametrize("field, value", [("fista_iters", 1.5), ("fista_iters", 0)])
     def test_loop_config_validation(self, field, value):
         # rejected at construction, not at the first prox or range() call
         with pytest.raises(ConfigError, match=field):
@@ -866,14 +901,22 @@ class TestAdaptiveStep:
             assert np.array_equal(points[k + 1], outputs[k])
 
     def test_rise_after_a_halving_warns(self, rng, monkeypatch):
-        grid, mset, f_true, cfg = synthetic_problem(rng, n=16)
-        self.scale_start(monkeypatch, 1e6)
+        # with STEP_SHRINK at 1 a "halving" keeps the step, and at 8 gamma_0
+        # the linear Born iterates, with no box to clamp them, diverge: D +
+        # tau TV rises at every iteration.  Each rise from iteration 3 on
+        # follows a halving and warns; iteration 2's rise follows none
+        grid, mset, _, cfg = synthetic_problem(rng, n=16)
+        cfg.box = wt.BoxConstraint()
+        monkeypatch.setattr(recon, "STEP_SHRINK", 1.0)
+        self.scale_start(monkeypatch, 8)
         with pytest.warns(wt.ConvergenceWarning) as caught:
-            wt.fista_reconstruct(mset, grid, cfg)
-        assert [str(w.message) for w in caught] == [
-            "FISTA objective rose at iteration 3 after the step was halved at iteration 2",
-            "FISTA objective rose at iteration 6 after the step was halved at iteration 5",
-            "FISTA made no progress: data fit 654.482 after 8 iterations, 1 at f = 0"]
+            rep = wt.fista_reconstruct(mset, grid, cfg, model="born")
+        assert rep.step_history == [rep.step_history[0]] * cfg.fista_iters
+        messages = [str(w.message) for w in caught]
+        assert messages[:-1] == [f"FISTA objective rose at iteration {it} after the "
+                                 f"step was halved at iteration {it - 1}"
+                                 for it in range(3, cfg.fista_iters + 1)]
+        assert messages[-1].startswith("FISTA made no progress")
 
     def test_run_without_progress_warns(self, rng, monkeypatch):
         # under Born at 1e6 gamma_0 rises and falls alternate, so no rise

@@ -6,6 +6,7 @@ import pytest
 
 from reference import mp_hankel1, mp_j, mp_sph_j, mp_sph_y, mp_y
 from wavetomo import special
+from wavetomo.errors import ConfigError
 from wavetomo.special import (bessel_jn_all, bessel_yn_all, hankel1_0, hankel1_1,
                               hankel1_all, legendre_all, spherical_jn_all,
                               spherical_yn_all)
@@ -160,3 +161,8 @@ def test_legendre_small_orders():
     assert legendre_all(2, 0.5)[2] == pytest.approx(-0.125, abs=1e-15)
     assert np.allclose(p[2], 0.5 * (3 * x ** 2 - 1), atol=1e-14)
     assert np.allclose(p[3], 0.5 * (5 * x ** 3 - 3 * x), atol=1e-14)
+
+
+def test_negative_order_rejected():
+    with pytest.raises(ConfigError, match="^nmax must be >= 0$"):
+        bessel_jn_all(-1, np.array([1.0]))
