@@ -24,7 +24,11 @@ The domain-to-sensor operator H is a
 small dense M x N matrix, built by ``green_matrix`` one block of pixel
 columns at a time: in 2D, the rows of points well outside the grid come from
 Graf's addition theorem as a real GEMM, and the rest from direct Hankel
-evaluations.
+evaluations.  ``green_products`` forms the products V H^T of a stack of
+fields on the same blocks without holding H: it projects each block of V
+onto Graf's grid table and multiplies the small result by the point factor.
+The data generation, which multiplies by H once, uses it; the
+reconstruction loop, which multiplies many times, keeps H.
 
 Discretization convention (used consistently package-wide): off-center kernel
 entries are midpoint samples of g times the pixel area/volume; the zero-offset
@@ -91,6 +95,22 @@ def point_green(ndim):
 GRAF_TAIL = 1e-16
 
 
+def _points_and_weights(grid, points, weights):
+    """``points`` as a (P, ndim) float array, or DimensionError, and
+    ``weights`` broadcast to P complex values."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != grid.ndim:
+        raise DimensionError(f"points have shape {points.shape}, expected "
+                             f"(P, {grid.ndim})")
+    return points, np.broadcast_to(np.asarray(weights, dtype=complex), points.shape[:1])
+
+
+def _direct_rows(grid, centers, points, weights, cols):
+    """weights[p] * g(points[p] - x_n) on the pixel columns ``cols``."""
+    disp = points[:, None, :] - centers[None, cols, :]
+    return weights[:, None] * point_green(grid.ndim)(disp, grid.k_b)
+
+
 def green_matrix(grid, points, weights):
     """weights[p] * g(points[p] - x_n) over the pixel centers x_n.
 
@@ -127,22 +147,60 @@ def green_matrix(grid, points, weights):
     more points took the Graf path; with one, the last column of an odd
     grid differed in the last bit.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != grid.ndim:
-        raise DimensionError(f"points have shape {points.shape}, expected "
-                             f"(P, {grid.ndim})")
-    weights = np.broadcast_to(np.asarray(weights, dtype=complex), points.shape[:1])
+    points, weights = _points_and_weights(grid, points, weights)
     centers = grid.pixel_centers().reshape(-1, grid.ndim)
     out = np.empty((len(points), grid.size), dtype=complex)
-    far = np.zeros(len(points), dtype=bool)
-    if grid.ndim == 2:
-        far = _graf_rows(grid, centers, points, weights, out)
+    far, factor, tables = _graf_terms(grid, centers, points, weights)
+    if factor is not None:
+        rows = np.flatnonzero(far)
+        factor = np.concatenate([factor.real, factor.imag])
+        for cols, table, prod in tables(2 * rows.size):
+            np.matmul(factor, table, out=prod)
+            out.real[rows, cols] = prod[:rows.size]
+            out.imag[rows, cols] = prod[rows.size:]
     near = np.flatnonzero(~far)
     if near.size:
-        g = point_green(grid.ndim)
         for cols in _column_blocks(grid.size, BLOCK_PIXELS):
-            disp = points[near, None, :] - centers[None, cols, :]
-            out[near, cols] = weights[near, None] * g(disp, grid.k_b)
+            out[near, cols] = _direct_rows(grid, centers, points[near], weights[near], cols)
+    return out
+
+
+def green_products(grid, points, weights, V):
+    """V @ green_matrix(grid, points, weights).T without the (P, N) matrix.
+
+    V is a (T, N) array of fields on the grid, raveled; returns the complex
+    (T, P) array whose entry (t, p) is sum_n weights[p] g(points[p] - x_n)
+    V[t, n].  The pixels run in the blocks ``green_matrix`` fills.  For the
+    points on the Graf path each block's grid table is projected,
+    [Re V; Im V][:, block] times the table's transpose, into one (2T, 2L+2)
+    sum, and one (T, 2L+2) x (2L+2, P) product with the complex point factor
+    finishes them.  The other points' rows are evaluated block by block and
+    multiplied at once.  So the scratch memory is set by the blocks, T and
+    P, never by P times N, and a product costs one grid-table pass.  The
+    sums run in another order than a product with the matrix does and agree
+    with it to round-off.
+    """
+    points, weights = _points_and_weights(grid, points, weights)
+    # complex once, so that V.real and V.imag below are views, not new arrays
+    V = np.asarray(V, dtype=complex)
+    if V.ndim != 2 or V.shape[1] != grid.size:
+        raise DimensionError(f"fields have shape {V.shape}, expected (T, {grid.size})")
+    centers = grid.pixel_centers().reshape(-1, grid.ndim)
+    T = len(V)
+    out = np.zeros((T, len(points)), dtype=complex)
+    far, factor, tables = _graf_terms(grid, centers, points, weights)
+    if factor is not None:
+        proj = np.zeros((2 * T, factor.shape[1]))
+        for cols, table, parts in tables(2 * T):
+            parts[:T] = V.real[:, cols]
+            parts[T:] = V.imag[:, cols]
+            proj += parts @ table.T
+        out[:, far] = (proj[:T] + 1j * proj[T:]) @ factor.T
+    near = np.flatnonzero(~far)
+    if near.size:
+        for cols in _column_blocks(grid.size, BLOCK_PIXELS):
+            out[:, near] += V[:, cols] @ _direct_rows(grid, centers, points[near],
+                                                      weights[near], cols).T
     return out
 
 
@@ -171,9 +229,17 @@ def _column_blocks(n, width):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _graf_rows(grid, centers, points, weights, out):
-    """Fill the rows of ``out`` whose point is far enough for the Graf
-    expansion (see ``green_matrix``); returns their mask."""
+def _graf_terms(grid, centers, points, weights):
+    """Graf's expansion about the grid center (see ``green_matrix``) of the
+    2D points far enough for it: their mask, their complex (F, 2L+2) point
+    factor (j/4) w_p eps_l H_l(k r_p) [cos(l theta_p), sin(l theta_p)], and
+    ``tables``, where tables(m) yields (cols, table, scratch) per run of
+    pixel columns: the real (2L+2, w) grid table on ``cols`` and an (m, w)
+    scratch array for the caller's product with it.  The factor and tables
+    are None when no point takes the expansion."""
+    far = np.zeros(len(points), dtype=bool)
+    if grid.ndim != 2:
+        return far, None, None
     k = grid.k_b
     center = grid.center
     pix = (centers[:, 0] - center[0]) + 1j * (centers[:, 1] - center[1])
@@ -184,7 +250,7 @@ def _graf_rows(grid, centers, points, weights, out):
     order = int(np.ceil(k_rho + 12.0 * np.cbrt(k_rho) + 10.0))
     far = (r > rho_max * max(2.0, GRAF_TAIL ** (-1.0 / order))) & (k_rho > 0)
     if not np.any(far):
-        return far
+        return far, None, None
     ls = np.arange(order + 1)
 
     # point factor: the weights, j/4 and eps_l fold in here, on 2L+2 columns
@@ -193,46 +259,43 @@ def _graf_rows(grid, centers, points, weights, out):
     coef = (0.25j * weights[far])[:, None] * eps * hankel1_all(order, k * r).T
     trig = np.exp(1j * np.angle(src)[:, None] * ls)
     factor = np.concatenate([coef * trig.real, coef * trig.imag], axis=1)
-    factor = np.concatenate([factor.real, factor.imag])
-    rows = np.flatnonzero(far)
 
-    # grid table per block: one row per order and trig; e^{j l phi} by
-    # recurrence, the pixel at the center (rho = 0, if any) has J_0 = 1 and
-    # J_l = 0 beyond.  Its Bessel values are overwritten, so it takes
-    # rho_max's: an argument above L would raise the order Miller's
-    # recurrence starts from, and so the other pixels' bits, in its block
-    # only (rho = 1 m gives k_b rho = 84 > L = 71 on a 91^2 grid).  Table and
-    # product live in two buffers sized for the widest block, reshaped to
-    # each block's width.
-    blocks = [(block, _column_blocks(block.stop - block.start, GEMM_PIXELS))
-              for block in _column_blocks(grid.size, BLOCK_PIXELS)]
-    width = max(sub.stop - sub.start for _, subs in blocks for sub in subs)
-    table_buf = np.empty((2 * order + 2) * width)
-    prod_buf = np.empty(2 * rows.size * width)
-    phase_buf = np.empty(width, dtype=complex)
-    for block, subs in blocks:
-        at_center = rho[block] == 0.0
-        rho_safe = np.where(at_center, rho_max, rho[block])
-        bessel = bessel_jn_all(order, k * rho_safe)
-        rot = np.where(at_center, 1.0, pix[block] / rho_safe)
-        for sub in subs:
-            w = sub.stop - sub.start
-            table = table_buf[:(2 * order + 2) * w].reshape(2 * order + 2, w)
-            phase = phase_buf[:w]
-            phase[:] = 1.0
-            for l in ls:
-                np.multiply(bessel[l, sub], phase.real, out=table[l])
-                np.multiply(bessel[l, sub], phase.imag, out=table[order + 1 + l])
-                phase *= rot[sub]
-            table[:, at_center[sub]] = 0.0
-            table[0, at_center[sub]] = 1.0
-            prod = prod_buf[:2 * rows.size * w].reshape(2 * rows.size, w)
-            np.matmul(factor, table, out=prod)
-            cols = slice(block.start + sub.start, block.start + sub.stop)
-            out.real[rows, cols] = prod[:rows.size]
-            out.imag[rows, cols] = prod[rows.size:]
-        del bessel   # before the next block's values are made
-    return far
+    def tables(m):
+        # grid table per block: one row per order and trig; e^{j l phi} by
+        # recurrence, the pixel at the center (rho = 0, if any) has J_0 = 1
+        # and J_l = 0 beyond.  Its Bessel values are overwritten, so it
+        # takes rho_max's: an argument above L would raise the order
+        # Miller's recurrence starts from, and so the other pixels' bits, in
+        # its block only (rho = 1 m gives k_b rho = 84 > L = 71 on a 91^2
+        # grid).  Table and scratch live in two buffers sized for the widest
+        # run, reshaped to each run's width.
+        blocks = [(block, _column_blocks(block.stop - block.start, GEMM_PIXELS))
+                  for block in _column_blocks(grid.size, BLOCK_PIXELS)]
+        width = max(sub.stop - sub.start for _, subs in blocks for sub in subs)
+        table_buf = np.empty((2 * order + 2) * width)
+        scratch_buf = np.empty(m * width)
+        phase_buf = np.empty(width, dtype=complex)
+        for block, subs in blocks:
+            at_center = rho[block] == 0.0
+            rho_safe = np.where(at_center, rho_max, rho[block])
+            bessel = bessel_jn_all(order, k * rho_safe)
+            rot = np.where(at_center, 1.0, pix[block] / rho_safe)
+            for sub in subs:
+                w = sub.stop - sub.start
+                table = table_buf[:(2 * order + 2) * w].reshape(2 * order + 2, w)
+                phase = phase_buf[:w]
+                phase[:] = 1.0
+                for l in ls:
+                    np.multiply(bessel[l, sub], phase.real, out=table[l])
+                    np.multiply(bessel[l, sub], phase.imag, out=table[order + 1 + l])
+                    phase *= rot[sub]
+                table[:, at_center[sub]] = 0.0
+                table[0, at_center[sub]] = 1.0
+                cols = slice(block.start + sub.start, block.start + sub.stop)
+                yield cols, table, scratch_buf[:m * w].reshape(m, w)
+            del bessel   # before the next block's values are made
+
+    return far, factor, tables
 
 
 # a column block is built only when its period holds at most this fraction
@@ -414,14 +477,9 @@ class DomainGreensOperator:
         return np.conj(transpose.apply(np.conj(v)))
 
 
-def sensor_rows(grid, sensors, sources=None, amplitudes=()):
-    """H's rows on ``sensors``, then amplitudes[j] * g(sources[j] - x_n).
-
-    ``sources`` is an (S, ndim) array of point-source positions, if any.
-    One ``green_matrix`` call builds both, so the grid table of its Graf path
-    is built once per grid.  Warns when a sensor lies inside the domain, and
-    raises SingularityError when one sits on a pixel center.
-    """
+def check_sensors(grid, sensors):
+    """Warn when a sensor lies inside the domain, and raise
+    SingularityError when one sits on a pixel center."""
     sensors.warn_if_inside(grid)
     # the nearest pixel center, axis by axis
     lo = np.asarray(grid.origin)
@@ -430,6 +488,16 @@ def sensor_rows(grid, sensors, sources=None, amplitudes=()):
     nearest = lo + grid.spacing * index
     if np.any(np.linalg.norm(sensors.positions - nearest, axis=1) < 1e-9 * grid.spacing):
         raise SingularityError("a sensor coincides with a pixel center")
+
+
+def sensor_rows(grid, sensors, sources=None, amplitudes=()):
+    """H's rows on ``sensors``, then amplitudes[j] * g(sources[j] - x_n).
+
+    ``sources`` is an (S, ndim) array of point-source positions, if any.
+    One ``green_matrix`` call builds both, so the grid table of its Graf path
+    is built once per grid.  The sensors pass ``check_sensors`` first.
+    """
+    check_sensors(grid, sensors)
     if sources is None:
         sources = np.empty((0, grid.ndim))
     points = np.concatenate([sensors.positions, sources])

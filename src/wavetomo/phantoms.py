@@ -97,32 +97,45 @@ _SHEPP_LOGAN = [
 ]
 
 
+def _head_coordinates(grid):
+    """The pixel centers in the head phantom's unit square, which spans the
+    domain: its half-width maps to half the width of the first axis."""
+    centers = grid.pixel_centers() / (0.5 * grid.spacing * grid.shape[0])
+    return centers[..., 0], centers[..., 1]
+
+
+def _in_ellipse(x, y, a, b, cx, cy, ang):
+    """Whether (x, y) lies in the ellipse of semi-axes a, b about (cx, cy),
+    rotated by ``ang`` degrees."""
+    t = np.deg2rad(ang)
+    xr = (x - cx) * np.cos(t) + (y - cy) * np.sin(t)
+    yr = -(x - cx) * np.sin(t) + (y - cy) * np.cos(t)
+    return (xr / a) ** 2 + (yr / b) ** 2 <= 1.0
+
+
 def check_shepp_logan(grid, peak_contrast):
-    """Raise ConfigError unless ``shepp_logan`` takes these values."""
+    """Raise ConfigError unless ``shepp_logan`` takes these values.  The
+    ellipses' intensities sum to about 1 or more wherever the outer one is
+    and to 0 outside it, so the phantom meets the grid exactly when that
+    ellipse holds a pixel center."""
     if grid.ndim != 2:
         raise ConfigError(f"head phantom needs a 2D grid, got {grid.ndim} axes")
     if not np.isfinite(peak_contrast):
         raise ConfigError("head phantom contrast must be finite")
+    if not np.any(_in_ellipse(*_head_coordinates(grid), *_SHEPP_LOGAN[0][1:])):
+        raise ConfigError("phantom does not intersect the grid")
 
 
 def shepp_logan(grid, peak_contrast):
     """Ten-ellipse head phantom (2D), scaled so max|f|/k_b^2 = peak_contrast.
 
-    The unit phantom square spans the domain: its half-width maps to half the
-    width of the first axis.  ``check_shepp_logan`` vets the input.
+    The unit phantom square spans the domain (``_head_coordinates``).
+    ``check_shepp_logan`` vets the input.
     """
     check_shepp_logan(grid, peak_contrast)
-    # phantom defined on [-1, 1]^2
-    centers = grid.pixel_centers() / (0.5 * grid.spacing * grid.shape[0])
-    x = centers[..., 0]
-    y = centers[..., 1]
+    x, y = _head_coordinates(grid)
     img = np.zeros(grid.shape)
-    for amp, a, b, cx, cy, ang in _SHEPP_LOGAN:
-        t = np.deg2rad(ang)
-        xr = (x - cx) * np.cos(t) + (y - cy) * np.sin(t)
-        yr = -(x - cx) * np.sin(t) + (y - cy) * np.cos(t)
-        img += amp * ((xr / a) ** 2 + (yr / b) ** 2 <= 1.0)
+    for amp, *ellipse in _SHEPP_LOGAN:
+        img += amp * _in_ellipse(x, y, *ellipse)
     peak = np.max(np.abs(img))
-    if peak == 0:
-        raise ConfigError("phantom does not intersect the grid")
     return img * (peak_contrast * grid.k_b ** 2 / peak)

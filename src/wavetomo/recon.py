@@ -30,7 +30,7 @@ from .forward import ForwardConfig, bicgstab, data_fidelity
 # not called: benchmarks/layers.py wraps them; drop them with those sites
 from .forward import forward_solve, gradient_from_trace  # noqa: F401
 from .greens import (MaskedSensorOperator, SensorGreensOperator, SystemOperator,
-                     build_domain_operator, point_green, sensor_rows)
+                     build_domain_operator, green_matrix, point_green, sensor_rows)
 # not called: benchmarks/layers.py wraps it
 from .greens import build_sensor_operator  # noqa: F401
 from .grid import SensorSet, check_integer
@@ -185,6 +185,35 @@ class MeasurementSet:
             frequency_hz=self.frequency_hz)
 
 
+def incident_fields(grid, transmitters, sensors=None):
+    """(H, U_in): H's rows on ``sensors`` (None without them) and the
+    transmitters' incident fields, row t of U_in transmitter t's on the grid
+    raveled.
+
+    One ``sensor_rows`` call, or ``green_matrix`` without sensors, builds
+    the point sources' fields with H's rows, so its Graf grid table is
+    built once; plane waves are evaluated on their own.  When every
+    transmitter is a point source, H and U_in are two views of that call's
+    output, so no row is held twice.
+    """
+    point = [t for t, tx in enumerate(transmitters) if tx.kind == "point"]
+    sources = np.reshape([transmitters[t].position for t in point], (len(point), grid.ndim))
+    amplitudes = [transmitters[t].amplitude for t in point]
+    if sensors is None:
+        H, rows = None, green_matrix(grid, sources, amplitudes)
+    else:
+        rows = sensor_rows(grid, sensors, sources, amplitudes)
+        H, rows = rows[:len(sensors)], rows[len(sensors):]
+    if len(point) == len(transmitters):
+        return H, rows
+    U_in = np.empty((len(transmitters), grid.size), dtype=complex)
+    U_in[point] = rows
+    for t, tx in enumerate(transmitters):
+        if tx.kind == "plane":
+            U_in[t] = tx.field_on_grid(grid).ravel()
+    return H, U_in
+
+
 @dataclass
 class ReconConfig:
     """All solver knobs of the outer image-formation loop."""
@@ -231,13 +260,11 @@ class ReconReport:
 class ScatteringProblem:
     """Precomputed operators binding a measurement set to a grid.
 
-    The recorded slots' sensor rows and the point sources' incident fields
-    come from one ``sensor_rows`` call, which builds its Graf grid table
-    once; plane waves are evaluated on their own.  ``G`` and
-    ``u_in_sensors`` are built on first read and kept: only the full model
-    solves on G, and only the Rytov transform reads the incident fields at
-    the receivers, so Born and Rytov runs build no G and a data generation
-    evaluates no sensor field.
+    H's rows on the recorded slots and the incident fields come from one
+    ``incident_fields`` call.  ``G`` and ``u_in_sensors`` are built on first
+    read and kept: only the full model solves on G, and only the Rytov
+    transform reads the incident fields at the receivers, so Born and Rytov
+    runs build no G.
     """
 
     def __init__(self, measurements, grid):
@@ -249,21 +276,14 @@ class ScatteringProblem:
         self.grid = grid
         # H holds only the receiver slots some transmitter recorded; each
         # transmitter's mask indexes into that union
-        active, txs = measurements.active_indices, measurements.transmitters
+        active = measurements.active_indices
         recorded = np.unique(np.concatenate(active))
         sensors = SensorSet(measurements.receivers.positions[recorded])
-        point = [t for t, tx in enumerate(txs) if tx.kind == "point"]
-        sources = np.array([txs[t].position for t in point]).reshape(len(point), ndim)
-        rows = sensor_rows(grid, sensors, sources, [txs[t].amplitude for t in point])
-        self._H_ring = SensorGreensOperator(grid, sensors, rows[:recorded.size])
+        H, self.U_in = incident_fields(grid, measurements.transmitters, sensors)
+        self._H_ring = SensorGreensOperator(grid, sensors, H)
         self.H = [MaskedSensorOperator(self._H_ring, np.searchsorted(recorded, ix))
                   for ix in active]
         # row t of U_in is u_in[t] raveled, and u_in[t] is a view of it
-        self.U_in = np.empty((len(txs), grid.size), dtype=complex)
-        self.U_in[point] = rows[recorded.size:]
-        for t, tx in enumerate(txs):
-            if tx.kind == "plane":
-                self.U_in[t] = tx.field_on_grid(grid).ravel()
         self.u_in = [u.reshape(grid.shape) for u in self.U_in]
 
     @functools.cached_property

@@ -1,12 +1,15 @@
 """Synthetic experiment assembly: layouts, phantom rendering, measurement
 generation, and parameter sweeps.
 
-Measurement generation is the FISTA loop's own prediction, ``predict_all``,
-run with a tighter solve: the data are computed on a refined grid (default
-2x per axis) with each field solved by BiCGStab to the relative residual
+Measurement generation solves the FISTA loop's own field equations with a
+tighter solve, on a refined grid (default 2x per axis): each transmitter's
+incident field is solved by BiCGStab to the relative residual
 GENERATION_RESIDUAL, far below the reconstruction's tolerance, so the data
 carry neither the reconstruction grid's discretization nor the truncation
-error of its solves.  The reconstruction then runs on the configured grid.
+error of its solves.  The scattered field on every ring slot is then one
+matrix-free Green's product, ``greens.green_products``, so the generation
+never holds the slots x pixels matrix H that the loop multiplies by many
+times.  The reconstruction then runs on the configured grid.
 """
 
 import dataclasses
@@ -21,12 +24,12 @@ from .fileio import (SPEED_OF_LIGHT, generation_from_config, grid_from_config,
                      recon_config_from_config, rng_from_config,
                      transmitters_from_config)
 from .forward import ForwardConfig, forward_solve
-from .greens import build_domain_operator
+from .greens import SystemOperator, build_domain_operator, check_sensors, green_products
 # not called: benchmarks/layers.py wraps it
 from .greens import build_sensor_operator  # noqa: F401
 from .grid import refined_grid
 from .metrics import normalized_error
-from .recon import MeasurementSet, ScatteringProblem, Transmitter, predict_all
+from .recon import MeasurementSet, Transmitter, _solve_rows, incident_fields
 
 # relative residual ||A u - u_in|| / ||u_in|| each generation field solve meets
 GENERATION_RESIDUAL = 1e-10
@@ -56,13 +59,15 @@ def render_phantom(cfg, grid):
 def simulate_measurements(cfg):
     """Generate synthetic measurements per the experiment config.
 
-    The data are ``predict_all`` on the refined grid, every ring slot
-    recorded: each transmitter's field solves A u = u_in by BiCGStab, to
-    GENERATION_RESIDUAL in at most ``generation.k_multiplier`` times
-    ``recon.forward.K`` iterations; a solve that reaches that cap warns
-    with ConvergenceWarning.  Returns (measurements, f_true) with f_true
-    rendered on the reconstruction grid.  Deterministic for a fixed config
-    (the noise draw is seeded).
+    The data are the loop's full model on the refined grid, every ring slot
+    recorded: each transmitter's field solves A u = u_in by BiCGStab
+    (``recon._solve_rows``), to GENERATION_RESIDUAL in at most
+    ``generation.k_multiplier`` times ``recon.forward.K`` iterations, and a
+    solve that reaches that cap warns with ConvergenceWarning.  The
+    scattered field H (f u) on the slots is ``green_products``, which forms
+    no H.  Returns (measurements, f_true) with f_true rendered on the
+    reconstruction grid.  Deterministic for a fixed config (the noise draw
+    is seeded).
     """
     grid = grid_from_config(cfg)
     recon_cfg = recon_config_from_config(cfg)
@@ -75,19 +80,23 @@ def simulate_measurements(cfg):
     transmitters = transmitters_from_config(cfg)
     receivers, subsample = receivers_from_config(cfg)
     all_slots = np.arange(len(receivers))
-    # the prediction reads the slots, not the zero y
+    # checks the transmitters against the receivers before any solve; y follows
     mset = MeasurementSet(
         transmitters=transmitters,
         receivers=receivers,
         active_indices=[all_slots.copy() for _ in transmitters],
         y=[np.zeros(len(receivers)) for _ in transmitters],
         frequency_hz=SPEED_OF_LIGHT / grid.wavelength)
+    check_sensors(fine, receivers)
     # the solves stop at ForwardConfig.residual_tol, which is exactly
     # GENERATION_RESIDUAL
     gen_cfg = dataclasses.replace(recon_cfg, forward=ForwardConfig(
         K=gen.k_multiplier * recon_cfg.forward.K,
         delta_tol_rel=0.5 * GENERATION_RESIDUAL ** 2))
-    y = predict_all(f_fine, ScatteringProblem(mset, fine), gen_cfg)
+    _, U = incident_fields(fine, transmitters)
+    U = _solve_rows(SystemOperator(f_fine, build_domain_operator(fine)), U, gen_cfg)
+    U *= f_fine.ravel()
+    y = list(green_products(fine, receivers.positions, fine.pixel_volume, U))
 
     if gen.noise_snr_db is not None:
         rng = rng_from_config(cfg)

@@ -14,7 +14,7 @@ from reference import (dense_A_matrix, dense_domain_matrix, direct_green_matrix,
 from wavetomo import greens
 from wavetomo.analytic import helmholtz_residual
 from wavetomo.errors import ConfigError, DimensionError, SingularityError
-from wavetomo.greens import GRAF_TAIL, SystemOperator, green_matrix
+from wavetomo.greens import GRAF_TAIL, SystemOperator, green_matrix, green_products
 from wavetomo.grid import refined_grid
 
 
@@ -35,6 +35,12 @@ GREENS_REJECTIONS = {
     "masked sensor vector of the wrong shape": (
         lambda s: wt.MaskedSensorOperator(s[2], [0, 3]).apply_adjoint(np.zeros(12)),
         DimensionError, "sensor vector has shape (12,), expected (2,)"),
+    "fields of the wrong width": (
+        lambda s: green_products(s[0], np.ones((1, 2)), 1.0, np.zeros((3, 63))),
+        DimensionError, "fields have shape (3, 63), expected (T, 64)"),
+    "one field, not a stack": (
+        lambda s: green_products(s[0], np.ones((1, 2)), 1.0, np.zeros(64)),
+        DimensionError, "fields have shape (64,), expected (T, 64)"),
 }
 
 
@@ -689,6 +695,24 @@ class TestGreenMatrix:
             assert rel_entries(u, expect) <= (0.0 if t == 1 else 1e-12)
 
 
+    def test_point_sources_rows_held_once(self, monkeypatch):
+        # with point sources only, H and the incident fields are two views
+        # of the one green_matrix output: no row is copied
+        grid = wt.centered_grid((64, 64), spacing=WL / 16, wavelength=WL)
+        tx = [wt.Transmitter("point", position=p) for p in ring(8, 0.45)]
+        mset = wt.MeasurementSet(tx, wt.ring_sensors(60, 0.5), [np.arange(60)] * 8,
+                                 [np.ones(60, dtype=complex)] * 8)
+        built = []
+        monkeypatch.setattr(greens, "green_matrix",
+                            lambda grid, points, weights: built.append(
+                                green_matrix(grid, points, weights)) or built[-1])
+        problem = wt.ScatteringProblem(mset, grid)
+        rows, = built
+        assert problem.U_in.base is rows and problem._H_ring.matrix.base is rows
+        assert problem.U_in.flags.c_contiguous and problem.U_in.shape == (8, grid.size)
+        assert np.array_equal(problem.U_in, rows[60:])
+
+
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -749,6 +773,80 @@ class TestBlockedBuild:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes < 15e6
+
+
+def product_scenes():
+    """(grid, points, weights) with points on the Graf path only, on the
+    direct path only and on both in 2D, on a 3D grid (direct only), and on
+    an odd grid whose center pixel sits at the expansion center."""
+    h = WL / 16
+    grid = wt.centered_grid((64, 64), spacing=h, wavelength=WL)
+    center, rho_max, bound = graf_bound(grid)
+    near = np.concatenate([[[0.011, -0.023], [0.0, 0.0]], ring(6, 0.5 * (rho_max + bound))])
+    scenes = blocked_scenes()
+    return {
+        "graf only": (grid, np.concatenate([ring(60, 0.5), ring(8, 0.45)]),
+                      np.concatenate([np.full(60, grid.pixel_volume), np.ones(8) - 0.5j])),
+        "direct only": (grid, near + [0.3 * h, 0.0], np.linspace(1.0, 2.0, 8)),
+        "both": scenes["128^2"],
+        "3d": scenes["3d"],
+        "center pixel": (wt.DomainGrid((9, 7), h, (0.02, -0.01), WL),
+                         np.concatenate([ring(12, 0.5, 0.1), [[0.05, 0.01]]]), 0.7 + 0.2j),
+    }
+
+
+class TestGreenProducts:
+    """green_products against V @ green_matrix(...).T, the matrix it avoids."""
+
+    @pytest.mark.parametrize("name", list(product_scenes()))
+    def test_matches_the_matrix_product(self, name):
+        grid, points, weights = product_scenes()[name]
+        rng = np.random.default_rng(7)
+        V = rng.standard_normal((3, grid.size)) + 1j * rng.standard_normal((3, grid.size))
+        got = green_products(grid, points, weights, V)
+        expect = V @ green_matrix(grid, points, weights).T
+        assert got.shape == (3, len(points)) and got.dtype == complex
+        assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+        # each row against its own size too: no transmitter's products may
+        # hide behind another's
+        for a, b in zip(got, expect):
+            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+
+    def test_each_point_takes_its_own_path(self, direct_rows):
+        # the Graf points are never evaluated directly, and the direct ones
+        # once per pixel, in the blocks green_matrix fills
+        grid, points, weights = product_scenes()["direct only"]
+        ring_points = ring(60, 0.5)
+        both = np.concatenate([ring_points, points])
+        green_products(grid, both, 1.0, np.ones((2, grid.size)))
+        assert_direct(direct_rows, grid, both, slice(60, None))
+
+    def test_real_fields_and_blocks(self, monkeypatch):
+        # a real V, and blocks narrower than the grid on both paths: the
+        # result does not depend on how the pixels are split
+        grid, points, weights = product_scenes()["both"]
+        V = np.random.default_rng(3).standard_normal((2, grid.size))
+        whole = V @ green_matrix(grid, points, weights).T
+        monkeypatch.setattr(greens, "BLOCK_PIXELS", 1500)
+        monkeypatch.setattr(greens, "GEMM_PIXELS", 700)
+        got = green_products(grid, points, weights, V)
+        assert np.linalg.norm(got - whole) <= 1e-13 * np.linalg.norm(whole)
+
+    def test_scratch_does_not_grow_with_the_points(self):
+        # a 360-slot ring against 60 on the Graf path: the products hold no
+        # points x pixels array (the 300 more rows would be 78.6 MB).  The
+        # point factor and its Hankel table grow by 0.85 MB
+        grid = wt.centered_grid((128, 128), spacing=WL / 16, wavelength=WL)
+        V = np.ones((4, grid.size), dtype=complex)
+        peaks = []
+        for count in (60, 360):
+            tracemalloc.start()
+            try:
+                green_products(grid, ring(count, 1.0), grid.pixel_volume, V)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2e6
 
 
 class TestScatteringOperator:

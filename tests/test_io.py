@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,12 @@ def _head_on_3d_grid(cfg):
     del cfg["transmitters"], cfg["receivers"]
 
 
+def _head_off_the_grid(cfg):
+    # the 12^2 grid of 0.03125 m, 3 m from the head at the origin
+    _head()(cfg)
+    cfg["grid"]["origin_m"] = [3.0, 0.0]
+
+
 def _render(cfg):
     """cfg's phantom from phantoms.py, past the parser."""
     grid, p = fileio.grid_from_config(cfg), cfg["phantom"]
@@ -110,6 +117,7 @@ CONSUMED_VALUES = {
     "infinite head contrast": (_head(contrast=INF), "phantom", _render),
     "-infinite head contrast": (_head(contrast=-INF), "phantom", _render),
     "head phantom on a 3D grid": (_head_on_3d_grid, "phantom", _render),
+    "head phantom off the grid": (_head_off_the_grid, "phantom", _render),
     "zero subsample": (_edit("receivers", subsample=0), "receivers.subsample", _subsample),
     "negative subsample": (
         _edit("receivers", subsample=-2), "receivers.subsample", _subsample),
@@ -396,6 +404,20 @@ class TestMeasurementFile:
         fileio.save_measurements(p2, m2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_noise_at_the_config_snr(self):
+        # the noise is complex Gaussian with E|n|^2 = mean |y|^2 10^(-SNR/10):
+        # 3 x 64 draws estimate that power to about 7%
+        cfg = base_config()
+        cfg["receivers"]["count"] = 64
+        clean, _ = simulate_measurements(cfg)
+        cfg["generation"]["noise_snr_db"] = 10.0
+        noisy, _ = simulate_measurements(cfg)
+        y = np.concatenate(clean.y)
+        noise = np.concatenate(noisy.y) - y
+        ratio = np.mean(np.abs(noise) ** 2) / np.mean(np.abs(y) ** 2)
+        assert 0.08 < ratio < 0.125
+        assert abs(np.mean(noise.real ** 2) / np.mean(noise.imag ** 2) - 1.0) < 0.5
+
     def test_simulate_bit_identical_on_any_thread_count(self, monkeypatch):
         # the generation's three solves run on one to three threads; the
         # data do not depend on how many
@@ -453,6 +475,55 @@ class TestMeasurementFile:
         whole, _ = simulate_measurements(cfg)
         for a, b in zip(blocked.y, whole.y):
             assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
+
+    def test_data_match_the_closed_form_cylinder(self):
+        # a line source 2 m out and a centered cylinder of radius 0.2
+        # wavelengths at 10% contrast: the data are the closed form's total
+        # field less the incident field at the receivers, up to the 24^2
+        # generation grid's discretization (3.36e-3 measured; bound 1.5x).
+        # Source and receivers take the Graf path.  A product with G's
+        # adjoint in place of its transpose, or without the pixel area,
+        # misses by more than 1
+        wl = 0.5
+        cfg = {
+            "grid": {"shape": [12, 12], "spacing_m": wl / 16, "wavelength_m": wl},
+            "transmitters": {"kind": "point-ring", "radius_m": 2.0, "count": 1},
+            "receivers": {"ring_radius_m": 1.0, "count": 16},
+            "phantom": {"kind": "cylinders", "cylinders": [
+                {"center_m": [0.0, 0.0], "radius_m": 0.1, "contrast": 0.1}]},
+            "recon": {"forward": {"K": 20}},
+            "generation": {"grid_refine": 2, "k_multiplier": 4},
+        }
+        mset, _ = simulate_measurements(fileio.parse_config(json.dumps(cfg)))
+        k_b = fileio.grid_from_config(cfg).k_b
+        scene = wt.AnalyticScene(r_sph=0.1, refractive_index=np.sqrt(1.1), r_s=2.0,
+                                 k_b=k_b, truncation=60)
+        pos = mset.receivers.positions
+        tx, = mset.transmitters
+        assert tx.position == (2.0, 0.0)
+        total = wt.analytic_field_2d(np.linalg.norm(pos, axis=1),
+                                     np.arctan2(pos[:, 1], pos[:, 0]), scene)
+        scattered = total - tx.field_at(pos, k_b)
+        assert np.linalg.norm(mset.y[0] - scattered) <= 5e-3 * np.linalg.norm(scattered)
+
+    def test_memory_does_not_grow_with_the_ring(self):
+        # a 64^2 generation grid with 60 and with 480 receivers: the data
+        # come from the Green's products, not from a slots x pixels matrix,
+        # which would add 27.5 MB (0.52 MB measured)
+        peaks = []
+        for count in (60, 480):
+            cfg = base_config()
+            cfg["grid"] = {"shape": [32, 32], "spacing_m": 0.0749 / 16, "wavelength_m": 0.0749}
+            cfg["transmitters"] = {"kind": "point-ring", "radius_m": 0.45, "count": 2}
+            cfg["receivers"] = {"ring_radius_m": 0.5, "count": count}
+            cfg["phantom"]["cylinders"][0]["radius_m"] = 0.03
+            tracemalloc.start()
+            try:
+                simulate_measurements(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2e6
 
     def test_head_phantom_renders_at_the_config_contrast(self):
         # the generation renders a shepp_logan phantom on the solve grid and
