@@ -37,6 +37,8 @@ area/volume equals one pixel, which removes the singularity at second-order
 accuracy.
 """
 
+import mmap
+
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SingularityError
@@ -137,19 +139,24 @@ def green_matrix(grid, points, weights):
     that path is also the test oracle.
 
     Both paths fill the output one block of BLOCK_PIXELS pixel columns at
-    a time, and the Graf path builds its table and runs its GEMM on
-    GEMM_PIXELS columns of a block at a time, so the scratch memory is set
-    by the blocks and P, not by N.  Every step is elementwise in the pixel
-    but two: the GEMM, split by output columns, and the 2D direct path's
-    power series, which stops once all of a block's terms fall below
-    1e-18.  On OpenBLAS 0.3.31 the blocks gave a one-block build's bits on
-    every grid tried (64^2, 65^2, 91^2, 128^2, 129^2, 61 x 69) when two or
-    more points took the Graf path; with one, the last column of an odd
-    grid differed in the last bit.
+    a time, the Graf path builds its table and runs its GEMM on
+    GEMM_PIXELS columns of a block at a time, and the direct path
+    evaluates NEAR_POINTS points of a block at a time, so the scratch
+    memory is set by the blocks and P, not by N, and on the direct path
+    not by P either.  Every step is elementwise in the pixel but two: the
+    GEMM, split by output columns, and the 2D direct path's power series,
+    which stops once all of a chunk's terms fall below 1e-18.  On OpenBLAS
+    0.3.31 the blocks gave a one-block build's bits on every grid tried
+    (64^2, 65^2, 91^2, 128^2, 129^2, 61 x 69) when two or more points took
+    the Graf path; with one, the last column of an odd grid differed in the
+    last bit.  The point chunks gave one chunk's bits with 360 points
+    inside the Graf bound on 64^2, 65^2, 61 x 69 and 128^2 grids, and 40
+    on a 12 x 10 x 9 grid; a series that stops earlier in a chunk could
+    still move the last bit of a value near a zero of J_0.
     """
     points, weights = _points_and_weights(grid, points, weights)
     centers = grid.pixel_centers().reshape(-1, grid.ndim)
-    out = np.empty((len(points), grid.size), dtype=complex)
+    out = _mapped_empty((len(points), grid.size))
     far, factor, tables = _graf_terms(grid, centers, points, weights)
     if factor is not None:
         rows = np.flatnonzero(far)
@@ -158,10 +165,10 @@ def green_matrix(grid, points, weights):
             np.matmul(factor, table, out=prod)
             out.real[rows, cols] = prod[:rows.size]
             out.imag[rows, cols] = prod[rows.size:]
-    near = np.flatnonzero(~far)
-    if near.size:
-        for cols in _column_blocks(grid.size, BLOCK_PIXELS):
-            out[near, cols] = _direct_rows(grid, centers, points[near], weights[near], cols)
+    near = _near_chunks(far)
+    for cols in _column_blocks(grid.size, BLOCK_PIXELS):
+        for rows in near:
+            out[rows, cols] = _direct_rows(grid, centers, points[rows], weights[rows], cols)
     return out
 
 
@@ -174,9 +181,10 @@ def green_products(grid, points, weights, V):
     points on the Graf path each block's grid table is projected,
     [Re V; Im V][:, block] times the table's transpose, into one (2T, 2L+2)
     sum, and one (T, 2L+2) x (2L+2, P) product with the complex point factor
-    finishes them.  The other points' rows are evaluated block by block and
-    multiplied at once.  So the scratch memory is set by the blocks, T and
-    P, never by P times N, and a product costs one grid-table pass.  The
+    finishes them.  The other points' rows are evaluated and multiplied
+    NEAR_POINTS at a time per block.  So the scratch memory is set by the
+    blocks, T and P, never by P times N, and a product costs one
+    grid-table pass.  The
     sums run in another order than a product with the matrix does and agree
     with it to round-off.
     """
@@ -196,11 +204,11 @@ def green_products(grid, points, weights, V):
             parts[T:] = V.imag[:, cols]
             proj += parts @ table.T
         out[:, far] = (proj[:T] + 1j * proj[T:]) @ factor.T
-    near = np.flatnonzero(~far)
-    if near.size:
-        for cols in _column_blocks(grid.size, BLOCK_PIXELS):
-            out[:, near] += V[:, cols] @ _direct_rows(grid, centers, points[near],
-                                                      weights[near], cols).T
+    near = _near_chunks(far)
+    for cols in _column_blocks(grid.size, BLOCK_PIXELS):
+        for rows in near:
+            out[:, rows] += V[:, cols] @ _direct_rows(grid, centers, points[rows],
+                                                      weights[rows], cols).T
     return out
 
 
@@ -217,6 +225,40 @@ BLOCK_PIXELS = 4096
 # and 2P rows of 2048 real values, 2.8 and 4.5 MB for that build.  1024
 # columns made it 0.7 ms slower, 4096 no faster.
 GEMM_PIXELS = 2048
+# the direct path evaluates g on this many points of a block at a time: its
+# steps hold about 130 B per point and pixel, 8.8 MB at 4096 columns, where
+# all 360 points inside the Graf bound on a 128^2 grid held 192 MB.  That
+# build took 2.11 s in chunks of 16, 2.20 s of 8, 2.25 s of 32 and 2.92 s
+# in one chunk (best of 3, one BLAS thread, 2-vCPU host)
+NEAR_POINTS = 16
+
+
+def _mapped_empty(shape):
+    """An uninitialized complex array in an anonymous memory map of its own,
+    returned to the system when the array is freed.
+
+    ``green_matrix``'s output is the largest array a reconstruction holds
+    (19 MB on recon_linear_2d's 128^2 grid), built once per call and freed
+    at its end.  From malloc, glibc raised its mmap threshold past that
+    size at the first free and served later builds from its heap, where
+    smaller allocations between two builds could split the freed block:
+    the heap then grew by 11 MB at a reconstruction that varied with the
+    solve threads' timing (the 36th of one back-to-back run, none in three
+    others).  A map of its own keeps the block out of the heap.
+    """
+    count = int(np.prod(shape))
+    if count == 0:
+        return np.empty(shape, dtype=complex)
+    # private, as malloc's own maps are; Windows has no flags and maps
+    # anonymous memory privately anyway
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    return np.frombuffer(mmap.mmap(-1, 16 * count, **private), dtype=complex).reshape(shape)
+
+
+def _near_chunks(far):
+    """The indices of the points off the Graf path, NEAR_POINTS at a time."""
+    near = np.flatnonzero(~far)
+    return [near[i:i + NEAR_POINTS] for i in range(0, near.size, NEAR_POINTS)]
 
 
 def _column_blocks(n, width):

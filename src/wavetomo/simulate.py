@@ -6,10 +6,15 @@ tighter solve, on a refined grid (default 2x per axis): each transmitter's
 incident field is solved by BiCGStab to the relative residual
 GENERATION_RESIDUAL, far below the reconstruction's tolerance, so the data
 carry neither the reconstruction grid's discretization nor the truncation
-error of its solves.  The scattered field on every ring slot is then one
-matrix-free Green's product, ``greens.green_products``, so the generation
-never holds the slots x pixels matrix H that the loop multiplies by many
-times.  The reconstruction then runs on the configured grid.
+error of its solves.  The data H (f u) read u only where f is nonzero, and
+on a window B of the refined grid around f's support the field equation
+u_B = u_in,B + G_BB (f u)_B holds on its own.  So G, the solves and the
+products run on that window (``support_grid``), and the rest of the
+refined grid is never touched.  The scattered field on every ring slot is
+one matrix-free Green's product, ``greens.green_products``, so the
+generation never holds the slots x pixels matrix H that the loop
+multiplies by many times.  The reconstruction then runs on the configured
+grid.
 """
 
 import dataclasses
@@ -24,10 +29,11 @@ from .fileio import (SPEED_OF_LIGHT, generation_from_config, grid_from_config,
                      recon_config_from_config, rng_from_config,
                      transmitters_from_config)
 from .forward import ForwardConfig, forward_solve
-from .greens import SystemOperator, build_domain_operator, check_sensors, green_products
+from .greens import (SystemOperator, build_domain_operator, check_sensors, fast_length,
+                     green_products, support_box)
 # not called: benchmarks/layers.py wraps it
 from .greens import build_sensor_operator  # noqa: F401
-from .grid import refined_grid
+from .grid import DomainGrid, refined_grid
 from .metrics import normalized_error
 from .recon import MeasurementSet, Transmitter, _solve_rows, incident_fields
 
@@ -56,16 +62,41 @@ def render_phantom(cfg, grid):
     return np.zeros(grid.shape)
 
 
+def support_grid(grid, f):
+    """(sub-grid, f on it): a window of ``grid`` around f's support, or
+    None when f is 0 everywhere.
+
+    The window holds f's bounding box, each axis b pixels wide widened to
+    b' = min(n, fast_length(max(b, 2))) and shifted left where it would
+    leave the grid.  G's period 2b' on the window is then 2^a 3^b 5^c
+    unless b' = n, and no axis is one pixel wide, which G rejects.
+    """
+    box = support_box(f)
+    if box is None:
+        return None
+    window = []
+    for s, n in zip(box, grid.shape):
+        width = min(n, fast_length(max(s.stop - s.start, 2)))
+        start = min(s.start, n - width)
+        window.append(slice(start, start + width))
+    origin = tuple(c + grid.spacing * s.start for c, s in zip(grid.origin, window))
+    sub = DomainGrid(tuple(s.stop - s.start for s in window), grid.spacing, origin,
+                     grid.wavelength, grid.background_permittivity)
+    return sub, np.asarray(f)[tuple(window)]
+
+
 def simulate_measurements(cfg):
     """Generate synthetic measurements per the experiment config.
 
     The data are the loop's full model on the refined grid, every ring slot
-    recorded: each transmitter's field solves A u = u_in by BiCGStab
+    recorded, computed on ``support_grid``'s window of it: each
+    transmitter's field solves A u = u_in there by BiCGStab
     (``recon._solve_rows``), to GENERATION_RESIDUAL in at most
     ``generation.k_multiplier`` times ``recon.forward.K`` iterations, and a
     solve that reaches that cap warns with ConvergenceWarning.  The
     scattered field H (f u) on the slots is ``green_products``, which forms
-    no H.  Returns (measurements, f_true) with f_true rendered on the
+    no H.  A phantom that is 0 everywhere gives zero data and no solve.
+    Returns (measurements, f_true) with f_true rendered on the
     reconstruction grid.  Deterministic for a fixed config (the noise draw
     is seeded).
     """
@@ -93,10 +124,15 @@ def simulate_measurements(cfg):
     gen_cfg = dataclasses.replace(recon_cfg, forward=ForwardConfig(
         K=gen.k_multiplier * recon_cfg.forward.K,
         delta_tol_rel=0.5 * GENERATION_RESIDUAL ** 2))
-    _, U = incident_fields(fine, transmitters)
-    U = _solve_rows(SystemOperator(f_fine, build_domain_operator(fine)), U, gen_cfg)
-    U *= f_fine.ravel()
-    y = list(green_products(fine, receivers.positions, fine.pixel_volume, U))
+    window = support_grid(fine, f_fine)
+    if window is None:
+        y = [np.zeros(len(receivers), dtype=complex) for _ in transmitters]
+    else:
+        sub, f_sub = window
+        _, U = incident_fields(sub, transmitters)
+        U = _solve_rows(SystemOperator(f_sub, build_domain_operator(sub)), U, gen_cfg)
+        U *= f_sub.ravel()
+        y = list(green_products(sub, receivers.positions, sub.pixel_volume, U))
 
     if gen.noise_snr_db is not None:
         rng = rng_from_config(cfg)

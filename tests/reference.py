@@ -12,16 +12,27 @@ gradient fields stored component last instead of component first, G's
 kernel evaluated at every padded offset instead of once per distinct offset
 magnitude, every pixel supersampled for every phantom shape instead of each
 shape's box, and mpmath arbitrary-precision special functions.  The
-objectives and unfused operators that only tests evaluate live here too.
+data generation on the whole refined grid stands in for its generation on
+a sub-grid around the phantom's support, and mpmath radial quadratures for
+the closed-form pixel self terms.  The objectives and unfused operators
+that only tests evaluate live here too.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 
-from wavetomo.forward import bicgstab
-from wavetomo.greens import apply_A, apply_AH, green_2d, green_3d, self_interaction
+from wavetomo.fileio import (generation_from_config, grid_from_config,
+                             receivers_from_config, recon_config_from_config,
+                             transmitters_from_config)
+from wavetomo.forward import ForwardConfig, bicgstab
+from wavetomo.greens import (SystemOperator, apply_A, apply_AH, build_domain_operator,
+                             green_2d, green_3d, green_products, self_interaction)
+from wavetomo.grid import refined_grid
+from wavetomo.recon import _solve_rows, incident_fields
+from wavetomo.simulate import GENERATION_RESIDUAL, render_phantom
 from wavetomo.tv import BoxConstraint, grad_adjoint, proj_box
 
 mp.mp.dps = 30
@@ -54,6 +65,18 @@ def mp_green_2d(source, point, k_b):
     """(j/4) H0^(1)(k_b |source - point|) with the distance taken in mpmath."""
     dist = mp.sqrt(sum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(source, point)))
     return complex(0.25j * mp.hankel1(0, k_b * dist))
+
+
+def mp_self_interaction(ndim, spacing, k_b):
+    """The integral of g over the disk (2D) or ball (3D) of one pixel's
+    area or volume, by mpmath quadrature of g's radial profile:
+    2 pi int_0^a (j/4) H0(k r) r dr, or 4 pi int_0^a e^{jkr}/(4 pi r) r^2 dr."""
+    h, k = mp.mpf(spacing), mp.mpf(k_b)
+    if ndim == 2:
+        a = h / mp.sqrt(mp.pi)
+        return complex(2 * mp.pi * mp.quad(lambda r: 0.25j * mp.hankel1(0, k * r) * r, [0, a]))
+    a = mp.cbrt(3 * h ** 3 / (4 * mp.pi))
+    return complex(mp.quad(lambda r: mp.exp(1j * k * r) * r, [0, a]))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +180,27 @@ def full_grid_cylinders(grid, specs, supersample=4):
             coverage += dist_sq <= radius * radius
         f += c * coverage / supersample ** grid.ndim
     return f * grid.k_b ** 2
+
+
+# ---------------------------------------------------------------------------
+# data generation
+
+def fine_grid_data(cfg):
+    """The noise-free data on every ring slot, one row per transmitter,
+    generated on the whole refined grid: G on every pixel of it, the
+    BiCGStab solves to GENERATION_RESIDUAL and the Green's products over
+    all of its pixels."""
+    recon_cfg = recon_config_from_config(cfg)
+    gen = generation_from_config(cfg)
+    fine = refined_grid(grid_from_config(cfg), gen.grid_refine)
+    f = render_phantom(cfg, fine)
+    gen_cfg = dataclasses.replace(recon_cfg, forward=ForwardConfig(
+        K=gen.k_multiplier * recon_cfg.forward.K,
+        delta_tol_rel=0.5 * GENERATION_RESIDUAL ** 2))
+    receivers, _ = receivers_from_config(cfg)
+    _, U = incident_fields(fine, transmitters_from_config(cfg))
+    U = _solve_rows(SystemOperator(f, build_domain_operator(fine)), U, gen_cfg)
+    return green_products(fine, receivers.positions, fine.pixel_volume, U * f.ravel())
 
 
 # ---------------------------------------------------------------------------

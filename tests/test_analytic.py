@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wavetomo as wt
+from reference import dense_A_matrix, dense_domain_matrix, full_grid_cylinders
 from wavetomo.analytic import helmholtz_residual
 from wavetomo.errors import ConfigError, ConvergenceWarning, ResonanceError
 from wavetomo.special import (bessel_jn_all, bessel_yn_all, spherical_jn_all,
@@ -204,6 +205,31 @@ class TestField2D:
         res = forward_error_vs_analytic(grid, scene, [2, 8, 32, 64], (1.0, 0.0))
         err = res["error"]
         assert all(err[i + 1] < err[i] for i in range(len(err) - 1))
+
+    def test_forward_errors_against_dense_fields_off_the_x_axis(self):
+        # a source at 2 rad rotates the closed form's frame; the errors are
+        # those of the dense solve and of u_in + G (u_in f) with the dense G,
+        # each against the closed form in that frame.  The expansion stops
+        # near the solve (6e-10 relative at K = 40); a rotation the wrong
+        # way, or a Born field with -G, misses by orders of magnitude
+        from wavetomo.metrics import normalized_error
+        from wavetomo.simulate import forward_error_vs_analytic
+
+        grid = wt.centered_grid((24, 24), spacing=WL / 16, wavelength=WL)
+        scene = scene_2d(n=np.sqrt(1.1), r_sph=0.5 * WL, truncation=40)
+        source = np.array([np.cos(2.0), np.sin(2.0)])
+        res = forward_error_vs_analytic(grid, scene, [40], source)
+        pts = grid.pixel_centers()
+        u_true = wt.analytic_field_2d(np.linalg.norm(pts, axis=-1),
+                                      np.arctan2(pts[..., 1], pts[..., 0]) - 2.0, scene)
+        f = full_grid_cylinders(grid, [((0.0, 0.0), scene.r_sph, 0.1)], supersample=8).ravel()
+        u_in = wt.green_2d(pts - source, KB).ravel()
+        u_born = u_in + dense_domain_matrix(grid) @ (u_in * f)
+        u = np.linalg.solve(dense_A_matrix(grid, f.reshape(grid.shape)), u_in)
+        assert res["born_error"] == pytest.approx(
+            normalized_error(u_born.reshape(grid.shape), u_true), rel=1e-9)
+        assert res["error"][0] == pytest.approx(
+            normalized_error(u.reshape(grid.shape), u_true), rel=1e-6)
 
     def test_forward_error_needs_the_scene_source(self):
         from wavetomo.simulate import forward_error_vs_analytic

@@ -1,4 +1,5 @@
 import ast
+import mmap
 import re
 import tracemalloc
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 import wavetomo as wt
 from conftest import random_field, random_potential
 from reference import (dense_A_matrix, dense_domain_matrix, direct_green_matrix,
-                       mp_green_2d, mp_j, mp_y, n_padded_adjoint, n_padded_apply,
-                       padded_fft_apply, padded_kernel)
+                       mp_green_2d, mp_j, mp_self_interaction, mp_y, n_padded_adjoint,
+                       n_padded_apply, padded_fft_apply, padded_kernel)
 from wavetomo import greens
 from wavetomo.analytic import helmholtz_residual
 from wavetomo.errors import ConfigError, DimensionError, SingularityError
@@ -708,9 +709,18 @@ class TestGreenMatrix:
                                 green_matrix(grid, points, weights)) or built[-1])
         problem = wt.ScatteringProblem(mset, grid)
         rows, = built
-        assert problem.U_in.base is rows and problem._H_ring.matrix.base is rows
+        assert np.shares_memory(problem.U_in, rows)
+        assert np.shares_memory(problem._H_ring.matrix, rows)
         assert problem.U_in.flags.c_contiguous and problem.U_in.shape == (8, grid.size)
         assert np.array_equal(problem.U_in, rows[60:])
+
+    def test_output_in_a_map_of_its_own(self):
+        # the output is an anonymous map freed with it, never a block of
+        # malloc's heap (greens._mapped_empty); no points give an empty array
+        grid = wt.centered_grid((16, 16), spacing=WL / 16, wavelength=WL)
+        out = green_matrix(grid, ring(4, 0.45), 1.0)
+        assert isinstance(out.base.base.obj, mmap.mmap) and out.flags.writeable
+        assert green_matrix(grid, np.empty((0, 2)), 1.0).shape == (0, grid.size)
 
 
 def bits(a):
@@ -773,6 +783,61 @@ class TestBlockedBuild:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes < 15e6
+
+
+def near_scene():
+    """A 64^2 grid and 128 points inside its Graf bound, some of them inside
+    the grid, with complex weights."""
+    grid = wt.centered_grid((64, 64), spacing=WL / 16, wavelength=WL)
+    center, rho_max, bound = graf_bound(grid)
+    rng = np.random.default_rng(11)
+    angle = rng.uniform(0.0, 2.0 * np.pi, 128)
+    radius = rng.uniform(0.1 * rho_max, 0.95 * bound, 128)
+    points = center + radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    return grid, points, rng.standard_normal(128) + 1j * rng.standard_normal(128)
+
+
+class TestNearChunks:
+    """The direct path evaluates NEAR_POINTS points of a block at a time."""
+
+    def test_bit_identical_to_one_chunk(self, monkeypatch):
+        grid, points, weights = near_scene()
+        V = np.random.default_rng(5).standard_normal((2, grid.size)) + 0.5j
+        assert not np.any(greens._graf_terms(grid, grid.pixel_centers().reshape(-1, 2),
+                                             points, weights)[0])
+        matrix = green_matrix(grid, points, weights)
+        products = green_products(grid, points, weights, V)
+        monkeypatch.setattr(greens, "NEAR_POINTS", len(points))
+        assert np.array_equal(bits(matrix), bits(green_matrix(grid, points, weights)))
+        assert np.array_equal(bits(products), bits(green_products(grid, points, weights, V)))
+
+    def test_scratch_is_a_chunk_not_the_points(self):
+        # the direct path holds about 130 B per point and pixel of a
+        # 4096-pixel block: all 128 points in one chunk held 60.0 MB besides
+        # the matrix, chunks of 16 hold 7.8 MB, and so do the products
+        grid, points, weights = near_scene()
+        V = np.ones((2, grid.size), dtype=complex)
+        tracemalloc.start()
+        try:
+            out = green_matrix(grid, points, weights)
+            matrix_peak = tracemalloc.get_traced_memory()[1] - out.nbytes
+            tracemalloc.reset_peak()
+            green_products(grid, points, weights, V)
+            products_peak = tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert matrix_peak < 12e6 and products_peak < 12e6
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("pixels_per_wavelength", [4, 16, 40])
+def test_self_interaction_against_quadrature(ndim, pixels_per_wavelength):
+    # the closed forms against an mpmath quadrature of g's radial profile
+    # over the disk or ball of one pixel's area or volume; the closed
+    # forms' cancellation at small k a leaves 2e-14 at 40 per wavelength
+    grid = wt.centered_grid((4,) * ndim, spacing=WL / pixels_per_wavelength, wavelength=WL)
+    expect = mp_self_interaction(ndim, grid.spacing, grid.k_b)
+    assert abs(greens.self_interaction(grid) - expect) <= 1e-12 * abs(expect)
 
 
 def product_scenes():

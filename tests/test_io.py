@@ -12,10 +12,18 @@ import pytest
 
 import wavetomo as wt
 from wavetomo import fileio, simulate
-from reference import dense_A_matrix
+from reference import dense_A_matrix, fine_grid_data
 from wavetomo.errors import ConfigError, MeasurementParseError
 from wavetomo.grid import refined_grid
 from wavetomo.simulate import simulate_measurements
+
+
+def assert_fine_grid_data(mset, cfg):
+    """The data of every transmitter agree with those generated on the whole
+    refined grid to 1e-9 relative: the solves stop at GENERATION_RESIDUAL =
+    1e-10, and the two generations differed by at most 1.0e-10."""
+    for y, expect in zip(mset.y, fine_grid_data(cfg), strict=True):
+        assert np.linalg.norm(y - expect) <= 1e-9 * np.linalg.norm(expect)
 
 
 def base_config():
@@ -463,18 +471,86 @@ class TestMeasurementFile:
         maxiter = cfg["generation"]["k_multiplier"] * cfg["recon"]["forward"]["K"]
         assert calls == [(simulate.GENERATION_RESIDUAL, maxiter)] * 3
 
-    def test_column_block_leaves_the_data(self, whole_grid_G):
-        # the generation solves on G's column block on the phantom's box;
-        # the data agree with those of G on the whole grid to round-off
+    def test_sub_grid_data_match_the_fine_grid(self, monkeypatch):
+        # the generation builds G, solves and projects on a 10^2 window
+        # around the phantom's support, never on the 24^2 refined grid; the
+        # data are those of the whole refined grid (reference.fine_grid_data)
+        # to the solves' tolerance: 5.0e-13 relative measured here, and at
+        # most 1.0e-10 over this class's scenes
         cfg = base_config()
-        fine = refined_grid(fileio.grid_from_config(cfg), cfg["generation"]["grid_refine"])
-        G = wt.build_domain_operator(fine)
-        assert G.column_block(simulate.render_phantom(cfg, fine))[1] is not G
-        blocked, _ = simulate_measurements(cfg)
-        whole_grid_G()
-        whole, _ = simulate_measurements(cfg)
-        for a, b in zip(blocked.y, whole.y):
-            assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
+        built = []
+        build = simulate.build_domain_operator
+        monkeypatch.setattr(simulate, "build_domain_operator",
+                            lambda grid: built.append(grid.shape) or build(grid))
+        mset, _ = simulate_measurements(cfg)
+        assert built == [(10, 10)]
+        assert_fine_grid_data(mset, cfg)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("pixel", [(5, 6), (11, 11), (0, 11)])
+    def test_one_pixel_support(self, tmp_path, refine, pixel):
+        # one pixel of a from_file phantom: a box 1 or 2 fine pixels wide,
+        # which the window widens to 2, shifted left at the grid's far edge
+        # (G rejects an axis of one pixel).  At most 1.0e-10 measured
+        cfg = base_config()
+        grid = fileio.grid_from_config(cfg)
+        values = np.zeros(grid.shape)
+        values[pixel] = 0.1 * grid.k_b ** 2
+        fileio.emit_grid_csv(values, grid, tmp_path / "pixel.csv")
+        cfg["phantom"] = {"kind": "from_file", "path": str(tmp_path / "pixel.csv")}
+        cfg["generation"]["grid_refine"] = refine
+        assert_fine_grid_data(simulate_measurements(cfg)[0], cfg)
+
+    def test_box_at_the_grid_edge(self):
+        # a cylinder cut by two edges of the grid: its 7 x 7 box touches
+        # them, and its window of 8 starts one pixel left.  8.5e-11 measured
+        cfg = base_config()
+        cfg["phantom"]["cylinders"][0]["center_m"] = [0.15, -0.15]
+        fine = refined_grid(fileio.grid_from_config(cfg), 2)
+        f = simulate.render_phantom(cfg, fine)
+        assert wt.greens.support_box(f) == (slice(17, 24), slice(0, 7))
+        sub, f_sub = simulate.support_grid(fine, f)
+        assert sub.shape == (8, 8) and np.array_equal(f_sub, f[16:24, 0:8])
+        assert_fine_grid_data(simulate_measurements(cfg)[0], cfg)
+
+    def test_plane_wave_transmitters(self):
+        # plane waves are evaluated on the window's own pixel centers.
+        # 7.4e-14 measured
+        cfg = base_config()
+        cfg["transmitters"] = [{"kind": "plane", "direction": [1.0, 0.5]},
+                               {"kind": "point", "position_m": [0.0, 0.7]},
+                               {"kind": "plane", "direction": [-1.0, 0.0]}]
+        assert_fine_grid_data(simulate_measurements(cfg)[0], cfg)
+
+    def test_zero_phantom_gives_zero_data_without_a_solve(self, monkeypatch):
+        cfg = base_config()
+        cfg["phantom"] = {"kind": "none"}
+        cfg["generation"]["noise_snr_db"] = 20.0
+        monkeypatch.setattr(wt.recon, "bicgstab", None)
+        monkeypatch.setattr(simulate, "build_domain_operator", None)
+        mset, f_true = simulate_measurements(cfg)
+        assert not np.any(f_true)
+        assert len(mset.y) == 3
+        for y in mset.y:
+            assert y.shape == (14,) and y.dtype == complex and not np.any(y)
+
+    def test_support_grid(self):
+        grid = wt.DomainGrid((30, 7), 0.01, (0.1, -0.2), 0.5)
+        f = np.zeros(grid.shape)
+        assert simulate.support_grid(grid, f) is None
+        # a 7-wide box becomes 8 wide on the first axis, which has room,
+        # and stays 7 on the second, which has no more pixels
+        f[22:29, 1:4] = 1.0
+        f[23, 0:7] = 2.0
+        sub, f_sub = simulate.support_grid(grid, f)
+        assert sub.shape == (8, 7) and np.array_equal(f_sub, f[22:30, :])
+        assert (sub.spacing, sub.wavelength) == (grid.spacing, grid.wavelength)
+        assert np.allclose(sub.pixel_centers(), grid.pixel_centers()[22:30, :],
+                           rtol=0.0, atol=1e-15)
+        # a 13-wide box takes 15, shifted left to end at the grid's edge
+        f[17:30, 2] = 1.0
+        sub, f_sub = simulate.support_grid(grid, f)
+        assert sub.shape == (15, 7) and np.array_equal(f_sub, f[15:30, :])
 
     def test_data_match_the_closed_form_cylinder(self):
         # a line source 2 m out and a centered cylinder of radius 0.2
@@ -507,9 +583,10 @@ class TestMeasurementFile:
         assert np.linalg.norm(mset.y[0] - scattered) <= 5e-3 * np.linalg.norm(scattered)
 
     def test_memory_does_not_grow_with_the_ring(self):
-        # a 64^2 generation grid with 60 and with 480 receivers: the data
-        # come from the Green's products, not from a slots x pixels matrix,
-        # which would add 27.5 MB (0.52 MB measured)
+        # a 64^2 refined grid, whose phantom's window is 27^2, with 60 and
+        # with 480 receivers: the data come from the Green's products, not
+        # from a slots x pixels matrix, which would add 4.9 MB (0.70 MB
+        # measured; 0.52 MB when the generation ran on the whole grid)
         peaks = []
         for count in (60, 480):
             cfg = base_config()
