@@ -375,25 +375,34 @@ def fast_length(m):
         m += 1
 
 
-def _padded_kernel(grid):
-    """G's kernel on the doubled grid, and its samples at offsets 0..n_d - 1.
+def _kernel_spectrum(grid):
+    """G's kernel spectrum on the doubled grid, and its samples at offsets
+    0..n_d - 1.
 
     g depends on |x - x'| only, so it is evaluated once per offset 0..n_d
     per axis, prod (n_d + 1) - 1 evaluations besides the self term.  Padded
-    index a holds offset a for a < n_d and a - 2 n_d otherwise, and gathers
-    the value at its magnitude.  The samples hold every entry of G, and
-    column blocks gather their windows from them.
+    index a holds offset a for a < n_d and a - 2 n_d otherwise, at its
+    magnitude.  The spectrum runs fftn's passes in fftn's order, last axis
+    first, but gathers each axis to its period only just before its pass:
+    a pass transforms only the lines whose untransformed indices are still
+    distinct, and no padded kernel is formed.  Its lines are fftn's lines,
+    so the bits are fftn's.  The samples hold every entry of G, and column
+    blocks gather their windows from them.
     """
     offsets = [np.arange(n + 1) * grid.spacing for n in grid.shape]
     mesh = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
-    distinct = np.zeros(mesh.shape[:-1], dtype=complex)
+    spec = np.zeros(mesh.shape[:-1], dtype=complex)
     nonzero = np.sum(mesh * mesh, axis=-1) > 0
-    distinct[nonzero] = point_green(grid.ndim)(mesh[nonzero], grid.k_b)
-    distinct *= grid.pixel_volume
-    distinct[(0,) * grid.ndim] = self_interaction(grid)
-    fold = [np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n)) for n in grid.shape]
-    samples = distinct[tuple(slice(0, n) for n in grid.shape)].copy()
-    return distinct[np.ix_(*fold)], samples
+    spec[nonzero] = point_green(grid.ndim)(mesh[nonzero], grid.k_b)
+    spec *= grid.pixel_volume
+    spec[(0,) * grid.ndim] = self_interaction(grid)
+    samples = spec[tuple(slice(0, n) for n in grid.shape)].copy()
+    for ax in reversed(range(grid.ndim)):
+        n = grid.shape[ax]
+        fold = np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n))
+        spec = spec.take(fold, axis=ax)
+        np.fft.fft(spec, axis=ax, out=spec)
+    return spec, samples
 
 
 def _pad_axis(a, ax, period):
@@ -425,18 +434,18 @@ class DomainGreensOperator:
     cropped.  ``column_block`` builds G[:, B], whose apply maps the box
     onto the grid and whose adjoint maps the grid back onto the box.
     The build evaluates g once per distinct offset magnitude, prod (n_d + 1)
-    points (``_padded_kernel``), not at all prod 2 n_d padded offsets, and
-    gathers the doubled kernel from them.  Immutable after construction and
-    safe to share across threads.
+    points, not at all prod 2 n_d padded offsets, and transforms each axis
+    before it gathers the next one to its period (``_kernel_spectrum``), so
+    it holds no padded kernel beside the spectrum.  Immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(self, grid):
         if any(n < 2 for n in grid.shape):
             raise ConfigError("domain operator needs every grid dim >= 2")
         self.grid = grid
-        kernel, self._samples = _padded_kernel(grid)
+        self._kernel_hat, self._samples = _kernel_spectrum(grid)
         self.in_shape = self.out_shape = grid.shape
-        self._kernel_hat = np.fft.fftn(kernel)
         # the kernel is even in the offset, so G is complex symmetric
         self._transpose_hat = self._kernel_hat
 

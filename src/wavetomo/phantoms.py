@@ -7,6 +7,9 @@ per pixel axis by default), so the discrete image converges to the continuous
 shape; the head phantom's unit square spans the domain.
 """
 
+import functools
+import itertools
+
 import numpy as np
 
 from .errors import ConfigError
@@ -15,13 +18,6 @@ from .errors import ConfigError
 def contrast(f, grid):
     """Strength-of-scattering measure max|f| / k_b^2."""
     return float(np.max(np.abs(f))) / grid.k_b ** 2
-
-
-def _subpixel_offsets(grid, supersample):
-    h = grid.spacing
-    step = h / supersample
-    offs = -0.5 * h + step * (np.arange(supersample) + 0.5)
-    return np.meshgrid(*([offs] * grid.ndim), indexing="ij")
 
 
 def _shape_box(grid, center, radius):
@@ -61,23 +57,31 @@ def cylinders(grid, specs, supersample=4):
     A sub-pixel point lies within h/2 of its pixel center on every axis, so
     each shape is supersampled only on the pixels within radius + h/2 of its
     center per axis, plus a one-pixel margin (``_shape_box``); a shape that
-    misses the grid adds nothing.  ``check_cylinder`` vets each spec.
+    misses the grid adds nothing.  The squared distances are formed per
+    axis, and each sub-pixel point adds its axes' terms in axis order, as a
+    sum over the point's coordinates would.  ``check_cylinder`` vets each
+    spec.
     """
     if supersample < 1:
         raise ConfigError("supersample must be >= 1")
-    centers = grid.pixel_centers()
     f = np.zeros(grid.shape)
-    subs = _subpixel_offsets(grid, supersample)
+    step = grid.spacing / supersample
+    offs = -0.5 * grid.spacing + step * (np.arange(supersample) + 0.5)
     for center, radius, c in specs:
         center = check_cylinder(grid, center, radius, c)
         box = _shape_box(grid, center, radius)
         if box is None:
             continue
-        coverage = np.zeros(f[box].shape)
-        for off in zip(*(s.ravel() for s in subs)):
-            pts = centers[box] + np.asarray(off)
-            dist_sq = np.sum((pts - center) ** 2, axis=-1)
-            coverage += dist_sq <= radius * radius
+        # per axis, the (b_d, s) squared distances of the box's sub-pixel
+        # coordinates from the center; each sub-offset of the leading axes
+        # counts the last axis's s sub-offsets in one broadcast
+        *lead, last = [(grid.axis_coords(ax)[s][:, None] + offs - center[ax]) ** 2
+                       for ax, s in enumerate(box)]
+        coverage = np.zeros(f[box].shape, dtype=int)
+        for sub in itertools.product(range(supersample), repeat=len(lead)):
+            inside = functools.reduce(np.add.outer, [q[:, i] for q, i in zip(lead, sub)]
+                                      + [last]) <= radius * radius
+            coverage += np.count_nonzero(inside, axis=-1)
         f[box] += c * coverage / supersample ** grid.ndim
     return f * grid.k_b ** 2
 

@@ -10,11 +10,14 @@ instead of its reciprocal forward solve in the adjoint-state gradient,
 subgradient descent instead of the dual prox solver, the dual prox with its
 gradient fields stored component last instead of component first, G's
 kernel evaluated at every padded offset instead of once per distinct offset
-magnitude, every pixel supersampled for every phantom shape instead of each
-shape's box, and mpmath arbitrary-precision special functions.  The
-data generation on the whole refined grid stands in for its generation on
-a sub-grid around the phantom's support, and mpmath radial quadratures for
-the closed-form pixel self terms.  The objectives and unfused operators
+magnitude and transformed by one padded fftn instead of axis by axis from
+those offsets, every pixel supersampled point by point for every phantom
+shape instead of each shape's box axis by axis, FISTA in the textbook's
+form on a dense Born matrix instead of the loop, and mpmath
+arbitrary-precision special functions.  The data generation on the whole
+refined grid stands in for its generation on a sub-grid around the
+phantom's support, and mpmath radial quadratures for the closed-form pixel
+self terms.  The objectives and unfused operators
 that only tests evaluate live here too.
 """
 
@@ -31,9 +34,9 @@ from wavetomo.forward import ForwardConfig, bicgstab
 from wavetomo.greens import (SystemOperator, apply_A, apply_AH, build_domain_operator,
                              green_2d, green_3d, green_products, self_interaction)
 from wavetomo.grid import refined_grid
-from wavetomo.recon import _solve_rows, incident_fields
+from wavetomo.recon import STEP_GROW, STEP_SHRINK, _solve_rows, incident_fields
 from wavetomo.simulate import GENERATION_RESIDUAL, render_phantom
-from wavetomo.tv import BoxConstraint, grad_adjoint, proj_box
+from wavetomo.tv import BoxConstraint, grad_adjoint, proj_box, prox_tv, tv_value
 
 mp.mp.dps = 30
 
@@ -182,6 +185,41 @@ def full_grid_cylinders(grid, specs, supersample=4):
     return f * grid.k_b ** 2
 
 
+# the ten ellipses of the head phantom (Shepp and Logan, 1974, "The Fourier
+# reconstruction of a head section", IEEE Trans. Nucl. Sci. 21(3)):
+# intensity, center, semi-axes along x and y, counterclockwise rotation in
+# degrees
+HEAD_ELLIPSES = [
+    (2.00, (0.0, 0.0), (0.69, 0.92), 0.0),
+    (-0.98, (0.0, -0.0184), (0.6624, 0.874), 0.0),
+    (-0.02, (0.22, 0.0), (0.11, 0.31), -18.0),
+    (-0.02, (-0.22, 0.0), (0.16, 0.41), 18.0),
+    (0.01, (0.0, 0.35), (0.21, 0.25), 0.0),
+    (0.01, (0.0, 0.1), (0.046, 0.046), 0.0),
+    (0.01, (0.0, -0.1), (0.046, 0.046), 0.0),
+    (0.01, (-0.08, -0.605), (0.046, 0.023), 0.0),
+    (0.01, (0.0, -0.606), (0.023, 0.023), 0.0),
+    (0.01, (0.06, -0.605), (0.023, 0.046), 0.0),
+]
+
+
+def head_phantom(x, y):
+    """The head phantom's intensity at the points (x, y) of its unit square,
+    each ellipse a quadratic form q(p) = (p - c)^T R diag(a^-2, b^-2) R^T
+    (p - c) <= 1, and the least |q - 1| over all points and ellipses."""
+    img = np.zeros(np.shape(x))
+    margin = np.inf
+    for amp, center, (a, b), deg in HEAD_ELLIPSES:
+        t = np.deg2rad(deg)
+        R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        Q = R @ np.diag([a ** -2, b ** -2]) @ R.T
+        d = np.stack([x - center[0], y - center[1]], axis=-1)
+        q = np.einsum("...i,ij,...j->...", d, Q, d)
+        img += amp * (q <= 1.0)
+        margin = min(margin, float(np.min(np.abs(q - 1.0))))
+    return img, margin
+
+
 # ---------------------------------------------------------------------------
 # data generation
 
@@ -302,6 +340,58 @@ def adjoint_state_gradient_AH(f, y, u_in, G, H, cfg):
 
 
 # ---------------------------------------------------------------------------
+# FISTA
+
+def born_matrix(measurements, grid):
+    """The first-Born model as one dense matrix: the rows of transmitter t
+    are g(r_m - x_n) h^d u_in,t(x_n) on its recorded slots r_m, stacked in
+    transmitter order, with the measured data stacked alike."""
+    rows = []
+    for tx, ix in zip(measurements.transmitters, measurements.active_indices):
+        H = direct_green_matrix(grid, measurements.receivers.positions[ix], grid.pixel_volume)
+        rows.append(H * tx.field_on_grid(grid).ravel())
+    return np.concatenate(rows), np.concatenate(measurements.y)
+
+
+def textbook_fista(M, y, shape, tau, box, iters):
+    """FISTA (Beck and Teboulle, 2009) on D(f) = 0.5 ||M f - y||^2 with the
+    prox of tau TV on the box, in the textbook's x_k / y_k / t_k form.
+
+    The step rule is the loop's: gamma_0 from halving 2 D(0) / ||grad||^2
+    until the quadratic upper bound holds at 0, then times STEP_GROW when
+    F = D + tau TV at y_k falls strictly, and times STEP_SHRINK with t
+    reset to 1 when it rises.  The prox is warm-started from the last
+    dual.  Returns the iterates x_1 .. x_iters."""
+    def D_and_grad(f):
+        r = M @ f.ravel() - y
+        return 0.5 * float(np.vdot(r, r).real), np.real(M.conj().T @ r).reshape(shape)
+
+    x_prev = np.zeros(shape)
+    y_k = x_prev
+    D0, g = D_and_grad(y_k)
+    g_sq = float(np.sum(g * g))
+    gamma = 2.0 * D0 / g_sq
+    while D_and_grad(y_k - gamma * g)[0] > D0 - 0.5 * gamma * g_sq + 1e-12 * D0:
+        gamma *= 0.5
+    t, F_prev, dual, iterates = 1.0, None, None, []
+    for k in range(1, iters + 1):
+        D, g = D_and_grad(y_k)
+        F = D + tau * tv_value(y_k)
+        if k > 1 and F > F_prev:
+            gamma *= STEP_SHRINK
+            t = 1.0
+        elif k > 1 and F < F_prev:
+            gamma *= STEP_GROW
+        F_prev = F
+        x, dual = prox_tv(y_k - gamma * g, gamma * tau, box=box, dual_init=dual)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y_k = x + ((t - 1.0) / t_next) * (x - x_prev)
+        x_prev, t = x, t_next
+        iterates.append(x)
+    return iterates
+
+
+# ---------------------------------------------------------------------------
 # TV prox oracles
 
 def dual_objective(g, z, tau, box):
@@ -386,24 +476,32 @@ def prox_objective_batch(F, Z, tau):
 def subgradient_prox_batch(Z, tau, iters, box=None):
     """Projected subgradient descent with diminishing steps (2/(j+1), the
     strongly-convex schedule), run on a whole batch of instances at once.
-    Returns the best objective value seen per instance.  The gradient field
-    of each iterate serves both its objective value and the next step."""
+    Returns the best objective value seen per instance.  The instances are
+    flattened to rows of N pixels, so the gradient field of every iterate is
+    one GEMM with the (N, 2N) forward-difference matrix, and the divergence
+    of the normalized field one GEMM with its transpose; the gradient field
+    serves both the iterate's objective value and the next step."""
+    batch, shape = Z.shape[0], Z.shape[1:]
+    n = int(np.prod(shape))
+    # row k is the gradient field of the k-th unit image, both components
+    _, gx, gy = tv_iso_batch(np.eye(n).reshape((n,) + shape))
+    D = np.concatenate([gx.reshape(n, n), gy.reshape(n, n)], axis=1)
+    Z = Z.reshape(batch, n)
+
+    def field_and_value(F):
+        grad = (F @ D).reshape(batch, 2, n)
+        norms = np.sqrt(grad[:, 0] ** 2 + grad[:, 1] ** 2)
+        value = 0.5 * np.sum((F - Z) ** 2, axis=1) + tau * np.sum(norms, axis=1)
+        return grad, norms, value
+
     F = Z.copy()
-    norms, gx, gy = tv_iso_batch(F)
-    best = _objective_from_norms(F, Z, tau, norms)
+    grad, norms, best = field_and_value(F)
     for j in range(1, iters + 1):
         inv = np.where(norms > 1e-300, 1.0 / np.maximum(norms, 1e-300), 0.0)
-        dx = gx * inv
-        dy = gy * inv
-        div = np.zeros_like(F)
-        div[:, :-1, :] -= dx[:, :-1, :]
-        div[:, 1:, :] += dx[:, :-1, :]
-        div[:, :, :-1] -= dy[:, :, :-1]
-        div[:, :, 1:] += dy[:, :, :-1]
-        g = (F - Z) + tau * div
-        F = F - (2.0 / (j + 1)) * g
+        div = (grad * inv[:, None]).reshape(batch, 2 * n) @ D.T
+        F = F - (2.0 / (j + 1)) * ((F - Z) + tau * div)
         if box is not None:
             F = np.clip(F, box.a, box.b)
-        norms, gx, gy = tv_iso_batch(F)
-        best = np.minimum(best, _objective_from_norms(F, Z, tau, norms))
+        grad, norms, value = field_and_value(F)
+        best = np.minimum(best, value)
     return best

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import wavetomo as wt
-from reference import full_grid_cylinders
+from reference import full_grid_cylinders, head_phantom
 from wavetomo.errors import ConfigError
 
 
@@ -32,9 +34,15 @@ def test_overlapping_regions_add(grid):
     assert wt.contrast(f, grid) == pytest.approx(0.2)
 
 
+def test_default_is_four_subsamples_per_axis(grid):
+    specs = [((0.01, 0.02), 0.3, 0.3)]
+    expect = full_grid_cylinders(grid, specs, supersample=4)
+    assert wt.cylinders(grid, specs).tobytes() == expect.tobytes()
+
+
 # (grid shape, spacing, specs, supersample) on grids centered at the origin:
 # the 48^2 grid spans about +-0.73 m per axis, the 37 x 29 grid +-0.23 by
-# +-0.18 m
+# +-0.18 m, the 20 x 28 x 16 grid +-0.475 by +-0.675 by +-0.375 m
 RENDER_CASES = {
     "crosses_the_edge": ((48, 48), 0.5 / 16, [((0.7, 0.1), 0.2, 0.3)], 4),
     "outside_the_grid": ((48, 48), 0.5 / 16, [((5.0, 5.0), 0.2, 0.3)], 4),
@@ -42,6 +50,9 @@ RENDER_CASES = {
     "overlapping": ((37, 29), 0.013, [((0.0, 0.0), 0.1, 0.1), ((0.05, 0.0), 0.05, -0.1),
                                       ((0.1, 0.1), 0.15, 0.25)], 5),
     "ball_3d": ((32, 32, 32), 0.5 / 8, [((0.03, -0.01, 0.02), 0.375, 1.0)], 4),
+    "ball_crosses_a_face": ((20, 28, 16), 0.05, [((0.45, 0.1, -0.05), 0.3, 0.7)], 3),
+    "one_sample": ((48, 48), 0.5 / 16, [((0.01, 0.02), 0.3, 0.3)], 1),
+    "eight_samples": ((48, 48), 0.5 / 16, [((-0.11, 0.27), 0.25, 0.4)], 8),
 }
 
 
@@ -55,6 +66,24 @@ def test_render_on_shape_boxes_is_bit_identical(case):
     expect = full_grid_cylinders(grid, specs, supersample=supersample)
     assert got.tobytes() == expect.tobytes()
     assert np.any(got) == (case != "outside_the_grid")
+
+
+def test_large_ball_scratch_is_per_axis():
+    # a 1.8-wavelength ball on a 64^3 grid at wavelength/16 has a 61^3 box;
+    # beyond the output, the render holds one (61, 61, 61, 4) array of
+    # distances and the counts: 10.7 MB measured, bound 1.5x.  Forming the
+    # box's points from the whole grid's centers for every sub-offset held
+    # 22.4 MB
+    h = 0.5 / 16
+    grid = wt.DomainGrid((64,) * 3, h, (-0.5 * h * 63,) * 3, 0.5)
+    tracemalloc.start()
+    try:
+        f = wt.cylinders(grid, [((0.02, -0.03, 0.01), 0.9, 1.0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(f) > 0.5 * (4 / 3) * np.pi * (0.9 / h) ** 3
+    assert peak - f.nbytes < 16e6
 
 
 @pytest.mark.parametrize("shape, center", [((8, 8, 8), (0.0, 0.0)), ((8, 8), (0.0, 0.0, 0.0))])
@@ -80,6 +109,21 @@ def test_non_finite_contrast(grid, bad):
 def test_cylinders_reject_supersample_below_one(grid, bad):
     with pytest.raises(ConfigError, match="^supersample must be >= 1$"):
         wt.cylinders(grid, [((0.0, 0.0), 0.1, 0.2)], supersample=bad)
+
+
+def test_shepp_logan_against_the_ellipse_table():
+    # a 96 x 72 grid: the unit square spans the first axis, a half-width of
+    # 0.48 m, so the second axis cuts the head.  Every pixel center lies
+    # 4.0e-5 or more off each ellipse's edge in q, so round-off cannot move
+    # a pixel between regions
+    h = 0.01
+    grid = wt.DomainGrid((96, 72), h, (-0.475, -0.355), 0.5)
+    x, y = np.meshgrid(grid.axis_coords(0), grid.axis_coords(1), indexing="ij")
+    expect, margin = head_phantom(x / 0.48, y / 0.48)
+    assert margin > 1e-5
+    f = wt.shepp_logan(grid, 0.2)
+    np.testing.assert_allclose(f, expect * (0.2 * grid.k_b ** 2 / np.max(np.abs(expect))),
+                               rtol=1e-12, atol=0)
 
 
 def test_shepp_logan_peak_contrast(grid):
