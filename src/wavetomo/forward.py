@@ -324,7 +324,9 @@ def bicgstab(op, b, x0, tol, maxiter):
 
 
 def estimate_fixed_step(f, G, iters=20, tol=1e-3, seed=0):
-    """Power-iteration estimate of 1/||A||_2^2, a safe fixed step size."""
+    """1/lam, lam a power-iteration estimate of ||A||_2^2 that never exceeds
+    it.  It stops while still creeping up, 5.0% short on a 12 x 10 grid at
+    contrast 0.2 and 8.8% on 6 x 5 x 4 at 0.5, so 1/lam can exceed 1/||A||_2^2."""
     rng = np.random.default_rng(seed)
     grid = G.grid
     b = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)

@@ -360,24 +360,20 @@ def _on_pixel_blocks(n_pixels, work):
     return _on_threads(k, lambda b: work(slice(n_pixels * b // k, n_pixels * (b + 1) // k)))
 
 
-def _solve_rows(A, B, cfg):
-    """Row t of B solved on the ``SystemOperator`` A, or B itself when A is
-    None (the first-Born linearization, A = I).
+def _solve_rows(A, B, tol, maxiter):
+    """Row t of B solved on the ``SystemOperator`` A.
 
     Each solve is BiCGStab started at its right-hand side and stopped at
-    cfg.forward.residual_tol of its norm or after cfg.forward.K
-    iterations.  The rows are independent systems on one shared, immutable
-    A, solved on the solve threads (``_on_threads``).  Each row is written
-    by one thread only, so X is bit-identical to a serial loop.
+    the relative residual tol or after maxiter iterations.  The rows are
+    independent systems on one shared, immutable A, solved on the solve
+    threads (``_on_threads``).  Each row is written by one thread only, so
+    X is bit-identical to a serial loop.
     """
-    if A is None:
-        return B
     X = np.empty_like(B)
-    tol = cfg.forward.residual_tol
 
     def solve(t):
         b = B[t].reshape(A.grid.shape)
-        X[t] = bicgstab(A.apply, b, b, tol, cfg.forward.K)[0].ravel()
+        X[t] = bicgstab(A.apply, b, b, tol, maxiter)[0].ravel()
 
     _on_threads(len(B), solve)
     return X
@@ -389,8 +385,11 @@ def _fields_and_rows(f, problem, cfg):
     recorded slot.  R is the sum of the pixel blocks' partial products
     (U[:, b] f[b]) H[:, b]^T, formed on the solve threads and summed in
     block order."""
-    A = None if cfg is None else SystemOperator(f, problem.G)
-    U = _solve_rows(A, problem.U_in, cfg)
+    if cfg is None:
+        A, U = None, problem.U_in
+    else:
+        A = SystemOperator(f, problem.G)
+        U = _solve_rows(A, problem.U_in, cfg.forward.residual_tol, cfg.forward.K)
     f, H = f.ravel(), problem._H_ring.matrix
     R, *rest = _on_pixel_blocks(f.size, lambda s: (U[:, s] * f[s]) @ H[:, s].T)
     for part in rest:
@@ -437,7 +436,7 @@ def total_gradient(f, problem, cfg, data):
         _on_pixel_blocks(f.size, lambda s: (back_project(s), row_sum(s)))
     else:
         _on_pixel_blocks(f.size, back_project)
-        X = _solve_rows(A, X, cfg)
+        X = _solve_rows(A, X, cfg.forward.residual_tol, cfg.forward.K)
         row_sum(slice(None))
     return grad.reshape(problem.grid.shape), D
 

@@ -119,18 +119,14 @@ def simulate_measurements(cfg):
         y=[np.zeros(len(receivers)) for _ in transmitters],
         frequency_hz=SPEED_OF_LIGHT / grid.wavelength)
     check_sensors(fine, receivers)
-    # the solves stop at ForwardConfig.residual_tol, which is exactly
-    # GENERATION_RESIDUAL
-    gen_cfg = dataclasses.replace(recon_cfg, forward=ForwardConfig(
-        K=gen.k_multiplier * recon_cfg.forward.K,
-        delta_tol_rel=0.5 * GENERATION_RESIDUAL ** 2))
     window = support_grid(fine, f_fine)
     if window is None:
         y = [np.zeros(len(receivers), dtype=complex) for _ in transmitters]
     else:
         sub, f_sub = window
         _, U = incident_fields(sub, transmitters)
-        U = _solve_rows(SystemOperator(f_sub, build_domain_operator(sub)), U, gen_cfg)
+        U = _solve_rows(SystemOperator(f_sub, build_domain_operator(sub)), U,
+                        GENERATION_RESIDUAL, gen.k_multiplier * recon_cfg.forward.K)
         U *= f_sub.ravel()
         y = list(green_products(sub, receivers.positions, sub.pixel_volume, U))
 

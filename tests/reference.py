@@ -21,7 +21,6 @@ self terms.  The objectives and unfused operators
 that only tests evaluate live here too.
 """
 
-import dataclasses
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -30,7 +29,7 @@ import numpy as np
 from wavetomo.fileio import (generation_from_config, grid_from_config,
                              receivers_from_config, recon_config_from_config,
                              transmitters_from_config)
-from wavetomo.forward import ForwardConfig, bicgstab
+from wavetomo.forward import bicgstab
 from wavetomo.greens import (SystemOperator, apply_A, apply_AH, build_domain_operator,
                              green_2d, green_3d, green_products, self_interaction)
 from wavetomo.grid import refined_grid
@@ -232,12 +231,10 @@ def fine_grid_data(cfg):
     gen = generation_from_config(cfg)
     fine = refined_grid(grid_from_config(cfg), gen.grid_refine)
     f = render_phantom(cfg, fine)
-    gen_cfg = dataclasses.replace(recon_cfg, forward=ForwardConfig(
-        K=gen.k_multiplier * recon_cfg.forward.K,
-        delta_tol_rel=0.5 * GENERATION_RESIDUAL ** 2))
     receivers, _ = receivers_from_config(cfg)
     _, U = incident_fields(fine, transmitters_from_config(cfg))
-    U = _solve_rows(SystemOperator(f, build_domain_operator(fine)), U, gen_cfg)
+    U = _solve_rows(SystemOperator(f, build_domain_operator(fine)), U,
+                    GENERATION_RESIDUAL, gen.k_multiplier * recon_cfg.forward.K)
     return green_products(fine, receivers.positions, fine.pixel_volume, U * f.ravel())
 
 

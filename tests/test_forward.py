@@ -421,16 +421,22 @@ class TestEstimateStep:
             x = random_field(rng, grid.shape)
             assert np.linalg.norm(wt.apply_A(f, x, G)) <= np.sqrt(1.05 / nu) * np.linalg.norm(x)
 
-    @pytest.mark.parametrize("shape, contrast", [((12, 10), 1.0), ((9, 11), 0.5)])
+    # (shape, contrast) -> how far short of the dense ||A||_2^2 the power
+    # iteration's estimate may come; it never exceeds it.  At the default
+    # tolerance it came 0.60%, 0.28%, 5.0% and 8.8% short, and two steps
+    # alone were 56% and 37% short on the first two scenes.  The last two
+    # are bound at 1.5 times their shortfall
+    SHORTFALL = {((12, 10), 1.0): 2e-2, ((9, 11), 0.5): 2e-2,
+                 ((12, 10), 0.2): 7.5e-2, ((6, 5, 4), 0.5): 1.3e-1}
+
+    @pytest.mark.parametrize("shape, contrast", list(SHORTFALL))
     def test_estimate_against_dense_norm(self, shape, contrast):
-        # the power iteration's estimate of ||A||_2^2 never exceeds the
-        # dense matrix's and, at the default tolerance, came within 0.6%
-        # and 0.28% of it; two steps alone were 56% and 37% short
         grid = wt.centered_grid(shape, spacing=0.5 / 16, wavelength=0.5)
         f = random_potential(np.random.default_rng(5), grid, contrast)
         norm_sq = np.linalg.norm(dense_A_matrix(grid, f), 2) ** 2
         estimate = 1.0 / wt.estimate_fixed_step(f, wt.build_domain_operator(grid))
-        assert (1 - 2e-2) * norm_sq <= estimate <= (1 + 1e-12) * norm_sq
+        short = self.SHORTFALL[shape, contrast]
+        assert (1 - short) * norm_sq <= estimate <= (1 + 1e-12) * norm_sq
 
 
 def test_objective_fd_consistency(small_setup, rng):

@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import functools
+import importlib
 import importlib.util
 import json
 import os
@@ -971,6 +973,16 @@ def _readme():
     return (ROOT / "README.md").read_text(encoding="utf-8")
 
 
+def _schema_leaves():
+    """Every key path of the sections below the top level, "grid.shape" say."""
+    sections = {"grid": fileio.GRID_SCHEMA, "receivers": fileio.RECEIVERS_SCHEMA,
+                "recon": fileio.RECON_SCHEMA, "recon.forward": fileio.FORWARD_SCHEMA,
+                "recon.box": fileio.BOX_SCHEMA,
+                "generation": fileio.GENERATION_SCHEMA}
+    return {f"{name}.{key}" for name, schema in sections.items()
+            for key in schema if f"{name}.{key}" not in sections}
+
+
 class TestConfigDocs:
     def test_shipped_configs_resolve_as_before(self):
         # resolved tau (at ||y||^2 = 30), delta_tol_rel and K, as recorded
@@ -1030,14 +1042,27 @@ class TestConfigDocs:
         assert sorted(rows) == sorted({path for path, _ in REMOVED_KEYS})
 
     def test_readme_table_lists_schema_keys(self):
-        sections = {"grid": fileio.GRID_SCHEMA, "receivers": fileio.RECEIVERS_SCHEMA,
-                    "recon": fileio.RECON_SCHEMA, "recon.forward": fileio.FORWARD_SCHEMA,
-                    "recon.box": fileio.BOX_SCHEMA,
-                    "generation": fileio.GENERATION_SCHEMA}
-        leaves = {f"{name}.{key}" for name, schema in sections.items()
-                  for key in schema if f"{name}.{key}" not in sections}
         key_table = _readme().split("## Removed keys")[0]
         rows = set(re.findall(r"^\| `([\w.\[\]]+)` \|", key_table, re.M))
         listed = {row for row in rows if "." in row and row.split(".")[0] in
                   {"grid", "receivers", "recon", "generation"}}
-        assert listed == leaves
+        assert listed == _schema_leaves()
+
+    def test_readme_names_only_code_that_exists(self):
+        # each backticked `module.name...` outside the code blocks whose
+        # module is a wavetomo submodule resolves by getattr; a config key
+        # path such as `grid.shape` or a removed key names no code
+        keys = _schema_leaves() | {path for path, _ in REMOVED_KEYS}
+        modules = {p.stem for p in (ROOT / "src" / "wavetomo").glob("*.py")}
+        prose = re.sub(r"^```.*?^```", "", _readme(), flags=re.M | re.S)
+        missing = []
+        for span in re.findall(r"`([^`]+)`", prose):
+            name = re.match(r"([A-Za-z_]\w*)((?:\.[A-Za-z_]\w*)+)", span)
+            if name is None or name[1] not in modules or name[0] in keys:
+                continue
+            try:
+                functools.reduce(getattr, name[2].split(".")[1:],
+                                 importlib.import_module(f"wavetomo.{name[1]}"))
+            except AttributeError:
+                missing.append(name[0])
+        assert missing == []
