@@ -4,15 +4,12 @@ Subcommands: simulate, reconstruct, analytic, gradcheck, metrics, sweep.
 Exit codes: 0 ok, 1 usage/config error (a shape mismatch, a sensor on a pixel
 center, data the Rytov transform cannot take and running out of memory
 included), 2 numerical failure, 3 I/O error.
-The WAVETOMO_OUTDIR environment variable supplies the default output
-directory.
 """
 
 import argparse
 import dataclasses
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -50,13 +47,6 @@ class SystemExit2(Exception):
     """Usage error carrying the message (mapped to exit code 1)."""
 
 
-def _outdir(args):
-    base = getattr(args, "out", None) or os.environ.get("WAVETOMO_OUTDIR") or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _read_config(path):
     # bytes: json decodes them, so a file that is not UTF-8 is a ConfigError too
     with open(path, "rb") as fh:
@@ -86,7 +76,8 @@ def cmd_reconstruct(args):
         truth, _ = fileio.load_grid_csv(args.ground_truth)
     report = fista_reconstruct(mset, grid, rcfg, ground_truth=truth,
                                model=args.model)
-    outdir = _outdir(args)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     fileio.emit_grid_csv(report.f_hat, grid, outdir / "f_hat.csv")
     if grid.ndim == 2:
         fileio.emit_image(report.f_hat, outdir / "f_hat.pgm")
@@ -319,7 +310,7 @@ def build_parser():
     s = sub.add_parser("reconstruct", help="measurements -> image + report")
     s.add_argument("--config", required=True)
     s.add_argument("--measurements", required=True)
-    s.add_argument("--out", help="output directory (default $WAVETOMO_OUTDIR or .)")
+    s.add_argument("--out", default=".", help="output directory (default .)")
     s.add_argument("--model", choices=["full", "born", "rytov"], default="full")
     s.add_argument("--ground-truth", help="phantom CSV for error tracking")
     s.set_defaults(fn=cmd_reconstruct)

@@ -152,7 +152,6 @@ GRID_SCHEMA = {
     "spacing_m": (NUMBER, REQUIRED),
     "wavelength_m": (NUMBER, REQUIRED),
     "origin_m": (NUMBERS, None),      # None: pixel block centered on the origin
-    "background_permittivity": (NUMBER, 1.0),
 }
 TRANSMITTER_RING_SCHEMA = {
     "count": (INT, REQUIRED),
@@ -307,14 +306,13 @@ def _extent(grid):
 def grid_from_config(cfg):
     g = _read(_section(cfg, "grid"), "grid", GRID_SCHEMA)
     if g.origin_m is None:
-        grid = _build("grid", centered_grid, g.shape, g.spacing_m, g.wavelength_m,
-                      g.background_permittivity)
+        grid = _build("grid", centered_grid, g.shape, g.spacing_m, g.wavelength_m)
     else:
         grid = _build("grid", DomainGrid, tuple(g.shape), g.spacing_m,
-                      tuple(g.origin_m), g.wavelength_m, g.background_permittivity)
+                      tuple(g.origin_m), g.wavelength_m)
     _check_phase("grid", _k_b(grid) * _extent(grid),
                  "k_b times the grid extent, from grid.wavelength_m, "
-                 "grid.background_permittivity, grid.spacing_m and grid.shape,")
+                 "grid.spacing_m and grid.shape,")
     _check_phase("grid.origin_m", _k_b(grid) * math.hypot(*grid.center),
                  "k_b times the distance of the grid center from the origin")
     return grid

@@ -541,33 +541,21 @@ def check_sensors(grid, sensors):
         raise SingularityError("a sensor coincides with a pixel center")
 
 
-def sensor_rows(grid, sensors, sources=None, amplitudes=()):
-    """H's rows on ``sensors``, then amplitudes[j] * g(sources[j] - x_n).
-
-    ``sources`` is an (S, ndim) array of point-source positions, if any.
-    One ``green_matrix`` call builds both, so the grid table of its Graf path
-    is built once per grid.  The sensors pass ``check_sensors`` first.
-    """
-    check_sensors(grid, sensors)
-    if sources is None:
-        sources = np.empty((0, grid.ndim))
-    points = np.concatenate([sensors.positions, sources])
-    weights = np.concatenate([np.full(len(sensors), grid.pixel_volume),
-                              np.asarray(amplitudes, dtype=complex)])
-    return green_matrix(grid, points, weights)
-
-
 class SensorGreensOperator:
     """Domain-to-sensor operator: dense M x N matrix of pixel-weighted g values.
 
-    ``matrix``, when given, is the sensors' block of a ``sensor_rows`` call
-    that also built point sources' rows; otherwise the operator calls it.
+    ``matrix``, when given, is the sensors' block of a ``green_matrix`` call
+    that also built point sources' rows (``recon.incident_fields``);
+    otherwise the operator checks the sensors and builds it.
     """
 
     def __init__(self, grid, sensors, matrix=None):
         self.grid = grid
         self.sensors = sensors
-        self.matrix = sensor_rows(grid, sensors) if matrix is None else matrix
+        if matrix is None:
+            check_sensors(grid, sensors)
+            matrix = green_matrix(grid, sensors.positions, grid.pixel_volume)
+        self.matrix = matrix
 
     def apply(self, v):
         v = self.grid.check_field(v)

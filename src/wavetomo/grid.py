@@ -37,16 +37,13 @@ class DomainGrid:
     origin : tuple of float
         Physical coordinate of the center of pixel (0, ..., 0), meters.
     wavelength : float
-        Vacuum wavelength in meters.
-    background_permittivity : float
-        Relative permittivity of the surrounding medium (> 0).
+        Wavelength in the background medium, meters.
     """
 
     shape: tuple
     spacing: float
     origin: tuple
     wavelength: float
-    background_permittivity: float = 1.0
 
     def __post_init__(self):
         shape = tuple(check_integer("each grid dim", n) for n in self.shape)
@@ -72,10 +69,8 @@ class DomainGrid:
             raise ConfigError("origin must be finite")
         if not 0 < self.wavelength < math.inf:
             raise ConfigError("wavelength must be positive and finite")
-        if not (self.background_permittivity > 0):
-            raise ConfigError("background permittivity must be positive")
-        if not (np.isfinite(self.k) and np.isfinite(self.k_b)):
-            raise ConfigError("derived wavenumbers must be finite")
+        if not np.isfinite(self.k_b):
+            raise ConfigError("derived wavenumber must be finite")
 
     @property
     def ndim(self):
@@ -86,14 +81,10 @@ class DomainGrid:
         return int(np.prod(self.shape))
 
     @property
-    def k(self):
-        """Vacuum wavenumber 2*pi/wavelength."""
-        return 2.0 * np.pi / self.wavelength
-
-    @property
     def k_b(self):
-        """Background wavenumber k * sqrt(eps_b)."""
-        return self.k * np.sqrt(self.background_permittivity)
+        """Background wavenumber 2*pi/wavelength, a numpy float64: its square
+        overflows to inf with numpy's warning, not with OverflowError."""
+        return np.float64(2.0 * np.pi / self.wavelength)
 
     @property
     def pixel_volume(self):
@@ -129,11 +120,11 @@ class DomainGrid:
         return u
 
 
-def centered_grid(shape, spacing, wavelength, background_permittivity=1.0):
+def centered_grid(shape, spacing, wavelength):
     """Grid whose pixel block is centered on the coordinate origin."""
     shape = tuple(check_integer("each grid dim", n) for n in shape)
     origin = tuple(-0.5 * spacing * (n - 1) for n in shape)
-    return DomainGrid(shape, spacing, origin, wavelength, background_permittivity)
+    return DomainGrid(shape, spacing, origin, wavelength)
 
 
 def refined_grid(grid, refine):
@@ -144,8 +135,7 @@ def refined_grid(grid, refine):
     spacing = grid.spacing / refine
     shape = tuple(n * refine for n in grid.shape)
     origin = tuple(c - 0.5 * grid.spacing + 0.5 * spacing for c in grid.origin)
-    return DomainGrid(shape, spacing, origin, grid.wavelength,
-                      grid.background_permittivity)
+    return DomainGrid(shape, spacing, origin, grid.wavelength)
 
 
 @dataclass(frozen=True)

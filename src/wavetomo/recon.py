@@ -30,7 +30,7 @@ from .forward import ForwardConfig, bicgstab, data_fidelity
 # not called: benchmarks/layers.py wraps them; drop them with those sites
 from .forward import forward_solve, gradient_from_trace  # noqa: F401
 from .greens import (MaskedSensorOperator, SensorGreensOperator, SystemOperator,
-                     build_domain_operator, green_matrix, point_green, sensor_rows)
+                     build_domain_operator, check_sensors, green_matrix, point_green)
 # not called: benchmarks/layers.py wraps it
 from .greens import build_sensor_operator  # noqa: F401
 from .grid import SensorSet, check_integer
@@ -190,11 +190,11 @@ def incident_fields(grid, transmitters, sensors=None):
     transmitters' incident fields, row t of U_in transmitter t's on the grid
     raveled.
 
-    One ``sensor_rows`` call, or ``green_matrix`` without sensors, builds
-    the point sources' fields with H's rows, so its Graf grid table is
-    built once; plane waves are evaluated on their own.  When every
-    transmitter is a point source, H and U_in are two views of that call's
-    output, so no row is held twice.
+    One ``green_matrix`` call builds H's rows, weighted by the pixel
+    volume, before the point sources' fields, so its Graf grid table is
+    built once; the sensors pass ``check_sensors`` first.  Plane waves are
+    evaluated on their own.  When every transmitter is a point source, H
+    and U_in are two views of that call's output, so no row is held twice.
     """
     point = [t for t, tx in enumerate(transmitters) if tx.kind == "point"]
     sources = np.reshape([transmitters[t].position for t in point], (len(point), grid.ndim))
@@ -202,7 +202,10 @@ def incident_fields(grid, transmitters, sensors=None):
     if sensors is None:
         H, rows = None, green_matrix(grid, sources, amplitudes)
     else:
-        rows = sensor_rows(grid, sensors, sources, amplitudes)
+        check_sensors(grid, sensors)
+        rows = green_matrix(grid, np.concatenate([sensors.positions, sources]),
+                            np.concatenate([np.full(len(sensors), grid.pixel_volume),
+                                            np.asarray(amplitudes, dtype=complex)]))
         H, rows = rows[:len(sensors)], rows[len(sensors):]
     if len(point) == len(transmitters):
         return H, rows

@@ -81,7 +81,7 @@ def support_grid(grid, f):
         window.append(slice(start, start + width))
     origin = tuple(c + grid.spacing * s.start for c, s in zip(grid.origin, window))
     sub = DomainGrid(tuple(s.stop - s.start for s in window), grid.spacing, origin,
-                     grid.wavelength, grid.background_permittivity)
+                     grid.wavelength)
     return sub, np.asarray(f)[tuple(window)]
 
 

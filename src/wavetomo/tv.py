@@ -103,14 +103,14 @@ def prox_tv(z, tau, box=BoxConstraint(), iters=10, dual_init=None):
     if tau < 0:
         raise ConfigError("tau must be >= 0")
     g = np.zeros((z.ndim,) + z.shape)
+    if dual_init is not None and np.shape(dual_init) != g.shape:
+        raise DimensionError("dual warm start has the wrong shape")
     if tau == 0.0:
         return proj_box(z, box), g
 
     gamma = 1.0 / (12.0 * tau)
     if dual_init is not None:
         g = np.array(dual_init, dtype=float, order="C")
-        if g.shape != (z.ndim,) + z.shape:
-            raise DimensionError("dual warm start has the wrong shape")
     g_t = g
     q = 1.0
     for _ in range(iters):

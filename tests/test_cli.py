@@ -298,15 +298,21 @@ class TestSimulateReconstruct:
             assert main(["simulate", "--config", str(cfg_path), "--out", str(meas)]) == 0
         assert fileio.load_measurements(meas).n_tx == 2
 
-    def test_outdir_env_default(self, tmp_path, monkeypatch):
+    def test_out_defaults_to_working_directory(self, tmp_path, monkeypatch):
+        # --out alone names the output directory: the WAVETOMO_OUTDIR
+        # environment variable that used to set it is ignored
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)
         meas = tmp_path / "m.dat"
         main(["simulate", "--config", str(cfg_path), "--out", str(meas)])
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
         monkeypatch.setenv("WAVETOMO_OUTDIR", str(tmp_path / "envout"))
         assert main(["reconstruct", "--config", str(cfg_path),
                      "--measurements", str(meas)]) == 0
-        assert (tmp_path / "envout" / "report.json").exists()
+        assert {"f_hat.csv", "f_hat.pgm", "report.json"} <= {p.name for p in work.iterdir()}
+        assert not (tmp_path / "envout").exists()
 
 
 class TestMetricsCommand:
@@ -358,6 +364,21 @@ class TestGradcheckCommand:
         out, err = capsys.readouterr()
         assert [line.split()[2] for line in out.splitlines()] == ["fixed", "loop"]
         assert err.startswith("numerical failure: gradient check failed: 2.000e+00")
+
+    def test_checks_at_twenty_percent_contrast(self, monkeypatch):
+        # each random potential peaks at contrast 0.2, |f| = 0.2 k_b^2 with
+        # k_b = 4 pi on the command's grid, where the field solves see
+        # multiple scattering; a weaker potential would check little more
+        # than the Born gradient
+        peaks, solve = [], cli.forward_solve
+
+        def recorded(f, *args, **kwargs):
+            peaks.append(np.max(np.abs(f)))
+            return solve(f, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "forward_solve", recorded)
+        assert main(["gradcheck", "--grid-size", "4", "--K", "1", "2", "--seed", "1"]) == 0
+        assert peaks and np.allclose(peaks, 0.2 * (4 * np.pi) ** 2, rtol=2e-5, atol=0)
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_tol(self, capsys, tol):
@@ -626,8 +647,6 @@ MALFORMED_CONFIGS = {
     "tiny wavelength": (
         _set("grid", wavelength_m=1e-300),
         "grid: k_b times the grid extent, from grid.wavelength_m,"),
-    "huge background permittivity": (
-        _set("grid", background_permittivity=1e300), "grid.background_permittivity"),
     "far grid origin": (
         _set("grid", origin_m=[1e300, 0.0]),
         "grid.origin_m: k_b times the distance of the grid center"),

@@ -12,7 +12,7 @@ from conftest import random_field, random_potential
 from reference import (dense_A_matrix, dense_domain_matrix, direct_green_matrix,
                        mp_green_2d, mp_j, mp_self_interaction, mp_y, n_padded_adjoint,
                        n_padded_apply, padded_fft_apply, padded_kernel)
-from wavetomo import greens
+from wavetomo import greens, recon
 from wavetomo.analytic import helmholtz_residual
 from wavetomo.errors import ConfigError, DimensionError, SingularityError
 from wavetomo.greens import GRAF_TAIL, SystemOperator, green_matrix, green_products
@@ -697,7 +697,7 @@ class TestGreenMatrix:
         y = [np.ones(60, dtype=complex)] * 3
         mset = wt.MeasurementSet(tx, wt.ring_sensors(60, 0.5), [np.arange(60)] * 3, y)
         calls = []
-        monkeypatch.setattr(greens, "green_matrix",
+        monkeypatch.setattr(recon, "green_matrix",
                             lambda grid, points, weights: calls.append(len(points))
                             or green_matrix(grid, points, weights))
         problem = wt.ScatteringProblem(mset, grid)
@@ -721,7 +721,7 @@ class TestGreenMatrix:
         mset = wt.MeasurementSet(tx, wt.ring_sensors(60, 0.5), [np.arange(60)] * 8,
                                  [np.ones(60, dtype=complex)] * 8)
         built = []
-        monkeypatch.setattr(greens, "green_matrix",
+        monkeypatch.setattr(recon, "green_matrix",
                             lambda grid, points, weights: built.append(
                                 green_matrix(grid, points, weights)) or built[-1])
         problem = wt.ScatteringProblem(mset, grid)

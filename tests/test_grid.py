@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -62,12 +63,24 @@ class TestIntegerArguments:
             refined_grid(grid, refine)
 
 
+def test_wavelength_alone_sets_k_b():
+    # the model sees the background medium only through k_b = 2 pi/wavelength;
+    # k_b is a numpy float64, so its square overflows to inf with numpy's
+    # warning where a plain float would raise OverflowError
+    assert [f.name for f in dataclasses.fields(wt.DomainGrid)] == [
+        "shape", "spacing", "origin", "wavelength"]
+    grid = wt.centered_grid((4, 4), 0.1, 0.5)
+    assert type(grid.k_b) is np.float64 and grid.k_b == 4 * np.pi
+    tiny = wt.centered_grid((4, 4), 0.1, 1e-160)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert tiny.k_b ** 2 == np.inf
+
+
 @pytest.mark.parametrize("section, key, value, message", [
     ("grid", "wavelength_m", 0.0, "grid: wavelength must be positive and finite"),
-    ("grid", "wavelength_m", 1e-320, "grid: derived wavenumbers must be finite"),
-    ("grid", "background_permittivity", 0, "grid: background permittivity must be positive"),
+    ("grid", "wavelength_m", 1e-320, "grid: derived wavenumber must be finite"),
     ("receivers", "count", 0, "receivers: ring needs at least one sensor"),
-], ids=["zero wavelength", "subnormal wavelength", "zero permittivity", "no receiver"])
+], ids=["zero wavelength", "subnormal wavelength", "no receiver"])
 def test_config_values_grid_rejects(section, key, value, message):
     cfg = {"grid": {"shape": [8, 8], "spacing_m": 0.05, "wavelength_m": 0.5},
            "receivers": {"count": 12, "ring_radius_m": 0.5}}

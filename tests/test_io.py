@@ -59,6 +59,7 @@ REMOVED_KEYS = [
     ("recon.tv_variant", "iso"), ("recon.workers", 2), ("recon.forward.stop_on", "gradient"),
     ("recon.tv_delta", -1e-4), ("recon.tv_delta", float("nan")), ("recon.forward.nu", 0.5),
     ("recon.tv_iters", 10), ("phantom.supersample", 8), ("phantom.extent_m", 0.5),
+    ("grid.background_permittivity", 1.0),
 ]
 
 

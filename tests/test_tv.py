@@ -175,13 +175,15 @@ class TestComponentFirstLayout:
         assert np.array_equal(g, np.moveaxis(g_ref, -1, 0))
         assert np.any(g) == (tau > 0)
 
-    def test_component_last_warm_start_rejected(self, rng):
-        # on a non-square grid the two layouts have different shapes
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    def test_component_last_warm_start_rejected(self, rng, tau):
+        # on a non-square grid the two layouts have different shapes; tau = 0
+        # used to return a zero dual without looking at dual_init
         z = rng.standard_normal((6, 5))
         _, g = trailing_prox_tv(z, 0.3)
         assert g.shape == (6, 5, 2)
         with pytest.raises(DimensionError, match="dual warm start"):
-            wt.prox_tv(z, 0.3, dual_init=g)
+            wt.prox_tv(z, tau, dual_init=g)
 
     @pytest.mark.parametrize("shape", [(3, 6, 5), (1, 6, 5), (6, 5, 2)])
     def test_adjoint_rejects_wrong_component_count(self, shape):
